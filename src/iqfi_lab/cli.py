@@ -211,12 +211,20 @@ def _default_pi_times(T: float) -> list:
     return ts if ts else [T / 2.0]
 
 
+def _duration(args, default: float) -> float:
+    """--T, checked before the pulse-time and segment defaults derive from it."""
+    T = _resolve(args, "T", default, float)
+    if not (math.isfinite(T) and T > 0.0):
+        raise ConfigError(f"--T must be positive and finite, got {T}")
+    return T
+
+
 def _build_protocol(args):
     name = _resolve(args, "protocol", "ramsey", str)
     if name not in PROTOCOL_NAMES:
         raise ConfigError(
             f"unknown protocol {name!r}; choose from {', '.join(PROTOCOL_NAMES)}")
-    T = _resolve(args, "T", 4.0, float)
+    T = _duration(args, 4.0)
     alpha = _resolve(args, "alpha", math.pi / 2.0, float)
     beta = _resolve(args, "beta", 0.0, float)
     state = (alpha, beta)
@@ -374,6 +382,11 @@ def _fig1_point(task):
 def cmd_fig1(args) -> int:
     t_list = _float_list(_resolve(args, "t_list", "2,3,4,6,8,11,16,23,32"))
     b_list = _float_list(_resolve(args, "B", "1.0,0.01"))
+    if not all(math.isfinite(T) and T > 0.0 for T in t_list):
+        raise ConfigError(f"--T-list entries must be positive and finite, "
+                          f"got {t_list}")
+    if not all(math.isfinite(b) for b in b_list):
+        raise ConfigError(f"--B values must be finite, got {b_list}")
     g = _resolve(args, "g", math.pi / 2.0, float)
     rel_tol = _resolve(args, "rel_tol", 1e-6, float)
     ode_tol = _resolve(args, "ode_tol", 1e-9, float)
@@ -409,7 +422,7 @@ def _suffixed(path: str, tag: str) -> str:
 
 
 def cmd_fig2(args) -> int:
-    T = _resolve(args, "T", 8.0, float)
+    T = _duration(args, 8.0)
     g = _resolve(args, "g", math.pi / 2.0, float)
     signal = _build_signal_default_b(args, 1.0)
     ode_tol = _resolve(args, "ode_tol", 1e-9, float)

@@ -1,13 +1,18 @@
 """State evolution and quantum Fisher information.
 
 For discrete protocols the free evolution between pulses is the exact 2x2
-unitary exp(-i*zeta*B*Theta_k*Z) per segment, so the full propagator P and
-its field derivative W = dP/dB are built in one forward pass:
+unitary exp(-i*zeta*B*Theta_k*Z) per segment, so a state column psi and its
+field derivative dpsi = dpsi/dB are carried through the protocol in one
+forward pass, vectorized over a frequency grid:
 
-    P <- F_k P,    W <- F_k W + (-i*zeta*Theta_k) Z (F_k P)
+    psi <- F_k psi,    dpsi <- F_k dpsi + (-i*zeta*Theta_k) Z (F_k psi)
 
-with pulses multiplying both.  No time stepping is involved; the pass is
-vectorized over a frequency grid.  The pure-state Fisher information is
+with each pulse unitary applied to both.  The two components of psi and of
+dpsi are held as separate contiguous arrays: a free segment is an
+elementwise phase, and a pulse is 2x2 arithmetic with four scalars written
+out by hand.  Propagating the two basis columns instead of one state gives
+the full propagator P and W = dP/dB.  No time stepping is involved.  The
+pure-state Fisher information is
 
     J = 4 * (<dpsi|dpsi> + Re <dpsi|psi>^2)
 
@@ -114,11 +119,14 @@ def qfi(state) -> float:
 
 
 def discrete_propagators(seq: PulseSequence, signal: SignalParams,
-                         B: Optional[float] = None, omegas=None):
-    """Propagator P(omega) and derivative W(omega) = dP/dB over a grid.
+                         B: Optional[float] = None, omegas=None, psi0=None):
+    """Propagate a pulse sequence over a frequency grid.
 
-    Returns (P, W) with shape (n_omega, 2, 2).  The initial state is not
-    applied, so one pass serves any initial state (used by the Haar average).
+    With an initial state psi0 (a 2-vector) returns (psi, dpsi), the final
+    state and its field derivative dpsi/dB, each of shape (n_omega, 2).
+    Without one, returns the propagator P(omega) and its derivative
+    W(omega) = dP/dB, each of shape (n_omega, 2, 2), so that one pass serves
+    any initial state (used by the Haar average).
     """
     problem = validate(seq)
     if problem is not None:
@@ -127,35 +135,68 @@ def discrete_propagators(seq: PulseSequence, signal: SignalParams,
         B = signal.B
     om = np.atleast_1d(np.asarray(
         signal.omega if omegas is None else omegas, dtype=float))
-    n = om.size
-    P = np.zeros((n, 2, 2), dtype=complex)
-    P[:, 0, 0] = 1.0
-    P[:, 1, 1] = 1.0
-    W = np.zeros_like(P)
+    # one row per initial column (the state, or the two basis vectors) in
+    # each of the component arrays a, b and their derivatives da, db
+    cols = (np.eye(2, dtype=complex) if psi0 is None
+            else np.asarray(psi0, dtype=complex).reshape(1, 2))
+    shape = (cols.shape[0], om.size)
+    if psi0 is None:
+        # allocated before the work arrays, so that the outputs do not sit
+        # above the heap hole the work arrays leave when they are freed
+        P = np.empty((om.size, 2, 2), dtype=complex)
+        W = np.empty_like(P)
+    a = np.broadcast_to(cols[:, 0:1], shape).copy()
+    b = np.broadcast_to(cols[:, 1:2], shape).copy()
+    da = np.zeros(shape, dtype=complex)
+    db = np.zeros(shape, dtype=complex)
+    s1 = np.empty(shape, dtype=complex)
+    s2 = np.empty(shape, dtype=complex)
     zb = signal.zeta * B
+    dz = -1j * signal.zeta
     t_prev = 0.0
-    for pulse in seq.pulses:
-        _advance_free(P, W, t_prev, pulse.time, om, signal.phi, zb, signal.zeta)
-        u = pulse.unitary
-        P[:] = u @ P
-        W[:] = u @ W
-        t_prev = pulse.time
-    _advance_free(P, W, t_prev, seq.total_time, om, signal.phi, zb, signal.zeta)
+    for t_next, u in [(p.time, p.unitary) for p in seq.pulses] + [
+            (seq.total_time, None)]:
+        if t_next > t_prev:
+            # free segment: psi <- F psi and dpsi <- F dpsi - i zeta Theta Z F psi
+            # with F = exp(-i zeta B Theta Z); e = exp(-i zeta B Theta) comes
+            # from a real cosine and sine, half the cost of np.exp
+            th = _theta_raw(t_prev, t_next, om, signal.phi)
+            x = th * -zb
+            e = np.empty(om.size, dtype=complex)
+            np.cos(x, out=e.real)
+            np.sin(x, out=e.imag)
+            a *= e
+            da *= e
+            np.multiply(a, th, out=s1)
+            s1 *= dz
+            da += s1
+            np.conjugate(e, out=e)
+            b *= e
+            db *= e
+            np.multiply(b, th, out=s1)
+            s1 *= dz
+            db -= s1
+        if u is not None:
+            _rotate(a, b, u, s1, s2)
+            _rotate(da, db, u, s1, s2)
+        t_prev = t_next
+    if psi0 is not None:
+        return (np.stack((a[0], b[0]), axis=1),
+                np.stack((da[0], db[0]), axis=1))
+    P[:, 0, :], P[:, 1, :] = a.T, b.T
+    W[:, 0, :], W[:, 1, :] = da.T, db.T
     return P, W
 
 
-def _advance_free(P, W, t0, t1, om, phi, zb, zeta):
-    if t1 <= t0:
-        return
-    th = _theta_raw(t0, t1, om, phi)
-    phase = np.exp(-1j * zb * th)[:, None]
-    P[:, 0, :] *= phase
-    P[:, 1, :] *= phase.conj()
-    W[:, 0, :] *= phase
-    W[:, 1, :] *= phase.conj()
-    coef = (-1j * zeta * th)[:, None]
-    W[:, 0, :] += coef * P[:, 0, :]
-    W[:, 1, :] -= coef * P[:, 1, :]
+def _rotate(x, y, u, s1, s2):
+    """(x, y) <- u (x, y) in place, with s1 and s2 as scratch."""
+    (u00, u01), (u10, u11) = u
+    np.multiply(x, u10, out=s1)
+    np.multiply(y, u01, out=s2)
+    x *= u00
+    x += s2
+    y *= u11
+    y += s1
 
 
 def evolve_discrete(seq: PulseSequence, signal: SignalParams,
@@ -163,18 +204,10 @@ def evolve_discrete(seq: PulseSequence, signal: SignalParams,
     """Evolve a pulse sequence at the signal's frequency; exact, O(#pulses)."""
     if B is None:
         B = signal.B
-    P, W = discrete_propagators(seq, signal, B)
-    psi0 = seq.initial_vector()
-    return SensorState(psi=P[0] @ psi0, dpsi=W[0] @ psi0, B=B,
+    psi, dpsi = discrete_propagators(seq, signal, B,
+                                     psi0=seq.initial_vector())
+    return SensorState(psi=psi[0], dpsi=dpsi[0], B=B,
                        omega=signal.omega, total_time=seq.total_time)
-
-
-def _qfi_from_propagators(P, W, psi0) -> np.ndarray:
-    psi = P @ psi0
-    dpsi = W @ psi0
-    dd = np.einsum("ni,ni->n", dpsi.conj(), dpsi).real
-    ov = np.einsum("ni,ni->n", dpsi.conj(), psi)
-    return 4.0 * (dd + (ov * ov).real)
 
 
 # -- continuous protocols -----------------------------------------------------
@@ -353,8 +386,12 @@ def qfi_vs_omega(protocol, signal: SignalParams, B: Optional[float] = None,
     om = np.atleast_1d(np.asarray(
         signal.omega if omegas is None else omegas, dtype=float))
     if isinstance(protocol, PulseSequence):
-        P, W = discrete_propagators(protocol, signal, B, om)
-        return _qfi_from_propagators(P, W, protocol.initial_vector())
+        psi, dpsi = discrete_propagators(protocol, signal, B, om,
+                                         psi0=protocol.initial_vector())
+        (a, b), (da, db) = psi.T, dpsi.T
+        ov = da.conj() * a + db.conj() * b
+        dd = (da.conj() * da + db.conj() * db).real
+        return 4.0 * (dd + (ov * ov).real)
     if isinstance(protocol, GhzProtocol):
         return _ghz_qfi_vs_omega(protocol, signal, om)
     if isinstance(protocol, (TransverseDrive, PiecewiseGenerator)):

@@ -69,6 +69,12 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
     return math.cos(half) * IDENTITY - 1j * math.sin(half) * gen
 
 
+def _check_total_time(total_time: float) -> None:
+    if not (math.isfinite(total_time) and total_time > 0.0):
+        raise ValueError(
+            f"total_time must be positive and finite, got {total_time}")
+
+
 @dataclass(frozen=True, eq=False)
 class Pulse:
     """Instantaneous unitary at lab time `time`.
@@ -144,8 +150,7 @@ class TransverseDrive:
     total_time: float
 
     def __post_init__(self):
-        if self.total_time <= 0.0:
-            raise ValueError("total_time must be > 0")
+        _check_total_time(self.total_time)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +192,8 @@ class GhzProtocol:
         t = self.times
         if len(t) < 2 or t[0] != 0.0:
             raise ValueError("times must start at 0 and contain the end time")
+        if not all(math.isfinite(x) for x in t):
+            raise ValueError("times must be finite")
         if any(b < a for a, b in zip(t, t[1:])):
             raise ValueError("times must be non-decreasing")
         if self.flips is not None and len(self.flips) != len(t) - 2:
@@ -210,17 +217,17 @@ class GhzProtocol:
 
 def make_ramsey(total_time: float, initial_state=(math.pi / 2.0, 0.0)) -> PulseSequence:
     """Free evolution only: prepare, wait T, measure."""
-    if total_time <= 0.0:
-        raise ValueError("total_time must be > 0")
+    _check_total_time(total_time)
     return PulseSequence(pulses=(), total_time=total_time, initial_state=initial_state)
 
 
 def make_pi_train(times, total_time: float, axis="x",
                   initial_state=(math.pi / 2.0, 0.0)) -> PulseSequence:
     """pi rotations about `axis` at the given times (t = total_time allowed)."""
-    if total_time <= 0.0:
-        raise ValueError("total_time must be > 0")
+    _check_total_time(total_time)
     ts = [float(t) for t in times]
+    if not all(math.isfinite(t) for t in ts):
+        raise ValueError("pulse times must be finite")
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValueError("pulse times must be non-decreasing")
     if ts and (ts[0] < 0.0 or ts[-1] > total_time):
@@ -236,8 +243,9 @@ def make_pi2_train(spacing: float, total_time: float, axis="x",
 
     spacing must divide total_time to within 1e-9.
     """
-    if spacing <= 0.0 or total_time <= 0.0:
-        raise ValueError("spacing and total_time must be > 0")
+    _check_total_time(total_time)
+    if not (math.isfinite(spacing) and spacing > 0.0):
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
     count = total_time / spacing
     if abs(count - round(count)) > 1e-9:
         raise ValueError("spacing must divide total_time")
@@ -259,8 +267,7 @@ def make_trotterized_gx(total_time: float, m: int, g: float,
     segment.  m = T (g = pi/2) gives a pi-train at integer times; m = 2T a
     pi/2-train every half second.
     """
-    if total_time <= 0.0:
-        raise ValueError("total_time must be > 0")
+    _check_total_time(total_time)
     if m < 1 or m != int(m):
         raise ValueError("m must be a positive integer")
     dt = total_time / m
@@ -314,8 +321,8 @@ def _validate_sequence(seq: PulseSequence) -> Optional[str]:
 
 
 def _validate_piecewise(ctrl: PiecewiseGenerator) -> Optional[str]:
-    if ctrl.total_time <= 0.0:
-        return "total_time must be > 0"
+    if not math.isfinite(ctrl.total_time) or ctrl.total_time <= 0.0:
+        return f"total_time must be positive and finite, got {ctrl.total_time}"
     if not ctrl.pieces:
         return "pieces must be non-empty"
     expect = 0.0

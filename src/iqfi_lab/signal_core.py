@@ -9,6 +9,7 @@ uses angular frequencies (rad/s), times in seconds, and hbar = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,9 @@ class SignalParams:
     ----------
     B : float
         Field amplitude (the parameter being estimated), in field units.
+        Must be finite.
     omega : float
-        Signal angular frequency, rad/s.  Must be >= 0.
+        Signal angular frequency, rad/s.  Must be finite and >= 0.
     phi : float
         Signal phase offset, rad.
     zeta : float
@@ -44,6 +46,10 @@ class SignalParams:
     zeta: float = 1.0
 
     def __post_init__(self):
+        for name in ("B", "omega", "zeta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.omega < 0.0:
             raise ValueError(f"omega must be >= 0, got {self.omega}")
         if self.zeta <= 0.0:

@@ -125,6 +125,27 @@ def test_bad_phase_exits_2(capsys):
     assert code == 2 and "phi" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--B", "nan"), ("--B", "inf"), ("--zeta", "inf"), ("--zeta", "nan"),
+    ("--T", "nan"), ("--T", "inf"),
+    ("--protocol", "pi-train", "--T", "inf"),
+    ("--protocol", "trotter-gx", "--T", "nan"),
+    ("--protocol", "pi-train", "--T", "4", "--times", "1,nan"),
+    ("--protocol", "ghz", "--times", "0,1,inf"),
+])
+def test_non_finite_input_exits_2(capsys, flags):
+    code, out, err = run(capsys, "iqfi", *flags)
+    assert code == 2 and out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("flags", [("--B", "1,nan"), ("--T-list", "2,inf")])
+def test_fig1_non_finite_input_exits_2(tmp_path, capsys, flags):
+    code, out, err = run(capsys, "fig1", "--out", str(tmp_path / "f.csv"),
+                         *flags)
+    assert code == 2 and out == "" and "finite" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_bad_protocol_choice_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["iqfi", "--protocol", "spiral"])

@@ -1,8 +1,9 @@
 """State evolution, derivative propagation, and QFI evaluation.
 
-The independent reference here is qfi_fd_oracle (central finite differences
-of the state over the field) plus, for the entangled register, a dense
-tensor-product evolution built inside the test.
+The independent references here are qfi_fd_oracle (central finite
+differences of the state over the field), an explicit per-node product of
+2x2 segment and pulse matrices for the pulse kernel, and, for the entangled
+register, a dense tensor-product evolution built inside the test.
 """
 
 import math
@@ -13,6 +14,7 @@ import pytest
 from iqfi_lab.bounds import pi_train_qfi
 from iqfi_lab.evolution import (
     SensorState,
+    discrete_propagators,
     evolve_continuous,
     evolve_discrete,
     evolve_ghz,
@@ -23,13 +25,16 @@ from iqfi_lab.evolution import (
 from iqfi_lab.protocol import (
     GhzProtocol,
     PiecewiseGenerator,
+    Pulse,
+    PulseSequence,
     TransverseDrive,
+    _haar_su2,
     make_pi_train,
     make_ramsey,
     make_trotterized_gx,
     random_pulse_sequence,
 )
-from iqfi_lab.signal_core import SignalParams, TimeInterval, theta
+from iqfi_lab.signal_core import SignalParams, TimeInterval, theta, theta_vector
 
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
@@ -95,6 +100,78 @@ def test_pi_train_closed_form_spectrum():
         got = qfi_vs_omega(seq, sig, omegas=om)
         want = pi_train_qfi(om, [0.0] + times + [T], alpha=alpha)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def _reference_propagators(seq, signal, B, om):
+    """Explicit product of exp(-i zeta B Theta_k Z) and pulse matrices per
+    node, with dP/dB by the product rule."""
+    z = np.diag([1.0, -1.0]).astype(complex)
+    edges = seq.boundaries()
+    P = np.empty((om.size, 2, 2), dtype=complex)
+    W = np.empty_like(P)
+    for i, w in enumerate(om):
+        sig = SignalParams(B=B, omega=float(w), phi=signal.phi,
+                           zeta=signal.zeta)
+        th = theta_vector(edges, sig)
+        p = np.eye(2, dtype=complex)
+        d = np.zeros((2, 2), dtype=complex)
+        for k, th_k in enumerate(th):
+            f = np.diag([np.exp(-1j * sig.zeta * B * th_k),
+                         np.exp(1j * sig.zeta * B * th_k)])
+            df = -1j * sig.zeta * th_k * (z @ f)
+            p, d = f @ p, f @ d + df @ p
+            if k < len(seq.pulses):
+                u = seq.pulses[k].unitary
+                p, d = u @ p, u @ d
+        P[i], W[i] = p, d
+    return P, W
+
+
+def _edge_sequence(rng):
+    """Pulses at t = 0 and t = T and two pulses at one time (a zero-length
+    segment between them)."""
+    times = (0.0, 0.7, 1.3, 1.3, 2.5)
+    return PulseSequence(
+        pulses=tuple(Pulse(time=t, matrix=_haar_su2(rng)) for t in times),
+        total_time=2.5, initial_state=(1.1, 0.4))
+
+
+@pytest.mark.parametrize("kind", ["su2", "pi_xy", "edges"])
+@pytest.mark.parametrize("B", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("phi", [0.0, 0.75 * math.pi])
+def test_kernel_matches_explicit_matrix_product(kind, B, phi):
+    rng = np.random.default_rng([31, int(10 * B), int(phi > 0)])
+    if kind == "edges":
+        seq = _edge_sequence(rng)
+    else:
+        seq = random_pulse_sequence(rng, 3.0, max_pulses=8, kind=kind)
+    sig = SignalParams(B=B, omega=0.0, phi=phi, zeta=1.3)
+    om = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 40.0, size=8))))
+    P_ref, W_ref = _reference_propagators(seq, sig, B, om)
+
+    def close(got, want):
+        err = np.abs(got - want).max()
+        assert err <= 1e-13 * np.abs(want).max(), err
+
+    P, W = discrete_propagators(seq, sig, B, om)
+    close(P, P_ref)
+    close(W, W_ref)
+    psi0 = seq.initial_vector()
+    psi, dpsi = discrete_propagators(seq, sig, B, om, psi0=psi0)
+    assert psi.shape == dpsi.shape == (om.size, 2)
+    close(psi, P_ref @ psi0)
+    close(dpsi, W_ref @ psi0)
+
+    # J from the reference columns, and the single-frequency path
+    psi_ref, dpsi_ref = P_ref @ psi0, W_ref @ psi0
+    ov = np.einsum("ni,ni->n", dpsi_ref.conj(), psi_ref)
+    j_ref = 4.0 * (np.einsum("ni,ni->n", dpsi_ref.conj(), dpsi_ref).real
+                   + (ov * ov).real)
+    j = qfi_vs_omega(seq, sig, omegas=om)
+    np.testing.assert_allclose(j, j_ref, rtol=0.0, atol=1e-13 * j_ref.max())
+    st = evolve_discrete(seq, SignalParams(B=B, omega=float(om[3]), phi=phi,
+                                           zeta=1.3))
+    assert qfi(st) == pytest.approx(j[3], rel=1e-13, abs=1e-13 * j_ref.max())
 
 
 def test_fd_oracle_ramsey_analytic():

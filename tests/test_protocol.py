@@ -73,6 +73,24 @@ def test_trotter_m_equals_T_is_a_pi_train():
         np.testing.assert_allclose(pa.unitary, pb.unitary, atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_constructors_reject_bad_durations(bad):
+    for build in (make_ramsey,
+                  lambda T: make_pi_train([], T),
+                  lambda T: make_pi2_train(0.5, T),
+                  lambda T: make_trotterized_gx(T, m=4, g=1.0),
+                  lambda T: TransverseDrive(g=1.0, total_time=T)):
+        with pytest.raises(ValueError, match="total_time"):
+            build(bad)
+    if not math.isfinite(bad):
+        with pytest.raises(ValueError, match="finite"):
+            make_pi_train([1.0, bad], 4.0)
+        with pytest.raises(ValueError, match="finite"):
+            make_pi2_train(bad, 4.0)
+        with pytest.raises(ValueError, match="finite"):
+            GhzProtocol(n=2, times=(0.0, 1.0, bad))
+
+
 def test_constructors_pass_validate():
     rng = np.random.default_rng(9)
     protos = [

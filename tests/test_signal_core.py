@@ -110,6 +110,13 @@ def test_signal_params_validation():
         SignalParams(B=1.0, omega=1.0, zeta=0.0)
     with pytest.raises(ValueError):
         SignalParams(B=1.0, omega=1.0, phi=7.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SignalParams(B=bad, omega=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            SignalParams(B=1.0, omega=bad)
+        with pytest.raises(ValueError, match="finite"):
+            SignalParams(B=1.0, omega=1.0, zeta=bad)
 
 
 def test_interval_validation():
