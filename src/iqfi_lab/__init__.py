@@ -38,6 +38,7 @@ from .iqfi import (
     SweepPoint,
     SweepResult,
     cross_spectral_integral,
+    feature_scale,
     fit_loglog_slope,
     haar_average_iqfi,
     integrate_iqfi,

@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -39,12 +38,11 @@ from .iqfi import (
     DEFAULT_HAAR_SEED,
     QuadratureConfig,
     QuadratureNonConvergence,
-    _feature_scale,
-    _integrate_protocol,
-    fit_loglog_slope,
+    feature_scale,
     haar_average_iqfi,
     integrate_iqfi,
     integrate_qfi_band,
+    sweep_iqfi_vs_T,
 )
 from .protocol import (
     GhzProtocol,
@@ -55,6 +53,7 @@ from .protocol import (
     make_ramsey,
     make_trotterized_gx,
     random_pulse_sequence,
+    validate,
 )
 from .signal_core import SignalParams
 
@@ -220,6 +219,19 @@ def _duration(args, default: float) -> float:
 
 
 def _build_protocol(args):
+    """The protocol the flags describe; any invariant it breaks (a NaN pulse
+    angle or drive rate, a non-finite initial state) is a ConfigError."""
+    try:
+        protocol = _construct_protocol(args)
+    except ValueError as exc:
+        raise ConfigError(f"bad protocol parameters: {exc}")
+    problem = validate(protocol)
+    if problem is not None:
+        raise ConfigError(f"bad protocol parameters: {problem}")
+    return protocol
+
+
+def _construct_protocol(args):
     name = _resolve(args, "protocol", "ramsey", str)
     if name not in PROTOCOL_NAMES:
         raise ConfigError(
@@ -228,36 +240,33 @@ def _build_protocol(args):
     alpha = _resolve(args, "alpha", math.pi / 2.0, float)
     beta = _resolve(args, "beta", 0.0, float)
     state = (alpha, beta)
-    try:
-        if name == "ramsey":
-            return make_ramsey(T, initial_state=state)
-        if name == "pi-train":
-            times_raw = _resolve(args, "times", None)
-            times = _float_list(times_raw) if times_raw is not None \
-                else _default_pi_times(T)
-            return make_pi_train(times, T, initial_state=state)
-        if name == "pi2-train":
-            spacing = _resolve(args, "spacing", 0.5, float)
-            return make_pi2_train(spacing, T, initial_state=state)
-        if name == "trotter-gx":
-            g = _resolve(args, "g", math.pi / 2.0, float)
-            m = _resolve(args, "m", max(1, int(round(2 * T))), int)
-            return make_trotterized_gx(T, m=m, g=g, initial_state=state)
-        if name == "gx":
-            g = _resolve(args, "g", math.pi / 2.0, float)
-            return TransverseDrive(g=g, total_time=T)
-        # ghz
-        n = _resolve(args, "n", 2, int)
+    if name == "ramsey":
+        return make_ramsey(T, initial_state=state)
+    if name == "pi-train":
         times_raw = _resolve(args, "times", None)
-        times = tuple(_float_list(times_raw)) if times_raw is not None \
-            else (0.0, T)
-        flips_raw = _resolve(args, "flips", None)
-        flips = None
-        if flips_raw is not None:
-            flips = tuple(bool(int(x)) for x in _float_list(flips_raw))
-        return GhzProtocol(n=n, times=times, flips=flips)
-    except ValueError as exc:
-        raise ConfigError(f"bad protocol parameters: {exc}")
+        times = _float_list(times_raw) if times_raw is not None \
+            else _default_pi_times(T)
+        return make_pi_train(times, T, initial_state=state)
+    if name == "pi2-train":
+        spacing = _resolve(args, "spacing", 0.5, float)
+        return make_pi2_train(spacing, T, initial_state=state)
+    if name == "trotter-gx":
+        g = _resolve(args, "g", math.pi / 2.0, float)
+        m = _resolve(args, "m", max(1, int(round(2 * T))), int)
+        return make_trotterized_gx(T, m=m, g=g, initial_state=state)
+    if name == "gx":
+        g = _resolve(args, "g", math.pi / 2.0, float)
+        return TransverseDrive(g=g, total_time=T)
+    # ghz
+    n = _resolve(args, "n", 2, int)
+    times_raw = _resolve(args, "times", None)
+    times = tuple(_float_list(times_raw)) if times_raw is not None \
+        else (0.0, T)
+    flips_raw = _resolve(args, "flips", None)
+    flips = None
+    if flips_raw is not None:
+        flips = tuple(bool(int(x)) for x in _float_list(flips_raw))
+    return GhzProtocol(n=n, times=times, flips=flips)
 
 
 def _quad_cfg(args) -> QuadratureConfig:
@@ -275,7 +284,7 @@ def _grid(args, protocol, signal) -> np.ndarray:
     lo = _resolve(args, "omega_min", 0.0, float)
     hi = _resolve(args, "omega_max", None, float)
     if hi is None:
-        hi = 8.0 * _feature_scale(protocol, signal, signal.B)
+        hi = 8.0 * feature_scale(protocol, signal, signal.B)
     points = _resolve(args, "points", 513, int)
     if points < 2 or hi <= lo or lo < 0.0:
         raise ConfigError("need 0 <= omega-min < omega-max and points >= 2")
@@ -366,19 +375,6 @@ def cmd_iqfi(args) -> int:
     return EXIT_OK
 
 
-def _fig1_point(task):
-    """One (T, B) sweep point; module-level so worker processes can pickle it."""
-    T, b, g, rel_tol, ode_tol = task
-    seq = make_trotterized_gx(T, m=max(1, int(round(2 * T))), g=g)
-    signal = SignalParams(B=b, omega=0.0)
-    try:
-        cfg = QuadratureConfig(rel_tol=rel_tol, **BATTERY_CFG_KW)
-        spec = integrate_iqfi(seq, signal, cfg=cfg, ode_tol=ode_tol)
-        return (T, spec.integral, spec.error_estimate, False)
-    except (QuadratureNonConvergence, IntegrationError):
-        return (T, float("nan"), float("nan"), True)
-
-
 def cmd_fig1(args) -> int:
     t_list = _float_list(_resolve(args, "t_list", "2,3,4,6,8,11,16,23,32"))
     b_list = _float_list(_resolve(args, "B", "1.0,0.01"))
@@ -388,25 +384,29 @@ def cmd_fig1(args) -> int:
     if not all(math.isfinite(b) for b in b_list):
         raise ConfigError(f"--B values must be finite, got {b_list}")
     g = _resolve(args, "g", math.pi / 2.0, float)
+    if not math.isfinite(g):
+        raise ConfigError(f"--g must be finite, got {g}")
     rel_tol = _resolve(args, "rel_tol", 1e-6, float)
-    ode_tol = _resolve(args, "ode_tol", 1e-9, float)
+    try:
+        cfg = QuadratureConfig(rel_tol=rel_tol, **BATTERY_CFG_KW)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     window = _float_list(_resolve(args, "slope_window", "8,32"))
     if len(window) != 2:
         raise ConfigError("--slope-window needs exactly two numbers")
     jobs = _jobs(args)
     out = _resolve(args, "out", "fig1.csv", str)
 
+    def family(T):
+        return make_trotterized_gx(T, m=max(1, int(round(2 * T))), g=g)
+
     for b in b_list:
-        tasks = [(T, b, g, rel_tol, ode_tol) for T in t_list]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                points = list(pool.map(_fig1_point, tasks))
-        else:
-            points = [_fig1_point(t) for t in tasks]
-        good = [(T, k) for T, k, _, failed in points if not failed]
-        slope = fit_loglog_slope([t for t, _ in good], [k for _, k in good],
-                                 (window[0], window[1]))
-        rows = [(T, k, err, slope) for T, k, err, _failed in points]
+        sweep = sweep_iqfi_vs_T(family, t_list, SignalParams(B=b, omega=0.0),
+                                cfg=cfg, slope_window=tuple(window),
+                                jobs=jobs)
+        nan = float("nan")
+        rows = [(p.T, nan if p.failed else p.K, nan if p.failed else p.K_err,
+                 sweep.slope) for p in sweep.points]
         text = _csv_text("T,K,K_err,slope_window", rows,
                          comments=[f"B={_fmt(b)} g={_fmt(g)} m=2T "
                                    f"slope fitted on [{_fmt(window[0])},"
@@ -465,23 +465,15 @@ def _build_signal_default_b(args, default_b: float) -> SignalParams:
 
 def _haar_trace_mean(seq, signal, cfg) -> float:
     """Exact initial-state average of K on the integrator's node set."""
-    pilot, weights = _integrate_protocol(seq, signal, signal.B, cfg,
-                                         ode_tol=1e-9)
-    om = pilot.omegas
-    P, W = discrete_propagators(seq, signal, signal.B, om)
+    pilot = integrate_iqfi(seq, signal, cfg=cfg)
+    P, W = discrete_propagators(seq, signal, signal.B, pilot.omegas)
     A = np.einsum("nij,nik->njk", W.conj(), W)
     M = np.einsum("nij,nik->njk", W.conj(), P)
     tr_a = np.einsum("njj->n", A).real
     tr_m = np.einsum("njj->n", M)
     tr_m2 = np.einsum("nij,nji->n", M, M)
     mean_j = 4.0 * (tr_a / 2.0 + (tr_m * tr_m + tr_m2).real / 6.0)
-    hi = pilot.tail_start
-    lo = hi / 10.0
-    mask = om >= lo
-    x = (om[mask] - lo) / (hi - lo)
-    tw = weights[mask] * np.sin(math.pi * x) ** 2
-    c = float(np.dot(tw, om[mask] ** 2 * mean_j[mask]) / np.sum(tw))
-    return float(np.dot(weights, mean_j)) + c / hi
+    return float(pilot.integrate_samples(mean_j))
 
 
 def run_bound_battery(seed: int, draws: int = 10,

@@ -1,25 +1,31 @@
 """Frequency integration of QFI spectra.
 
 K(T) = integral of J(B | omega) over omega in [0, inf).  The integrand
-oscillates on the scale pi/T, so the finite range [0, Omega] is covered by
-panels of that width, each evaluated with a fixed-order Gauss rule and
-compared against its two-half refinement; the worst panels are split until
-the summed discrepancy meets the tolerance.  Beyond Omega the spectrum
-falls off as C/omega^2 with an oscillatory factor, so the tail is added
-analytically as C/Omega with C fitted as the weighted mean of omega^2 * J
-over the last sampled decade.
+oscillates on the scale pi/T, so the finite range [0, Omega] is cut into
+panels of that width.  All base panels are laid out as arrays, one row per
+panel, and evaluated in one batched call: a two-half Gauss rule of order
+16 gives each panel's value, the whole-panel rule its discrepancy.  Only
+if the summed discrepancy misses the tolerance are the worst panels split,
+one at a time.  Beyond Omega the spectrum falls off as C/omega^2 with an
+oscillatory factor, so the tail is added analytically as C/Omega.  One
+function fits C, as the Hann-weighted mean of omega^2 * J over the last
+sampled decade; a spectrum applies the same fit to any other integrand
+sampled on its nodes (QfiSpectrum.integrate_samples), which is how the
+Haar average reuses one node set.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .evolution import qfi_vs_omega
+from .evolution import IntegrationError, discrete_propagators, qfi_vs_omega
 from .protocol import (
     GhzProtocol,
     PiecewiseGenerator,
@@ -38,6 +44,7 @@ DEFAULT_HAAR_SAMPLES = 4096
 __all__ = [
     "QuadratureConfig",
     "QfiSpectrum",
+    "feature_scale",
     "QuadratureNonConvergence",
     "HaarResult",
     "SweepPoint",
@@ -74,17 +81,38 @@ class QuadratureConfig:
 class QfiSpectrum:
     """Sampled spectrum plus its integral.
 
-    omegas/values are every retained quadrature node in increasing omega;
-    integral includes the analytic tail C/tail_start; error_estimate folds
-    the panel discrepancies and the tail-fit dispersion together.
+    omegas/values are every retained quadrature node in increasing omega,
+    and weights their quadrature weights, so values @ weights is the
+    integral over the panels.  integral adds the analytic tail
+    tail_coefficient/tail_start; a band integral has no tail and
+    tail_start is inf.  error_estimate folds the panel discrepancies and
+    the tail-fit dispersion together.
     """
 
     omegas: np.ndarray
     values: np.ndarray
+    weights: np.ndarray
     integral: float
     error_estimate: float
     tail_coefficient: float
     tail_start: float
+
+    def integrate_samples(self, values):
+        """Integral of another integrand sampled on this spectrum's nodes.
+
+        values has the shape of self.values, or one such row per
+        integrand.  Returns values @ weights plus the tail C/tail_start,
+        with C fitted from values exactly as tail_coefficient was fitted
+        from self.values; so integrate_samples(self.values) reproduces
+        integral up to summation order.
+        """
+        v = np.asarray(values, dtype=float)
+        body = v @ self.weights
+        if math.isinf(self.tail_start):
+            return body
+        c = _hann_mean(self.omegas, self.omegas ** 2 * v, self.weights,
+                       self.tail_start / 10.0, self.tail_start)
+        return body if c is None else body + c / self.tail_start
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -123,63 +151,45 @@ class SweepResult:
 # -- panel machinery ----------------------------------------------------------
 
 
-class _Panel:
-    __slots__ = ("a", "b", "value", "error", "omegas", "values", "weights")
+def _panels(f, a, b):
+    """Panels [a_i, b_i], one row each, from one batched call to f.
 
-    def __init__(self, a, b, value, error, omegas, values, weights):
-        self.a = a
-        self.b = b
-        self.value = value
-        self.error = error
-        self.omegas = omegas
-        self.values = values
-        self.weights = weights
+    Returns (a, b, nodes, values, weights, value, error): the two-half
+    Gauss rule's nodes, values and weights per row, the panel value, and
+    its discrepancy against the whole-panel rule.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    lo, hi = a[:, None], b[:, None]
+    mid = 0.5 * (lo + hi)
+    nodes = np.hstack([0.5 * (mid - lo) * _NODES + 0.5 * (lo + mid),
+                       0.5 * (hi - mid) * _NODES + 0.5 * (mid + hi)])
+    weights = np.hstack([0.5 * (mid - lo) * _WEIGHTS,
+                         0.5 * (hi - mid) * _WEIGHTS])
+    coarse = 0.5 * (hi - lo) * _NODES + 0.5 * (lo + hi)
+    coarse_w = 0.5 * (hi - lo) * _WEIGHTS
+    out = np.asarray(f(np.concatenate([nodes.ravel(), coarse.ravel()])),
+                     dtype=float)
+    values = out[:nodes.size].reshape(nodes.shape)
+    fine = _row_dot(weights, values)
+    error = np.abs(fine - _row_dot(coarse_w, out[nodes.size:].reshape(coarse.shape)))
+    return a, b, nodes, values, weights, fine, error
 
 
-def _panel_nodes(a, b):
-    """Nodes/weights of the two-half Gauss rule, plus the whole-panel rule."""
-    mid = 0.5 * (a + b)
-    half1 = 0.5 * (mid - a) * _NODES + 0.5 * (a + mid)
-    half2 = 0.5 * (b - mid) * _NODES + 0.5 * (mid + b)
-    w1 = 0.5 * (mid - a) * _WEIGHTS
-    w2 = 0.5 * (b - mid) * _WEIGHTS
-    whole = 0.5 * (b - a) * _NODES + 0.5 * (a + b)
-    w_whole = 0.5 * (b - a) * _WEIGHTS
-    return np.concatenate([half1, half2]), np.concatenate([w1, w2]), whole, w_whole
-
-
-def _evaluate_panels(f, edges_pairs):
-    """Evaluate a list of (a, b) panels with one batched call to f."""
-    fine_nodes, fine_w, coarse_nodes, coarse_w = [], [], [], []
-    for a, b in edges_pairs:
-        fn, fw, cn, cw = _panel_nodes(a, b)
-        fine_nodes.append(fn)
-        fine_w.append(fw)
-        coarse_nodes.append(cn)
-        coarse_w.append(cw)
-    n_fine = 2 * GAUSS_ORDER
-    all_nodes = np.concatenate(fine_nodes + coarse_nodes)
-    all_vals = np.asarray(f(all_nodes), dtype=float)
-    panels = []
-    n_panels = len(edges_pairs)
-    coarse_vals = all_vals[n_panels * n_fine:]
-    for i, (a, b) in enumerate(edges_pairs):
-        fv = all_vals[i * n_fine:(i + 1) * n_fine]
-        cv = coarse_vals[i * GAUSS_ORDER:(i + 1) * GAUSS_ORDER]
-        fine = float(np.dot(fine_w[i], fv))
-        coarse = float(np.dot(coarse_w[i], cv))
-        panels.append(_Panel(a, b, fine, abs(fine - coarse),
-                             fine_nodes[i], fv, fine_w[i]))
-    return panels
+def _row_dot(x, y):
+    """Per-row dot products; each row is one BLAS dot, as np.dot would do."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def _integrate_adaptive(f, lo, hi, width, cfg: QuadratureConfig,
-                        tail: bool, t_char: float):
+                        tail: bool, t_char: float) -> QfiSpectrum:
     """Shared core: panel-refined integral of f over [lo, hi].
 
-    Returns (QfiSpectrum, node_weights).  With tail=True, adds C/hi for C
-    the weighted mean of omega^2 * f over [hi/10, hi] and folds the fit
-    dispersion into the error estimate.
+    The base panels are evaluated in one batch.  While the summed
+    discrepancy misses the tolerance, the worst panel (earliest on ties) is
+    split in two.  With tail=True, adds C/hi for C the Hann-weighted mean
+    of omega^2 * f over [hi/10, hi] and folds the fit dispersion into the
+    error estimate; without, tail_start is inf.
     """
     n_base = max(1, int(math.ceil((hi - lo) / width)))
     if n_base > cfg.max_panels:
@@ -188,125 +198,118 @@ def _integrate_adaptive(f, lo, hi, width, cfg: QuadratureConfig,
             "increase panel_width_factor or max_panels"
         )
     edges = np.linspace(lo, hi, n_base + 1)
-    panels = _evaluate_panels(f, list(zip(edges[:-1], edges[1:])))
-    heap = []
-    counter = 0
-    value = 0.0
-    err = 0.0
-    for p in panels:
-        heapq.heappush(heap, (-p.error, counter, p))
-        counter += 1
-        value += p.value
-        err += p.error
+    cols = _panels(f, edges[:-1], edges[1:])
+    *_, pv, pe = cols
+    # running sums in panel order, the way refinement updates them
+    value = float(np.cumsum(pv)[-1])
+    err = float(np.cumsum(pe)[-1])
 
-    while err > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-        if len(heap) + 1 > cfg.max_panels:
-            tail_now = _tail_estimate(heap, hi, t_char) if tail \
-                else (0.0, 0.0, 0.0)
-            spectrum, _ = _collect(heap, value + tail_now[0],
-                                   err + tail_now[1], tail_now[2], hi)
-            raise QuadratureNonConvergence(
-                f"panel budget {cfg.max_panels} exhausted with "
-                f"panel error {err:.3e}",
-                partial=spectrum,
-            )
-        neg_err, _, worst = heapq.heappop(heap)
-        if neg_err == 0.0:
-            heapq.heappush(heap, (neg_err, counter, worst))
-            counter += 1
-            break  # every panel at floor; nothing left to refine
-        value -= worst.value
-        err -= worst.error
-        mid = 0.5 * (worst.a + worst.b)
-        for child in _evaluate_panels(f, [(worst.a, mid), (mid, worst.b)]):
-            heapq.heappush(heap, (-child.error, counter, child))
-            counter += 1
-            value += child.value
-            err += child.error
+    def spectrum(rows, integral, error):
+        om, vals, w = (np.asarray(c)[rows].ravel() for c in cols[2:5])
+        c, tail_err = _tail_estimate(om, vals, w, hi, t_char) if tail \
+            else (0.0, 0.0)
+        return QfiSpectrum(omegas=om, values=vals, weights=w,
+                           integral=float(integral + c / hi),
+                           error_estimate=float(error + tail_err),
+                           tail_coefficient=c,
+                           tail_start=hi if tail else math.inf)
 
+    rows = slice(None)
+    if err > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        # per-panel lists that each split extends; heap keys are
+        # (-error, panel index), so ties go to the older panel
+        cols = [list(c) for c in cols]
+        pa, pb, *_, pv, pe = cols
+        heap = [(-e, i) for i, e in enumerate(pe)]
+        heapq.heapify(heap)
+        while err > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+            if len(heap) + 1 > cfg.max_panels:
+                raise QuadratureNonConvergence(
+                    f"panel budget {cfg.max_panels} exhausted with "
+                    f"panel error {err:.3e}",
+                    partial=spectrum(_by_start(heap, pa), value, err),
+                )
+            neg_err, worst = heapq.heappop(heap)
+            if neg_err == 0.0:
+                heapq.heappush(heap, (neg_err, worst))
+                break  # every panel at floor; nothing left to refine
+            value -= pv[worst]
+            err -= pe[worst]
+            mid = 0.5 * (pa[worst] + pb[worst])
+            for col, new in zip(cols, _panels(f, [pa[worst], mid],
+                                              [mid, pb[worst]])):
+                col.extend(new)
+            for i in (len(pv) - 2, len(pv) - 1):
+                heapq.heappush(heap, (-pe[i], i))
+                value += pv[i]
+                err += pe[i]
+        rows = _by_start(heap, pa)
     # the running sums steered refinement; the reported numbers use an
-    # order-fixed exact summation so results are bit-stable
-    ps = [item[2] for item in heap]
-    value = math.fsum(p.value for p in sorted(ps, key=lambda q: q.a))
-    err = math.fsum(p.error for p in ps)
-    tail_add, tail_err, tail_c = _tail_estimate(heap, hi, t_char) if tail \
-        else (0.0, 0.0, 0.0)
-    return _collect(heap, value + tail_add, err + tail_err, tail_c, hi)
+    # exact summation so results are bit-stable
+    return spectrum(rows, math.fsum(np.asarray(pv)[rows]),
+                    math.fsum(np.asarray(pe)[rows]))
 
 
-def _windowed_mean(om, scaled, w, lo, hi):
-    """Hann-weighted mean of omega^2*J over [lo, hi]; the window suppresses
-    the partial-oscillation bias a plain average suffers at the edges."""
+def _by_start(heap, starts):
+    """Indices of the panels on the heap, in increasing omega."""
+    return sorted((i for _, i in heap), key=starts.__getitem__)
+
+
+def _hann_mean(om, y, w, lo, hi):
+    """Hann-weighted mean of y (1-D, or one row per integrand) over the
+    nodes in [lo, hi]; None if no node there carries weight.  The window
+    suppresses the partial-oscillation bias a plain average suffers at
+    the edges.  Every tail coefficient in this module comes from here."""
     mask = (om >= lo) & (om <= hi)
-    if not np.any(mask):
-        return None
     x = (om[mask] - lo) / (hi - lo)
-    hann = np.sin(math.pi * x) ** 2
-    ww = w[mask] * hann
+    ww = w[mask] * np.sin(math.pi * x) ** 2
     total = float(np.sum(ww))
     if total <= 0.0:
         return None
-    return float(np.dot(ww, scaled[mask]) / total)
+    return y[..., mask] @ ww / total
 
 
-def _tail_estimate(heap, omega_max, t_char):
+def _tail_estimate(om, vals, w, omega_max, t_char):
     """Fit C = mean(omega^2 * J) over the last decade; tail adds C/omega_max.
 
-    The error estimate combines the drift between the decade fit and a
-    half-decade fit (sensitivity to where the asymptote is read off), the
-    oscillation dispersion damped by the period count, and a truncation
-    allowance for the C/omega^2 model itself.
+    Returns (C, error).  The error combines the drift between the decade
+    fit and a half-decade fit (sensitivity to where the asymptote is read
+    off), the oscillation dispersion damped by the period count, and a
+    truncation allowance for the C/omega^2 model itself.
     """
-    lo = omega_max / 10.0
-    om_list, val_list, w_list = [], [], []
-    for _, _, p in heap:
-        mask = p.omegas >= lo
-        if np.any(mask):
-            om_list.append(p.omegas[mask])
-            val_list.append(p.values[mask])
-            w_list.append(p.weights[mask])
-    if not om_list:
-        return 0.0, 0.0, 0.0
-    om = np.concatenate(om_list)
-    vals = np.concatenate(val_list)
-    w = np.concatenate(w_list)
-    scaled = om * om * vals
-    c = _windowed_mean(om, scaled, w, lo, omega_max)
+    last = om >= omega_max / 10.0
+    om, w = om[last], w[last]
+    scaled = om * om * vals[last]
+    c = _hann_mean(om, scaled, w, omega_max / 10.0, omega_max)
     if c is None:
-        return 0.0, 0.0, 0.0
-    c_late = _windowed_mean(om, scaled, w, omega_max / math.sqrt(10.0),
-                            omega_max)
-    spread = abs(c - c_late) if c_late is not None else abs(c)
+        return 0.0, 0.0
+    c = float(c)
+    c_late = _hann_mean(om, scaled, w, omega_max / math.sqrt(10.0),
+                        omega_max)
+    spread = abs(c - float(c_late)) if c_late is not None else abs(c)
     wsum = float(np.sum(w))
     disp = math.sqrt(max(0.0, float(np.dot(w, (scaled - c) ** 2) / wsum)))
     periods = max(1.0, 0.9 * omega_max * t_char / math.pi)
     err = (2.0 * spread / omega_max
            + disp / (omega_max * periods)
            + abs(c) / (omega_max ** 2 * t_char))
-    return c / omega_max, err, c
-
-
-def _collect(heap, integral, error, tail_c, tail_start):
-    ps = sorted((item[2] for item in heap), key=lambda p: p.a)
-    om = np.concatenate([p.omegas for p in ps])
-    vals = np.concatenate([p.values for p in ps])
-    weights = np.concatenate([p.weights for p in ps])
-    spectrum = QfiSpectrum(omegas=om, values=vals, integral=integral,
-                           error_estimate=error, tail_coefficient=tail_c,
-                           tail_start=tail_start)
-    return spectrum, weights
+    return c, err
 
 
 # -- protocol plumbing --------------------------------------------------------
 
 
-def _total_time(protocol) -> float:
-    return float(protocol.total_time)
+def feature_scale(protocol, signal: SignalParams, B: float) -> float:
+    """Highest intrinsic frequency of a protocol under a field B.
 
-
-def _feature_scale(protocol, signal: SignalParams, B: float) -> float:
-    """Highest intrinsic frequency: sets where the C/omega^2 tail model starts."""
-    T = _total_time(protocol)
+    The largest of 1/T, zeta*|B| and the protocol's own rates: segments/T
+    for pulse trains and GHZ registers (with n*zeta*|B| for the register),
+    2|g| for the drive, twice the largest generator norm for a piecewise
+    generator.  integrate_iqfi starts the C/omega^2 tail model at
+    tail_start_factor times this; the CLI's default spectrum grid ends at
+    8 times it.
+    """
+    T = float(protocol.total_time)
     scale = max(1.0 / T, signal.zeta * abs(B))
     if isinstance(protocol, PulseSequence):
         scale = max(scale, protocol.segment_count() / T)
@@ -328,7 +331,7 @@ def _make_evaluator(protocol, signal: SignalParams, B: float,
     if not continuous:
         return lambda om: qfi_vs_omega(protocol, signal, B, om)
 
-    T = _total_time(protocol)
+    T = float(protocol.total_time)
 
     def f(om):
         # Chunk by frequency so the shared adaptive step of a batch is not
@@ -353,14 +356,6 @@ def _make_evaluator(protocol, signal: SignalParams, B: float,
     return f
 
 
-def _integrate_protocol(protocol, signal, B, cfg, ode_tol, t_char=None):
-    t_char = t_char if t_char is not None else _total_time(protocol)
-    width = cfg.panel_width_factor * math.pi / t_char
-    omega_max = cfg.tail_start_factor * _feature_scale(protocol, signal, B)
-    f = _make_evaluator(protocol, signal, B, ode_tol)
-    return _integrate_adaptive(f, 0.0, omega_max, width, cfg, True, t_char)
-
-
 def integrate_iqfi(protocol, signal: SignalParams, B: Optional[float] = None,
                    cfg: Optional[QuadratureConfig] = None,
                    T: Optional[float] = None,
@@ -374,9 +369,11 @@ def integrate_iqfi(protocol, signal: SignalParams, B: Optional[float] = None,
     cfg = cfg or QuadratureConfig()
     if B is None:
         B = signal.B
-    spectrum, _ = _integrate_protocol(protocol, signal, B, cfg, ode_tol,
-                                      t_char=T)
-    return spectrum
+    t_char = T if T is not None else float(protocol.total_time)
+    width = cfg.panel_width_factor * math.pi / t_char
+    omega_max = cfg.tail_start_factor * feature_scale(protocol, signal, B)
+    f = _make_evaluator(protocol, signal, B, ode_tol)
+    return _integrate_adaptive(f, 0.0, omega_max, width, cfg, True, t_char)
 
 
 def integrate_qfi_band(protocol, signal: SignalParams, lo: float, hi: float,
@@ -389,11 +386,10 @@ def integrate_qfi_band(protocol, signal: SignalParams, lo: float, hi: float,
     cfg = cfg or QuadratureConfig()
     if B is None:
         B = signal.B
-    t_char = _total_time(protocol)
+    t_char = float(protocol.total_time)
     width = cfg.panel_width_factor * math.pi / t_char
     f = _make_evaluator(protocol, signal, B, ode_tol)
-    spectrum, _ = _integrate_adaptive(f, lo, hi, width, cfg, False, t_char)
-    return spectrum
+    return _integrate_adaptive(f, lo, hi, width, cfg, False, t_char)
 
 
 def cross_spectral_integral(t1: float, t0: float, mode: str = "analytic",
@@ -430,9 +426,8 @@ def cross_spectral_integral(t1: float, t0: float, mode: str = "analytic",
         out[~small] = np.sin(ons * t1) * np.sin(ons * t0) / ons ** 2
         return out
 
-    spectrum, _ = _integrate_adaptive(f, 0.0, omega_max, width, cfg, True,
-                                      t_char)
-    return spectrum.integral
+    return _integrate_adaptive(f, 0.0, omega_max, width, cfg, True,
+                               t_char).integral
 
 
 # -- Haar averaging -----------------------------------------------------------
@@ -462,27 +457,16 @@ def haar_average_iqfi(seq: PulseSequence, signal: SignalParams,
         k = (2.0 / 3.0) * 2.0 * math.pi * signal.zeta ** 2 * seq.total_time
         return HaarResult(value=k, stderr=0.0, method="closed_form", samples=0)
 
-    # One pilot integration pins the node set and weights; every sample
-    # reuses them, so the estimate is deterministic for a given seed.
-    pilot, weights = _integrate_protocol(seq, signal, B, cfg, ode_tol=1e-9)
-    om = pilot.omegas
-    from .evolution import discrete_propagators
-
-    P, W = discrete_propagators(seq, signal, B, om)
+    # One pilot integration pins the node set, its weights and the tail
+    # fit; every sample reuses them, so the estimate is deterministic for a
+    # given seed.
+    pilot = integrate_iqfi(seq, signal, B, cfg)
+    P, W = discrete_propagators(seq, signal, B, pilot.omegas)
     rng = np.random.default_rng(seed)
     alphas = np.arccos(rng.uniform(-1.0, 1.0, size=samples))
     betas = rng.uniform(0.0, 2.0 * math.pi, size=samples)
     psi0 = np.stack([np.cos(alphas / 2.0),
                      np.exp(1j * betas) * np.sin(alphas / 2.0)], axis=1)
-    # per-sample tail refit with the same Hann-windowed decade mean the
-    # scalar integrator uses
-    omega_max = pilot.tail_start
-    lo = omega_max / 10.0
-    tail_mask = om >= lo
-    x = (om[tail_mask] - lo) / (omega_max - lo)
-    tail_w = weights[tail_mask] * np.sin(math.pi * x) ** 2
-    tail_wsum = float(np.sum(tail_w))
-    om2 = om[tail_mask] ** 2
 
     ks = np.empty(samples)
     chunk = 256
@@ -493,10 +477,7 @@ def haar_average_iqfi(seq: PulseSequence, signal: SignalParams,
         dpsi = np.einsum("nij,sj->sni", W, block)
         dd = np.einsum("sni,sni->sn", dpsi.conj(), dpsi).real
         ov = np.einsum("sni,sni->sn", dpsi.conj(), psi)
-        j = 4.0 * (dd + (ov * ov).real)
-        body = j @ weights
-        c = (j[:, tail_mask] * om2) @ tail_w / tail_wsum
-        ks[s0:s1] = body + c / omega_max
+        ks[s0:s1] = pilot.integrate_samples(4.0 * (dd + (ov * ov).real))
     value = float(np.mean(ks))
     stderr = float(np.std(ks, ddof=1) / math.sqrt(samples))
     return HaarResult(value=value, stderr=stderr, method="monte_carlo",
@@ -509,26 +490,27 @@ def haar_average_iqfi(seq: PulseSequence, signal: SignalParams,
 def sweep_iqfi_vs_T(family: Callable, Ts: Sequence[float],
                     signal: SignalParams, B: Optional[float] = None,
                     cfg: Optional[QuadratureConfig] = None,
-                    slope_window: Optional[tuple] = None) -> SweepResult:
+                    slope_window: Optional[tuple] = None,
+                    jobs: int = 1) -> SweepResult:
     """K(T) across durations for a protocol family T -> protocol.
 
-    Per-point integration failures are recorded (failed=True) and the sweep
-    continues.  The log-log slope is fitted over slope_window (defaults to
-    the full range of successful points).
+    The protocols are built here; with jobs > 1 a pool of that many worker
+    processes integrates them, with results identical to a serial run.
+    Per-point integration failures (panel budget or evolution) are recorded
+    with failed=True, carrying the partial estimate if there is one, and
+    the sweep continues.  The log-log slope is fitted over slope_window
+    (defaults to the full range of successful points).
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     cfg = cfg or QuadratureConfig()
-    points = []
-    for T in Ts:
-        protocol = family(float(T))
-        try:
-            spec = integrate_iqfi(protocol, signal, B, cfg)
-            points.append(SweepPoint(T=float(T), K=spec.integral,
-                                     K_err=spec.error_estimate))
-        except QuadratureNonConvergence as exc:
-            partial = exc.partial
-            k = partial.integral if partial is not None else float("nan")
-            err = partial.error_estimate if partial is not None else float("nan")
-            points.append(SweepPoint(T=float(T), K=k, K_err=err, failed=True))
+    tasks = [(float(T), family(float(T)), signal, B, cfg) for T in Ts]
+    if jobs > 1:
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
+            points = list(pool.map(_sweep_point, tasks))
+    else:
+        points = [_sweep_point(t) for t in tasks]
     good = [p for p in points if not p.failed and p.K > 0.0]
     if slope_window is None and good:
         slope_window = (good[0].T, good[-1].T)
@@ -537,6 +519,22 @@ def sweep_iqfi_vs_T(family: Callable, Ts: Sequence[float],
     ) if len(good) >= 2 else float("nan")
     return SweepResult(points=tuple(points), slope=slope,
                        slope_window=tuple(slope_window) if slope_window else ())
+
+
+def _sweep_point(task) -> SweepPoint:
+    """One sweep point; module-level so worker processes can unpickle it."""
+    T, protocol, signal, B, cfg = task
+    try:
+        spec = integrate_iqfi(protocol, signal, B, cfg)
+        return SweepPoint(T=T, K=spec.integral, K_err=spec.error_estimate)
+    except QuadratureNonConvergence as exc:
+        spec = exc.partial
+    except IntegrationError:
+        spec = None
+    nan = float("nan")
+    return SweepPoint(T=T, K=spec.integral if spec is not None else nan,
+                      K_err=spec.error_estimate if spec is not None else nan,
+                      failed=True)
 
 
 def fit_loglog_slope(Ts, Ks, window: Optional[tuple] = None) -> float:

@@ -315,7 +315,7 @@ def _validate_sequence(seq: PulseSequence) -> Optional[str]:
         prev = p.time
         u = p.unitary
         defect = np.abs(u.conj().T @ u - IDENTITY).max()
-        if defect > 1e-12:
+        if not defect <= 1e-12:  # a NaN entry fails this, as it should
             return f"pulse {i}: not unitary (defect {defect:.2e})"
     return None
 

@@ -91,15 +91,6 @@ def _theta_raw(t0, t1, omega, phi):
     return d * np.cos(omega * mid + phi) * np.sinc(omega * d / (2.0 * np.pi))
 
 
-def _theta_taylor(t0, t1, omega, phi):
-    """Three-term small-omega expansion; retained for the switchover check."""
-    c, s = np.cos(phi), np.sin(phi)
-    out = (t1 - t0) * c
-    out = out - 0.5 * omega * (t1 * t1 - t0 * t0) * s
-    out = out - (omega * omega / 6.0) * (t1 ** 3 - t0 ** 3) * c
-    return out
-
-
 def theta(interval: TimeInterval, signal: SignalParams) -> float:
     """Accumulated-phase kernel for one free-evolution interval.
 

@@ -1,11 +1,14 @@
 """Command-line surface: formats, config precedence, exit codes, outputs."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iqfi_lab.cli
 from iqfi_lab.cli import SCHEMA_TAG, main
 
 TAG = SCHEMA_TAG  # "# iqfi-lab v1"
@@ -138,7 +141,22 @@ def test_non_finite_input_exits_2(capsys, flags):
     assert code == 2 and out == "" and "finite" in err
 
 
-@pytest.mark.parametrize("flags", [("--B", "1,nan"), ("--T-list", "2,inf")])
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--protocol", "trotter-gx", "--g", "nan"),
+    ("spectrum", "--protocol", "gx", "--g", "nan"),
+    ("iqfi", "--protocol", "pi-train", "--alpha", "nan"),
+    ("iqfi", "--protocol", "pi-train", "--beta", "inf"),
+])
+def test_non_finite_protocol_parameters_exit_2(capsys, argv):
+    # a NaN angle passes every sign test; validate() must still catch it
+    code, out, err = run(capsys, *argv, "--T", "2", "--points", "3",
+                         "--omega-max", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("iqfi-lab: bad protocol parameters")
+
+
+@pytest.mark.parametrize("flags", [("--B", "1,nan"), ("--T-list", "2,inf"),
+                                   ("--g", "nan")])
 def test_fig1_non_finite_input_exits_2(tmp_path, capsys, flags):
     code, out, err = run(capsys, "fig1", "--out", str(tmp_path / "f.csv"),
                          *flags)
@@ -266,3 +284,15 @@ def test_env_thread_count_is_honored(tmp_path, capsys, monkeypatch):
                  "2,4", "--out", str(tmp_path / "z.csv")])
     capsys.readouterr()
     assert code == 2
+
+
+def test_cli_imports_no_private_names():
+    """The CLI is a client of the library's public surface only."""
+    tree = ast.parse(Path(iqfi_lab.cli.__file__).read_text())
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        if node.level > 0 or (node.module or "").startswith("iqfi_lab")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -18,6 +18,8 @@ from iqfi_lab.iqfi import (
     sweep_iqfi_vs_T,
 )
 from iqfi_lab.protocol import (
+    GhzProtocol,
+    TransverseDrive,
     make_pi2_train,
     make_pi_train,
     make_ramsey,
@@ -198,3 +200,70 @@ def test_equator_average_of_train():
     assert val == pytest.approx(2.0 * math.pi * T, rel=1e-14)
     spec = integrate_iqfi(make_pi_train([0.7, 1.1, 3.2], T), FLAT)
     assert spec.integral == pytest.approx(val, rel=4e-3)
+
+
+def _check_engine_contract(spec):
+    om, v, w = spec.omegas, spec.values, spec.weights
+    assert om.shape == v.shape == w.shape
+    assert np.all(np.diff(om) > 0.0)
+    assembled = v @ w + spec.tail_coefficient / spec.tail_start
+    assert assembled == pytest.approx(spec.integral, rel=1e-12)
+    assert spec.integrate_samples(v) == pytest.approx(spec.integral, rel=1e-12)
+    # one row per integrand: each row integrates as it would alone
+    rows = spec.integrate_samples(np.stack([v, 2.0 * v, np.zeros_like(v)]))
+    assert rows == pytest.approx([spec.integral, 2.0 * spec.integral, 0.0],
+                                 rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["pulse_train", "ghz", "drive", "drive_band"])
+def test_engine_contract(case):
+    """Spectra carry weights that, with their tail, rebuild the integral."""
+    sig = SignalParams(B=0.3, omega=0.0, phi=0.4)
+    if case == "pulse_train":
+        spec = integrate_iqfi(make_pi2_train(0.5, 3.0), sig)
+    elif case == "ghz":
+        spec = integrate_iqfi(GhzProtocol(n=3, times=(0.0, 1.0, 2.5)), sig)
+    elif case == "drive":
+        spec = integrate_iqfi(TransverseDrive(g=1.0, total_time=0.5),
+                              SignalParams(B=0.05, omega=0.0),
+                              cfg=QuadratureConfig(tail_start_factor=10.0))
+    else:
+        spec = integrate_qfi_band(TransverseDrive(g=1.0, total_time=2.0),
+                                  SignalParams(B=1.0, omega=0.0), 1.0, 3.0)
+        assert math.isinf(spec.tail_start) and spec.tail_coefficient == 0.0
+    if case != "drive_band":
+        assert spec.tail_coefficient > 0.0
+    _check_engine_contract(spec)
+
+
+def test_budget_exhausted_partial_carries_weights():
+    cfg = QuadratureConfig(rel_tol=1e-13, panel_width_factor=8.0,
+                           max_panels=14)
+    with pytest.raises(QuadratureNonConvergence) as exc:
+        integrate_iqfi(make_pi2_train(0.5, 4.0),
+                       SignalParams(B=0.3, omega=0.0), cfg=cfg)
+    partial = exc.value.partial
+    assert partial.omegas.size == 14 * 32
+    _check_engine_contract(partial)
+
+
+def test_refinement_order_is_pinned():
+    """Node counts and K of integrals where refinement fires.
+
+    Recorded from the heap-of-panel-objects engine this one replaced: the
+    worst panel is split first, ties go to the older panel, and a budget
+    stop reports the running sums.  The counts pin which panels were split.
+    """
+    train = make_pi2_train(0.5, 4.0)
+    sig = SignalParams(B=0.7, omega=0.0)
+    band = integrate_qfi_band(train, sig, 0.0, 40.0, cfg=QuadratureConfig(
+        rel_tol=1e-12, panel_width_factor=8.0))
+    assert band.omegas.size == 1024  # 7 base panels, 25 splits
+    assert band.integral == pytest.approx(20.932026266500852, rel=1e-13)
+
+    cfg = QuadratureConfig(rel_tol=1e-13, panel_width_factor=8.0,
+                           max_panels=14)
+    with pytest.raises(QuadratureNonConvergence) as exc:
+        integrate_iqfi(train, SignalParams(B=0.3, omega=0.0), cfg=cfg)
+    assert exc.value.partial.integral == pytest.approx(23.249862072679758,
+                                                       rel=1e-13)

@@ -123,6 +123,11 @@ def test_validate_diagnostics():
     assert "non-decreasing" in validate(out_of_order)
 
 
+def test_validate_rejects_nan_pulse_angle():
+    seq = make_trotterized_gx(2.0, m=4, g=float("nan"))
+    assert "unitary" in validate(seq)
+
+
 def test_pulse_unitary_axis_angle():
     p = Pulse(time=0.0, axis="x", angle=math.pi)
     # exp(-i pi X / 2) = -i X

@@ -9,7 +9,6 @@ from iqfi_lab.signal_core import (
     SignalParams,
     TimeInterval,
     _theta_raw,
-    _theta_taylor,
     theta,
     theta_vector,
 )
@@ -84,6 +83,15 @@ def test_additivity():
         whole = theta(TimeInterval(t0, t2), s)
         parts = theta(TimeInterval(t0, t1), s) + theta(TimeInterval(t1, t2), s)
         assert whole == pytest.approx(parts, abs=5e-15)
+
+
+def _theta_taylor(t0, t1, omega, phi):
+    """Three-term small-omega expansion of Theta: the reference series."""
+    c, s = np.cos(phi), np.sin(phi)
+    out = (t1 - t0) * c
+    out = out - 0.5 * omega * (t1 * t1 - t0 * t0) * s
+    out = out - (omega * omega / 6.0) * (t1 ** 3 - t0 ** 3) * c
+    return out
 
 
 def test_series_matches_product_form_at_small_omega():
