@@ -219,19 +219,6 @@ def _duration(args, default: float) -> float:
 
 
 def _build_protocol(args):
-    """The protocol the flags describe; any invariant it breaks (a NaN pulse
-    angle or drive rate, a non-finite initial state) is a ConfigError."""
-    try:
-        protocol = _construct_protocol(args)
-    except ValueError as exc:
-        raise ConfigError(f"bad protocol parameters: {exc}")
-    problem = validate(protocol)
-    if problem is not None:
-        raise ConfigError(f"bad protocol parameters: {problem}")
-    return protocol
-
-
-def _construct_protocol(args):
     name = _resolve(args, "protocol", "ramsey", str)
     if name not in PROTOCOL_NAMES:
         raise ConfigError(
@@ -240,33 +227,42 @@ def _construct_protocol(args):
     alpha = _resolve(args, "alpha", math.pi / 2.0, float)
     beta = _resolve(args, "beta", 0.0, float)
     state = (alpha, beta)
-    if name == "ramsey":
-        return make_ramsey(T, initial_state=state)
-    if name == "pi-train":
-        times_raw = _resolve(args, "times", None)
-        times = _float_list(times_raw) if times_raw is not None \
-            else _default_pi_times(T)
-        return make_pi_train(times, T, initial_state=state)
-    if name == "pi2-train":
-        spacing = _resolve(args, "spacing", 0.5, float)
-        return make_pi2_train(spacing, T, initial_state=state)
-    if name == "trotter-gx":
-        g = _resolve(args, "g", math.pi / 2.0, float)
-        m = _resolve(args, "m", max(1, int(round(2 * T))), int)
-        return make_trotterized_gx(T, m=m, g=g, initial_state=state)
-    if name == "gx":
-        g = _resolve(args, "g", math.pi / 2.0, float)
-        return TransverseDrive(g=g, total_time=T)
-    # ghz
-    n = _resolve(args, "n", 2, int)
-    times_raw = _resolve(args, "times", None)
-    times = tuple(_float_list(times_raw)) if times_raw is not None \
-        else (0.0, T)
-    flips_raw = _resolve(args, "flips", None)
-    flips = None
-    if flips_raw is not None:
-        flips = tuple(bool(int(x)) for x in _float_list(flips_raw))
-    return GhzProtocol(n=n, times=times, flips=flips)
+    try:
+        if name == "ramsey":
+            protocol = make_ramsey(T, initial_state=state)
+        elif name == "pi-train":
+            times_raw = _resolve(args, "times", None)
+            times = _float_list(times_raw) if times_raw is not None \
+                else _default_pi_times(T)
+            protocol = make_pi_train(times, T, initial_state=state)
+        elif name == "pi2-train":
+            spacing = _resolve(args, "spacing", 0.5, float)
+            protocol = make_pi2_train(spacing, T, initial_state=state)
+        elif name == "trotter-gx":
+            g = _resolve(args, "g", math.pi / 2.0, float)
+            m = _resolve(args, "m", max(1, int(round(2 * T))), int)
+            protocol = make_trotterized_gx(T, m=m, g=g, initial_state=state)
+        elif name == "gx":
+            g = _resolve(args, "g", math.pi / 2.0, float)
+            protocol = TransverseDrive(g=g, total_time=T)
+        else:  # ghz
+            n = _resolve(args, "n", 2, int)
+            times_raw = _resolve(args, "times", None)
+            times = tuple(_float_list(times_raw)) if times_raw is not None \
+                else (0.0, T)
+            flips_raw = _resolve(args, "flips", None)
+            flips = None
+            if flips_raw is not None:
+                flips = tuple(bool(int(x)) for x in _float_list(flips_raw))
+            protocol = GhzProtocol(n=n, times=times, flips=flips)
+    except ValueError as exc:
+        raise ConfigError(f"bad protocol parameters: {exc}")
+    # the constructors check durations and times; validate() also catches
+    # a NaN pulse angle or drive rate and a non-finite initial state
+    problem = validate(protocol)
+    if problem is not None:
+        raise ConfigError(f"bad protocol parameters: {problem}")
+    return protocol
 
 
 def _quad_cfg(args) -> QuadratureConfig:

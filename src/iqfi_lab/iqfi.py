@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -204,7 +202,7 @@ def _integrate_adaptive(f, lo, hi, width, cfg: QuadratureConfig,
     value = float(np.cumsum(pv)[-1])
     err = float(np.cumsum(pe)[-1])
 
-    def spectrum(rows, integral, error):
+    def spectrum(cols, rows, integral, error):
         om, vals, w = (np.asarray(c)[rows].ravel() for c in cols[2:5])
         c, tail_err = _tail_estimate(om, vals, w, hi, t_char) if tail \
             else (0.0, 0.0)
@@ -227,7 +225,8 @@ def _integrate_adaptive(f, lo, hi, width, cfg: QuadratureConfig,
                 raise QuadratureNonConvergence(
                     f"panel budget {cfg.max_panels} exhausted with "
                     f"panel error {err:.3e}",
-                    partial=spectrum(_by_start(heap, pa), value, err),
+                    partial=spectrum(cols, _by_start(heap, pa), value,
+                                     err),
                 )
             neg_err, worst = heapq.heappop(heap)
             if neg_err == 0.0:
@@ -246,7 +245,7 @@ def _integrate_adaptive(f, lo, hi, width, cfg: QuadratureConfig,
         rows = _by_start(heap, pa)
     # the running sums steered refinement; the reported numbers use an
     # exact summation so results are bit-stable
-    return spectrum(rows, math.fsum(np.asarray(pv)[rows]),
+    return spectrum(cols, rows, math.fsum(np.asarray(pv)[rows]),
                     math.fsum(np.asarray(pe)[rows]))
 
 
@@ -494,8 +493,9 @@ def sweep_iqfi_vs_T(family: Callable, Ts: Sequence[float],
                     jobs: int = 1) -> SweepResult:
     """K(T) across durations for a protocol family T -> protocol.
 
-    The protocols are built here; with jobs > 1 a pool of that many worker
-    processes integrates them, with results identical to a serial run.
+    The protocols are built in the calling process; with jobs > 1 a pool
+    of that many worker processes integrates them, with results identical
+    to a serial run.
     Per-point integration failures (panel budget or evolution) are recorded
     with failed=True, carrying the partial estimate if there is one, and
     the sweep continues.  The log-log slope is fitted over slope_window
@@ -506,6 +506,12 @@ def sweep_iqfi_vs_T(family: Callable, Ts: Sequence[float],
     cfg = cfg or QuadratureConfig()
     tasks = [(float(T), family(float(T)), signal, B, cfg) for T in Ts]
     if jobs > 1:
+        # imported on use: loading the pool machinery costs every process
+        # about half a megabyte of memory
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # spawned, not forked: forking a process with BLAS threads can deadlock
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
             points = list(pool.map(_sweep_point, tasks))

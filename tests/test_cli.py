@@ -135,21 +135,19 @@ def test_bad_phase_exits_2(capsys):
     ("--protocol", "trotter-gx", "--T", "nan"),
     ("--protocol", "pi-train", "--T", "4", "--times", "1,nan"),
     ("--protocol", "ghz", "--times", "0,1,inf"),
+    ("--protocol", "pi-train", "--T", "2", "--alpha", "nan"),
+    ("--protocol", "pi-train", "--T", "2", "--beta", "inf"),
 ])
 def test_non_finite_input_exits_2(capsys, flags):
     code, out, err = run(capsys, "iqfi", *flags)
     assert code == 2 and out == "" and "finite" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("spectrum", "--protocol", "trotter-gx", "--g", "nan"),
-    ("spectrum", "--protocol", "gx", "--g", "nan"),
-    ("iqfi", "--protocol", "pi-train", "--alpha", "nan"),
-    ("iqfi", "--protocol", "pi-train", "--beta", "inf"),
-])
-def test_non_finite_protocol_parameters_exit_2(capsys, argv):
+@pytest.mark.parametrize("protocol", ["trotter-gx", "gx"])
+def test_spectrum_nan_drive_rate_exits_2(capsys, protocol):
     # a NaN angle passes every sign test; validate() must still catch it
-    code, out, err = run(capsys, *argv, "--T", "2", "--points", "3",
+    code, out, err = run(capsys, "spectrum", "--protocol", protocol,
+                         "--g", "nan", "--T", "2", "--points", "3",
                          "--omega-max", "1")
     assert code == 2 and out == ""
     assert err.startswith("iqfi-lab: bad protocol parameters")
