@@ -170,8 +170,8 @@ def _panels(f, a, b):
                      dtype=float)
     values = out[:nodes.size].reshape(nodes.shape)
     fine = _row_dot(weights, values)
-    error = np.abs(fine - _row_dot(coarse_w, out[nodes.size:].reshape(coarse.shape)))
-    return a, b, nodes, values, weights, fine, error
+    whole = _row_dot(coarse_w, out[nodes.size:].reshape(coarse.shape))
+    return a, b, nodes, values, weights, fine, np.abs(fine - whole)
 
 
 def _row_dot(x, y):
@@ -203,7 +203,7 @@ def _integrate_adaptive(f, lo, hi, width, cfg: QuadratureConfig,
     err = float(np.cumsum(pe)[-1])
 
     def spectrum(cols, rows, integral, error):
-        om, vals, w = (np.asarray(c)[rows].ravel() for c in cols[2:5])
+        om, vals, w = (np.asarray(col)[rows].ravel() for col in cols[2:5])
         c, tail_err = _tail_estimate(om, vals, w, hi, t_char) if tail \
             else (0.0, 0.0)
         return QfiSpectrum(omegas=om, values=vals, weights=w,
