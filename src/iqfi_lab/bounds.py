@@ -224,10 +224,11 @@ def rwa_iqfi_lower_bound(T: float, B: float, g: float,
         K >= zeta^2*T^2*(g/(1 + g^2/(zeta*B)^2) + zeta*B*arctan(g/(zeta*B)))
 
     obtained by integrating the squared-Lorentzian envelope of the
-    rotating-frame spectrum over [g, 3g].  Requires zeta*B*T well above 1
-    for the envelope to hold.
+    rotating-frame spectrum over [g, 3g].  Requires zeta*|B|*T well above
+    1 for the envelope to hold.  J is even in B (conjugating by X flips the
+    field and leaves |+> alone), so the floor takes |B|.
     """
-    u = zeta * B
+    u = zeta * abs(B)
     if u == 0.0:
         return 0.0
     return zeta ** 2 * T ** 2 * (

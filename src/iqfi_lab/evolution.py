@@ -19,9 +19,15 @@ pure-state Fisher information is
 which for normalized states (where <dpsi|psi> is purely imaginary) equals
 the usual 4*(<dpsi|dpsi> - |<psi|dpsi>|^2).
 
-Continuous drives are integrated with a classic fourth-order Runge-Kutta
-scheme with step-doubling error control on the augmented system
-(psi, dpsi), batched over frequencies with a shared adaptive step.
+Continuous drives run through the same kernel as symmetric (Strang)
+splittings: each step of width h is a half step of the drive generator,
+the exact free segment, and another half step, the half steps at interior
+boundaries merged into one closed-form SU(2) exponential.  The global error
+is even in h, so Richardson extrapolation over m, 2m and 4m steps gives an
+O(h^6) result, and its difference from the O(h^4) one estimates the error.
+Frequencies whose estimate misses the tolerance are refined by doubling m;
+the starting m depends only on T, the generator norm, zeta*|B| and the
+tolerance, so a frequency's result does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -139,12 +145,39 @@ def discrete_propagators(seq: PulseSequence, signal: SignalParams,
     # each of the component arrays a, b and their derivatives da, db
     cols = (np.eye(2, dtype=complex) if psi0 is None
             else np.asarray(psi0, dtype=complex).reshape(1, 2))
-    shape = (cols.shape[0], om.size)
     if psi0 is None:
         # allocated before the work arrays, so that the outputs do not sit
         # above the heap hole the work arrays leave when they are freed
         P = np.empty((om.size, 2, 2), dtype=complex)
         W = np.empty_like(P)
+    a, b, da, db = _propagate(cols, _pulse_steps(seq, om, signal.phi),
+                              signal, B, om.size)
+    if psi0 is not None:
+        return (np.stack((a[0], b[0]), axis=1),
+                np.stack((da[0], db[0]), axis=1))
+    P[:, 0, :], P[:, 1, :] = a.T, b.T
+    W[:, 0, :], W[:, 1, :] = da.T, db.T
+    return P, W
+
+
+def _pulse_steps(seq: PulseSequence, om, phi):
+    """(Theta, u) per pulse of seq and a last (Theta, None) to total_time."""
+    t_prev = 0.0
+    for t_next, u in [(p.time, p.unitary) for p in seq.pulses] + [
+            (seq.total_time, None)]:
+        yield (_theta_raw(t_prev, t_next, om, phi) if t_next > t_prev
+               else None), u
+        t_prev = t_next
+
+
+def _propagate(cols, steps, signal: SignalParams, B: float, n_omega: int):
+    """The kernel: carry initial columns and their field derivatives
+    through steps, a sequence of (Theta, u): a free segment with kernel
+    Theta (an array over frequencies, or None for no segment), then the
+    2x2 unitary u (None for none).  cols holds one initial column per row;
+    returns the component arrays (a, b, da, db), each of shape
+    (columns, n_omega)."""
+    shape = (cols.shape[0], n_omega)
     a = np.broadcast_to(cols[:, 0:1], shape).copy()
     b = np.broadcast_to(cols[:, 1:2], shape).copy()
     da = np.zeros(shape, dtype=complex)
@@ -153,16 +186,13 @@ def discrete_propagators(seq: PulseSequence, signal: SignalParams,
     s2 = np.empty(shape, dtype=complex)
     zb = signal.zeta * B
     dz = -1j * signal.zeta
-    t_prev = 0.0
-    for t_next, u in [(p.time, p.unitary) for p in seq.pulses] + [
-            (seq.total_time, None)]:
-        if t_next > t_prev:
+    for th, u in steps:
+        if th is not None:
             # free segment: psi <- F psi and dpsi <- F dpsi - i zeta Theta Z F psi
             # with F = exp(-i zeta B Theta Z); e = exp(-i zeta B Theta) comes
             # from a real cosine and sine, half the cost of np.exp
-            th = _theta_raw(t_prev, t_next, om, signal.phi)
             x = th * -zb
-            e = np.empty(om.size, dtype=complex)
+            e = np.empty(n_omega, dtype=complex)
             np.cos(x, out=e.real)
             np.sin(x, out=e.imag)
             a *= e
@@ -179,13 +209,7 @@ def discrete_propagators(seq: PulseSequence, signal: SignalParams,
         if u is not None:
             _rotate(a, b, u, s1, s2)
             _rotate(da, db, u, s1, s2)
-        t_prev = t_next
-    if psi0 is not None:
-        return (np.stack((a[0], b[0]), axis=1),
-                np.stack((da[0], db[0]), axis=1))
-    P[:, 0, :], P[:, 1, :] = a.T, b.T
-    W[:, 0, :], W[:, 1, :] = da.T, db.T
-    return P, W
+    return a, b, da, db
 
 
 def _rotate(x, y, u, s1, s2):
@@ -213,113 +237,114 @@ def evolve_discrete(seq: PulseSequence, signal: SignalParams,
 # -- continuous protocols -----------------------------------------------------
 
 
-def _drive_generator(control):
-    if isinstance(control, TransverseDrive):
-        return [(0.0, control.total_time, control.g * SIGMA_X)]
+# Level m of the splitting takes _FIRST_STEPS_PER_RATE * rate * tol^(-1/4)
+# steps per unit time, as the error estimate falls as h^4; rate is the
+# largest of 1/T, zeta*|B| and the generator norms.  A finest level above
+# _MAX_STEPS_PER_RATE * rate steps per unit time is refused before it is
+# computed, so a tolerance out of reach fails at once instead of grinding.
+_FIRST_STEPS_PER_RATE = 0.25
+_MAX_STEPS_PER_RATE = 4096
+_PLUS = np.array([[1.0, 1.0]], dtype=complex) / math.sqrt(2.0)  # |+>
+
+
+def _check_ode_tol(tol) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"ode_tol must be positive and finite, got {tol}")
+
+
+def _drive_pieces(control):
+    """(start, end, generator) triples of a validated continuous control."""
     problem = validate(control)
     if problem is not None:
         raise ValueError(f"invalid control: {problem}")
-    return [(s, e, h) for s, e, h in control.pieces]
+    if isinstance(control, TransverseDrive):
+        return [(0.0, control.total_time, control.g * SIGMA_X)]
+    return list(control.pieces)
 
 
-def _generator_scale(pieces) -> float:
-    scale = 0.0
-    for _, _, h in pieces:
-        scale = max(scale, float(np.linalg.norm(h, 2)))
-    return scale
+def _su2_exp(h, tau):
+    """exp(-i h tau) of a 2x2 Hermitian h, in closed form: with
+    h = h0 + n.sigma it is exp(-i h0 tau) (cos(|n| tau) - i sin(|n| tau)
+    n.sigma / |n|)."""
+    h0 = 0.5 * (h[0, 0] + h[1, 1]).real
+    r = math.hypot(h[1, 0].real, h[1, 0].imag, 0.5 * (h[0, 0] - h[1, 1]).real)
+    s = tau * float(np.sinc(r * tau / math.pi))  # sin(r tau) / r
+    return np.exp(-1j * h0 * tau) * (math.cos(r * tau) * np.eye(2)
+                                     - 1j * s * (h - h0 * np.eye(2)))
 
 
-def _augmented_rhs(t, y, om, phi, zeta, B, G):
-    """d/dt of (psi, dpsi) stacked as columns of y, shape (n_omega, 4)."""
-    c = np.cos(om * t + phi)
-    zb = (zeta * B) * c
-    psi = y[:, 0:2]
-    dpsi = y[:, 2:4]
-    h_psi = psi @ G.T
-    h_psi[:, 0] += zb * psi[:, 0]
-    h_psi[:, 1] -= zb * psi[:, 1]
-    h_dpsi = dpsi @ G.T
-    h_dpsi[:, 0] += zb * dpsi[:, 0]
-    h_dpsi[:, 1] -= zb * dpsi[:, 1]
-    # source from dH/dB = zeta*cos(omega t + phi) Z
-    h_dpsi[:, 0] += (zeta * c) * psi[:, 0]
-    h_dpsi[:, 1] -= (zeta * c) * psi[:, 1]
-    out = np.empty_like(y)
-    out[:, 0:2] = -1j * h_psi
-    out[:, 2:4] = -1j * h_dpsi
-    return out
+def _split_steps(pieces, counts, om, phi):
+    """(Theta, u) of the splitting with counts[k] steps on piece k."""
+    carry = None  # the previous piece's closing half step
+    for (start, end, h), n in zip(pieces, counts):
+        if n == 0:
+            continue
+        dt = (end - start) / n
+        half = _su2_exp(h, 0.5 * dt)
+        full = _su2_exp(h, dt)
+        yield None, half if carry is None else half @ carry
+        # Theta of a step of width dt: only the cosine at its midpoint
+        # changes from step to step
+        scale = dt * np.sinc(om * (dt / (2.0 * math.pi)))
+        for k in range(n):
+            yield (scale * np.cos(om * (start + (k + 0.5) * dt) + phi),
+                   full if k < n - 1 else None)
+        carry = half
+    yield None, carry
 
 
-def _rk4_step(f, t, y, h):
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _integrate_window(f, t_start, t_end, y, tol, h0, max_steps=2_000_000):
-    """Adaptive RK4 over one smooth window, error-per-unit-time control.
-
-    Each trial step is compared against two half steps; the step is accepted
-    when the difference is below tol*h/(t_end - t_start), which keeps the
-    accumulated error of order tol over the window.
-    """
-    span = t_end - t_start
-    if span <= 0.0:
-        return y
-    t = t_start
-    h = min(h0, span)
-    h_min = span * 1e-13
-    steps = 0
-    while t < t_end - 1e-14 * max(1.0, abs(t_end)):
-        h = min(h, t_end - t)
-        y_full = _rk4_step(f, t, y, h)
-        y_half = _rk4_step(f, t, y, 0.5 * h)
-        y_two = _rk4_step(f, t + 0.5 * h, y_half, 0.5 * h)
-        err = float(np.abs(y_two - y_full).max())
-        budget = tol * h / span
-        if err <= budget or h <= h_min:
-            t += h
-            y = y_two
-            factor = 0.9 * (budget / err) ** 0.2 if err > 0.0 else 4.0
-            h *= min(4.0, max(0.5, factor))
-        else:
-            h *= max(0.1, 0.9 * (budget / err) ** 0.25)
-        steps += 1
-        if steps > max_steps:
-            raise IntegrationError(
-                f"step budget exhausted at t={t:.6g} (h={h:.3g})"
-            )
-    return y
+def _split_level(pieces, counts, signal, B, om):
+    """(a, b, da, db) at T from |+> under the splitting with counts[k]
+    steps on piece k, as rows of a (4, n_omega) array."""
+    return np.concatenate(_propagate(
+        _PLUS, _split_steps(pieces, counts, om, signal.phi), signal, B,
+        om.size))
 
 
 def _continuous_batch(control, signal: SignalParams, B: float, omegas,
                       tol: float = 1e-10):
-    """Evolve (psi, dpsi) to T for every frequency in the batch."""
+    """(psi, dpsi) at T for every frequency, as columns (a, b, da, db) of
+    an (n_omega, 4) array.
+
+    Levels m, 2m and 4m are extrapolated to O(h^6); the difference between
+    that result and the O(h^4) one from the two finer levels estimates the
+    global error.  A frequency whose estimate exceeds tol gets another
+    level: m doubles and only the new finest level is computed.  m starts
+    from T, the largest generator norm, zeta*|B| and tol alone, so each
+    frequency's result does not depend on which frequencies share its
+    batch.  Raises IntegrationError, before computing it, for a finest
+    level above _MAX_STEPS_PER_RATE steps per unit of rate*time.
+    """
+    _check_ode_tol(tol)
+    pieces = _drive_pieces(control)
     om = np.atleast_1d(np.asarray(omegas, dtype=float))
-    pieces = _drive_generator(control)
-    T = control.total_time
-    y = np.zeros((om.size, 4), dtype=complex)
-    alpha = math.pi / 2.0  # continuous protocols start from |+>
-    y[:, 0] = math.cos(alpha / 2.0)
-    y[:, 1] = math.sin(alpha / 2.0)
-    g_scale = _generator_scale(pieces)
-    rates = [T]
-    if np.max(om) > 0.0:
-        rates.append(2.0 * math.pi / np.max(om))
-    if g_scale > 0.0:
-        rates.append(1.0 / g_scale)
-    if signal.zeta * abs(B) > 0.0:
-        rates.append(1.0 / (signal.zeta * abs(B)))
-    h0 = min(rates) / 50.0
-
-    for start, end, G in pieces:
-        def f(t, yy, G=G):
-            return _augmented_rhs(t, yy, om, signal.phi, signal.zeta, B, G)
-
-        y = _integrate_window(f, start, end, y, tol * (end - start) / T, h0)
-    return y
+    T = float(control.total_time)
+    rate = max([1.0 / T, signal.zeta * abs(B)]
+               + [float(np.linalg.norm(h, 2)) for _, _, h in pieces])
+    density = _FIRST_STEPS_PER_RATE * rate * tol ** -0.25
+    counts = np.array([math.ceil((e - s) * density) for s, e, _ in pieces])
+    out = np.empty((4, om.size), dtype=complex)
+    todo = np.arange(om.size)
+    s1 = s2 = None
+    while True:
+        if 4.0 * density > _MAX_STEPS_PER_RATE * rate:
+            raise IntegrationError(
+                f"ode_tol={tol:.3g} is out of reach: the splitting would "
+                f"need {4.0 * density:.4g} steps per unit time, above "
+                f"{_MAX_STEPS_PER_RATE} times the rate {rate:.4g}")
+        if s1 is None:
+            s1, s2 = (_split_level(pieces, k * counts, signal, B, om)
+                      for k in (1, 2))
+        s4 = _split_level(pieces, 4 * counts, signal, B, om[todo])
+        r1 = (4.0 * s2 - s1) / 3.0
+        r2 = (4.0 * s4 - s2) / 3.0
+        best = (16.0 * r2 - r1) / 15.0
+        ok = np.abs(best - r2).max(axis=0) <= tol
+        out[:, todo[ok]] = best[:, ok]
+        if ok.all():
+            return out.T
+        todo, s1, s2 = todo[~ok], s2[:, ~ok], s4[:, ~ok]
+        counts, density = 2 * counts, 2.0 * density
 
 
 def evolve_continuous(control, signal: SignalParams, B: Optional[float] = None,
@@ -380,7 +405,12 @@ def _ghz_qfi_vs_omega(proto: GhzProtocol, signal: SignalParams, omegas):
 
 def qfi_vs_omega(protocol, signal: SignalParams, B: Optional[float] = None,
                  omegas=None, ode_tol: float = 1e-10) -> np.ndarray:
-    """J(B | omega) over a frequency grid for any protocol kind."""
+    """J(B | omega) over a frequency grid for any protocol kind.
+
+    ode_tol, which must be positive and finite, bounds the estimated error
+    of a continuous drive's final state and field derivative.
+    """
+    _check_ode_tol(ode_tol)
     if B is None:
         B = signal.B
     om = np.atleast_1d(np.asarray(
@@ -433,8 +463,8 @@ def qfi_fd_oracle(protocol, signal: SignalParams, B: Optional[float] = None,
     between the two raises, flagging a too-large step.
 
     Default steps: 1e-6*max(1,|B|) for exact (discrete/GHZ) evolutions,
-    1e-4*max(1,|B|) for continuous ones where ODE tolerance noise enters
-    the difference quotient.
+    1e-4*max(1,|B|) for continuous ones, whose states carry an error of up
+    to ode_tol into the difference quotient.
     """
     if B is None:
         B = signal.B

@@ -324,37 +324,6 @@ def feature_scale(protocol, signal: SignalParams, B: float) -> float:
     return scale
 
 
-def _make_evaluator(protocol, signal: SignalParams, B: float,
-                    ode_tol: float) -> Callable:
-    continuous = isinstance(protocol, (TransverseDrive, PiecewiseGenerator))
-    if not continuous:
-        return lambda om: qfi_vs_omega(protocol, signal, B, om)
-
-    T = float(protocol.total_time)
-
-    def f(om):
-        # Chunk by frequency so the shared adaptive step of a batch is not
-        # dictated by frequencies far above the chunk's own.
-        om = np.asarray(om, dtype=float)
-        order = np.argsort(om)
-        out = np.empty_like(om)
-        sorted_om = om[order]
-        start = 0
-        while start < om.size:
-            limit = max(4.0 * sorted_om[start], 8.0 * math.pi / T)
-            stop = start
-            while stop < om.size and sorted_om[stop] <= limit \
-                    and stop - start < 1024:
-                stop += 1
-            stop = max(stop, start + 1)
-            out[order[start:stop]] = qfi_vs_omega(
-                protocol, signal, B, sorted_om[start:stop], ode_tol=ode_tol)
-            start = stop
-        return out
-
-    return f
-
-
 def integrate_iqfi(protocol, signal: SignalParams, B: Optional[float] = None,
                    cfg: Optional[QuadratureConfig] = None,
                    T: Optional[float] = None,
@@ -363,7 +332,8 @@ def integrate_iqfi(protocol, signal: SignalParams, B: Optional[float] = None,
 
     T overrides the oscillation time scale used for panel sizing (defaults
     to the protocol duration).  Raises QuadratureNonConvergence with a
-    partial result when the panel budget runs out.
+    partial result when the panel budget runs out.  ode_tol is passed to
+    qfi_vs_omega for continuous drives.
     """
     cfg = cfg or QuadratureConfig()
     if B is None:
@@ -371,8 +341,9 @@ def integrate_iqfi(protocol, signal: SignalParams, B: Optional[float] = None,
     t_char = T if T is not None else float(protocol.total_time)
     width = cfg.panel_width_factor * math.pi / t_char
     omega_max = cfg.tail_start_factor * feature_scale(protocol, signal, B)
-    f = _make_evaluator(protocol, signal, B, ode_tol)
-    return _integrate_adaptive(f, 0.0, omega_max, width, cfg, True, t_char)
+    return _integrate_adaptive(
+        lambda om: qfi_vs_omega(protocol, signal, B, om, ode_tol=ode_tol),
+        0.0, omega_max, width, cfg, True, t_char)
 
 
 def integrate_qfi_band(protocol, signal: SignalParams, lo: float, hi: float,
@@ -387,8 +358,9 @@ def integrate_qfi_band(protocol, signal: SignalParams, lo: float, hi: float,
         B = signal.B
     t_char = float(protocol.total_time)
     width = cfg.panel_width_factor * math.pi / t_char
-    f = _make_evaluator(protocol, signal, B, ode_tol)
-    return _integrate_adaptive(f, lo, hi, width, cfg, False, t_char)
+    return _integrate_adaptive(
+        lambda om: qfi_vs_omega(protocol, signal, B, om, ode_tol=ode_tol),
+        lo, hi, width, cfg, False, t_char)
 
 
 def cross_spectral_integral(t1: float, t0: float, mode: str = "analytic",

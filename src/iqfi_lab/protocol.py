@@ -151,6 +151,8 @@ class TransverseDrive:
 
     def __post_init__(self):
         _check_total_time(self.total_time)
+        if not math.isfinite(self.g):
+            raise ValueError(f"g must be finite, got {self.g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,17 +328,20 @@ def _validate_piecewise(ctrl: PiecewiseGenerator) -> Optional[str]:
     if not ctrl.pieces:
         return "pieces must be non-empty"
     expect = 0.0
+    # written as "not x <= tol" so that a NaN fails each test
     for i, (start, end, h) in enumerate(ctrl.pieces):
-        if abs(start - expect) > 1e-12:
+        if not abs(start - expect) <= 1e-12:
             return f"piece {i}: starts at {start}, expected {expect}"
-        if end < start:
-            return f"piece {i}: end before start"
+        if not start <= end < math.inf:
+            return f"piece {i}: end {end} before start or not finite"
         if h.shape != (2, 2):
             return f"piece {i}: generator must be 2x2"
-        if np.abs(h - h.conj().T).max() > 1e-12:
+        if not np.isfinite(h).all():
+            return f"piece {i}: generator entries must be finite"
+        if not np.abs(h - h.conj().T).max() <= 1e-12:
             return f"piece {i}: generator not Hermitian"
         expect = end
-    if abs(expect - ctrl.total_time) > 1e-12:
+    if not abs(expect - ctrl.total_time) <= 1e-12:
         return f"pieces end at {expect}, expected total_time {ctrl.total_time}"
     return None
 

@@ -131,6 +131,9 @@ def test_rwa_lower_bound_limits():
     assert rwa_iqfi_lower_bound(8.0, 1.0, 0.5 * math.pi, zeta=2.0) \
         == pytest.approx(rwa_iqfi_lower_bound(8.0, 2.0, 0.5 * math.pi) * 4.0,
                          rel=1e-12)
+    # J is even in B, and so is the floor
+    assert rwa_iqfi_lower_bound(8.0, -1.0, 0.5 * math.pi) \
+        == rwa_iqfi_lower_bound(8.0, 1.0, 0.5 * math.pi)
 
 
 @pytest.mark.parametrize("g,zb,T", [

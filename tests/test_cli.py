@@ -153,6 +153,28 @@ def test_spectrum_nan_drive_rate_exits_2(capsys, protocol):
     assert err.startswith("iqfi-lab: bad protocol parameters")
 
 
+@pytest.mark.parametrize("command", ["spectrum", "iqfi"])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_bad_ode_tol_exits_2(capsys, command, tol):
+    code, out, err = run(capsys, command, "--protocol", "gx", "--T", "1",
+                         "--points", "2", "--omega-max", "1",
+                         "--ode-tol", tol)
+    assert code == 2 and out == "" and "--ode-tol" in err
+
+
+def test_drive_floor_reported_only_where_it_bounds(capsys):
+    # rwa_iqfi_lower_bound is 0 at B = 0; a row there would carry a margin
+    # of K/1e-300
+    code, out, _ = run(capsys, "iqfi", "--protocol", "gx", "--T", "1",
+                       "--B", "0")
+    assert code == 0 and json.loads(out)["bounds"] == []
+    for b in ("1", "-1"):
+        code, out, _ = run(capsys, "iqfi", "--protocol", "gx", "--T", "1",
+                           "--B", b)
+        rep = {r["name"]: r for r in json.loads(out)["bounds"]}
+        assert code == 0 and rep["resonance_band_floor"]["reference"] > 0.0
+
+
 @pytest.mark.parametrize("flags", [("--B", "1,nan"), ("--T-list", "2,inf"),
                                    ("--g", "nan")])
 def test_fig1_non_finite_input_exits_2(tmp_path, capsys, flags):

@@ -2,17 +2,20 @@
 
 The independent references here are qfi_fd_oracle (central finite
 differences of the state over the field), an explicit per-node product of
-2x2 segment and pulse matrices for the pulse kernel, and, for the entangled
-register, a dense tensor-product evolution built inside the test.
+2x2 segment and pulse matrices for the pulse kernel, a per-frequency scipy
+DOP853 integration of the drive, and, for the entangled register, a dense
+tensor-product evolution built inside the test.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from iqfi_lab.bounds import pi_train_qfi
 from iqfi_lab.evolution import (
+    IntegrationError,
     SensorState,
     discrete_propagators,
     evolve_continuous,
@@ -23,6 +26,9 @@ from iqfi_lab.evolution import (
     qfi_vs_omega,
 )
 from iqfi_lab.protocol import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     GhzProtocol,
     PiecewiseGenerator,
     Pulse,
@@ -246,6 +252,113 @@ def test_piecewise_matches_trotter_limit():
     assert j_piece == pytest.approx(j_drive, rel=1e-8, abs=1e-10)
     j_trott = float(qfi_vs_omega(make_trotterized_gx(T, m=1024, g=g), sig)[0])
     assert j_trott == pytest.approx(j_drive, rel=1e-4, abs=1e-6)
+
+
+def _dop853_state(pieces, sig, om):
+    """(psi, dpsi/dB) at T from |+> under H = zeta B cos(omega t + phi) Z + H_k
+    on piece k, by scipy's DOP853 restarted at each piece."""
+    from scipy.integrate import solve_ivp
+
+    y = np.concatenate([PLUS, [0.0, 0.0]]).astype(complex)
+    for start, end, h in pieces:
+        def rhs(t, y, h=np.asarray(h)):
+            dh = sig.zeta * math.cos(om * t + sig.phi) * SIGMA_Z
+            H = h + sig.B * dh
+            return np.concatenate([-1j * (H @ y[:2]),
+                                   -1j * (H @ y[2:] + dh @ y[:2])])
+
+        y = solve_ivp(rhs, (start, end), y, method="DOP853", rtol=1e-12,
+                      atol=1e-14).y[:, -1]
+    return y[:2], y[2:]
+
+
+def _dop853_j(pieces, sig, omegas):
+    out = []
+    for om in omegas:
+        psi, dpsi = _dop853_state(pieces, sig, float(om))
+        ov = np.vdot(psi, dpsi)
+        out.append(4.0 * (np.vdot(dpsi, dpsi).real - abs(ov) ** 2))
+    return np.array(out)
+
+
+TWO_PIECES = PiecewiseGenerator(pieces=(
+    (0.0, 1.2, 0.9 * SIGMA_X + 0.4 * SIGMA_Y + 0.3 * SIGMA_Z),
+    (1.2, 3.0, -0.5 * SIGMA_X + 1.1 * SIGMA_Y - 0.7 * SIGMA_Z
+     + 0.2 * np.eye(2))), total_time=3.0)
+
+
+@pytest.mark.parametrize("control, sig", [
+    (TransverseDrive(g=0.5 * math.pi, total_time=2.0),
+     SignalParams(B=1.0, omega=0.0)),
+    (TransverseDrive(g=0.7, total_time=4.0),
+     SignalParams(B=0.3, omega=0.0, phi=2.1)),
+    (TransverseDrive(g=2.0, total_time=1.5),
+     SignalParams(B=-0.8, omega=0.0, phi=5.0, zeta=1.3)),
+    (TransverseDrive(g=0.5 * math.pi, total_time=8.0),
+     SignalParams(B=0.01, omega=0.0)),
+    (TWO_PIECES, SignalParams(B=0.6, omega=0.0, phi=1.0)),
+], ids=["g1.57_T2_B1", "g0.7_T4_phi", "g2_T1.5_Bneg", "g1.57_T8_weak",
+        "two_pieces"])
+def test_continuous_matches_dop853(control, sig):
+    omegas = np.array([0.0, 0.5, 1.9, 3.14, 7.3, 19.0, 40.0])
+    pieces = ([(0.0, control.total_time, control.g * SIGMA_X)]
+              if isinstance(control, TransverseDrive) else control.pieces)
+    ref = _dop853_j(pieces, sig, omegas)
+    j = qfi_vs_omega(control, sig, omegas=omegas)
+    np.testing.assert_allclose(j, ref, rtol=0.0,
+                               atol=1e-9 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("om", [200.0, 300.0])
+def test_refinement_meets_ode_tol_at_high_frequency(om):
+    # here the first three levels miss tol = 1e-10 by up to 60x; the levels
+    # added for these frequencies bring the state within it
+    g, T = 0.5 * math.pi, 2.0
+    sig = SignalParams(B=1.0, omega=om)
+    st = evolve_continuous(TransverseDrive(g=g, total_time=T), sig, tol=1e-10)
+    psi, dpsi = _dop853_state([(0.0, T, g * SIGMA_X)], sig, om)
+    assert np.max(np.abs(st.psi - psi)) <= 1e-10
+    assert np.max(np.abs(st.dpsi - dpsi)) <= 1e-10
+
+
+@pytest.mark.parametrize("control", [
+    TransverseDrive(g=0.5 * math.pi, total_time=4.0), TWO_PIECES])
+def test_continuous_batch_independence(control):
+    # every frequency is refined on its own, so its J does not depend on
+    # which frequencies share the call
+    sig = SignalParams(B=0.7, omega=0.0, phi=0.3)
+    omegas = np.linspace(0.0, 60.0, 9)
+    batched = qfi_vs_omega(control, sig, omegas=omegas)
+    single = np.array([qfi_vs_omega(control, sig, omegas=[om])[0]
+                       for om in omegas])
+    np.testing.assert_allclose(batched, single, rtol=1e-10,
+                               atol=1e-10 * np.max(np.abs(single)))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_ode_tol_must_be_positive_and_finite(tol):
+    drive = TransverseDrive(g=1.0, total_time=1.0)
+    sig = SignalParams(B=0.5, omega=1.0)
+    with pytest.raises(ValueError, match="ode_tol"):
+        qfi_vs_omega(drive, sig, ode_tol=tol)
+    with pytest.raises(ValueError, match="ode_tol"):
+        evolve_continuous(drive, sig, tol=tol)
+
+
+def test_unreachable_ode_tol_fails_fast():
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError):
+        qfi_vs_omega(TransverseDrive(g=0.5 * math.pi, total_time=2.0),
+                     SignalParams(B=1.0, omega=0.0),
+                     omegas=[0.5, 3.0, 40.0], ode_tol=1e-16)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_piecewise_control_is_validated():
+    nan_gen = np.array([[0.0, math.nan], [math.nan, 0.0]])
+    bad = PiecewiseGenerator(pieces=((0.0, 1.0, nan_gen),), total_time=1.0)
+    with pytest.raises(ValueError, match="invalid control"):
+        qfi_vs_omega(bad, SignalParams(B=1.0, omega=0.0), omegas=[1.0])
 
 
 def test_ghz_n1_reduces_to_ramsey():

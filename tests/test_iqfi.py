@@ -267,3 +267,14 @@ def test_refinement_order_is_pinned():
         integrate_iqfi(train, SignalParams(B=0.3, omega=0.0), cfg=cfg)
     assert exc.value.partial.integral == pytest.approx(23.249862072679758,
                                                        rel=1e-13)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("protocol", [TransverseDrive(g=1.0, total_time=1.0),
+                                      make_ramsey(1.0)])
+def test_integrals_reject_bad_ode_tol(protocol, tol):
+    sig = SignalParams(B=0.5, omega=0.0)
+    with pytest.raises(ValueError, match="ode_tol"):
+        integrate_iqfi(protocol, sig, ode_tol=tol)
+    with pytest.raises(ValueError, match="ode_tol"):
+        integrate_qfi_band(protocol, sig, 0.0, 1.0, ode_tol=tol)

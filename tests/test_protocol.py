@@ -156,6 +156,29 @@ def test_piecewise_generator_validation():
     assert validate(gap) is not None
 
 
+@pytest.mark.parametrize("bad", ["entry", "start", "end", "inf_end"])
+def test_piecewise_generator_rejects_non_finite(bad):
+    h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    pieces = [[0.0, 1.0, h], [1.0, 2.0, h]]
+    if bad == "entry":
+        pieces[0][2] = np.array([[0.0, math.nan], [math.nan, 0.0]])
+    elif bad == "start":
+        pieces[1][0] = math.nan
+    elif bad == "end":
+        pieces[0][1] = math.nan
+    else:
+        pieces[1][1] = math.inf
+    problem = validate(PiecewiseGenerator(
+        pieces=tuple(tuple(p) for p in pieces), total_time=2.0))
+    assert problem is not None
+
+
+@pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+def test_transverse_drive_rejects_non_finite_g(g):
+    with pytest.raises(ValueError, match="g must be finite"):
+        TransverseDrive(g=g, total_time=2.0)
+
+
 def test_bloch_state():
     np.testing.assert_allclose(bloch_state(0.0, 0.0), [1.0, 0.0], atol=1e-15)
     plus = bloch_state(math.pi / 2.0, 0.0)
