@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.linalg import expm_frechet
 
 __all__ = [
     "BoundReport",
@@ -200,6 +199,9 @@ def rwa_qfi(omega, B: float, g: float, T: float, zeta: float = 1.0):
     (zeta*T)^2; for B -> 0 it tends to 4*zeta^2*sin^2(delta*T/2)/delta^2
     with delta = omega - 2g.  Vectorized over omega.
     """
+    # imported on use: scipy.linalg is the costliest import of the package
+    from scipy.linalg import expm_frechet
+
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     psi0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     dh_db = 0.5 * zeta * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)

@@ -32,10 +32,8 @@ from .bounds import (
     report_equality,
     rwa_iqfi_lower_bound,
 )
-from .evolution import IntegrationError, discrete_propagators, qfi_vs_omega
+from .evolution import IntegrationError, qfi_vs_omega
 from .iqfi import (
-    DEFAULT_HAAR_SAMPLES,
-    DEFAULT_HAAR_SEED,
     QuadratureConfig,
     QuadratureNonConvergence,
     feature_scale,
@@ -69,6 +67,12 @@ PROTOCOL_NAMES = ("ramsey", "pi-train", "pi2-train", "trotter-gx", "gx", "ghz")
 # is fine for single spectra but near-coincident pulses in random trains
 # need the asymptote read further out
 BATTERY_CFG_KW = dict(tail_start_factor=240.0, max_panels=40000)
+BATTERY_SEED = 1905
+# Bloch angles (alpha, beta) of the six Pauli eigenstates; the mean of K
+# over them is the exact Haar average, since J has degree 2 in psi0, psi0*
+PAULI_STATES = ((0.0, 0.0), (math.pi, 0.0), (math.pi / 2.0, 0.0),
+                (math.pi / 2.0, math.pi), (math.pi / 2.0, math.pi / 2.0),
+                (math.pi / 2.0, 1.5 * math.pi))
 
 
 class ConfigError(Exception):
@@ -82,7 +86,7 @@ _CONFIG_KEYS = {
     "g": float, "m": int, "omega_min": float, "omega_max": float,
     "points": int, "rel_tol": float, "seed": int, "jobs": int, "out": str,
     "format": str, "times": str, "spacing": float, "n": int, "alpha": float,
-    "beta": float, "flips": str, "samples": int, "draws": int,
+    "beta": float, "flips": str, "draws": int,
     "t_list": str, "slope_window": str, "ode_tol": float,
     "max_panels": int, "tail_factor": float,
 }
@@ -188,9 +192,8 @@ def _emit(text: str, out) -> None:
 # -- protocol construction -----------------------------------------------------
 
 
-def _build_signal(args) -> SignalParams:
-    b_raw = _resolve(args, "B", "0.0")
-    b_list = _float_list(b_raw)
+def _build_signal(args, default_b: float = 0.0) -> SignalParams:
+    b_list = _float_list(_resolve(args, "B", [default_b]))
     if len(b_list) != 1:
         raise ConfigError("this command takes a single --B value")
     try:
@@ -288,9 +291,14 @@ def _grid(args, protocol, signal) -> np.ndarray:
     hi = _resolve(args, "omega_max", None, float)
     if hi is None:
         hi = 8.0 * feature_scale(protocol, signal, signal.B)
-    points = _resolve(args, "points", 513, int)
-    if points < 2 or hi <= lo or lo < 0.0:
-        raise ConfigError("need 0 <= omega-min < omega-max and points >= 2")
+    return _omega_grid(lo, hi, _resolve(args, "points", 513, int))
+
+
+def _omega_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    # one chained comparison, so that a NaN edge fails it too
+    if points < 2 or not 0.0 <= lo < hi < math.inf:
+        raise ConfigError("need finite 0 <= omega-min < omega-max and "
+                          "points >= 2")
     return np.linspace(lo, hi, points)
 
 
@@ -429,7 +437,7 @@ def _suffixed(path: str, tag: str) -> str:
 def cmd_fig2(args) -> int:
     T = _duration(args, 8.0)
     g = _resolve(args, "g", math.pi / 2.0, float)
-    signal = _build_signal_default_b(args, 1.0)
+    signal = _build_signal(args, default_b=1.0)
     ode_tol = _ode_tol(args)
     out = _resolve(args, "out", "fig2", str)
 
@@ -441,10 +449,7 @@ def cmd_fig2(args) -> int:
     ]
     lo = _resolve(args, "omega_min", 0.0, float)
     hi = _resolve(args, "omega_max", max(4.0 * g, 8.0 * math.pi / T), float)
-    points = _resolve(args, "points", 601, int)
-    if points < 2 or hi <= lo or lo < 0.0:
-        raise ConfigError("need 0 <= omega-min < omega-max and points >= 2")
-    omegas = np.linspace(lo, hi, points)
+    omegas = _omega_grid(lo, hi, _resolve(args, "points", 601, int))
     for tag, protocol in protocols:
         values = qfi_vs_omega(protocol, signal, omegas=omegas, ode_tol=ode_tol)
         text = _csv_text("omega,J", zip(omegas.tolist(), values.tolist()),
@@ -454,34 +459,10 @@ def cmd_fig2(args) -> int:
     return EXIT_OK
 
 
-def _build_signal_default_b(args, default_b: float) -> SignalParams:
-    b_raw = _resolve(args, "B", None)
-    b = _float_list(b_raw)[0] if b_raw is not None else default_b
-    try:
-        return SignalParams(B=b, omega=0.0,
-                            phi=_resolve(args, "phi", 0.0, float),
-                            zeta=_resolve(args, "zeta", 1.0, float))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 # -- bound battery -------------------------------------------------------------
 
 
-def _haar_trace_mean(seq, signal, cfg) -> float:
-    """Exact initial-state average of K on the integrator's node set."""
-    pilot = integrate_iqfi(seq, signal, cfg=cfg)
-    P, W = discrete_propagators(seq, signal, signal.B, pilot.omegas)
-    A = np.einsum("nij,nik->njk", W.conj(), W)
-    M = np.einsum("nij,nik->njk", W.conj(), P)
-    tr_a = np.einsum("njj->n", A).real
-    tr_m = np.einsum("njj->n", M)
-    tr_m2 = np.einsum("nij,nji->n", M, M)
-    mean_j = 4.0 * (tr_a / 2.0 + (tr_m * tr_m + tr_m2).real / 6.0)
-    return float(pilot.integrate_samples(mean_j))
-
-
-def run_bound_battery(seed: int, draws: int = 10,
+def run_bound_battery(seed: int = BATTERY_SEED, draws: int = 10,
                       cfg: QuadratureConfig = None) -> list:
     """Randomized regression battery over every closed form and cap."""
     cfg = cfg or QuadratureConfig(**BATTERY_CFG_KW)
@@ -517,12 +498,13 @@ def run_bound_battery(seed: int, draws: int = 10,
         "haar_pi_train", r.value, (2.0 / 3.0) * z2pi * T, tolerance=0.01))
 
     seq = random_pulse_sequence(rng, T, max_pulses=6)
-    sig_mc = SignalParams(B=0.5, omega=0.0, phi=0.3)
-    mc = haar_average_iqfi(seq, sig_mc, cfg=cfg)
-    exact = _haar_trace_mean(seq, sig_mc, cfg)
-    tol = 4.0 * mc.stderr / max(abs(exact), 1e-300)
+    sig_tilted = SignalParams(B=0.5, omega=0.0, phi=0.3)
+    exact = haar_average_iqfi(seq, sig_tilted, cfg=cfg).value
+    six = math.fsum(integrate_iqfi(PulseSequence(seq.pulses, T, state),
+                                   sig_tilted, cfg=cfg).integral
+                    for state in PAULI_STATES) / len(PAULI_STATES)
     reports.append(report_equality(
-        "haar_mc_vs_trace_formula", mc.value, exact, tolerance=tol))
+        "haar_exact_vs_six_states", exact, six, tolerance=1e-9))
 
     worst = None
     for _ in range(draws):
@@ -579,7 +561,7 @@ def run_bound_battery(seed: int, draws: int = 10,
 
 
 def cmd_bounds_check(args) -> int:
-    seed = _resolve(args, "seed", DEFAULT_HAAR_SEED, int)
+    seed = _resolve(args, "seed", BATTERY_SEED, int)
     draws = _resolve(args, "draws", 10, int)
     reports = run_bound_battery(seed, draws=draws)
     fmt = _resolve(args, "format", "json", str)
@@ -604,11 +586,7 @@ def cmd_haar(args) -> int:
     protocol = _build_protocol(args)
     if not isinstance(protocol, PulseSequence):
         raise ConfigError("haar requires a pulse-sequence protocol")
-    cfg = _quad_cfg(args)
-    samples = _resolve(args, "samples", DEFAULT_HAAR_SAMPLES, int)
-    seed = _resolve(args, "seed", DEFAULT_HAAR_SEED, int)
-    r = haar_average_iqfi(protocol, signal, cfg=cfg, samples=samples,
-                          seed=seed)
+    r = haar_average_iqfi(protocol, signal, cfg=_quad_cfg(args))
     fmt = _resolve(args, "format", "json", str)
     out = _resolve(args, "out", None, str)
     payload = {"schema": SCHEMA_TAG.lstrip("# "), "K_avg": r.value,
@@ -666,7 +644,6 @@ def _add_common(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--ode-tol", dest="ode_tol", type=float,
                     help="error target of a continuous drive's state and "
                          "field derivative (default 1e-9)")
-    ap.add_argument("--seed", type=int, help="rng seed (default 1905)")
     ap.add_argument("--jobs", type=int,
                     help="worker processes; env IQFI_LAB_THREADS as fallback")
     ap.add_argument("--out", help="output path ('-' = stdout)")
@@ -698,9 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "bounds-check":
             p.add_argument("--draws", type=int,
                            help="random draws per battery item (default 10)")
-        if name == "haar":
-            p.add_argument("--samples", type=int,
-                           help="monte carlo sample count (default 4096)")
+            p.add_argument("--seed", type=int,
+                           help="battery rng seed (default 1905)")
         p.set_defaults(func=fn)
     return ap
 

@@ -407,14 +407,18 @@ def qfi_vs_omega(protocol, signal: SignalParams, B: Optional[float] = None,
                  omegas=None, ode_tol: float = 1e-10) -> np.ndarray:
     """J(B | omega) over a frequency grid for any protocol kind.
 
-    ode_tol, which must be positive and finite, bounds the estimated error
-    of a continuous drive's final state and field derivative.
+    Every omega must be finite and >= 0.  ode_tol, which must be positive
+    and finite, bounds the estimated error of a continuous drive's final
+    state and field derivative.
     """
     _check_ode_tol(ode_tol)
     if B is None:
         B = signal.B
     om = np.atleast_1d(np.asarray(
         signal.omega if omegas is None else omegas, dtype=float))
+    bad = ~((om >= 0.0) & (om < math.inf))  # NaN fails both comparisons
+    if bad.any():
+        raise ValueError(f"omegas must be finite and >= 0, got {om[bad][0]}")
     if isinstance(protocol, PulseSequence):
         psi, dpsi = discrete_propagators(protocol, signal, B, om,
                                          psi0=protocol.initial_vector())

@@ -10,8 +10,9 @@ one at a time.  Beyond Omega the spectrum falls off as C/omega^2 with an
 oscillatory factor, so the tail is added analytically as C/Omega.  One
 function fits C, as the Hann-weighted mean of omega^2 * J over the last
 sampled decade; a spectrum applies the same fit to any other integrand
-sampled on its nodes (QfiSpectrum.integrate_samples), which is how the
-Haar average reuses one node set.
+sampled on its nodes (QfiSpectrum.integrate_samples).  The average of K
+over Haar-random initial states is exact: a closed form at zero field and
+phase, elsewhere a trace formula integrated that way on one node set.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ from .signal_core import SignalParams
 
 GAUSS_ORDER = 16
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
-
-# Documented default seed for Haar Monte Carlo; change via the seed argument.
-DEFAULT_HAAR_SEED = 1905
-DEFAULT_HAAR_SAMPLES = 4096
 
 __all__ = [
     "QuadratureConfig",
@@ -123,11 +120,16 @@ class QuadratureNonConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class HaarResult:
-    """Initial-state average of K: exact reduction or Monte Carlo."""
+    """Exact initial-state average of K.
+
+    method is "closed_form" (B = 0, phi = 0) or "trace_formula".  The
+    average is exact, so stderr is 0.0 and samples 0; both fields stay
+    for readers of the earlier Monte Carlo result.
+    """
 
     value: float
     stderr: float
-    method: str  # "closed_form" or "monte_carlo"
+    method: str
     samples: int
 
 
@@ -404,55 +406,40 @@ def cross_spectral_integral(t1: float, t0: float, mode: str = "analytic",
 # -- Haar averaging -----------------------------------------------------------
 
 
-def _is_z_flipping_train(seq: PulseSequence) -> bool:
-    return all(p.flips_z() for p in seq.pulses)
-
-
 def haar_average_iqfi(seq: PulseSequence, signal: SignalParams,
                       B: Optional[float] = None,
                       cfg: Optional[QuadratureConfig] = None,
-                      samples: int = DEFAULT_HAAR_SAMPLES,
-                      seed: int = DEFAULT_HAAR_SEED) -> HaarResult:
-    """Average of K over Haar-random initial states.
+                      samples=None) -> HaarResult:
+    """Exact average of K over Haar-random initial states.
 
-    For trains of Z-reversing pi pulses at signal phase 0 the average is
-    exact: K(alpha) = 2*pi*zeta^2*T*sin^2(alpha) and the sphere average of
-    sin^2(alpha) is 2/3.  Any other sequence falls back to Monte Carlo with
-    the documented fixed seed; the returned stderr is the sample standard
-    error (0 for the closed form).
+    J = 4*(<dpsi|dpsi> + Re <dpsi|psi>^2) has degree 2 in psi0 and psi0*,
+    so its Haar average is a trace formula in P and W = dP/dB:
+    4*(Tr A/2 + Re(Tr(M)^2 + Tr(M^2))/6) with A = W^dag W, M = W^dag P.
+    At B = 0 and signal phase 0 the average of K is (2/3)*2*pi*zeta^2*T for
+    every pulse sequence: E[C_kl] = Tr(Z_k Z_l)/3 for the toggling-frame
+    Z_k = U_k^dag Z U_k, and the integral of Theta_k Theta_l over omega is
+    (pi/2)*len_k*delta_kl.  Otherwise one pilot integration fixes the
+    nodes, weights and tail fit, and the trace formula is integrated on
+    them.  samples is accepted, for callers of the earlier Monte Carlo,
+    and ignored; stderr is always 0.
     """
-    cfg = cfg or QuadratureConfig()
+    if not isinstance(seq, PulseSequence):
+        raise TypeError(f"haar_average_iqfi needs a PulseSequence, got "
+                        f"{type(seq).__name__}")
     if B is None:
         B = signal.B
-    if signal.phi == 0.0 and _is_z_flipping_train(seq):
+    if B == 0.0 and signal.phi == 0.0:
         k = (2.0 / 3.0) * 2.0 * math.pi * signal.zeta ** 2 * seq.total_time
         return HaarResult(value=k, stderr=0.0, method="closed_form", samples=0)
-
-    # One pilot integration pins the node set, its weights and the tail
-    # fit; every sample reuses them, so the estimate is deterministic for a
-    # given seed.
     pilot = integrate_iqfi(seq, signal, B, cfg)
     P, W = discrete_propagators(seq, signal, B, pilot.omegas)
-    rng = np.random.default_rng(seed)
-    alphas = np.arccos(rng.uniform(-1.0, 1.0, size=samples))
-    betas = rng.uniform(0.0, 2.0 * math.pi, size=samples)
-    psi0 = np.stack([np.cos(alphas / 2.0),
-                     np.exp(1j * betas) * np.sin(alphas / 2.0)], axis=1)
-
-    ks = np.empty(samples)
-    chunk = 256
-    for s0 in range(0, samples, chunk):
-        s1 = min(samples, s0 + chunk)
-        block = psi0[s0:s1]
-        psi = np.einsum("nij,sj->sni", P, block)
-        dpsi = np.einsum("nij,sj->sni", W, block)
-        dd = np.einsum("sni,sni->sn", dpsi.conj(), dpsi).real
-        ov = np.einsum("sni,sni->sn", dpsi.conj(), psi)
-        ks[s0:s1] = pilot.integrate_samples(4.0 * (dd + (ov * ov).real))
-    value = float(np.mean(ks))
-    stderr = float(np.std(ks, ddof=1) / math.sqrt(samples))
-    return HaarResult(value=value, stderr=stderr, method="monte_carlo",
-                      samples=samples)
+    M = np.einsum("nij,nik->njk", W.conj(), P)
+    tr_a = np.einsum("nij,nij->n", W.conj(), W).real
+    tr_m = np.einsum("njj->n", M)
+    tr_m2 = np.einsum("nij,nji->n", M, M)
+    mean_j = 4.0 * (tr_a / 2.0 + (tr_m * tr_m + tr_m2).real / 6.0)
+    return HaarResult(value=float(pilot.integrate_samples(mean_j)),
+                      stderr=0.0, method="trace_formula", samples=0)
 
 
 # -- sweeps -------------------------------------------------------------------

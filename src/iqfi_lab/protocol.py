@@ -104,11 +104,6 @@ class Pulse:
             return self.matrix
         return rotation_matrix(self.axis, self.angle)
 
-    def flips_z(self) -> bool:
-        """True when U^dag Z U = -Z, i.e. the pulse reverses the Z axis."""
-        u = self.unitary
-        return np.allclose(u.conj().T @ SIGMA_Z @ u, -SIGMA_Z, atol=1e-12)
-
 
 @dataclass(frozen=True, eq=False)
 class PulseSequence:

@@ -3,6 +3,9 @@
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -129,18 +132,24 @@ def test_bad_phase_exits_2(capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ("--B", "nan"), ("--B", "inf"), ("--zeta", "inf"), ("--zeta", "nan"),
-    ("--T", "nan"), ("--T", "inf"),
-    ("--protocol", "pi-train", "--T", "inf"),
-    ("--protocol", "trotter-gx", "--T", "nan"),
-    ("--protocol", "pi-train", "--T", "4", "--times", "1,nan"),
-    ("--protocol", "ghz", "--times", "0,1,inf"),
-    ("--protocol", "pi-train", "--T", "2", "--alpha", "nan"),
-    ("--protocol", "pi-train", "--T", "2", "--beta", "inf"),
+    ("iqfi", "--B", "nan"), ("iqfi", "--B", "inf"), ("iqfi", "--zeta", "inf"),
+    ("iqfi", "--zeta", "nan"), ("iqfi", "--T", "nan"), ("iqfi", "--T", "inf"),
+    ("iqfi", "--protocol", "pi-train", "--T", "inf"),
+    ("iqfi", "--protocol", "trotter-gx", "--T", "nan"),
+    ("iqfi", "--protocol", "pi-train", "--T", "4", "--times", "1,nan"),
+    ("iqfi", "--protocol", "ghz", "--times", "0,1,inf"),
+    ("iqfi", "--protocol", "pi-train", "--T", "2", "--alpha", "nan"),
+    ("iqfi", "--protocol", "pi-train", "--T", "2", "--beta", "inf"),
+    ("spectrum", "--omega-max", "nan"), ("spectrum", "--omega-max", "inf"),
+    ("spectrum", "--omega-min", "nan", "--omega-max", "1"),
+    ("fig2", "--T", "2", "--omega-max", "nan"),
+    ("fig2", "--T", "2", "--omega-min", "nan"),
 ])
-def test_non_finite_input_exits_2(capsys, flags):
-    code, out, err = run(capsys, "iqfi", *flags)
+def test_non_finite_input_exits_2(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)  # fig2 writes to the working directory
+    code, out, err = run(capsys, *flags)
     assert code == 2 and out == "" and "finite" in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("protocol", ["trotter-gx", "gx"])
@@ -252,6 +261,13 @@ def test_fig2_writes_four_spectra(tmp_path, capsys):
         assert any(ln == "omega,J" for ln in lines[1:3])
 
 
+def test_fig2_takes_a_single_field(tmp_path, capsys):
+    code, out, err = run(capsys, "fig2", "--T", "2", "--B", "1,2",
+                         "--points", "5", "--out", str(tmp_path / "p"))
+    assert code == 2 and out == "" and "single --B" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_haar_closed_form(capsys):
     code, out, _ = run(capsys, "haar", "--protocol", "pi-train",
                        "--times", "1,2,3", "--T", "4", "--B", "0")
@@ -261,17 +277,24 @@ def test_haar_closed_form(capsys):
     assert doc["K_avg"] == pytest.approx(16.0 * math.pi / 3.0, rel=1e-12)
 
 
-def test_haar_monte_carlo_seeded(capsys):
+def test_haar_output_is_byte_deterministic(capsys):
     argv = ("haar", "--protocol", "pi-train", "--times", "1,2,3", "--T", "4",
-            "--B", "0", "--phi", "0.7", "--samples", "256")
+            "--B", "0", "--phi", "0.7")
     code, out1, _ = run(capsys, *argv)
     assert code == 0
     doc1 = json.loads(out1)
-    assert doc1["method"] == "monte_carlo" and doc1["samples"] == 256
+    assert (doc1["method"], doc1["stderr"], doc1["samples"]) == \
+        ("trace_formula", 0.0, 0)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
-    _, out3, _ = run(capsys, *argv, "--seed", "3")
-    assert json.loads(out3)["K_avg"] != doc1["K_avg"]
+
+
+def test_haar_has_no_samples_flag(capsys):
+    # the average is exact; a sample count would be silently meaningless
+    with pytest.raises(SystemExit) as exc:
+        main(["haar", "--samples", "8"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_haar_rejects_continuous_protocol(capsys):
@@ -281,11 +304,12 @@ def test_haar_rejects_continuous_protocol(capsys):
 
 
 def test_bounds_check_passes(capsys):
-    code, out, _ = run(capsys, "bounds-check", "--draws", "2")
+    code, out, _ = run(capsys, "bounds-check", "--draws", "2",
+                       "--seed", "1905")
     assert code == 0
     reports = json.loads(out)
     names = {r["name"] for r in reports}
-    assert {"ramsey_flat_phase", "haar_pi_train",
+    assert {"ramsey_flat_phase", "haar_pi_train", "haar_exact_vs_six_states",
             "segment_count_cap_worst_of_2", "small_field_cap_worst_of_2",
             "resonance_band_floor"} <= names
     assert all(r["satisfied"] for r in reports)
@@ -316,3 +340,16 @@ def test_cli_imports_no_private_names():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.linalg is the costliest import of the package; only
+    # bounds.rwa_qfi needs it, and it imports it on use
+    src = str(Path(iqfi_lab.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, iqfi_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

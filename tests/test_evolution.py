@@ -345,6 +345,18 @@ def test_ode_tol_must_be_positive_and_finite(tol):
         evolve_continuous(drive, sig, tol=tol)
 
 
+@pytest.mark.parametrize("omegas", [[1.0, math.nan, -1.0], [math.inf],
+                                    [-1e-3, 2.0]])
+@pytest.mark.parametrize("protocol", [
+    make_ramsey(2.0), GhzProtocol(n=2, times=(0.0, 2.0)),
+    TransverseDrive(g=1.0, total_time=2.0)], ids=["pulse", "ghz", "drive"])
+def test_qfi_vs_omega_rejects_bad_frequencies(protocol, omegas):
+    # checked before any work: the drive would otherwise refine a NaN
+    # frequency until its step budget runs out and blame ode_tol
+    with pytest.raises(ValueError, match="omegas must be finite and >= 0"):
+        qfi_vs_omega(protocol, SignalParams(B=1.0, omega=0.0), omegas=omegas)
+
+
 def test_unreachable_ode_tol_fails_fast():
     start = time.perf_counter()
     with pytest.raises(IntegrationError):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from iqfi_lab.bounds import pi_train_closed_form, ramsey_closed_form
-from iqfi_lab.cli import _haar_trace_mean
+from iqfi_lab.cli import BATTERY_CFG_KW, PAULI_STATES
+from iqfi_lab.evolution import qfi_vs_omega
 from iqfi_lab.iqfi import (
     QuadratureConfig,
     QuadratureNonConvergence,
@@ -19,6 +20,7 @@ from iqfi_lab.iqfi import (
 )
 from iqfi_lab.protocol import (
     GhzProtocol,
+    PulseSequence,
     TransverseDrive,
     make_pi2_train,
     make_pi_train,
@@ -148,24 +150,75 @@ def test_haar_closed_form_path():
     assert res.value == pytest.approx(4.0 * math.pi * 4.0 / 3.0, rel=1e-14)
 
 
+def _six_state_mean(seq, sig, cfg=None):
+    """Mean of K over the six Pauli eigenstates: the exact Haar average,
+    as J has degree 2 in psi0 and psi0*."""
+    return math.fsum(
+        integrate_iqfi(PulseSequence(seq.pulses, seq.total_time, state),
+                       sig, cfg=cfg).integral
+        for state in PAULI_STATES) / len(PAULI_STATES)
+
+
 def test_haar_monte_carlo_vs_trace_formula():
+    # independent oracle: a seeded Haar Monte Carlo of K on the pilot
+    # integration's nodes, each state through qfi_vs_omega
     seq = make_pi_train([1.0, 2.0, 3.0], 4.0)
-    sig = SignalParams(B=0.0, omega=0.0, phi=0.5)
-    res = haar_average_iqfi(seq, sig, samples=2048)
-    assert res.method == "monte_carlo"
-    exact = _haar_trace_mean(seq, sig, QuadratureConfig())
-    assert abs(res.value - exact) <= 4.0 * res.stderr
+    sig = SignalParams(B=0.3, omega=0.0, phi=0.5)
+    res = haar_average_iqfi(seq, sig)
+    assert (res.method, res.stderr, res.samples) == ("trace_formula", 0.0, 0)
+    assert haar_average_iqfi(seq, sig, samples=8) == res  # samples is ignored
+    pilot = integrate_iqfi(seq, sig)
+    rng = np.random.default_rng(1905)
+    n = 512
+    states = zip(np.arccos(rng.uniform(-1.0, 1.0, n)),
+                 rng.uniform(0.0, 2.0 * math.pi, n))
+    ks = pilot.integrate_samples(np.stack([
+        qfi_vs_omega(PulseSequence(seq.pulses, 4.0, st), sig,
+                     omegas=pilot.omegas) for st in states]))
+    stderr = np.std(ks, ddof=1) / math.sqrt(n)
+    assert abs(res.value - np.mean(ks)) <= 4.0 * stderr
 
 
-def test_haar_monte_carlo_deterministic():
-    seq = make_pi_train([1.3, 2.9], 4.0)
-    sig = SignalParams(B=0.0, omega=0.0, phi=1.1)
-    a = haar_average_iqfi(seq, sig, samples=256)
-    b = haar_average_iqfi(seq, sig, samples=256)
-    assert a.value == b.value and a.stderr == b.stderr
-    c = haar_average_iqfi(seq, sig, samples=256, seed=7)
-    assert c.value != a.value
-    assert abs(c.value - a.value) <= 6.0 * math.hypot(a.stderr, c.stderr)
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_haar_exact_vs_six_states(seed):
+    rng = np.random.default_rng(seed)
+    seq = random_pulse_sequence(rng, float(rng.uniform(1.0, 4.0)),
+                                max_pulses=5)
+    B, phi = float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.2, 6.0))
+    # the closed form needs both B = 0 and phi = 0
+    for b, p in ((B, phi), (B, 0.0), (0.0, phi)):
+        sig = SignalParams(B=b, omega=0.0, phi=p)
+        res = haar_average_iqfi(seq, sig)
+        assert res.method == "trace_formula"
+        assert res.value == pytest.approx(_six_state_mean(seq, sig),
+                                          rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["pi2", "su2"])
+def test_haar_closed_form_for_any_train(kind):
+    # at B = 0, phi = 0 the average is (2/3) 2 pi zeta^2 T for every pulse
+    # sequence, not only for Z-flipping ones
+    if kind == "pi2":
+        seq = make_pi2_train(0.5, 2.0)
+    else:
+        seq = random_pulse_sequence(np.random.default_rng(7), 2.5,
+                                    max_pulses=4)
+    sig = SignalParams(B=0.0, omega=0.0, zeta=1.3)
+    res = haar_average_iqfi(seq, sig)
+    assert res.method == "closed_form"
+    assert res.value == pytest.approx(
+        (2.0 / 3.0) * 2.0 * math.pi * 1.3 ** 2 * seq.total_time, rel=1e-14)
+    six = _six_state_mean(seq, sig, QuadratureConfig(**BATTERY_CFG_KW))
+    assert res.value == pytest.approx(six, rel=1e-3)
+
+
+def test_haar_rejects_non_pulse_protocols():
+    # the closed form is a single-qubit pulse-sequence result; a GHZ
+    # register at B = 0 must not silently receive it
+    for proto in (GhzProtocol(n=3, times=(0.0, 2.0)),
+                  TransverseDrive(g=1.0, total_time=2.0)):
+        with pytest.raises(TypeError, match="PulseSequence"):
+            haar_average_iqfi(proto, FLAT)
 
 
 def test_sweep_linear_scaling_and_failures():

@@ -132,8 +132,6 @@ def test_pulse_unitary_axis_angle():
     p = Pulse(time=0.0, axis="x", angle=math.pi)
     # exp(-i pi X / 2) = -i X
     np.testing.assert_allclose(p.unitary, -1j * SX, atol=1e-15)
-    assert p.flips_z()
-    assert not Pulse(time=0.0, axis="z", angle=1.0).flips_z()
 
 
 def test_ghz_protocol_segment_signs():
