@@ -63,9 +63,9 @@ EXIT_BOUND = 4
 
 PROTOCOL_NAMES = ("ramsey", "pi-train", "pi2-train", "trotter-gx", "gx", "ghz")
 
-# battery and acceptance checks read the far tail; the default factor of 40
-# is fine for single spectra but near-coincident pulses in random trains
-# need the asymptote read further out
+# battery and acceptance checks start the closed-form tail further out than
+# the default factor of 40: it is exact for pulse trains at B = 0, but at
+# B != 0 its error bound falls as 1/factor^2
 BATTERY_CFG_KW = dict(tail_start_factor=240.0, max_panels=40000)
 BATTERY_SEED = 1905
 # Bloch angles (alpha, beta) of the six Pauli eigenstates; the mean of K
@@ -465,6 +465,8 @@ def cmd_fig2(args) -> int:
 def run_bound_battery(seed: int = BATTERY_SEED, draws: int = 10,
                       cfg: QuadratureConfig = None) -> list:
     """Randomized regression battery over every closed form and cap."""
+    if draws < 1:  # each worst-of-draws item needs a draw
+        raise ConfigError(f"--draws must be >= 1, got {draws}")
     cfg = cfg or QuadratureConfig(**BATTERY_CFG_KW)
     rng = np.random.default_rng(seed)
     reports = []
@@ -605,10 +607,7 @@ def cmd_haar(args) -> int:
 
 
 def _jobs(args) -> int:
-    jobs = _resolve(args, "jobs", None, int)
-    if jobs is None:
-        env = os.environ.get("IQFI_LAB_THREADS", "").strip()
-        jobs = int(env) if env else 1
+    jobs = _resolve(args, "jobs", 1, int)
     if jobs < 1:
         raise ConfigError("--jobs must be >= 1")
     return jobs
@@ -636,8 +635,8 @@ def _add_common(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--rel-tol", dest="rel_tol", type=float,
                     help="integration relative tolerance (default 1e-6)")
     ap.add_argument("--tail-factor", dest="tail_factor", type=float,
-                    help="where the asymptotic tail model starts, in units "
-                         "of the protocol's highest intrinsic frequency "
+                    help="where the closed-form tail starts, in units of "
+                         "the protocol's highest intrinsic frequency "
                          "(default 40)")
     ap.add_argument("--max-panels", dest="max_panels", type=int,
                     help="integration panel budget (default 8192)")
@@ -645,7 +644,7 @@ def _add_common(ap: argparse.ArgumentParser) -> None:
                     help="error target of a continuous drive's state and "
                          "field derivative (default 1e-9)")
     ap.add_argument("--jobs", type=int,
-                    help="worker processes; env IQFI_LAB_THREADS as fallback")
+                    help="worker processes (default 1)")
     ap.add_argument("--out", help="output path ('-' = stdout)")
     ap.add_argument("--format", choices=("csv", "json"), help="output format")
 

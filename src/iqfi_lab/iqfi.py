@@ -6,13 +6,14 @@ panels of that width.  All base panels are laid out as arrays, one row per
 panel, and evaluated in one batched call: a two-half Gauss rule of order
 16 gives each panel's value, the whole-panel rule its discrepancy.  Only
 if the summed discrepancy misses the tolerance are the worst panels split,
-one at a time.  Beyond Omega the spectrum falls off as C/omega^2 with an
-oscillatory factor, so the tail is added analytically as C/Omega.  One
-function fits C, as the Hann-weighted mean of omega^2 * J over the last
-sampled decade; a spectrum applies the same fit to any other integrand
-sampled on its nodes (QfiSpectrum.integrate_samples).  The average of K
-over Haar-random initial states is exact: a closed form at zero field and
-phase, elsewhere a trace formula integrated that way on one node set.
+one at a time.  Beyond Omega, J tends to the toggling-frame (filter-
+function) form (4 zeta^2/omega^2) sum_jl D_jl sin(omega a_j + phi)
+sin(omega a_l + phi): a_j are the times where Z~ = U0^dag Z U0 of the
+control alone jumps, D the jumps' covariance in the initial state.  Its
+integral, in sine and cosine integrals, is the tail: exact for pulse
+sequences at B = 0 and GHZ registers at any B.  The average of K over
+Haar-random initial states is exact: a closed form at zero field and
+phase, elsewhere a trace formula integrated on one node set.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .evolution import IntegrationError, discrete_propagators, qfi_vs_omega
+from .evolution import _drive_pieces, _su2_exp
 from .protocol import (
     GhzProtocol,
     PiecewiseGenerator,
@@ -78,10 +80,11 @@ class QfiSpectrum:
 
     omegas/values are every retained quadrature node in increasing omega,
     and weights their quadrature weights, so values @ weights is the
-    integral over the panels.  integral adds the analytic tail
+    integral over the panels.  integral adds the closed-form tail,
     tail_coefficient/tail_start; a band integral has no tail and
-    tail_start is inf.  error_estimate folds the panel discrepancies and
-    the tail-fit dispersion together.
+    tail_start is inf.  error_estimate sums the panel discrepancies, a
+    bound on the tail's error (0 where the tail is exact; see _tail) and
+    1e-14 of |integral| for rounding.
     """
 
     omegas: np.ndarray
@@ -91,23 +94,6 @@ class QfiSpectrum:
     error_estimate: float
     tail_coefficient: float
     tail_start: float
-
-    def integrate_samples(self, values):
-        """Integral of another integrand sampled on this spectrum's nodes.
-
-        values has the shape of self.values, or one such row per
-        integrand.  Returns values @ weights plus the tail C/tail_start,
-        with C fitted from values exactly as tail_coefficient was fitted
-        from self.values; so integrate_samples(self.values) reproduces
-        integral up to summation order.
-        """
-        v = np.asarray(values, dtype=float)
-        body = v @ self.weights
-        if math.isinf(self.tail_start):
-            return body
-        c = _hann_mean(self.omegas, self.omegas ** 2 * v, self.weights,
-                       self.tail_start / 10.0, self.tail_start)
-        return body if c is None else body + c / self.tail_start
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -182,14 +168,14 @@ def _row_dot(x, y):
 
 
 def _integrate_adaptive(f, lo, hi, width, cfg: QuadratureConfig,
-                        tail: bool, t_char: float) -> QfiSpectrum:
+                        tail=None) -> QfiSpectrum:
     """Shared core: panel-refined integral of f over [lo, hi].
 
     The base panels are evaluated in one batch.  While the summed
     discrepancy misses the tolerance, the worst panel (earliest on ties) is
-    split in two.  With tail=True, adds C/hi for C the Hann-weighted mean
-    of omega^2 * f over [hi/10, hi] and folds the fit dispersion into the
-    error estimate; without, tail_start is inf.
+    split in two.  tail is (value, error bound) of the integral of f over
+    [hi, inf), added to the integral and to the error estimate; without
+    one, tail_start is inf.
     """
     n_base = max(1, int(math.ceil((hi - lo) / width)))
     if n_base > cfg.max_panels:
@@ -204,14 +190,15 @@ def _integrate_adaptive(f, lo, hi, width, cfg: QuadratureConfig,
     value = float(np.cumsum(pv)[-1])
     err = float(np.cumsum(pe)[-1])
 
+    tail_value, tail_err = tail or (0.0, 0.0)
+
     def spectrum(cols, rows, integral, error):
         om, vals, w = (np.asarray(col)[rows].ravel() for col in cols[2:5])
-        c, tail_err = _tail_estimate(om, vals, w, hi, t_char) if tail \
-            else (0.0, 0.0)
-        return QfiSpectrum(omegas=om, values=vals, weights=w,
-                           integral=float(integral + c / hi),
-                           error_estimate=float(error + tail_err),
-                           tail_coefficient=c,
+        k = float(integral + tail_value)
+        return QfiSpectrum(omegas=om, values=vals, weights=w, integral=k,
+                           error_estimate=float(error + tail_err
+                                                + 1e-14 * abs(k)),
+                           tail_coefficient=tail_value * hi,
                            tail_start=hi if tail else math.inf)
 
     rows = slice(None)
@@ -256,45 +243,111 @@ def _by_start(heap, starts):
     return sorted((i for _, i in heap), key=starts.__getitem__)
 
 
-def _hann_mean(om, y, w, lo, hi):
-    """Hann-weighted mean of y (1-D, or one row per integrand) over the
-    nodes in [lo, hi]; None if no node there carries weight.  The window
-    suppresses the partial-oscillation bias a plain average suffers at
-    the edges.  Every tail coefficient in this module comes from here."""
-    mask = (om >= lo) & (om <= hi)
-    x = (om[mask] - lo) / (hi - lo)
-    ww = w[mask] * np.sin(math.pi * x) ** 2
-    total = float(np.sum(ww))
-    if total <= 0.0:
-        return None
-    return y[..., mask] @ ww / total
+# -- the analytic tail --------------------------------------------------------
 
 
-def _tail_estimate(om, vals, w, omega_max, t_char):
-    """Fit C = mean(omega^2 * J) over the last decade; tail adds C/omega_max.
+def _sici_tail(x):
+    """(pi/2 - Si(x), Ci(x)) for an array of x > 0, to about 1e-15: below
+    x = 4 the series sum_n (ix)^n/(n n!), above it the continued fraction
+    exp(ix) E1(ix) = 1/(1+ix - 1/(3+ix - 4/(5+ix - ...))) (modified Lentz)."""
+    x = np.asarray(x, dtype=float)
+    si_c, ci = np.empty_like(x), np.empty_like(x)
+    lo = x < 4.0
+    if lo.any():
+        y = x[lo]
+        term, total = 1.0 + 0j * y, 0j * y
+        for n in range(1, 40):
+            term *= 1j * y / n
+            total += term / n
+        si_c[lo] = 0.5 * math.pi - total.imag
+        ci[lo] = 0.5772156649015329 + np.log(y) + total.real  # Euler gamma
+    if not lo.all():
+        y = x[~lo]
+        b = 1.0 + 1j * y
+        h = d = 1.0 / b
+        c = np.full_like(b, 1e300)
+        for i in range(1, 200):  # x >= 4 converges within 50 terms
+            b = b + 2.0
+            d = 1.0 / (b - i * i * d)
+            c = b - i * i / c
+            step = c * d
+            h = h * step
+            if np.abs(step - 1.0).max() < 4e-16:
+                break
+        h = h * np.exp(-1j * y)  # E1(iy) = -Ci(y) - i (pi/2 - Si(y))
+        si_c[~lo], ci[~lo] = -h.imag, -h.real
+    return si_c, ci
 
-    Returns (C, error).  The error combines the drift between the decade
-    fit and a half-decade fit (sensitivity to where the asymptote is read
-    off), the oscillation dispersion damped by the period count, and a
-    truncation allowance for the C/omega^2 model itself.
+
+def _cos_tail(c, psi, omega_max):
+    """Integral of cos(c*omega + psi)/omega^2 over [Omega, inf), elementwise:
+    cos(c Omega + psi)/Omega - c (cos psi (pi/2 - Si(c Omega)) - sin psi
+    Ci(c Omega)); c < 0 is |c| with -psi, and c = 0 is cos(psi)/Omega (its
+    Si/Ci argument is a stand-in, 1e6, where the fraction is quick)."""
+    psi = np.where(c < 0.0, -psi, psi)
+    c = np.abs(c)
+    si_c, ci = _sici_tail(np.where(c > 0.0, c * omega_max, 1e6))
+    return (np.cos(c * omega_max + psi) / omega_max
+            - c * (np.cos(psi) * si_c - np.sin(psi) * ci))
+
+
+def _boundary_tail(a, D, phi, omega_max):
+    """Integral over [Omega, inf) of sum_jl D_jl sin(omega a_j + phi)
+    sin(omega a_l + phi)/omega^2: half the sum over pairs of the cosine
+    tails at a_j - a_l and at a_j + a_l with phase 2 phi."""
+    a = np.asarray(a, dtype=float)
+    g = _cos_tail(np.stack([a[:, None] - a, a[:, None] + a]),
+                  np.array([0.0, 2.0 * phi])[:, None, None], omega_max)
+    return 0.5 * float(np.sum(D * (g[0] - g[1])))
+
+
+def _bloch_z(u):
+    """Bloch vector r of u^dag Z u = r.sigma."""
+    m = u.conj().T @ np.diag([1.0, -1.0]) @ u
+    return np.array([m[0, 1].real, -m[0, 1].imag, m[0, 0].real])
+
+
+def _tail(protocol, signal: SignalParams, B: float, omega_max: float,
+          haar: bool = False):
+    """(tail, bound): the boundary-form integral of J beyond Omega, and a
+    bound on its error.  Q_j is the jump (r before minus r after; r = 0
+    outside [0, T]) of the control's toggling-frame Bloch vector r at a_j:
+    a sequence's pulses, a GHZ register's segment ends (r = +-z, coupling
+    n*zeta, exact at any B), or 0 and T for a continuous control.  D =
+    Q Q^T - (Q n)(Q n)^T for the initial Bloch vector n, or its Haar
+    average (2/3) Q Q^T.  (2 zeta |Q|_1)^2/Omega bounds the tail; the error
+    bound is that times zeta|B|/Omega, plus for a drive (rate/Omega)^2.
     """
-    last = om >= omega_max / 10.0
-    om, w = om[last], w[last]
-    scaled = om * om * vals[last]
-    c = _hann_mean(om, scaled, w, omega_max / 10.0, omega_max)
-    if c is None:
-        return 0.0, 0.0
-    c = float(c)
-    c_late = _hann_mean(om, scaled, w, omega_max / math.sqrt(10.0),
-                        omega_max)
-    spread = abs(c - float(c_late)) if c_late is not None else abs(c)
-    wsum = float(np.sum(w))
-    disp = math.sqrt(max(0.0, float(np.dot(w, (scaled - c) ** 2) / wsum)))
-    periods = max(1.0, 0.9 * omega_max * t_char / math.pi)
-    err = (2.0 * spread / omega_max
-           + disp / (omega_max * periods)
-           + abs(c) / (omega_max ** 2 * t_char))
-    return c, err
+    n = np.array([1.0, 0.0, 0.0])  # |+>, where drives and registers start
+    z = np.array([0.0, 0.0, 1.0])
+    zeta, field = signal.zeta, signal.zeta * abs(B) / omega_max
+    if isinstance(protocol, PulseSequence):
+        u, r = np.eye(2), [z]
+        for p in protocol.pulses:
+            u = p.unitary @ u
+            r.append(_bloch_z(u))
+        r = np.vstack([0.0 * z, *r, 0.0 * z])
+        a, Q = protocol.boundaries(), r[:-1] - r[1:]
+        alpha, beta = protocol.initial_state
+        n = np.array([math.sin(alpha) * math.cos(beta),
+                      math.sin(alpha) * math.sin(beta), math.cos(alpha)])
+    elif isinstance(protocol, GhzProtocol):
+        s = np.concatenate(([0.0], protocol.segment_signs(), [0.0]))
+        a, Q = protocol.times, np.outer(s[:-1] - s[1:], z)
+        zeta, field = protocol.n * zeta, 0.0
+    elif isinstance(protocol, (TransverseDrive, PiecewiseGenerator)):
+        u, rate = np.eye(2), 0.0
+        for start, end, h in _drive_pieces(protocol):
+            u = _su2_exp(h, end - start) @ u
+            rate = max(rate, 2.0 * float(np.linalg.norm(h, 2)))
+        a, Q = (0.0, protocol.total_time), np.array([-z, _bloch_z(u)])
+        field += (rate / omega_max) ** 2
+    else:
+        raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
+    D = (2.0 / 3.0) * Q @ Q.T if haar else Q @ Q.T - np.outer(Q @ n, Q @ n)
+    size = (2.0 * zeta * np.linalg.norm(Q, axis=1).sum()) ** 2 / omega_max
+    return (4.0 * zeta ** 2 * _boundary_tail(a, D, signal.phi, omega_max),
+            float(field * size))
 
 
 # -- protocol plumbing --------------------------------------------------------
@@ -306,9 +359,9 @@ def feature_scale(protocol, signal: SignalParams, B: float) -> float:
     The largest of 1/T, zeta*|B| and the protocol's own rates: segments/T
     for pulse trains and GHZ registers (with n*zeta*|B| for the register),
     2|g| for the drive, twice the largest generator norm for a piecewise
-    generator.  integrate_iqfi starts the C/omega^2 tail model at
-    tail_start_factor times this; the CLI's default spectrum grid ends at
-    8 times it.
+    generator.  integrate_iqfi starts the closed-form tail at
+    tail_start_factor times this, where the tail's error bound is small;
+    the CLI's default spectrum grid ends at 8 times it.
     """
     T = float(protocol.total_time)
     scale = max(1.0 / T, signal.zeta * abs(B))
@@ -328,24 +381,22 @@ def feature_scale(protocol, signal: SignalParams, B: float) -> float:
 
 def integrate_iqfi(protocol, signal: SignalParams, B: Optional[float] = None,
                    cfg: Optional[QuadratureConfig] = None,
-                   T: Optional[float] = None,
                    ode_tol: float = 1e-9) -> QfiSpectrum:
     """Integrated QFI over omega in [0, inf) for any protocol kind.
 
-    T overrides the oscillation time scale used for panel sizing (defaults
-    to the protocol duration).  Raises QuadratureNonConvergence with a
-    partial result when the panel budget runs out.  ode_tol is passed to
-    qfi_vs_omega for continuous drives.
+    Panels of width pi/T cover [0, Omega]; the closed-form tail covers the
+    rest.  Raises QuadratureNonConvergence with a partial result when the
+    panel budget runs out.  ode_tol is passed to qfi_vs_omega for
+    continuous drives.
     """
     cfg = cfg or QuadratureConfig()
     if B is None:
         B = signal.B
-    t_char = T if T is not None else float(protocol.total_time)
-    width = cfg.panel_width_factor * math.pi / t_char
+    width = cfg.panel_width_factor * math.pi / float(protocol.total_time)
     omega_max = cfg.tail_start_factor * feature_scale(protocol, signal, B)
     return _integrate_adaptive(
         lambda om: qfi_vs_omega(protocol, signal, B, om, ode_tol=ode_tol),
-        0.0, omega_max, width, cfg, True, t_char)
+        0.0, omega_max, width, cfg, _tail(protocol, signal, B, omega_max))
 
 
 def integrate_qfi_band(protocol, signal: SignalParams, lo: float, hi: float,
@@ -358,11 +409,10 @@ def integrate_qfi_band(protocol, signal: SignalParams, lo: float, hi: float,
     cfg = cfg or QuadratureConfig()
     if B is None:
         B = signal.B
-    t_char = float(protocol.total_time)
-    width = cfg.panel_width_factor * math.pi / t_char
+    width = cfg.panel_width_factor * math.pi / float(protocol.total_time)
     return _integrate_adaptive(
         lambda om: qfi_vs_omega(protocol, signal, B, om, ode_tol=ode_tol),
-        lo, hi, width, cfg, False, t_char)
+        lo, hi, width, cfg)
 
 
 def cross_spectral_integral(t1: float, t0: float, mode: str = "analytic",
@@ -370,8 +420,8 @@ def cross_spectral_integral(t1: float, t0: float, mode: str = "analytic",
     """Integral of sin(omega*t1)*sin(omega*t0)/omega^2 over [0, inf).
 
     Closed form (pi/2)*min(t1, t0); mode="numeric" runs the generic panel
-    engine on the raw kernel instead, as an end-to-end check of the
-    quadrature itself.
+    engine on the raw kernel instead, with the boundary tail of its two
+    boundaries t1 and t0, as an end-to-end check of the quadrature itself.
     """
     if t1 < 0.0 or t0 < 0.0:
         raise ValueError("times must be >= 0")
@@ -381,26 +431,15 @@ def cross_spectral_integral(t1: float, t0: float, mode: str = "analytic",
         raise ValueError(f"unknown mode {mode!r}")
     if t1 == 0.0 or t0 == 0.0:
         return 0.0
-    cfg = cfg or QuadratureConfig(tail_start_factor=400.0, max_panels=200_000)
-    t_char = max(t1, t0)
-    width = cfg.panel_width_factor * math.pi / t_char
-    delta = abs(t1 - t0)
-    scale = max(1.0 / t1, 1.0 / t0)
-    if delta > 0.0:
-        scale = max(scale, min(1.0 / delta, 50.0 / min(t1, t0)))
-    omega_max = cfg.tail_start_factor * scale
-
-    def f(om):
-        om = np.asarray(om, dtype=float)
-        out = np.empty_like(om)
-        small = np.abs(om) < 1e-12
-        out[small] = t1 * t0
-        ons = om[~small]
-        out[~small] = np.sin(ons * t1) * np.sin(ons * t0) / ons ** 2
-        return out
-
-    return _integrate_adaptive(f, 0.0, omega_max, width, cfg, True,
-                               t_char).integral
+    cfg = cfg or QuadratureConfig()
+    # the tail is exact, so Omega need not wait for the spectrum to settle
+    omega_max = cfg.tail_start_factor / min(t1, t0)
+    tail = _boundary_tail([t1, t0], [[0.0, 0.5], [0.5, 0.0]], 0.0, omega_max)
+    return _integrate_adaptive(
+        lambda om: t1 * t0 * np.sinc(om * t1 / math.pi) * np.sinc(
+            om * t0 / math.pi),
+        0.0, omega_max, cfg.panel_width_factor * math.pi / max(t1, t0), cfg,
+        (tail, 0.0)).integral
 
 
 # -- Haar averaging -----------------------------------------------------------
@@ -419,9 +458,10 @@ def haar_average_iqfi(seq: PulseSequence, signal: SignalParams,
     every pulse sequence: E[C_kl] = Tr(Z_k Z_l)/3 for the toggling-frame
     Z_k = U_k^dag Z U_k, and the integral of Theta_k Theta_l over omega is
     (pi/2)*len_k*delta_kl.  Otherwise one pilot integration fixes the
-    nodes, weights and tail fit, and the trace formula is integrated on
-    them.  samples is accepted, for callers of the earlier Monte Carlo,
-    and ignored; stderr is always 0.
+    nodes and weights, the trace formula is integrated on them, and the
+    boundary tail adds the rest with the jump covariance averaged over
+    initial states, (2/3) Q Q^T.  samples is accepted, for callers of the
+    earlier Monte Carlo, and ignored; stderr is always 0.
     """
     if not isinstance(seq, PulseSequence):
         raise TypeError(f"haar_average_iqfi needs a PulseSequence, got "
@@ -438,7 +478,8 @@ def haar_average_iqfi(seq: PulseSequence, signal: SignalParams,
     tr_m = np.einsum("njj->n", M)
     tr_m2 = np.einsum("nij,nji->n", M, M)
     mean_j = 4.0 * (tr_a / 2.0 + (tr_m * tr_m + tr_m2).real / 6.0)
-    return HaarResult(value=float(pilot.integrate_samples(mean_j)),
+    tail, _ = _tail(seq, signal, B, pilot.tail_start, haar=True)
+    return HaarResult(value=float(mean_j @ pilot.weights + tail),
                       stderr=0.0, method="trace_formula", samples=0)
 
 

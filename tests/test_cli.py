@@ -315,19 +315,18 @@ def test_bounds_check_passes(capsys):
     assert all(r["satisfied"] for r in reports)
 
 
-def test_env_thread_count_is_honored(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("IQFI_LAB_THREADS", "2")
-    out = tmp_path / "env.csv"
-    code = main(["fig1", "--T-list", "2,4", "--B", "0.01", "--slope-window",
-                 "2,4", "--rel-tol", "1e-4", "--out", str(out)])
-    capsys.readouterr()
-    assert code == 0 and out.exists()
-
-    monkeypatch.setenv("IQFI_LAB_THREADS", "0")
-    code = main(["fig1", "--T-list", "2", "--B", "0.01", "--slope-window",
-                 "2,4", "--out", str(tmp_path / "z.csv")])
-    capsys.readouterr()
-    assert code == 2
+@pytest.mark.parametrize("argv", [
+    ("bounds-check", "--draws", "0"),
+    ("bounds-check", "--draws", "-3"),
+    ("fig1", "--T-list", "2", "--B", "0.01", "--jobs", "0"),
+])
+def test_counts_below_one_exit_2(argv, capsys, tmp_path, monkeypatch):
+    # --draws 0 used to end in an AttributeError traceback: the
+    # worst-of-draws loops never ran
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and ">= 1" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_imports_no_private_names():
@@ -344,11 +343,19 @@ def test_cli_imports_no_private_names():
 
 def test_cli_import_leaves_scipy_out():
     # scipy.linalg is the costliest import of the package; only
-    # bounds.rwa_qfi needs it, and it imports it on use
+    # bounds.rwa_qfi needs it, and it imports it on use.  The integrals
+    # need none of it: the tail's sine and cosine integrals are numpy.
     src = str(Path(iqfi_lab.cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, iqfi_lab.cli; "
+    code = ("import sys, iqfi_lab.cli\n"
+            "from iqfi_lab import *\n"
+            "sig = SignalParams(B=0.3, omega=0.0, phi=0.2)\n"
+            "train = make_pi_train([0.5, 1.2], 2.0)\n"
+            "for p in (train, GhzProtocol(n=2, times=(0.0, 1.0)),\n"
+            "          TransverseDrive(g=1.0, total_time=0.5)):\n"
+            "    integrate_iqfi(p, sig)\n"
+            "haar_average_iqfi(train, sig)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -7,7 +7,6 @@ import pytest
 
 from iqfi_lab.bounds import pi_train_closed_form, ramsey_closed_form
 from iqfi_lab.cli import BATTERY_CFG_KW, PAULI_STATES
-from iqfi_lab.evolution import qfi_vs_omega
 from iqfi_lab.iqfi import (
     QuadratureConfig,
     QuadratureNonConvergence,
@@ -18,6 +17,7 @@ from iqfi_lab.iqfi import (
     integrate_qfi_band,
     sweep_iqfi_vs_T,
 )
+from iqfi_lab.iqfi import _cos_tail, _sici_tail
 from iqfi_lab.protocol import (
     GhzProtocol,
     PulseSequence,
@@ -25,6 +25,7 @@ from iqfi_lab.protocol import (
     make_pi2_train,
     make_pi_train,
     make_ramsey,
+    make_trotterized_gx,
     random_pulse_sequence,
 )
 from iqfi_lab.signal_core import SignalParams
@@ -81,13 +82,142 @@ def test_ramsey_tail_coefficient():
 
 
 def test_error_decreases_with_tail_start():
-    T, exact = 4.0, ramsey_closed_form(4.0)
+    # at B = 0 the tail is exact, so the error that a later tail start
+    # removes is the field's: trotter-gx at B = 1, against a tail that
+    # starts 8 times further out
+    seq = make_trotterized_gx(4.0, m=8, g=math.pi / 2.0)
+    sig = SignalParams(B=1.0, omega=0.0)
+    ref = integrate_iqfi(seq, sig, cfg=QuadratureConfig(
+        tail_start_factor=1280.0, max_panels=40000)).integral
     errs = []
     for tf in (40.0, 80.0, 160.0):
         cfg = QuadratureConfig(tail_start_factor=tf, max_panels=40000)
-        spec = integrate_iqfi(make_ramsey(T), FLAT, cfg=cfg)
-        errs.append(abs(spec.integral - exact))
+        errs.append(abs(integrate_iqfi(seq, sig, cfg=cfg).integral - ref))
     assert errs[0] > errs[1] > errs[2]
+
+
+def _zero_field_k(seq):
+    """Filter-function closed form at B = 0, phi = 0, zeta = 1:
+    K = 2 pi sum_k len_k (1 - <Z_k>^2), Z_k = U_k^dag Z U_k the
+    toggling-frame Z of segment k and <.> its initial-state mean."""
+    psi, u, total = seq.initial_vector(), np.eye(2), 0.0
+    z = np.diag([1.0, -1.0])
+    for k, length in enumerate(np.diff(seq.boundaries())):
+        if k:
+            u = seq.pulses[k - 1].unitary @ u
+        mean = np.vdot(psi, u.conj().T @ z @ u @ psi).real
+        total += length * (1.0 - mean ** 2)
+    return 2.0 * math.pi * total
+
+
+def _close_pulse_train():
+    """Two of its pulses sit 0.0018 apart: the tail starts at 240 x
+    segments/T, about 1/gap, before the spectrum settles."""
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        seq = random_pulse_sequence(rng, 3.0, max_pulses=6)
+    return seq
+
+
+def test_closed_forms_to_1e9_at_default_config():
+    # the tail is exact for pulse trains at B = 0 and for GHZ registers at
+    # any B, so K is as good as its body quadrature
+    for phi in (0.0, 0.7, 2.5):
+        k = integrate_iqfi(make_ramsey(4.0),
+                           SignalParams(B=0.0, omega=0.0, phi=phi)).integral
+        assert k == pytest.approx(ramsey_closed_form(4.0, phi), rel=1e-9)
+    seq = _close_pulse_train()
+    assert min(np.diff(seq.boundaries())) < 0.002
+    assert integrate_iqfi(seq, FLAT).integral == pytest.approx(
+        _zero_field_k(seq), rel=1e-9)
+    ghz = GhzProtocol(n=3, times=(0.0, 0.7, 2.0), flips=(True,))
+    for b in (0.0, 0.8, 3.0):
+        k = integrate_iqfi(ghz, SignalParams(B=b, omega=0.0)).integral
+        assert k == pytest.approx(2.0 * math.pi * 9.0 * 2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("factor", [40.0, 240.0])
+def test_error_estimate_bounds_zero_field_trains(factor):
+    """|K - closed form| <= error_estimate over 64 seeded zero-field trains,
+    at the default and the gate tail factor; K also meets the closed form
+    to 1e-9."""
+    rng = np.random.default_rng(1911)
+    cfg = QuadratureConfig(tail_start_factor=factor, max_panels=40000)
+    for _ in range(64):
+        seq = random_pulse_sequence(rng, float(rng.uniform(1.0, 4.0)),
+                                    max_pulses=8)
+        spec = integrate_iqfi(seq, FLAT, cfg=cfg)
+        exact = _zero_field_k(seq)
+        assert abs(spec.integral - exact) <= spec.error_estimate
+        assert spec.integral == pytest.approx(exact, rel=1e-9)
+
+
+def _drive_k_zero_field(T, zeta=1.0):
+    # at B = 0, phi = 0 the toggling-frame Z of g X stays orthogonal to the
+    # initial |+>, so every instant contributes 2 pi zeta^2
+    return 2.0 * math.pi * zeta ** 2 * T
+
+
+@pytest.mark.parametrize("case", ["trotter_gx", "su2_train", "drive_T0.5",
+                                  "drive_T2"])
+def test_error_estimate_bounds_the_tail_model(case):
+    """Where the tail is a model, not exact, the estimate still covers the
+    error, and the error falls as the tail starts further out.
+
+    The references: for trains at B = 1, K with the tail 8 times beyond
+    the last factor (its error bound 64 times smaller); for the drive,
+    whose far spectrum the splitting resolves only to its tolerance, the
+    closed form at B = 0, where the (rate/Omega)^2 term is what is left.
+    """
+    if case == "trotter_gx":
+        proto = make_trotterized_gx(4.0, m=8, g=math.pi / 2.0)
+    elif case == "su2_train":
+        proto = random_pulse_sequence(np.random.default_rng(8), 2.0,
+                                      max_pulses=6)
+    else:
+        proto = TransverseDrive(g=math.pi / 2.0, total_time=float(case[7:]))
+    if case.startswith("drive"):
+        sig = FLAT
+        ref = _drive_k_zero_field(proto.total_time)
+    else:
+        sig = SignalParams(B=1.0, omega=0.0, phi=0.4)
+        ref = integrate_iqfi(proto, sig, cfg=QuadratureConfig(
+            tail_start_factor=1920.0, max_panels=40000)).integral
+    errs = []
+    for factor in (10.0, 40.0, 240.0):
+        spec = integrate_iqfi(proto, sig, cfg=QuadratureConfig(
+            tail_start_factor=factor, max_panels=40000))
+        errs.append(abs(spec.integral - ref))
+        assert errs[-1] <= spec.error_estimate
+    assert errs[0] > errs[1] > errs[2]
+
+
+def test_sine_cosine_integrals_match_scipy():
+    special = pytest.importorskip("scipy.special")
+    x = np.concatenate([np.geomspace(1e-8, 1e5, 2001), [3.999999, 4.0]])
+    si_c, ci = _sici_tail(x)
+    si_ref, ci_ref = special.sici(x)
+    assert np.max(np.abs(si_c - (0.5 * math.pi - si_ref))) < 4e-15
+    assert np.max(np.abs(ci - ci_ref)) < 4e-15
+
+
+def test_cosine_tail_edge_cases():
+    om = 7.0
+    # c = 0 is exactly cos(psi)/Omega, with no 0 * log 0
+    assert _cos_tail(np.array([0.0]), 0.9, om)[0] == math.cos(0.9) / om
+    # c < 0 is |c| with the phase negated, as cos is even
+    c = np.array([-0.3, 0.3])
+    neg, pos = _cos_tail(c, 0.9, om), _cos_tail(c, -0.9, om)
+    assert neg[0] == pos[1] and np.isfinite(neg).all()
+    # against Gauss-Legendre panels of cos(c w + psi)/w^2 on [Omega, 4000]
+    # plus its far end in closed form
+    x, wx = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(om, 4000.0, 2001)
+    half = 0.5 * np.diff(edges)[:, None]
+    w = half * x + (edges[:-1, None] + half)
+    direct = float(np.sum(half * wx * np.cos(0.3 * w + 0.9) / w ** 2))
+    far = _cos_tail(np.array([0.3]), 0.9, 4000.0)[0]
+    assert direct + far == pytest.approx(neg[1], rel=1e-12)
 
 
 def test_refining_rel_tol_never_degrades_accuracy():
@@ -160,21 +290,19 @@ def _six_state_mean(seq, sig, cfg=None):
 
 
 def test_haar_monte_carlo_vs_trace_formula():
-    # independent oracle: a seeded Haar Monte Carlo of K on the pilot
-    # integration's nodes, each state through qfi_vs_omega
+    # independent oracle: a seeded Haar Monte Carlo of K, each state
+    # through integrate_iqfi
     seq = make_pi_train([1.0, 2.0, 3.0], 4.0)
     sig = SignalParams(B=0.3, omega=0.0, phi=0.5)
     res = haar_average_iqfi(seq, sig)
     assert (res.method, res.stderr, res.samples) == ("trace_formula", 0.0, 0)
     assert haar_average_iqfi(seq, sig, samples=8) == res  # samples is ignored
-    pilot = integrate_iqfi(seq, sig)
     rng = np.random.default_rng(1905)
     n = 512
     states = zip(np.arccos(rng.uniform(-1.0, 1.0, n)),
                  rng.uniform(0.0, 2.0 * math.pi, n))
-    ks = pilot.integrate_samples(np.stack([
-        qfi_vs_omega(PulseSequence(seq.pulses, 4.0, st), sig,
-                     omegas=pilot.omegas) for st in states]))
+    ks = np.array([integrate_iqfi(PulseSequence(seq.pulses, 4.0, st),
+                                  sig).integral for st in states])
     stderr = np.std(ks, ddof=1) / math.sqrt(n)
     assert abs(res.value - np.mean(ks)) <= 4.0 * stderr
 
@@ -261,11 +389,6 @@ def _check_engine_contract(spec):
     assert np.all(np.diff(om) > 0.0)
     assembled = v @ w + spec.tail_coefficient / spec.tail_start
     assert assembled == pytest.approx(spec.integral, rel=1e-12)
-    assert spec.integrate_samples(v) == pytest.approx(spec.integral, rel=1e-12)
-    # one row per integrand: each row integrates as it would alone
-    rows = spec.integrate_samples(np.stack([v, 2.0 * v, np.zeros_like(v)]))
-    assert rows == pytest.approx([spec.integral, 2.0 * spec.integral, 0.0],
-                                 rel=1e-12)
 
 
 @pytest.mark.parametrize("case", ["pulse_train", "ghz", "drive", "drive_band"])
@@ -306,6 +429,9 @@ def test_refinement_order_is_pinned():
     Recorded from the heap-of-panel-objects engine this one replaced: the
     worst panel is split first, ties go to the older panel, and a budget
     stop reports the running sums.  The counts pin which panels were split.
+    The partial's body, values @ weights, was recorded with the fitted tail
+    that the closed-form tail replaced, as integral - tail_coefficient /
+    tail_start; the body does not depend on the tail.
     """
     train = make_pi2_train(0.5, 4.0)
     sig = SignalParams(B=0.7, omega=0.0)
@@ -318,8 +444,9 @@ def test_refinement_order_is_pinned():
                            max_panels=14)
     with pytest.raises(QuadratureNonConvergence) as exc:
         integrate_iqfi(train, SignalParams(B=0.3, omega=0.0), cfg=cfg)
-    assert exc.value.partial.integral == pytest.approx(23.249862072679758,
-                                                       rel=1e-13)
+    partial = exc.value.partial
+    assert partial.values @ partial.weights == pytest.approx(
+        22.875257750260833, rel=1e-13)
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
