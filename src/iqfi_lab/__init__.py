@@ -55,6 +55,7 @@ from .bounds import (
     ramsey_closed_form,
     report_bound,
     report_equality,
+    report_lower_bound,
     rwa_iqfi_lower_bound,
     rwa_qfi,
     rwa_state,

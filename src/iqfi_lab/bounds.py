@@ -16,6 +16,7 @@ __all__ = [
     "BoundReport",
     "report_bound",
     "report_equality",
+    "report_lower_bound",
     "ramsey_closed_form",
     "pi_train_closed_form",
     "pi_train_qfi",
@@ -32,13 +33,14 @@ __all__ = [
 class BoundReport:
     """Outcome of checking a measured value against a bound or reference.
 
-    margin is relative: (bound - measured)/|bound| for upper bounds, and
+    margin is relative: (bound - measured)/|bound| for upper bounds,
+    (measured - floor)/|floor| for lower bounds, and
     tolerance - |measured - reference|/|reference| for equalities, so a
     nonnegative margin always means "satisfied with that much room".
     """
 
     name: str
-    kind: str  # "upper_bound" or "equality"
+    kind: str  # "upper_bound", "lower_bound" or "equality"
     measured: float
     reference: float
     satisfied: bool
@@ -59,6 +61,14 @@ def report_bound(name: str, measured: float, bound: float,
     return BoundReport(name=name, kind="upper_bound", measured=measured,
                        reference=bound, satisfied=measured <= bound + slack,
                        margin=margin, tolerance=slack / scale)
+
+
+def report_lower_bound(name: str, measured: float,
+                       floor: float) -> BoundReport:
+    """Check measured >= floor."""
+    return BoundReport(name=name, kind="lower_bound", measured=measured,
+                       reference=floor, satisfied=measured >= floor,
+                       margin=(measured - floor) / max(abs(floor), 1e-300))
 
 
 def report_equality(name: str, measured: float, reference: float,
@@ -162,10 +172,34 @@ def ghz_scaling(n: int, T: float, zeta: float = 1.0):
 # -- rotating-wave model of the constant transverse drive ---------------------
 
 
-def _rwa_hamiltonian(omega: float, B: float, g: float, zeta: float):
+def _rwa_propagate(omega, B: float, g: float, T: float, zeta: float):
+    """(psi, dpsi/dB) at T from |+> in the rotating-frame model, as rows
+    (a, b) per omega.
+
+    With u = zeta*B, delta = omega - 2g, r = hypot(u, delta) and
+    theta = r*T/2, the propagator is U = cos(theta) - i sin(theta) n.sigma
+    about the unit axis n = (-delta, 0, u)/r.  Its derivative in u is
+    (T/2)(-sin(theta) n_z - i (cos(theta) - sinc(theta)) n_z n.sigma
+    - i sinc(theta) Z), with sinc(theta) = sin(theta)/theta: no term
+    divides by r, and at r = 0, where n is taken as 0, U = 1 and
+    dU/du = -i (T/2) Z.
+    """
+    om = np.atleast_1d(np.asarray(omega, dtype=float))
     u = zeta * B
-    delta = omega - 2.0 * g
-    return 0.5 * np.array([[u, -delta], [-delta, -u]], dtype=complex)
+    delta = om - 2.0 * g
+    r = np.hypot(u, delta)
+    r_or_1 = np.where(r > 0.0, r, 1.0)  # at r = 0, u = delta = 0
+    nx, nz = (-delta / r_or_1)[:, None], (u / r_or_1)[:, None]
+    theta = 0.5 * T * r
+    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    sinc = np.sinc(theta / math.pi)[:, None]
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    z_plus = np.array([1.0, -1.0]) / math.sqrt(2.0)  # Z|+>
+    n_plus = nx * plus + nz * z_plus  # (n.sigma)|+>, as X|+> = |+>
+    psi = c * plus - 1j * s * n_plus
+    dpsi = 0.5 * zeta * T * (-s * nz * plus - 1j * (c - sinc) * nz * n_plus
+                             - 1j * sinc * z_plus)
+    return psi, dpsi
 
 
 def rwa_state(omega: float, B: float, g: float, T: float,
@@ -177,43 +211,22 @@ def rwa_state(omega: float, B: float, g: float, T: float,
     [-(omega-2g), -zeta*B]]; its exponential applied to |+> is the
     standard two-level precession about a tilted axis.
     """
-    h = _rwa_hamiltonian(omega, B, g, zeta)
-    u = zeta * B
-    delta = omega - 2.0 * g
-    r = math.hypot(u, delta)
-    half = 0.5 * r * T
-    if r == 0.0:
-        return np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    c, s = math.cos(half), math.sin(half)
-    axis = h / (0.5 * r)
-    umat = c * np.eye(2) - 1j * s * axis
-    return umat @ (np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
+    return _rwa_propagate(omega, B, g, T, zeta)[0][0]
 
 
 def rwa_qfi(omega, B: float, g: float, T: float, zeta: float = 1.0):
     """Exact QFI of the rotating-frame model, by differentiating the state.
 
-    The propagator exp(-i*H_rwa*T) is differentiated with respect to B
-    through the Frechet derivative of the matrix exponential, so no
-    approximate printed spectrum enters.  At omega = 2g this reduces to
-    (zeta*T)^2; for B -> 0 it tends to 4*zeta^2*sin^2(delta*T/2)/delta^2
-    with delta = omega - 2g.  Vectorized over omega.
+    The propagator exp(-i*H_rwa*T) and its derivative in B are closed
+    forms (see _rwa_propagate), so no approximate printed spectrum enters.
+    At omega = 2g this reduces to (zeta*T)^2; for B -> 0 it tends to
+    4*zeta^2*sin^2(delta*T/2)/delta^2 with delta = omega - 2g.  Vectorized
+    over omega.
     """
-    # imported on use: scipy.linalg is the costliest import of the package
-    from scipy.linalg import expm_frechet
-
-    om = np.atleast_1d(np.asarray(omega, dtype=float))
-    psi0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    dh_db = 0.5 * zeta * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    out = np.empty_like(om)
-    for i, w in enumerate(om):
-        a = -1j * T * _rwa_hamiltonian(float(w), B, g, zeta)
-        e = -1j * T * dh_db
-        u, du = expm_frechet(a, e)
-        psi = u @ psi0
-        dpsi = du @ psi0
-        ov = np.vdot(dpsi, psi)
-        out[i] = 4.0 * (np.vdot(dpsi, dpsi).real + (ov * ov).real)
+    psi, dpsi = _rwa_propagate(omega, B, g, T, zeta)
+    ov = np.einsum("ni,ni->n", dpsi.conj(), psi)
+    dd = np.einsum("ni,ni->n", dpsi.conj(), dpsi).real
+    out = 4.0 * (dd + (ov * ov).real)
     if np.isscalar(omega) or np.ndim(omega) == 0:
         return float(out[0])
     return out

@@ -1,10 +1,14 @@
 """Command line front end: spectra, integrals, figure data, bound battery.
 
-Every command resolves its settings in the same order: explicit flags win,
-then values from --config (flat INI-style key = value, dashes or
-underscores), then built-in defaults.  Output files are written to a
-temporary name and atomically renamed, so a failed run never leaves a
-truncated file, and identical inputs produce byte-identical outputs.
+Each command accepts --config, --out and only the flags it reads (see
+build_parser); any other flag is an argparse error.  Every command resolves
+its settings in the same order: explicit flags win, then values from
+--config (flat INI-style key = value, dashes or underscores), then built-in
+defaults.  A config file may hold the keys of every command's flags, so one
+file serves them all; a command reads only the keys of its own flags.
+Output files are written to a temporary name and atomically renamed, so a
+failed run never leaves a truncated file, and identical inputs produce
+byte-identical outputs.
 
 Exit codes: 0 ok, 2 bad flags or config, 3 integration failure, 4 bound
 violation (bounds-check only).
@@ -19,6 +23,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from .bounds import (
     ramsey_closed_form,
     report_bound,
     report_equality,
+    report_lower_bound,
     rwa_iqfi_lower_bound,
 )
 from .evolution import IntegrationError, qfi_vs_omega
@@ -81,18 +87,8 @@ class ConfigError(Exception):
 
 # -- config file ---------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "protocol": str, "t": float, "b": str, "zeta": float, "phi": float,
-    "g": float, "m": int, "omega_min": float, "omega_max": float,
-    "points": int, "rel_tol": float, "seed": int, "jobs": int, "out": str,
-    "format": str, "times": str, "spacing": float, "n": int, "alpha": float,
-    "beta": float, "flips": str, "draws": int,
-    "t_list": str, "slope_window": str, "ode_tol": float,
-    "max_panels": int, "tail_factor": float,
-}
-
-
-def _load_config(path: str) -> dict:
+def _load_config(path: str, types: dict) -> dict:
+    """Config values by normalized key, converted by types[key]."""
     try:
         with open(path, "r") as fh:
             text = fh.read()
@@ -110,15 +106,13 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config parse error in {path}: {exc}")
 
     out = {}
-    sections = list(cp.sections())
-    for sec in sections:
+    for sec in cp.sections():
         for key, raw in cp.items(sec):
             norm = key.strip().lower().replace("-", "_")
-            if norm not in _CONFIG_KEYS:
+            if norm not in types:
                 raise ConfigError(f"unknown config key {key!r} in {path}")
-            conv = _CONFIG_KEYS[norm]
             try:
-                out[norm] = conv(raw.strip())
+                out[norm] = types[norm](raw.strip())
             except ValueError:
                 raise ConfigError(
                     f"bad value for {key!r} in {path}: {raw.strip()!r}")
@@ -126,8 +120,11 @@ def _load_config(path: str) -> dict:
 
 
 def _resolve(args, key: str, default, conv=None):
-    """Flag value if given, else config value, else default."""
-    val = getattr(args, key, None)
+    """Flag value if given, else config value, else default.  A key that is
+    not one of the command's flags is not read from the config either."""
+    if not hasattr(args, key):
+        return default
+    val = getattr(args, key)
     if val is None:
         val = args._config.get(key.lower())
     if val is None:
@@ -136,8 +133,6 @@ def _resolve(args, key: str, default, conv=None):
 
 
 def _float_list(text) -> list:
-    if isinstance(text, (list, tuple)):
-        return [float(x) for x in text]
     parts = [p for p in str(text).replace(";", ",").split(",") if p.strip()]
     try:
         return [float(p) for p in parts]
@@ -189,11 +184,24 @@ def _emit(text: str, out) -> None:
         _atomic_write(out, text)
 
 
+def _write(args, default_format: str, payload, header: str, rows) -> None:
+    """Emit payload as JSON or header and rows as CSV, as --format says,
+    to --out or stdout."""
+    fmt = _resolve(args, "format", default_format, str)
+    if fmt == "json":
+        text = _json_text(payload)
+    elif fmt == "csv":
+        text = _csv_text(header, rows)
+    else:
+        raise ConfigError(f"unknown format {fmt!r}")
+    _emit(text, _resolve(args, "out", None, str))
+
+
 # -- protocol construction -----------------------------------------------------
 
 
 def _build_signal(args, default_b: float = 0.0) -> SignalParams:
-    b_list = _float_list(_resolve(args, "B", [default_b]))
+    b_list = _float_list(_resolve(args, "B", repr(default_b)))
     if len(b_list) != 1:
         raise ConfigError("this command takes a single --B value")
     try:
@@ -275,13 +283,16 @@ def _build_protocol(args):
     return protocol
 
 
-def _quad_cfg(args) -> QuadratureConfig:
-    rel = _resolve(args, "rel_tol", 1e-6, float)
-    tf = _resolve(args, "tail_factor", 40.0, float)
-    mp = _resolve(args, "max_panels", 8192, int)
+def _quad_cfg(args, **base) -> QuadratureConfig:
+    """base, overridden by the quadrature settings the user gave; the rest
+    keep QuadratureConfig's defaults."""
+    for key, field in (("rel_tol", "rel_tol"), ("max_panels", "max_panels"),
+                       ("tail_factor", "tail_start_factor")):
+        val = _resolve(args, key, None)
+        if val is not None:
+            base[field] = val
     try:
-        return QuadratureConfig(rel_tol=rel, tail_start_factor=tf,
-                                max_panels=mp)
+        return QuadratureConfig(**base)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -311,19 +322,10 @@ def cmd_spectrum(args) -> int:
     omegas = _grid(args, protocol, signal)
     ode_tol = _ode_tol(args)
     values = qfi_vs_omega(protocol, signal, omegas=omegas, ode_tol=ode_tol)
-    fmt = _resolve(args, "format", "csv", str)
-    out = _resolve(args, "out", None, str)
-    if fmt == "json":
-        text = _json_text({
-            "schema": SCHEMA_TAG.lstrip("# "),
-            "omega": [float(w) for w in omegas],
-            "J": [float(v) for v in values],
-        })
-    elif fmt == "csv":
-        text = _csv_text("omega,J", zip(omegas.tolist(), values.tolist()))
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
-    _emit(text, out)
+    _write(args, "csv", {"schema": SCHEMA_TAG.lstrip("# "),
+                         "omega": [float(w) for w in omegas],
+                         "J": [float(v) for v in values]},
+           "omega,J", zip(omegas.tolist(), values.tolist()))
     return EXIT_OK
 
 
@@ -352,10 +354,8 @@ def _applicable_bounds(protocol, signal, k: float, k_err: float) -> list:
         # a floor of 0 (at B = 0) or below bounds nothing
         floor = rwa_iqfi_lower_bound(T=T, B=signal.B, g=protocol.g, zeta=z)
         if floor > 0.0:
-            reports.append(BoundReport(
-                name="resonance_band_floor", kind="lower_bound", measured=k,
-                reference=floor, satisfied=k >= floor,
-                margin=(k - floor) / floor))
+            reports.append(report_lower_bound("resonance_band_floor", k,
+                                              floor))
     return reports
 
 
@@ -367,29 +367,17 @@ def cmd_iqfi(args) -> int:
     spectrum = integrate_iqfi(protocol, signal, cfg=cfg, ode_tol=ode_tol)
     reports = _applicable_bounds(protocol, signal, spectrum.integral,
                                  spectrum.error_estimate)
-    fmt = _resolve(args, "format", "json", str)
-    out = _resolve(args, "out", None, str)
-    if fmt == "json":
-        text = _json_text({
-            "schema": SCHEMA_TAG.lstrip("# "),
-            "K": spectrum.integral,
-            "K_err": spectrum.error_estimate,
-            "tail_start": spectrum.tail_start,
-            "bounds": [r.to_dict() for r in reports],
-        })
-    elif fmt == "csv":
-        rows = [("K", spectrum.integral), ("K_err", spectrum.error_estimate),
-                ("tail_start", spectrum.tail_start)]
-        rows.extend((f"margin[{r.name}]", r.margin) for r in reports)
-        text = _csv_text("key,value", rows)
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
-    _emit(text, out)
+    values = {"K": spectrum.integral, "K_err": spectrum.error_estimate,
+              "tail_start": spectrum.tail_start}
+    _write(args, "json", {"schema": SCHEMA_TAG.lstrip("# "), **values,
+                          "bounds": [r.to_dict() for r in reports]},
+           "key,value", [*values.items(),
+                         *((f"margin[{r.name}]", r.margin) for r in reports)])
     return EXIT_OK
 
 
 def cmd_fig1(args) -> int:
-    t_list = _float_list(_resolve(args, "t_list", "2,3,4,6,8,11,16,23,32"))
+    t_list = _float_list(_resolve(args, "T_list", "2,3,4,6,8,11,16,23,32"))
     b_list = _float_list(_resolve(args, "B", "1.0,0.01"))
     if not all(math.isfinite(T) and T > 0.0 for T in t_list):
         raise ConfigError(f"--T-list entries must be positive and finite, "
@@ -399,15 +387,13 @@ def cmd_fig1(args) -> int:
     g = _resolve(args, "g", math.pi / 2.0, float)
     if not math.isfinite(g):
         raise ConfigError(f"--g must be finite, got {g}")
-    rel_tol = _resolve(args, "rel_tol", 1e-6, float)
-    try:
-        cfg = QuadratureConfig(rel_tol=rel_tol, **BATTERY_CFG_KW)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    cfg = _quad_cfg(args, **BATTERY_CFG_KW)
     window = _float_list(_resolve(args, "slope_window", "8,32"))
     if len(window) != 2:
         raise ConfigError("--slope-window needs exactly two numbers")
-    jobs = _jobs(args)
+    jobs = _resolve(args, "jobs", 1, int)
+    if jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
     out = _resolve(args, "out", "fig1.csv", str)
 
     def family(T):
@@ -462,6 +448,13 @@ def cmd_fig2(args) -> int:
 # -- bound battery -------------------------------------------------------------
 
 
+def _worst_of(draws: int, draw) -> BoundReport:
+    """The report of least margin over `draws` calls of draw(), in order,
+    the first on ties; its name gains the suffix _worst_of_<draws>."""
+    worst = min((draw() for _ in range(draws)), key=lambda r: r.margin)
+    return replace(worst, name=f"{worst.name}_worst_of_{draws}")
+
+
 def run_bound_battery(seed: int = BATTERY_SEED, draws: int = 10,
                       cfg: QuadratureConfig = None) -> list:
     """Randomized regression battery over every closed form and cap."""
@@ -483,17 +476,13 @@ def run_bound_battery(seed: int = BATTERY_SEED, draws: int = 10,
         "ramsey_tilted_phase", k, ramsey_closed_form(T, phi=0.75 * math.pi),
         tolerance=0.005))
 
-    worst_rel, worst_k = 0.0, z2pi * T
-    for _ in range(draws):
+    def pi_train():
         seq = random_pulse_sequence(rng, T, max_pulses=16, kind="pi_xy",
                                     equator=True)
-        k = integrate_iqfi(seq, sig, cfg=cfg).integral
-        rel = abs(k - z2pi * T) / (z2pi * T)
-        if rel > worst_rel:
-            worst_rel, worst_k = rel, k
-    reports.append(report_equality(
-        f"pi_train_invariance_worst_of_{draws}", worst_k, z2pi * T,
-        tolerance=0.01))
+        return report_equality("pi_train_invariance",
+                               integrate_iqfi(seq, sig, cfg=cfg).integral,
+                               z2pi * T, tolerance=0.01)
+    reports.append(_worst_of(draws, pi_train))
 
     r = haar_average_iqfi(make_pi_train([1.0, 2.0, 3.0], T), sig, cfg=cfg)
     reports.append(report_equality(
@@ -508,38 +497,23 @@ def run_bound_battery(seed: int = BATTERY_SEED, draws: int = 10,
     reports.append(report_equality(
         "haar_exact_vs_six_states", exact, six, tolerance=1e-9))
 
-    worst = None
-    for _ in range(draws):
+    def small_field():
         Td = float(rng.uniform(0.5, 4.0))
         b = float(rng.uniform(0.0, 0.1 / Td))
         seq = random_pulse_sequence(rng, Td, max_pulses=8)
         spec = integrate_iqfi(seq, SignalParams(B=b, omega=0.0), cfg=cfg)
-        rep = report_bound("small_field_cap", spec.integral,
-                           b0_linear_bound(Td, b),
-                           slack=spec.error_estimate)
-        if worst is None or rep.margin < worst.margin:
-            worst = rep
-    reports.append(BoundReport(
-        name=f"small_field_cap_worst_of_{draws}", kind=worst.kind,
-        measured=worst.measured, reference=worst.reference,
-        satisfied=worst.satisfied, margin=worst.margin,
-        tolerance=worst.tolerance))
+        return report_bound("small_field_cap", spec.integral,
+                            b0_linear_bound(Td, b), slack=spec.error_estimate)
+    reports.append(_worst_of(draws, small_field))
 
-    worst = None
-    for _ in range(draws):
+    def segment_count():
         Td = float(rng.uniform(0.5, 4.0))
         seq = random_pulse_sequence(rng, Td, max_pulses=8)
         spec = integrate_iqfi(seq, SignalParams(B=1.0, omega=0.0), cfg=cfg)
-        rep = report_bound("segment_count_cap", spec.integral,
-                           n_pulse_bound(seq.segment_count(), Td),
-                           slack=spec.error_estimate)
-        if worst is None or rep.margin < worst.margin:
-            worst = rep
-    reports.append(BoundReport(
-        name=f"segment_count_cap_worst_of_{draws}", kind=worst.kind,
-        measured=worst.measured, reference=worst.reference,
-        satisfied=worst.satisfied, margin=worst.margin,
-        tolerance=worst.tolerance))
+        return report_bound("segment_count_cap", spec.integral,
+                            n_pulse_bound(seq.segment_count(), Td),
+                            slack=spec.error_estimate)
+    reports.append(_worst_of(draws, segment_count))
 
     for n in (2, 3):
         proto = GhzProtocol(n=n, times=(0.0, T))
@@ -553,32 +527,19 @@ def run_bound_battery(seed: int = BATTERY_SEED, draws: int = 10,
     drive = TransverseDrive(g=g, total_time=8.0)
     band = integrate_qfi_band(drive, SignalParams(B=1.0, omega=0.0),
                               g, 3.0 * g, ode_tol=1e-9)
-    floor = rwa_iqfi_lower_bound(T=8.0, B=1.0, g=g)
-    reports.append(BoundReport(
-        name="resonance_band_floor", kind="lower_bound",
-        measured=band.integral, reference=floor,
-        satisfied=band.integral >= floor,
-        margin=(band.integral - floor) / floor))
+    reports.append(report_lower_bound(
+        "resonance_band_floor", band.integral,
+        rwa_iqfi_lower_bound(T=8.0, B=1.0, g=g)))
     return reports
 
 
 def cmd_bounds_check(args) -> int:
     seed = _resolve(args, "seed", BATTERY_SEED, int)
     draws = _resolve(args, "draws", 10, int)
-    reports = run_bound_battery(seed, draws=draws)
-    fmt = _resolve(args, "format", "json", str)
-    out = _resolve(args, "out", None, str)
-    if fmt == "json":
-        text = _json_text([r.to_dict() for r in reports])
-    elif fmt == "csv":
-        rows = [(r.name, r.kind, r.measured, r.reference, r.satisfied,
-                 r.margin, r.tolerance) for r in reports]
-        text = _csv_text("name,kind,measured,reference,satisfied,margin,tolerance",
-                         rows)
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
-    _emit(text, out)
-    if not all(r.satisfied for r in reports):
+    reports = [r.to_dict() for r in run_bound_battery(seed, draws=draws)]
+    _write(args, "json", reports, ",".join(reports[0]),
+           [r.values() for r in reports])
+    if not all(r["satisfied"] for r in reports):
         return EXIT_BOUND
     return EXIT_OK
 
@@ -589,106 +550,118 @@ def cmd_haar(args) -> int:
     if not isinstance(protocol, PulseSequence):
         raise ConfigError("haar requires a pulse-sequence protocol")
     r = haar_average_iqfi(protocol, signal, cfg=_quad_cfg(args))
-    fmt = _resolve(args, "format", "json", str)
-    out = _resolve(args, "out", None, str)
-    payload = {"schema": SCHEMA_TAG.lstrip("# "), "K_avg": r.value,
-               "stderr": r.stderr, "method": r.method, "samples": r.samples}
-    if fmt == "json":
-        text = _json_text(payload)
-    elif fmt == "csv":
-        text = _csv_text("key,value", list(payload.items())[1:])
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
-    _emit(text, out)
+    values = {"K_avg": r.value, "stderr": r.stderr, "method": r.method,
+              "samples": r.samples}
+    _write(args, "json", {"schema": SCHEMA_TAG.lstrip("# "), **values},
+           "key,value", values.items())
     return EXIT_OK
 
 
 # -- argument plumbing ---------------------------------------------------------
 
 
-def _jobs(args) -> int:
-    jobs = _resolve(args, "jobs", 1, int)
-    if jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
-    return jobs
-
-
-def _add_common(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--config", help="INI-style config file; flags override")
-    ap.add_argument("--protocol", choices=PROTOCOL_NAMES,
-                    help="protocol family (default ramsey)")
-    ap.add_argument("--T", type=float, help="total duration (default 4)")
-    ap.add_argument("--B", help="field value; fig1 takes a comma list")
-    ap.add_argument("--zeta", type=float, help="field-to-frequency factor (default 1)")
-    ap.add_argument("--phi", type=float, help="signal phase offset (default 0)")
-    ap.add_argument("--g", type=float, help="drive rate (default pi/2)")
-    ap.add_argument("--m", type=int, help="trotter segment count (default 2T)")
-    ap.add_argument("--times", help="comma list: pulse times / ghz boundaries")
-    ap.add_argument("--spacing", type=float, help="pi/2-train spacing (default 0.5)")
-    ap.add_argument("--n", type=int, help="ghz qubit count (default 2)")
-    ap.add_argument("--alpha", type=float, help="initial polar angle (default pi/2)")
-    ap.add_argument("--beta", type=float, help="initial azimuth (default 0)")
-    ap.add_argument("--flips", help="ghz collective flips per interior boundary, 0/1 list")
-    ap.add_argument("--omega-min", dest="omega_min", type=float)
-    ap.add_argument("--omega-max", dest="omega_max", type=float)
-    ap.add_argument("--points", type=int, help="grid size (default 513)")
-    ap.add_argument("--rel-tol", dest="rel_tol", type=float,
-                    help="integration relative tolerance (default 1e-6)")
-    ap.add_argument("--tail-factor", dest="tail_factor", type=float,
-                    help="where the closed-form tail starts, in units of "
-                         "the protocol's highest intrinsic frequency "
-                         "(default 40)")
-    ap.add_argument("--max-panels", dest="max_panels", type=int,
-                    help="integration panel budget (default 8192)")
-    ap.add_argument("--ode-tol", dest="ode_tol", type=float,
-                    help="error target of a continuous drive's state and "
-                         "field derivative (default 1e-9)")
-    ap.add_argument("--jobs", type=int,
-                    help="worker processes (default 1)")
-    ap.add_argument("--out", help="output path ('-' = stdout)")
-    ap.add_argument("--format", choices=("csv", "json"), help="output format")
+# add_argument keywords of every flag but --config
+_FLAGS = {
+    "--protocol": dict(choices=PROTOCOL_NAMES,
+                       help="protocol family (default ramsey)"),
+    "--T": dict(type=float, help="total duration (default 4)"),
+    "--B": dict(help="field value (default 0)"),
+    "--zeta": dict(type=float, help="field-to-frequency factor (default 1)"),
+    "--phi": dict(type=float, help="signal phase offset (default 0)"),
+    "--g": dict(type=float, help="drive rate (default pi/2)"),
+    "--m": dict(type=int, help="trotter segment count (default 2T)"),
+    "--times": dict(help="comma list: pulse times / ghz boundaries"),
+    "--spacing": dict(type=float, help="pi/2-train spacing (default 0.5)"),
+    "--n": dict(type=int, help="ghz qubit count (default 2)"),
+    "--alpha": dict(type=float, help="initial polar angle (default pi/2)"),
+    "--beta": dict(type=float, help="initial azimuth (default 0)"),
+    "--flips": dict(help="ghz collective flips per interior boundary, "
+                         "0/1 list"),
+    "--omega-min": dict(type=float, help="grid start (default 0)"),
+    "--omega-max": dict(type=float, help="grid end (default 8 times the "
+                                         "protocol's highest frequency)"),
+    "--points": dict(type=int, help="grid size (default 513)"),
+    "--rel-tol": dict(type=float,
+                      help="integration relative tolerance (default "
+                           f"{QuadratureConfig.rel_tol:g})"),
+    "--tail-factor": dict(type=float,
+                          help="where the closed-form tail starts, in units "
+                               "of the protocol's highest intrinsic "
+                               "frequency (default "
+                               f"{QuadratureConfig.tail_start_factor:g})"),
+    "--max-panels": dict(type=int,
+                         help="integration panel budget (default "
+                              f"{QuadratureConfig.max_panels})"),
+    "--ode-tol": dict(type=float,
+                      help="error target of a continuous drive's state and "
+                           "field derivative (default 1e-9)"),
+    "--T-list": dict(help="comma list of durations (default 2..32)"),
+    "--slope-window": dict(help="T window for the log-log fit (default 8,32)"),
+    "--jobs": dict(type=int, help="worker processes (default 1)"),
+    "--draws": dict(type=int,
+                    help="random draws per battery item (default 10)"),
+    "--seed": dict(type=int, help="battery rng seed (default 1905)"),
+    "--format": dict(choices=("csv", "json"), help="output format"),
+    "--out": dict(help="output path ('-' = stdout)"),
+}
+_SIGNAL = ("--B", "--zeta", "--phi")
+_PROTOCOL = ("--protocol", "--T", "--g", "--m", "--times", "--spacing", "--n",
+             "--alpha", "--beta", "--flips")
+_GRID = ("--omega-min", "--omega-max", "--points")
+_QUADRATURE = ("--rel-tol", "--tail-factor", "--max-panels")
+# name, function, help, the flags it reads besides --config and --out, and
+# the help texts that differ from _FLAGS'
+_COMMANDS = (
+    ("spectrum", cmd_spectrum, "J(B|omega) on a frequency grid",
+     _SIGNAL + _PROTOCOL + _GRID + ("--ode-tol", "--format"), {}),
+    ("iqfi", cmd_iqfi, "integrated QFI with error estimate and bounds",
+     _SIGNAL + _PROTOCOL + _QUADRATURE + ("--ode-tol", "--format"), {}),
+    ("fig1", cmd_fig1, "K vs T sweep for the trotterized drive",
+     ("--B", "--g", "--rel-tol", "--T-list", "--slope-window", "--jobs"),
+     {"--B": "comma list of field values, one output file each "
+             "(default 1.0,0.01)",
+      "--out": "output path; with several fields, one file per field "
+               "(default fig1.csv)"}),
+    ("fig2", cmd_fig2, "spectra of the four standard protocols",
+     ("--T", "--g") + _SIGNAL + _GRID + ("--ode-tol",),
+     {"--B": "field value (default 1)", "--T": "total duration (default 8)",
+      "--omega-max": "grid end (default max(4g, 8 pi/T))",
+      "--points": "grid size (default 601)",
+      "--out": "output stem; one file per protocol (default fig2)"}),
+    ("bounds-check", cmd_bounds_check, "randomized bound battery",
+     ("--draws", "--seed", "--format"), {}),
+    ("haar", cmd_haar, "initial-state averaged integrated QFI",
+     _SIGNAL + _PROTOCOL + _QUADRATURE + ("--format",), {}),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Subcommands with the flags each reads; the parser's defaults carry
+    config_types, the converter of every command's config key."""
     ap = argparse.ArgumentParser(
         prog="iqfi-lab",
         description="Broadband sensing toolkit: QFI spectra, integrated "
                     "sensitivity, figure data, and bound checks.")
     sub = ap.add_subparsers(dest="command", required=True)
-    specs = [
-        ("spectrum", cmd_spectrum, "J(B|omega) on a frequency grid"),
-        ("iqfi", cmd_iqfi, "integrated QFI with error estimate and bounds"),
-        ("fig1", cmd_fig1, "K vs T sweep for the trotterized drive"),
-        ("fig2", cmd_fig2, "spectra of the four standard protocols"),
-        ("bounds-check", cmd_bounds_check, "randomized bound battery"),
-        ("haar", cmd_haar, "initial-state averaged integrated QFI"),
-    ]
-    for name, fn, help_text in specs:
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name == "fig1":
-            p.add_argument("--T-list", dest="t_list",
-                           help="comma list of durations (default 2..32)")
-            p.add_argument("--slope-window", dest="slope_window",
-                           help="T window for the log-log fit (default 8,32)")
-        if name == "bounds-check":
-            p.add_argument("--draws", type=int,
-                           help="random draws per battery item (default 10)")
-            p.add_argument("--seed", type=int,
-                           help="battery rng seed (default 1905)")
+    types = {}
+    for name, fn, help_text, flags, helps in _COMMANDS:
+        # exact names only: a prefix would let fig1's --T mean --T-list
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("--config", help="INI-style config file; flags override")
+        for flag in flags + ("--out",):
+            action = p.add_argument(flag, **_FLAGS[flag])
+            action.help = helps.get(flag, action.help)
+            types[action.dest.lower()] = action.type or str
         p.set_defaults(func=fn)
+    ap.set_defaults(config_types=types)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args._config = _load_config(args.config) if args.config else {}
-    except ConfigError as exc:
-        print(f"iqfi-lab: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        args._config = (_load_config(args.config, args.config_types)
+                        if args.config else {})
         return args.func(args)
     except ConfigError as exc:
         print(f"iqfi-lab: {exc}", file=sys.stderr)

@@ -38,14 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .protocol import (
-    GhzProtocol,
-    PiecewiseGenerator,
-    PulseSequence,
-    SIGMA_X,
-    TransverseDrive,
-    validate,
-)
+from .protocol import ContinuousControl, GhzProtocol, PulseSequence, validate
 from .signal_core import SignalParams, _theta_raw
 
 __all__ = [
@@ -257,8 +250,6 @@ def _drive_pieces(control):
     problem = validate(control)
     if problem is not None:
         raise ValueError(f"invalid control: {problem}")
-    if isinstance(control, TransverseDrive):
-        return [(0.0, control.total_time, control.g * SIGMA_X)]
     return list(control.pieces)
 
 
@@ -428,7 +419,7 @@ def qfi_vs_omega(protocol, signal: SignalParams, B: Optional[float] = None,
         return 4.0 * (dd + (ov * ov).real)
     if isinstance(protocol, GhzProtocol):
         return _ghz_qfi_vs_omega(protocol, signal, om)
-    if isinstance(protocol, (TransverseDrive, PiecewiseGenerator)):
+    if isinstance(protocol, ContinuousControl):
         y = _continuous_batch(protocol, signal, B, om, tol=ode_tol)
         psi = y[:, 0:2]
         dpsi = y[:, 2:4]
@@ -446,7 +437,7 @@ def _state_at(protocol, signal, B, ode_tol):
     """State vector only (reduced vector for GHZ), for finite differencing."""
     if isinstance(protocol, PulseSequence):
         return evolve_discrete(protocol, signal, B).psi
-    if isinstance(protocol, (TransverseDrive, PiecewiseGenerator)):
+    if isinstance(protocol, ContinuousControl):
         y = _continuous_batch(protocol, signal, B, [signal.omega], tol=ode_tol)
         return y[0, 0:2]
     if isinstance(protocol, GhzProtocol):
@@ -473,7 +464,7 @@ def qfi_fd_oracle(protocol, signal: SignalParams, B: Optional[float] = None,
     if B is None:
         B = signal.B
     if step is None:
-        rough = isinstance(protocol, (TransverseDrive, PiecewiseGenerator))
+        rough = isinstance(protocol, ContinuousControl)
         step = (1e-4 if rough else 1e-6) * max(1.0, abs(B))
 
     def fd(h):

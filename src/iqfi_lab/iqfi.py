@@ -27,12 +27,7 @@ import numpy as np
 
 from .evolution import IntegrationError, discrete_propagators, qfi_vs_omega
 from .evolution import _drive_pieces, _su2_exp
-from .protocol import (
-    GhzProtocol,
-    PiecewiseGenerator,
-    PulseSequence,
-    TransverseDrive,
-)
+from .protocol import ContinuousControl, GhzProtocol, PulseSequence
 from .signal_core import SignalParams
 
 GAUSS_ORDER = 16
@@ -335,7 +330,7 @@ def _tail(protocol, signal: SignalParams, B: float, omega_max: float,
         s = np.concatenate(([0.0], protocol.segment_signs(), [0.0]))
         a, Q = protocol.times, np.outer(s[:-1] - s[1:], z)
         zeta, field = protocol.n * zeta, 0.0
-    elif isinstance(protocol, (TransverseDrive, PiecewiseGenerator)):
+    elif isinstance(protocol, ContinuousControl):
         u, rate = np.eye(2), 0.0
         for start, end, h in _drive_pieces(protocol):
             u = _su2_exp(h, end - start) @ u
@@ -370,9 +365,7 @@ def feature_scale(protocol, signal: SignalParams, B: float) -> float:
     elif isinstance(protocol, GhzProtocol):
         scale = max(scale, (len(protocol.times) - 1) / T,
                     protocol.n * signal.zeta * abs(B))
-    elif isinstance(protocol, TransverseDrive):
-        scale = max(scale, 2.0 * abs(protocol.g))
-    elif isinstance(protocol, PiecewiseGenerator):
+    elif isinstance(protocol, ContinuousControl):
         gen = max((float(np.linalg.norm(h, 2)) for _, _, h in protocol.pieces),
                   default=0.0)
         scale = max(scale, 2.0 * gen, len(protocol.pieces) / T)

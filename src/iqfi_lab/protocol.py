@@ -149,6 +149,11 @@ class TransverseDrive:
         if not math.isfinite(self.g):
             raise ValueError(f"g must be finite, got {self.g}")
 
+    @property
+    def pieces(self) -> tuple:
+        """The drive as one piece (0, T, g*X) of a piecewise generator."""
+        return ((0.0, self.total_time, self.g * SIGMA_X),)
+
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseGenerator:
@@ -282,13 +287,7 @@ def validate(protocol) -> Optional[str]:
     """
     if isinstance(protocol, PulseSequence):
         return _validate_sequence(protocol)
-    if isinstance(protocol, TransverseDrive):
-        if protocol.total_time <= 0.0:
-            return "total_time must be > 0"
-        if not math.isfinite(protocol.g):
-            return "g must be finite"
-        return None
-    if isinstance(protocol, PiecewiseGenerator):
+    if isinstance(protocol, ContinuousControl):
         return _validate_piecewise(protocol)
     if isinstance(protocol, GhzProtocol):
         return None  # construction already enforced the invariants
@@ -317,7 +316,7 @@ def _validate_sequence(seq: PulseSequence) -> Optional[str]:
     return None
 
 
-def _validate_piecewise(ctrl: PiecewiseGenerator) -> Optional[str]:
+def _validate_piecewise(ctrl: ContinuousControl) -> Optional[str]:
     if not math.isfinite(ctrl.total_time) or ctrl.total_time <= 0.0:
         return f"total_time must be positive and finite, got {ctrl.total_time}"
     if not ctrl.pieces:

@@ -97,6 +97,42 @@ def test_rwa_state_is_normalized():
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_rwa_closed_form_matches_expm_frechet():
+    # the reference differentiates exp(-i H T) through scipy's Frechet
+    # derivative of the matrix exponential, per omega
+    from scipy.linalg import expm_frechet
+
+    psi0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+
+    def reference(omegas, B, g, T, zeta):
+        out = []
+        for w in omegas:
+            u, d = zeta * B, w - 2.0 * g
+            h = 0.5 * np.array([[u, -d], [-d, -u]], dtype=complex)
+            dh = 0.5 * zeta * np.diag([1.0, -1.0]).astype(complex)
+            U, dU = expm_frechet(-1j * T * h, -1j * T * dh)
+            psi, dpsi = U @ psi0, dU @ psi0
+            ov = np.vdot(dpsi, psi)
+            out.append(4.0 * (np.vdot(dpsi, dpsi).real + (ov * ov).real))
+        return np.array(out), U @ psi0
+
+    rng = np.random.default_rng(1857)
+    for i in range(320):
+        g = float(rng.uniform(-3.0, 3.0))
+        T = float(rng.uniform(0.1, 20.0))
+        zeta = float(rng.uniform(0.2, 3.0))
+        # every fourth draw takes B = 0, 1e-9 or -1e-9 in turn
+        B = (0.0, 1e-9, -1e-9)[i % 3] if i % 4 == 0 \
+            else float(rng.uniform(-5.0, 5.0))
+        omegas = np.concatenate(([2.0 * g, abs(2.0 * g)],
+                                 rng.uniform(0.0, 10.0, 4)))
+        want, psi_last = reference(omegas, B, g, T, zeta)
+        got = rwa_qfi(omegas, B, g, T, zeta=zeta)
+        assert np.abs(got - want).max() <= 1e-13 * want.max(), (i, got, want)
+        np.testing.assert_allclose(rwa_state(omegas[-1], B, g, T, zeta=zeta),
+                                   psi_last, rtol=0.0, atol=1e-13)
+
+
 def test_rwa_resonance_value_independent_of_field():
     g, T = 0.5 * math.pi, 8.0
     for B in (0.05, 0.3, 1.0):

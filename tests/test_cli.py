@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +13,31 @@ import numpy as np
 import pytest
 
 import iqfi_lab.cli
-from iqfi_lab.cli import SCHEMA_TAG, main
+from iqfi_lab.cli import SCHEMA_TAG, build_parser, main
 
 TAG = SCHEMA_TAG  # "# iqfi-lab v1"
+
+SIGNAL = ("--B", "--zeta", "--phi")
+PROTOCOL = ("--protocol", "--T", "--g", "--m", "--times", "--spacing", "--n",
+            "--alpha", "--beta", "--flips")
+GRID = ("--omega-min", "--omega-max", "--points")
+QUADRATURE = ("--rel-tol", "--tail-factor", "--max-panels")
+# the flags each command reads, besides --config and --out
+ACCEPTED = {
+    "spectrum": SIGNAL + PROTOCOL + GRID + ("--ode-tol", "--format"),
+    "iqfi": SIGNAL + PROTOCOL + QUADRATURE + ("--ode-tol", "--format"),
+    "haar": SIGNAL + PROTOCOL + QUADRATURE + ("--format",),
+    "fig2": ("--T", "--g") + SIGNAL + GRID + ("--ode-tol",),
+    "fig1": ("--B", "--g", "--rel-tol", "--T-list", "--slope-window",
+             "--jobs"),
+    "bounds-check": ("--draws", "--seed", "--format"),
+}
+# flags that several commands read; each command that does not read one
+# must reject it rather than ignore it
+SHARED = SIGNAL + PROTOCOL + GRID + QUADRATURE + ("--ode-tol", "--jobs",
+                                                  "--format")
+REJECTED = [(command, flag) for command, flags in ACCEPTED.items()
+            for flag in SHARED if flag not in flags]
 
 
 def run(capsys, *argv):
@@ -165,9 +188,10 @@ def test_spectrum_nan_drive_rate_exits_2(capsys, protocol):
 @pytest.mark.parametrize("command", ["spectrum", "iqfi"])
 @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
 def test_bad_ode_tol_exits_2(capsys, command, tol):
+    grid = ("--points", "2", "--omega-max", "1") if command == "spectrum" \
+        else ()
     code, out, err = run(capsys, command, "--protocol", "gx", "--T", "1",
-                         "--points", "2", "--omega-max", "1",
-                         "--ode-tol", tol)
+                         *grid, "--ode-tol", tol)
     assert code == 2 and out == "" and "--ode-tol" in err
 
 
@@ -329,6 +353,60 @@ def test_counts_below_one_exit_2(argv, capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_each_command_accepts_exactly_its_flags(capsys):
+    total = 0
+    for command, flags in ACCEPTED.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"^\s+(--[\w-]+)", capsys.readouterr().out,
+                                re.M))
+        assert listed == {"--config", "--out", *flags}, command
+        total += len(listed)
+    assert total == 83 and len(REJECTED) == 65
+
+
+@pytest.mark.parametrize("command, flag", REJECTED)
+def test_flag_a_command_does_not_read_exits_2(tmp_path, monkeypatch, capsys,
+                                               command, flag):
+    monkeypatch.chdir(tmp_path)  # fig1 and fig2 write to the working directory
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+def test_one_config_file_serves_every_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "all.ini"
+    cfg.write_text("points = 5\ndraws = 1\nrel_tol = 1e-4\nzeta = 2\n")
+    code, out, _ = run(capsys, "iqfi", "--config", str(cfg), "--T", "4",
+                       "--B", "0")
+    assert code == 0
+    # zeta = 2 scales the Ramsey K = 2 pi zeta^2 T by 4
+    assert json.loads(out)["K"] == pytest.approx(32.0 * math.pi, rel=1e-3)
+    fig1 = ("fig1", "--T-list", "2,4", "--B", "0.01", "--slope-window", "2,4")
+    code, _, _ = run(capsys, *fig1, "--config", str(cfg), "--out", "f.csv")
+    assert code == 0
+    # fig1 has no --tail-factor, so it reads no tail_factor key either
+    other = tmp_path / "other.ini"
+    other.write_text(cfg.read_text() + "tail_factor = 2\n")
+    code, _, _ = run(capsys, *fig1, "--config", str(other), "--out", "g.csv")
+    assert code == 0
+    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "g.csv").read_bytes()
+    code, out, _ = run(capsys, "bounds-check", "--config", str(cfg))
+    assert code == 0
+    assert "pi_train_invariance_worst_of_1" in {r["name"]
+                                                for r in json.loads(out)}
+    # the accepted keys are the union of every command's flags
+    keys = {flag.lstrip("-").replace("-", "_").lower()
+            for flags in ACCEPTED.values() for flag in flags + ("--out",)}
+    assert set(build_parser().parse_args(["haar"]).config_types) == keys
+    assert len(keys) == 27
+
+
 def test_cli_imports_no_private_names():
     """The CLI is a client of the library's public surface only."""
     tree = ast.parse(Path(iqfi_lab.cli.__file__).read_text())
@@ -342,9 +420,8 @@ def test_cli_imports_no_private_names():
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy.linalg is the costliest import of the package; only
-    # bounds.rwa_qfi needs it, and it imports it on use.  The integrals
-    # need none of it: the tail's sine and cosine integrals are numpy.
+    # numpy is the only runtime dependency: the tail's sine and cosine
+    # integrals and the rotating-frame propagator are numpy closed forms
     src = str(Path(iqfi_lab.cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -356,7 +433,24 @@ def test_cli_import_leaves_scipy_out():
             "          TransverseDrive(g=1.0, total_time=0.5)):\n"
             "    integrate_iqfi(p, sig)\n"
             "haar_average_iqfi(train, sig)\n"
+            "rwa_qfi([0.5, 2.0], 0.3, 1.0, 4.0), rwa_state(2.0, 0.3, 1.0, 4.0)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_no_module_imports_scipy():
+    src = Path(iqfi_lab.cli.__file__).parents[1]
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, n) for n in names
+                      if n.split(".")[0] == "scipy"]
+    assert found == []

@@ -226,6 +226,50 @@ def test_continuous_zero_field_is_x_rotation():
     assert qfi(st) == pytest.approx(4.0 * abs(amp) ** 2, rel=1e-7)
 
 
+def _drive_zero_field_j(omegas, g, T, phi, zeta=1.0):
+    """Closed-form B = 0 spectrum of g X from |+>:
+    J = 4 zeta^2 |(e^{i phi} E(w + 2g) + e^{-i phi} E(2g - w)) / 2|^2 with
+    E(k) = int_0^T e^{ikt} dt, E(0) = T."""
+    def E(k):
+        k_or_1 = np.where(k == 0.0, 1.0, k)
+        return np.where(k == 0.0, T, (np.exp(1j * k * T) - 1.0) / (1j * k_or_1))
+
+    om = np.asarray(omegas, dtype=float)
+    amp = 0.5 * (np.exp(1j * phi) * E(om + 2.0 * g)
+                 + np.exp(-1j * phi) * E(2.0 * g - om))
+    return 4.0 * zeta ** 2 * np.abs(amp) ** 2
+
+
+# T = 0.5 and g = pi/2 at ode_tol 1e-9: the splitting's finest level has
+# 4m = 180 steps, and a step spans one signal period at 2 pi (4m)/T = 2262
+_RESONANT_DRIVE = TransverseDrive(g=0.5 * math.pi, total_time=0.5)
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.9])
+def test_drive_zero_field_spectrum_off_step_resonance(phi):
+    omegas = np.concatenate([np.linspace(0.0, 2000.0, 401),
+                             np.linspace(2500.0, 3000.0, 101)])
+    j = qfi_vs_omega(_RESONANT_DRIVE, SignalParams(B=0.0, omega=0.0, phi=phi),
+                     omegas=omegas, ode_tol=1e-9)
+    np.testing.assert_allclose(
+        j, _drive_zero_field_j(omegas, 0.5 * math.pi, 0.5, phi),
+        rtol=1e-6, atol=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the splitting's error estimate misses its own "
+                          "step resonances")
+@pytest.mark.parametrize("phi, omegas", [
+    (0.0, [2150.0, 2200.0, 2300.0, 4400.0, 4600.0, 9000.0]),
+    (0.9, [2262.0, 4524.0])])
+def test_drive_zero_field_spectrum_at_step_resonance(phi, omegas):
+    j = qfi_vs_omega(_RESONANT_DRIVE, SignalParams(B=0.0, omega=0.0, phi=phi),
+                     omegas=omegas, ode_tol=1e-9)
+    np.testing.assert_allclose(
+        j, _drive_zero_field_j(omegas, 0.5 * math.pi, 0.5, phi),
+        rtol=1e-6, atol=1e-12)
+
+
 def test_continuous_matches_fd_oracle():
     rng = np.random.default_rng(24)
     for _ in range(4):
