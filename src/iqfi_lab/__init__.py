@@ -1,7 +1,7 @@
 """iqfi-lab: QFI spectra of qubit sensing protocols and their frequency
 integrals, with closed-form references and bounds for cross-checking."""
 
-from .signal_core import SignalParams, TimeInterval, theta, theta_vector
+from .signal_core import SignalParams, theta
 from .protocol import (
     Pulse,
     PulseSequence,
@@ -19,17 +19,7 @@ from .protocol import (
     sequence_to_json,
     validate,
 )
-from .evolution import (
-    GhzState,
-    IntegrationError,
-    SensorState,
-    evolve_continuous,
-    evolve_discrete,
-    evolve_ghz,
-    qfi,
-    qfi_fd_oracle,
-    qfi_vs_omega,
-)
+from .evolution import IntegrationError, qfi_fd_oracle, qfi_vs_omega
 from .iqfi import (
     HaarResult,
     QfiSpectrum,

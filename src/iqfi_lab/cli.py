@@ -389,8 +389,10 @@ def cmd_fig1(args) -> int:
         raise ConfigError(f"--g must be finite, got {g}")
     cfg = _quad_cfg(args, **BATTERY_CFG_KW)
     window = _float_list(_resolve(args, "slope_window", "8,32"))
-    if len(window) != 2:
-        raise ConfigError("--slope-window needs exactly two numbers")
+    # one chained comparison, so that a NaN edge fails it too
+    if len(window) != 2 or not -math.inf < window[0] < window[1] < math.inf:
+        raise ConfigError(f"--slope-window needs two finite numbers lo < hi, "
+                          f"got {window}")
     jobs = _resolve(args, "jobs", 1, int)
     if jobs < 1:
         raise ConfigError("--jobs must be >= 1")
@@ -427,12 +429,15 @@ def cmd_fig2(args) -> int:
     ode_tol = _ode_tol(args)
     out = _resolve(args, "out", "fig2", str)
 
-    protocols = [
-        ("ramsey", make_ramsey(T)),
-        ("pi-train", make_pi_train(_default_pi_times(T), T)),
-        ("pi2-train", make_pi2_train(0.5, T)),
-        ("gx", TransverseDrive(g=g, total_time=T)),
-    ]
+    try:
+        protocols = [
+            ("ramsey", make_ramsey(T)),
+            ("pi-train", make_pi_train(_default_pi_times(T), T)),
+            ("pi2-train", make_pi2_train(0.5, T)),
+            ("gx", TransverseDrive(g=g, total_time=T)),
+        ]
+    except ValueError as exc:
+        raise ConfigError(f"bad protocol parameters: {exc}")
     lo = _resolve(args, "omega_min", 0.0, float)
     hi = _resolve(args, "omega_max", max(4.0 * g, 8.0 * math.pi / T), float)
     omegas = _omega_grid(lo, hi, _resolve(args, "points", 601, int))

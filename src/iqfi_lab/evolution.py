@@ -28,27 +28,25 @@ O(h^6) result, and its difference from the O(h^4) one estimates the error.
 Frequencies whose estimate misses the tolerance are refined by doubling m;
 the starting m depends only on T, the generator norm, zeta*|B| and the
 tolerance, so a frequency's result does not depend on its batch.
+
+qfi_vs_omega is the one way to J: for a pulse sequence or a continuous
+control it applies the formula above to the batched states, and for a GHZ
+register, which stays in the {|0...0>, |1...1>} plane, it uses the closed
+form 4*(n*zeta*sum_k s_k Theta_k)^2 with the signed segment kernels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .protocol import ContinuousControl, GhzProtocol, PulseSequence, validate
-from .signal_core import SignalParams, _theta_raw
+from .signal_core import SignalParams, theta
 
 __all__ = [
-    "SensorState",
-    "GhzState",
     "IntegrationError",
-    "evolve_discrete",
-    "evolve_continuous",
-    "evolve_ghz",
-    "qfi",
     "qfi_vs_omega",
     "qfi_fd_oracle",
     "discrete_propagators",
@@ -57,61 +55,6 @@ __all__ = [
 
 class IntegrationError(RuntimeError):
     """Continuous evolution failed to meet its error target."""
-
-
-@dataclass(frozen=True, eq=False)
-class SensorState:
-    """Evolved state and its field derivative at fixed (B, omega)."""
-
-    psi: np.ndarray
-    dpsi: np.ndarray
-    B: float
-    omega: float
-    total_time: float
-
-    def validate(self, tol: float = 1e-10) -> None:
-        norm = np.linalg.norm(self.psi)
-        if abs(norm - 1.0) > tol:
-            raise ValueError(f"psi norm {norm} deviates from 1 by > {tol}")
-        overlap = np.vdot(self.dpsi, self.psi)
-        if abs(overlap.real) > tol:
-            raise ValueError(
-                f"Re<dpsi|psi> = {overlap.real} exceeds {tol}; "
-                "derivative is inconsistent with a normalized path"
-            )
-
-
-@dataclass(frozen=True)
-class GhzState:
-    """n-qubit GHZ register after free evolution, in the 2-dim reduced basis
-    {|0...0>, |1...1>}.  accumulated_phase is the signed kernel sum, so the
-    reduced amplitudes are exp(-+ i*n*zeta*B*accumulated_phase)/sqrt(2)."""
-
-    n: int
-    accumulated_phase: float
-    B: float
-    omega: float
-    zeta: float
-
-    def reduced_vector(self) -> np.ndarray:
-        ph = self.n * self.zeta * self.B * self.accumulated_phase
-        return np.array([np.exp(-1j * ph), np.exp(1j * ph)]) / math.sqrt(2.0)
-
-    def reduced_derivative(self) -> np.ndarray:
-        coef = -1j * self.n * self.zeta * self.accumulated_phase
-        v = self.reduced_vector()
-        return np.array([coef * v[0], -coef * v[1]])
-
-
-def qfi(state) -> float:
-    """Fisher information 4*(<dpsi|dpsi> + Re <dpsi|psi>^2) of an evolved state."""
-    if isinstance(state, GhzState):
-        psi = state.reduced_vector()
-        dpsi = state.reduced_derivative()
-    else:
-        psi, dpsi = state.psi, state.dpsi
-    overlap = np.vdot(dpsi, psi)
-    return float(4.0 * (np.vdot(dpsi, dpsi).real + (overlap * overlap).real))
 
 
 # -- discrete protocols -------------------------------------------------------
@@ -158,7 +101,7 @@ def _pulse_steps(seq: PulseSequence, om, phi):
     t_prev = 0.0
     for t_next, u in [(p.time, p.unitary) for p in seq.pulses] + [
             (seq.total_time, None)]:
-        yield (_theta_raw(t_prev, t_next, om, phi) if t_next > t_prev
+        yield (theta(t_prev, t_next, om, phi) if t_next > t_prev
                else None), u
         t_prev = t_next
 
@@ -214,17 +157,6 @@ def _rotate(x, y, u, s1, s2):
     x += s2
     y *= u11
     y += s1
-
-
-def evolve_discrete(seq: PulseSequence, signal: SignalParams,
-                    B: Optional[float] = None) -> SensorState:
-    """Evolve a pulse sequence at the signal's frequency; exact, O(#pulses)."""
-    if B is None:
-        B = signal.B
-    psi, dpsi = discrete_propagators(seq, signal, B,
-                                     psi0=seq.initial_vector())
-    return SensorState(psi=psi[0], dpsi=dpsi[0], B=B,
-                       omega=signal.omega, total_time=seq.total_time)
 
 
 # -- continuous protocols -----------------------------------------------------
@@ -338,69 +270,51 @@ def _continuous_batch(control, signal: SignalParams, B: float, omegas,
         counts, density = 2 * counts, 2.0 * density
 
 
-def evolve_continuous(control, signal: SignalParams, B: Optional[float] = None,
-                      tol: float = 1e-10) -> SensorState:
-    """Evolve a continuous drive at the signal's frequency.
-
-    The state is renormalized at the end; a norm drift above 10*tol raises
-    IntegrationError since it signals a failed error control.
-    """
-    if B is None:
-        B = signal.B
-    y = _continuous_batch(control, signal, B, [signal.omega], tol=tol)
-    psi = y[0, 0:2].copy()
-    dpsi = y[0, 2:4].copy()
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 10.0 * tol:
-        raise IntegrationError(f"norm drift {abs(norm - 1.0):.3e} > 10*tol")
-    psi /= norm
-    dpsi -= np.vdot(psi, dpsi).real * psi
-    return SensorState(psi=psi, dpsi=dpsi, B=B, omega=signal.omega,
-                       total_time=control.total_time)
-
-
 # -- GHZ registers ------------------------------------------------------------
-
-
-def evolve_ghz(n: int, times, signal: SignalParams, B: Optional[float] = None,
-               flips=None):
-    """Free evolution of an n-qubit GHZ state over consecutive segments.
-
-    Returns (GhzState, qfi).  Collective X flips between segments alternate
-    the sign of the per-segment kernels; the dynamics stays in the
-    {|0...0>, |1...1>} plane so everything reduces to the signed kernel sum.
-    """
-    proto = GhzProtocol(n=n, times=tuple(times), flips=flips)
-    if B is None:
-        B = signal.B
-    from .signal_core import theta_vector
-
-    th = theta_vector(proto.times, signal)
-    phase = float(np.dot(proto.segment_signs(), th))
-    state = GhzState(n=n, accumulated_phase=phase, B=B, omega=signal.omega,
-                     zeta=signal.zeta)
-    j = 4.0 * (n * signal.zeta * phase) ** 2
-    return state, j
 
 
 def _ghz_qfi_vs_omega(proto: GhzProtocol, signal: SignalParams, omegas):
     om = np.atleast_1d(np.asarray(omegas, dtype=float))
     t = np.asarray(proto.times)
-    th = _theta_raw(t[:-1, None], t[1:, None], om[None, :], signal.phi)
+    th = theta(t[:-1, None], t[1:, None], om[None, :], signal.phi)
     phase = proto.segment_signs() @ th
     return 4.0 * (proto.n * signal.zeta * phase) ** 2
 
 
-# -- spectrum dispatch and the finite-difference oracle -----------------------
+# -- states, J and the finite-difference oracle -------------------------------
+
+
+def _states(protocol, signal: SignalParams, B: float, om, ode_tol: float):
+    """(psi, dpsi) at T for every frequency in om, each of shape (n, 2).
+
+    A continuous control's states are renormalized and dpsi projected onto
+    the normalized path; a norm drift above 10*ode_tol raises
+    IntegrationError, since it signals a failed error control.
+    """
+    if isinstance(protocol, PulseSequence):
+        return discrete_propagators(protocol, signal, B, om,
+                                    psi0=protocol.initial_vector())
+    if isinstance(protocol, ContinuousControl):
+        y = _continuous_batch(protocol, signal, B, om, tol=ode_tol)
+        psi, dpsi = y[:, 0:2], y[:, 2:4]
+        norms = np.linalg.norm(psi, axis=1, keepdims=True)
+        drift = float(np.abs(norms - 1.0).max())
+        if drift > 10.0 * ode_tol:
+            raise IntegrationError(f"norm drift {drift:.3e} > 10*ode_tol")
+        psi = psi / norms
+        proj = np.einsum("ni,ni->n", psi.conj(), dpsi).real
+        return psi, dpsi - proj[:, None] * psi
+    raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
 
 
 def qfi_vs_omega(protocol, signal: SignalParams, B: Optional[float] = None,
                  omegas=None, ode_tol: float = 1e-10) -> np.ndarray:
     """J(B | omega) over a frequency grid for any protocol kind.
 
-    Every omega must be finite and >= 0.  ode_tol, which must be positive
-    and finite, bounds the estimated error of a continuous drive's final
-    state and field derivative.
+    Without omegas, J at the signal's own frequency.  Every omega must be
+    finite and >= 0.  ode_tol, which must be positive and finite, bounds
+    the estimated error of a continuous drive's final state and field
+    derivative.
     """
     _check_ode_tol(ode_tol)
     if B is None:
@@ -410,41 +324,13 @@ def qfi_vs_omega(protocol, signal: SignalParams, B: Optional[float] = None,
     bad = ~((om >= 0.0) & (om < math.inf))  # NaN fails both comparisons
     if bad.any():
         raise ValueError(f"omegas must be finite and >= 0, got {om[bad][0]}")
-    if isinstance(protocol, PulseSequence):
-        psi, dpsi = discrete_propagators(protocol, signal, B, om,
-                                         psi0=protocol.initial_vector())
-        (a, b), (da, db) = psi.T, dpsi.T
-        ov = da.conj() * a + db.conj() * b
-        dd = (da.conj() * da + db.conj() * db).real
-        return 4.0 * (dd + (ov * ov).real)
     if isinstance(protocol, GhzProtocol):
         return _ghz_qfi_vs_omega(protocol, signal, om)
-    if isinstance(protocol, ContinuousControl):
-        y = _continuous_batch(protocol, signal, B, om, tol=ode_tol)
-        psi = y[:, 0:2]
-        dpsi = y[:, 2:4]
-        norms = np.linalg.norm(psi, axis=1, keepdims=True)
-        psi = psi / norms
-        proj = np.einsum("ni,ni->n", psi.conj(), dpsi).real
-        dpsi = dpsi - proj[:, None] * psi
-        dd = np.einsum("ni,ni->n", dpsi.conj(), dpsi).real
-        ov = np.einsum("ni,ni->n", dpsi.conj(), psi)
-        return 4.0 * (dd + (ov * ov).real)
-    raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
-
-
-def _state_at(protocol, signal, B, ode_tol):
-    """State vector only (reduced vector for GHZ), for finite differencing."""
-    if isinstance(protocol, PulseSequence):
-        return evolve_discrete(protocol, signal, B).psi
-    if isinstance(protocol, ContinuousControl):
-        y = _continuous_batch(protocol, signal, B, [signal.omega], tol=ode_tol)
-        return y[0, 0:2]
-    if isinstance(protocol, GhzProtocol):
-        state, _ = evolve_ghz(protocol.n, protocol.times, signal, B,
-                              flips=protocol.flips)
-        return state.reduced_vector()
-    raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
+    psi, dpsi = _states(protocol, signal, B, om, ode_tol)
+    (a, b), (da, db) = psi.T, dpsi.T
+    ov = da.conj() * a + db.conj() * b
+    dd = (da.conj() * da + db.conj() * db).real
+    return 4.0 * (dd + (ov * ov).real)
 
 
 def qfi_fd_oracle(protocol, signal: SignalParams, B: Optional[float] = None,
@@ -457,9 +343,10 @@ def qfi_fd_oracle(protocol, signal: SignalParams, B: Optional[float] = None,
     quotients are extrapolated, and a relative disagreement above 1e-4
     between the two raises, flagging a too-large step.
 
-    Default steps: 1e-6*max(1,|B|) for exact (discrete/GHZ) evolutions,
+    Default steps: 1e-6*max(1,|B|) for exact (pulse) evolutions,
     1e-4*max(1,|B|) for continuous ones, whose states carry an error of up
-    to ode_tol into the difference quotient.
+    to ode_tol into the difference quotient.  A GHZ register raises
+    TypeError; its closed form in qfi_vs_omega has no state to difference.
     """
     if B is None:
         B = signal.B
@@ -467,12 +354,13 @@ def qfi_fd_oracle(protocol, signal: SignalParams, B: Optional[float] = None,
         rough = isinstance(protocol, ContinuousControl)
         step = (1e-4 if rough else 1e-6) * max(1.0, abs(B))
 
-    def fd(h):
-        plus = _state_at(protocol, signal, B + h, ode_tol)
-        minus = _state_at(protocol, signal, B - h, ode_tol)
-        return (plus - minus) / (2.0 * h)
+    def state(b):
+        return _states(protocol, signal, b, [signal.omega], ode_tol)[0][0]
 
-    psi = _state_at(protocol, signal, B, ode_tol)
+    def fd(h):
+        return (state(B + h) - state(B - h)) / (2.0 * h)
+
+    psi = state(B)
 
     def j_of(dpsi):
         ov = np.vdot(dpsi, psi)

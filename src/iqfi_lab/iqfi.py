@@ -5,8 +5,9 @@ oscillates on the scale pi/T, so the finite range [0, Omega] is cut into
 panels of that width.  All base panels are laid out as arrays, one row per
 panel, and evaluated in one batched call: a two-half Gauss rule of order
 16 gives each panel's value, the whole-panel rule its discrepancy.  Only
-if the summed discrepancy misses the tolerance are the worst panels split,
-one at a time.  Beyond Omega, J tends to the toggling-frame (filter-
+if the summed discrepancy misses the tolerance does the panel count double,
+every panel evaluated again in one batch, until it fits or the panel budget
+runs out.  Beyond Omega, J tends to the toggling-frame (filter-
 function) form (4 zeta^2/omega^2) sum_jl D_jl sin(omega a_j + phi)
 sin(omega a_l + phi): a_j are the times where Z~ = U0^dag Z U0 of the
 control alone jumps, D the jumps' covariance in the initial state.  Its
@@ -18,7 +19,6 @@ phase, elsewhere a trace formula integrated on one node set.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -31,6 +31,7 @@ from .protocol import ContinuousControl, GhzProtocol, PulseSequence
 from .signal_core import SignalParams
 
 GAUSS_ORDER = 16
+ABS_TOL = 1e-12  # absolute floor of the summed panel discrepancy
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 __all__ = [
@@ -52,19 +53,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and panel policy for the frequency integration."""
+    """Tolerance, tail start and panel budget of the frequency integration."""
 
     rel_tol: float = 1e-6
-    abs_tol: float = 1e-12
-    panel_width_factor: float = 1.0
     tail_start_factor: float = 40.0
     max_panels: int = 8192
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be > 0")
-        if self.panel_width_factor <= 0.0 or self.tail_start_factor <= 0.0:
-            raise ValueError("panel_width_factor and tail_start_factor must be > 0")
+        for name in ("rel_tol", "tail_start_factor"):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val > 0.0):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {val}")
         if self.max_panels < 1:
             raise ValueError("max_panels must be >= 1")
 
@@ -135,12 +135,10 @@ class SweepResult:
 def _panels(f, a, b):
     """Panels [a_i, b_i], one row each, from one batched call to f.
 
-    Returns (a, b, nodes, values, weights, value, error): the two-half
-    Gauss rule's nodes, values and weights per row, the panel value, and
-    its discrepancy against the whole-panel rule.
+    Returns (nodes, values, weights, value, error): the two-half Gauss
+    rule's nodes, values and weights per row, the panel value, and its
+    discrepancy against the whole-panel rule.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     lo, hi = a[:, None], b[:, None]
     mid = 0.5 * (lo + hi)
     nodes = np.hstack([0.5 * (mid - lo) * _NODES + 0.5 * (lo + mid),
@@ -154,7 +152,7 @@ def _panels(f, a, b):
     values = out[:nodes.size].reshape(nodes.shape)
     fine = _row_dot(weights, values)
     whole = _row_dot(coarse_w, out[nodes.size:].reshape(coarse.shape))
-    return a, b, nodes, values, weights, fine, np.abs(fine - whole)
+    return nodes, values, weights, fine, np.abs(fine - whole)
 
 
 def _row_dot(x, y):
@@ -166,76 +164,36 @@ def _integrate_adaptive(f, lo, hi, width, cfg: QuadratureConfig,
                         tail=None) -> QfiSpectrum:
     """Shared core: panel-refined integral of f over [lo, hi].
 
-    The base panels are evaluated in one batch.  While the summed
-    discrepancy misses the tolerance, the worst panel (earliest on ties) is
-    split in two.  tail is (value, error bound) of the integral of f over
-    [hi, inf), added to the integral and to the error estimate; without
-    one, tail_start is inf.
+    n = ceil((hi - lo)/width) equal panels are evaluated in one batch.
+    While their summed discrepancy misses max(ABS_TOL, rel_tol*|value|), n
+    doubles and every panel is evaluated again.  Past max_panels it raises
+    QuadratureNonConvergence with the last spectrum as its partial, None
+    if even the base panels are too many.  tail is (value, error bound) of
+    the integral of f over [hi, inf), added to the integral and to the
+    error estimate; without one, tail_start is inf.
     """
-    n_base = max(1, int(math.ceil((hi - lo) / width)))
-    if n_base > cfg.max_panels:
-        raise QuadratureNonConvergence(
-            f"{n_base} base panels exceed max_panels={cfg.max_panels}; "
-            "increase panel_width_factor or max_panels"
-        )
-    edges = np.linspace(lo, hi, n_base + 1)
-    cols = _panels(f, edges[:-1], edges[1:])
-    *_, pv, pe = cols
-    # running sums in panel order, the way refinement updates them
-    value = float(np.cumsum(pv)[-1])
-    err = float(np.cumsum(pe)[-1])
-
     tail_value, tail_err = tail or (0.0, 0.0)
-
-    def spectrum(cols, rows, integral, error):
-        om, vals, w = (np.asarray(col)[rows].ravel() for col in cols[2:5])
-        k = float(integral + tail_value)
-        return QfiSpectrum(omegas=om, values=vals, weights=w, integral=k,
-                           error_estimate=float(error + tail_err
+    n = max(1, int(math.ceil((hi - lo) / width)))
+    spec = None
+    while n <= cfg.max_panels:
+        edges = np.linspace(lo, hi, n + 1)
+        nodes, values, weights, pv, pe = _panels(f, edges[:-1], edges[1:])
+        # exact sums, so that results are bit-stable
+        value, err = math.fsum(pv), math.fsum(pe)
+        k = float(value + tail_value)
+        spec = QfiSpectrum(omegas=nodes.ravel(), values=values.ravel(),
+                           weights=weights.ravel(), integral=k,
+                           error_estimate=float(err + tail_err
                                                 + 1e-14 * abs(k)),
                            tail_coefficient=tail_value * hi,
                            tail_start=hi if tail else math.inf)
-
-    rows = slice(None)
-    if err > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-        # per-panel lists that each split extends; heap keys are
-        # (-error, panel index), so ties go to the older panel
-        cols = [list(c) for c in cols]
-        pa, pb, *_, pv, pe = cols
-        heap = [(-e, i) for i, e in enumerate(pe)]
-        heapq.heapify(heap)
-        while err > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-            if len(heap) + 1 > cfg.max_panels:
-                raise QuadratureNonConvergence(
-                    f"panel budget {cfg.max_panels} exhausted with "
-                    f"panel error {err:.3e}",
-                    partial=spectrum(cols, _by_start(heap, pa), value,
-                                     err),
-                )
-            neg_err, worst = heapq.heappop(heap)
-            if neg_err == 0.0:
-                heapq.heappush(heap, (neg_err, worst))
-                break  # every panel at floor; nothing left to refine
-            value -= pv[worst]
-            err -= pe[worst]
-            mid = 0.5 * (pa[worst] + pb[worst])
-            for col, new in zip(cols, _panels(f, [pa[worst], mid],
-                                              [mid, pb[worst]])):
-                col.extend(new)
-            for i in (len(pv) - 2, len(pv) - 1):
-                heapq.heappush(heap, (-pe[i], i))
-                value += pv[i]
-                err += pe[i]
-        rows = _by_start(heap, pa)
-    # the running sums steered refinement; the reported numbers use an
-    # exact summation so results are bit-stable
-    return spectrum(cols, rows, math.fsum(np.asarray(pv)[rows]),
-                    math.fsum(np.asarray(pe)[rows]))
-
-
-def _by_start(heap, starts):
-    """Indices of the panels on the heap, in increasing omega."""
-    return sorted((i for _, i in heap), key=starts.__getitem__)
+        # a NaN discrepancy stops here too: more panels cannot cure it
+        if not err > max(ABS_TOL, cfg.rel_tol * abs(value)):
+            return spec
+        n *= 2
+    raise QuadratureNonConvergence(
+        f"{n} panels exceed max_panels={cfg.max_panels}; raise max_panels "
+        "or rel_tol", partial=spec)
 
 
 # -- the analytic tail --------------------------------------------------------
@@ -385,7 +343,7 @@ def integrate_iqfi(protocol, signal: SignalParams, B: Optional[float] = None,
     cfg = cfg or QuadratureConfig()
     if B is None:
         B = signal.B
-    width = cfg.panel_width_factor * math.pi / float(protocol.total_time)
+    width = math.pi / float(protocol.total_time)
     omega_max = cfg.tail_start_factor * feature_scale(protocol, signal, B)
     return _integrate_adaptive(
         lambda om: qfi_vs_omega(protocol, signal, B, om, ode_tol=ode_tol),
@@ -402,7 +360,7 @@ def integrate_qfi_band(protocol, signal: SignalParams, lo: float, hi: float,
     cfg = cfg or QuadratureConfig()
     if B is None:
         B = signal.B
-    width = cfg.panel_width_factor * math.pi / float(protocol.total_time)
+    width = math.pi / float(protocol.total_time)
     return _integrate_adaptive(
         lambda om: qfi_vs_omega(protocol, signal, B, om, ode_tol=ode_tol),
         lo, hi, width, cfg)
@@ -431,7 +389,7 @@ def cross_spectral_integral(t1: float, t0: float, mode: str = "analytic",
     return _integrate_adaptive(
         lambda om: t1 * t0 * np.sinc(om * t1 / math.pi) * np.sinc(
             om * t0 / math.pi),
-        0.0, omega_max, cfg.panel_width_factor * math.pi / max(t1, t0), cfg,
+        0.0, omega_max, math.pi / max(t1, t0), cfg,
         (tail, 0.0)).integral
 
 

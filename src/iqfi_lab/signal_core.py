@@ -3,8 +3,10 @@
 A monochromatic field B*cos(omega*t + phi) couples to the sensor's Z axis
 with gyromagnetic factor zeta.  Free evolution between times t0 and t1
 advances the relative phase of the two Z eigenstates by 2*zeta*B*Theta,
-where Theta is the time integral of cos(omega*t + phi).  Everything here
-uses angular frequencies (rad/s), times in seconds, and hbar = 1.
+where Theta is the time integral of cos(omega*t + phi).  theta computes it
+elementwise over arrays of interval ends and frequencies; it is the one
+kernel that every protocol's evolution uses.  Everything here uses angular
+frequencies (rad/s), times in seconds, and hbar = 1.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ import numpy as np
 
 __all__ = [
     "SignalParams",
-    "TimeInterval",
     "theta",
-    "theta_vector",
 ]
 
 
@@ -58,25 +58,7 @@ class SignalParams:
             raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
 
 
-@dataclass(frozen=True)
-class TimeInterval:
-    """Half-open lab-time interval [t0, t1] with t1 >= t0 >= 0."""
-
-    t0: float
-    t1: float
-
-    def __post_init__(self):
-        if self.t0 < 0.0 or self.t1 < self.t0:
-            raise ValueError(
-                f"require 0 <= t0 <= t1, got t0={self.t0}, t1={self.t1}"
-            )
-
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
-
-
-def _theta_raw(t0, t1, omega, phi):
+def theta(t0, t1, omega, phi=0.0):
     """Vectorized kernel: integral of cos(omega*t + phi) over [t0, t1].
 
     Evaluated in product form
@@ -89,43 +71,3 @@ def _theta_raw(t0, t1, omega, phi):
     mid = 0.5 * (t0 + t1)
     # np.sinc(x) = sin(pi x)/(pi x) with the x=0 limit handled exactly
     return d * np.cos(omega * mid + phi) * np.sinc(omega * d / (2.0 * np.pi))
-
-
-def theta(interval: TimeInterval, signal: SignalParams) -> float:
-    """Accumulated-phase kernel for one free-evolution interval.
-
-    Returns the integral of cos(omega*t + phi) over the interval, i.e.
-    (sin(omega*t1 + phi) - sin(omega*t0 + phi)) / omega, with the omega -> 0
-    limit (t1 - t0)*cos(phi) taken smoothly.
-
-    Satisfies |theta| <= min(t1 - t0, 2/omega) and additivity
-    theta(t0, t2) = theta(t0, t1) + theta(t1, t2).
-
-    Examples
-    --------
-    >>> theta(TimeInterval(0.0, 1.0), SignalParams(B=0.0, omega=np.pi / 2))
-    0.6366197723675814
-    """
-    return float(_theta_raw(interval.t0, interval.t1, signal.omega, signal.phi))
-
-
-def theta_vector(times, signal: SignalParams) -> np.ndarray:
-    """Per-segment kernels for consecutive boundary times.
-
-    Parameters
-    ----------
-    times : sequence of float
-        Non-decreasing segment boundaries; equal adjacent entries give a
-        zero-duration segment with kernel 0.
-    signal : SignalParams
-
-    Returns
-    -------
-    ndarray of shape (len(times) - 1,)
-    """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("times must be a 1-d sequence with at least 2 entries")
-    if np.any(np.diff(t) < 0.0):
-        raise ValueError("times must be non-decreasing")
-    return _theta_raw(t[:-1], t[1:], signal.omega, signal.phi)

@@ -19,7 +19,7 @@ from iqfi_lab.bounds import (
     rwa_qfi,
     rwa_state,
 )
-from iqfi_lab.signal_core import SignalParams, TimeInterval, theta
+from iqfi_lab.signal_core import theta
 
 
 def test_ramsey_closed_form_values():
@@ -59,10 +59,9 @@ def test_pi_train_qfi_signed_kernel():
     times = [0.0, 0.9, 2.2, 4.0]
     alpha, zeta = 1.1, 1.3
     for om in (0.0, 0.8, 3.7):
-        sig = SignalParams(B=0.0, omega=om, zeta=zeta)
         acc, sign = 0.0, 1.0
         for a, b in zip(times[:-1], times[1:]):
-            acc += sign * theta(TimeInterval(a, b), sig)
+            acc += sign * theta(a, b, om)
             sign = -sign
         want = 4.0 * zeta ** 2 * math.sin(alpha) ** 2 * acc * acc
         got = pi_train_qfi(np.array([om]), times, alpha=alpha, zeta=zeta)[0]

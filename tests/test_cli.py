@@ -167,6 +167,9 @@ def test_bad_phase_exits_2(capsys):
     ("spectrum", "--omega-min", "nan", "--omega-max", "1"),
     ("fig2", "--T", "2", "--omega-max", "nan"),
     ("fig2", "--T", "2", "--omega-min", "nan"),
+    ("iqfi", "--rel-tol", "nan"), ("iqfi", "--tail-factor", "nan"),
+    ("iqfi", "--tail-factor", "inf"), ("haar", "--rel-tol", "nan"),
+    ("fig2", "--g", "nan"),
 ])
 def test_non_finite_input_exits_2(tmp_path, monkeypatch, capsys, flags):
     monkeypatch.chdir(tmp_path)  # fig2 writes to the working directory
@@ -209,7 +212,8 @@ def test_drive_floor_reported_only_where_it_bounds(capsys):
 
 
 @pytest.mark.parametrize("flags", [("--B", "1,nan"), ("--T-list", "2,inf"),
-                                   ("--g", "nan")])
+                                   ("--g", "nan"),
+                                   ("--slope-window", "nan,inf")])
 def test_fig1_non_finite_input_exits_2(tmp_path, capsys, flags):
     code, out, err = run(capsys, "fig1", "--out", str(tmp_path / "f.csv"),
                          *flags)
@@ -283,6 +287,14 @@ def test_fig2_writes_four_spectra(tmp_path, capsys):
         lines = path.read_text().strip().splitlines()
         assert lines[0] == TAG
         assert any(ln == "omega,J" for ln in lines[1:3])
+
+
+def test_fig2_bad_duration_exits_2(tmp_path, monkeypatch, capsys):
+    # 0.5 does not divide 3.3, so the pi/2 train cannot be built
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "fig2", "--T", "3.3")
+    assert code == 2 and out == "" and "spacing" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_fig2_takes_a_single_field(tmp_path, capsys):

@@ -14,14 +14,11 @@ import numpy as np
 import pytest
 
 from iqfi_lab.bounds import pi_train_qfi
+import iqfi_lab.evolution
 from iqfi_lab.evolution import (
     IntegrationError,
-    SensorState,
+    _states,
     discrete_propagators,
-    evolve_continuous,
-    evolve_discrete,
-    evolve_ghz,
-    qfi,
     qfi_fd_oracle,
     qfi_vs_omega,
 )
@@ -40,23 +37,37 @@ from iqfi_lab.protocol import (
     make_trotterized_gx,
     random_pulse_sequence,
 )
-from iqfi_lab.signal_core import SignalParams, TimeInterval, theta, theta_vector
+from iqfi_lab.signal_core import SignalParams, theta
 
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
 
+def _state(seq, sig):
+    """(psi, dpsi) of a pulse sequence at the signal's own frequency."""
+    psi, dpsi = discrete_propagators(seq, sig, psi0=seq.initial_vector())
+    return psi[0], dpsi[0]
+
+
+def _check_normalized_path(psi, dpsi, tol=1e-10):
+    """|psi| = 1 and Re<dpsi|psi> = 0, as on any normalized path."""
+    assert abs(np.linalg.norm(psi) - 1.0) <= tol
+    assert abs(np.vdot(dpsi, psi).real) <= tol
+
+
 def test_ramsey_zero_field_leaves_plus():
-    st = evolve_discrete(make_ramsey(3.0), SignalParams(B=0.0, omega=1.7))
-    np.testing.assert_allclose(st.psi, PLUS, atol=1e-15)
-    st.validate()
+    psi, dpsi = _state(make_ramsey(3.0), SignalParams(B=0.0, omega=1.7))
+    np.testing.assert_allclose(psi, PLUS, atol=1e-15)
+    _check_normalized_path(psi, dpsi)
 
 
 def test_ramsey_dc_phase_and_qfi():
     T, B = 2.0, 0.7
-    st = evolve_discrete(make_ramsey(T), SignalParams(B=B, omega=0.0))
+    sig = SignalParams(B=B, omega=0.0)
+    psi, _ = _state(make_ramsey(T), sig)
     expect = np.array([np.exp(-1j * B * T), np.exp(1j * B * T)]) / math.sqrt(2.0)
-    np.testing.assert_allclose(st.psi, expect, atol=1e-14)
-    assert qfi(st) == pytest.approx(4.0 * T * T, rel=1e-13)
+    np.testing.assert_allclose(psi, expect, atol=1e-14)
+    assert qfi_vs_omega(make_ramsey(T), sig)[0] == pytest.approx(
+        4.0 * T * T, rel=1e-13)
 
 
 def test_echo_cancels_dc():
@@ -69,7 +80,7 @@ def test_ramsey_qfi_is_kernel_squared():
     sig = SignalParams(B=0.3, omega=1.3, phi=0.9, zeta=1.4)
     T = 2.5
     j = qfi_vs_omega(make_ramsey(T), sig)[0]
-    th = theta(TimeInterval(0.0, T), sig)
+    th = theta(0.0, T, sig.omega, sig.phi)
     assert j == pytest.approx(4.0 * sig.zeta ** 2 * th ** 2, rel=1e-13)
 
 
@@ -81,14 +92,14 @@ def test_state_invariants_random_protocols():
         sig = SignalParams(B=float(rng.uniform(-2.0, 2.0)),
                            omega=float(rng.uniform(0.0, 10.0)),
                            phi=float(rng.uniform(0.0, 2.0 * math.pi)))
-        st = evolve_discrete(seq, sig)
-        st.validate()
+        psi, dpsi = _state(seq, sig)
+        _check_normalized_path(psi, dpsi)
         # <dpsi|psi> purely imaginary, so J <= 4 <dpsi|dpsi>
-        ov = np.vdot(st.dpsi, st.psi)
+        ov = np.vdot(dpsi, psi)
         assert abs(ov.real) < 1e-10
-        j = qfi(st)
+        j = qfi_vs_omega(seq, sig)[0]
         assert j >= 0.0
-        assert j <= 4.0 * np.vdot(st.dpsi, st.dpsi).real + 1e-12
+        assert j <= 4.0 * np.vdot(dpsi, dpsi).real + 1e-12
 
 
 def test_pi_train_closed_form_spectrum():
@@ -118,7 +129,7 @@ def _reference_propagators(seq, signal, B, om):
     for i, w in enumerate(om):
         sig = SignalParams(B=B, omega=float(w), phi=signal.phi,
                            zeta=signal.zeta)
-        th = theta_vector(edges, sig)
+        th = theta(edges[:-1], edges[1:], sig.omega, sig.phi)
         p = np.eye(2, dtype=complex)
         d = np.zeros((2, 2), dtype=complex)
         for k, th_k in enumerate(th):
@@ -175,16 +186,16 @@ def test_kernel_matches_explicit_matrix_product(kind, B, phi):
                    + (ov * ov).real)
     j = qfi_vs_omega(seq, sig, omegas=om)
     np.testing.assert_allclose(j, j_ref, rtol=0.0, atol=1e-13 * j_ref.max())
-    st = evolve_discrete(seq, SignalParams(B=B, omega=float(om[3]), phi=phi,
-                                           zeta=1.3))
-    assert qfi(st) == pytest.approx(j[3], rel=1e-13, abs=1e-13 * j_ref.max())
+    j_one = qfi_vs_omega(seq, SignalParams(B=B, omega=float(om[3]), phi=phi,
+                                           zeta=1.3))[0]
+    assert j_one == pytest.approx(j[3], rel=1e-13, abs=1e-13 * j_ref.max())
 
 
 def test_fd_oracle_ramsey_analytic():
     sig = SignalParams(B=0.4, omega=2.2, phi=0.3)
     T = 3.0
     j = qfi_fd_oracle(make_ramsey(T), sig)
-    th = theta(TimeInterval(0.0, T), sig)
+    th = theta(0.0, T, sig.omega, sig.phi)
     assert j == pytest.approx(4.0 * th * th, rel=1e-8)
 
 
@@ -213,9 +224,9 @@ def test_continuous_zero_field_is_x_rotation():
     # it integrates to a single complex amplitude along |->, so
     # J = 4 |int_0^T zeta cos(w t + phi) exp(-2igt) dt|^2.
     g, T, om = 0.8, 2.0, 1.0
-    st = evolve_continuous(TransverseDrive(g=g, total_time=T),
-                           SignalParams(B=0.0, omega=om), tol=1e-12)
-    np.testing.assert_allclose(st.psi, np.exp(-1j * g * T) * PLUS, atol=1e-9)
+    drive, sig = TransverseDrive(g=g, total_time=T), SignalParams(B=0.0, omega=om)
+    psi, _ = _states(drive, sig, 0.0, [om], 1e-12)
+    np.testing.assert_allclose(psi[0], np.exp(-1j * g * T) * PLUS, atol=1e-9)
 
     def osc(freq):
         if abs(freq) < 1e-12:
@@ -223,7 +234,8 @@ def test_continuous_zero_field_is_x_rotation():
         return (np.exp(1j * freq * T) - 1.0) / (1j * freq)
 
     amp = 0.5 * (osc(om - 2.0 * g) + osc(-om - 2.0 * g))
-    assert qfi(st) == pytest.approx(4.0 * abs(amp) ** 2, rel=1e-7)
+    assert qfi_vs_omega(drive, sig, ode_tol=1e-12)[0] == pytest.approx(
+        4.0 * abs(amp) ** 2, rel=1e-7)
 
 
 def _drive_zero_field_j(omegas, g, T, phi, zeta=1.0):
@@ -359,10 +371,11 @@ def test_refinement_meets_ode_tol_at_high_frequency(om):
     # added for these frequencies bring the state within it
     g, T = 0.5 * math.pi, 2.0
     sig = SignalParams(B=1.0, omega=om)
-    st = evolve_continuous(TransverseDrive(g=g, total_time=T), sig, tol=1e-10)
+    got, dgot = _states(TransverseDrive(g=g, total_time=T), sig, 1.0, [om],
+                        1e-10)
     psi, dpsi = _dop853_state([(0.0, T, g * SIGMA_X)], sig, om)
-    assert np.max(np.abs(st.psi - psi)) <= 1e-10
-    assert np.max(np.abs(st.dpsi - dpsi)) <= 1e-10
+    assert np.max(np.abs(got[0] - psi)) <= 1e-10
+    assert np.max(np.abs(dgot[0] - dpsi)) <= 1e-10
 
 
 @pytest.mark.parametrize("control", [
@@ -386,7 +399,7 @@ def test_ode_tol_must_be_positive_and_finite(tol):
     with pytest.raises(ValueError, match="ode_tol"):
         qfi_vs_omega(drive, sig, ode_tol=tol)
     with pytest.raises(ValueError, match="ode_tol"):
-        evolve_continuous(drive, sig, tol=tol)
+        qfi_fd_oracle(drive, sig, ode_tol=tol)
 
 
 @pytest.mark.parametrize("omegas", [[1.0, math.nan, -1.0], [math.inf],
@@ -399,6 +412,18 @@ def test_qfi_vs_omega_rejects_bad_frequencies(protocol, omegas):
     # frequency until its step budget runs out and blame ode_tol
     with pytest.raises(ValueError, match="omegas must be finite and >= 0"):
         qfi_vs_omega(protocol, SignalParams(B=1.0, omega=0.0), omegas=omegas)
+
+
+def test_drive_norm_drift_raises(monkeypatch):
+    # states off the unit sphere by more than 10*ode_tol mean the error
+    # control failed; J must not be formed from them
+    batch = iqfi_lab.evolution._continuous_batch
+    monkeypatch.setattr(iqfi_lab.evolution, "_continuous_batch",
+                        lambda *a, **kw: batch(*a, **kw) * (1.0 + 1e-6))
+    with pytest.raises(IntegrationError, match="norm drift"):
+        qfi_vs_omega(TransverseDrive(g=1.0, total_time=2.0),
+                     SignalParams(B=0.5, omega=0.0), omegas=[0.5, 3.0],
+                     ode_tol=1e-9)
 
 
 def test_unreachable_ode_tol_fails_fast():
@@ -419,7 +444,7 @@ def test_piecewise_control_is_validated():
 
 def test_ghz_n1_reduces_to_ramsey():
     sig = SignalParams(B=0.6, omega=1.4, phi=0.2)
-    _, j_ghz = evolve_ghz(1, (0.0, 3.0), sig)
+    j_ghz = qfi_vs_omega(GhzProtocol(n=1, times=(0.0, 3.0)), sig)[0]
     j_ramsey = float(qfi_vs_omega(make_ramsey(3.0), sig)[0])
     assert j_ghz == pytest.approx(j_ramsey, rel=1e-13)
 
@@ -427,8 +452,8 @@ def test_ghz_n1_reduces_to_ramsey():
 def test_ghz_n3_single_segment():
     sig = SignalParams(B=0.0, omega=0.9, phi=0.0)
     T = 2.0
-    _, j = evolve_ghz(3, (0.0, T), sig)
-    th = theta(TimeInterval(0.0, T), sig)
+    j = qfi_vs_omega(GhzProtocol(n=3, times=(0.0, T)), sig)[0]
+    th = theta(0.0, T, sig.omega, sig.phi)
     assert j == pytest.approx(36.0 * th * th, rel=1e-13)
 
 
@@ -451,7 +476,7 @@ def _tensor_ghz_qfi(n, times, flips, sig, B):
 
     ops = []
     for i in range(len(times) - 1):
-        th = theta(TimeInterval(times[i], times[i + 1]), sig)
+        th = theta(times[i], times[i + 1], sig.omega, sig.phi)
         ops.append(("seg", th))
         if flips is not None and i < len(flips) and flips[i]:
             ops.append(("flip", None))
@@ -485,7 +510,8 @@ def test_ghz_matches_tensor_oracle(n):
         for om in (0.0, 0.7, 3.1):
             sig = SignalParams(B=B, omega=om,
                                phi=float(rng.uniform(0.0, 2.0 * math.pi)))
-            _, j = evolve_ghz(n, times, sig, flips=flips)
+            j = qfi_vs_omega(GhzProtocol(n=n, times=tuple(times), flips=flips),
+                             sig)[0]
             ref = _tensor_ghz_qfi(n, times, flips, sig, B)
             assert j == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
@@ -496,19 +522,6 @@ def test_ghz_protocol_spectrum_path():
     om = np.array([0.0, 0.5, 2.0])
     j_grid = qfi_vs_omega(proto, sig, omegas=om)
     for k, w in enumerate(om):
-        _, j = evolve_ghz(2, proto.times, SignalParams(B=0.2, omega=float(w)),
-                          flips=proto.flips)
+        j = qfi_vs_omega(proto, SignalParams(B=0.2, omega=float(w)))[0]
         assert j_grid[k] == pytest.approx(j, rel=1e-13, abs=1e-300)
 
-
-def test_sensor_state_validate_rejects_bad_inputs():
-    bad_norm = SensorState(psi=np.array([1.0, 1.0], dtype=complex),
-                           dpsi=np.zeros(2, dtype=complex),
-                           B=0.0, omega=0.0, total_time=1.0)
-    with pytest.raises(ValueError):
-        bad_norm.validate()
-    bad_overlap = SensorState(psi=np.array([1.0, 0.0], dtype=complex),
-                              dpsi=np.array([0.5, 0.0], dtype=complex),
-                              B=0.0, omega=0.0, total_time=1.0)
-    with pytest.raises(ValueError):
-        bad_overlap.validate()

@@ -8,6 +8,7 @@ import pytest
 from iqfi_lab.bounds import pi_train_closed_form, ramsey_closed_form
 from iqfi_lab.cli import BATTERY_CFG_KW, PAULI_STATES
 from iqfi_lab.iqfi import (
+    ABS_TOL,
     QuadratureConfig,
     QuadratureNonConvergence,
     cross_spectral_integral,
@@ -56,7 +57,7 @@ def test_spectrum_fields_are_consistent():
     assert len(spec.omegas) == len(spec.values)
     assert np.all(np.diff(spec.omegas) > 0.0)
     assert spec.tail_start > spec.omegas[0]
-    assert np.all(spec.values >= -QuadratureConfig().abs_tol)
+    assert np.all(spec.values >= -ABS_TOL)
 
 
 def test_sampled_spectrum_nonnegative_random_protocols():
@@ -412,41 +413,35 @@ def test_engine_contract(case):
     _check_engine_contract(spec)
 
 
+def _su2_train():
+    """A seeded 14-pulse SU(2) train of duration 4."""
+    return random_pulse_sequence(np.random.default_rng(0), 4.0,
+                                 max_pulses=16, kind="su2")
+
+
 def test_budget_exhausted_partial_carries_weights():
-    cfg = QuadratureConfig(rel_tol=1e-13, panel_width_factor=8.0,
-                           max_panels=14)
+    # the 191 base panels miss rel_tol = 1e-10 and 382 would exceed the
+    # budget, so the partial is the base-panel spectrum
+    sig = SignalParams(B=2.3, omega=0.0)
+    cfg = QuadratureConfig(rel_tol=1e-10, max_panels=300)
     with pytest.raises(QuadratureNonConvergence) as exc:
-        integrate_iqfi(make_pi2_train(0.5, 4.0),
-                       SignalParams(B=0.3, omega=0.0), cfg=cfg)
+        integrate_iqfi(_su2_train(), sig, cfg=cfg)
     partial = exc.value.partial
-    assert partial.omegas.size == 14 * 32
+    assert partial.omegas.size == 191 * 32
     _check_engine_contract(partial)
+    assert partial.integral == integrate_iqfi(_su2_train(), sig).integral
 
 
-def test_refinement_order_is_pinned():
-    """Node counts and K of integrals where refinement fires.
-
-    Recorded from the heap-of-panel-objects engine this one replaced: the
-    worst panel is split first, ties go to the older panel, and a budget
-    stop reports the running sums.  The counts pin which panels were split.
-    The partial's body, values @ weights, was recorded with the fitted tail
-    that the closed-form tail replaced, as integral - tail_coefficient /
-    tail_start; the body does not depend on the tail.
-    """
-    train = make_pi2_train(0.5, 4.0)
-    sig = SignalParams(B=0.7, omega=0.0)
-    band = integrate_qfi_band(train, sig, 0.0, 40.0, cfg=QuadratureConfig(
-        rel_tol=1e-12, panel_width_factor=8.0))
-    assert band.omegas.size == 1024  # 7 base panels, 25 splits
-    assert band.integral == pytest.approx(20.932026266500852, rel=1e-13)
-
-    cfg = QuadratureConfig(rel_tol=1e-13, panel_width_factor=8.0,
-                           max_panels=14)
-    with pytest.raises(QuadratureNonConvergence) as exc:
-        integrate_iqfi(train, SignalParams(B=0.3, omega=0.0), cfg=cfg)
-    partial = exc.value.partial
-    assert partial.values @ partial.weights == pytest.approx(
-        22.875257750260833, rel=1e-13)
+def test_panel_count_doubles_until_the_tolerance_fits():
+    sig = SignalParams(B=10.0, omega=0.0)
+    n_base = math.ceil(20.0 / (math.pi / 4.0))  # panels of width pi/T
+    spec = integrate_qfi_band(_su2_train(), sig, 0.0, 20.0,
+                              cfg=QuadratureConfig(rel_tol=1e-9))
+    ref = integrate_qfi_band(_su2_train(), sig, 0.0, 20.0,
+                             cfg=QuadratureConfig(rel_tol=1e-12))
+    assert spec.omegas.size == 32 * n_base * 2 ** 2
+    assert ref.omegas.size == 32 * n_base * 2 ** 3
+    assert abs(spec.integral - ref.integral) <= spec.error_estimate
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
