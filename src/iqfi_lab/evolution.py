@@ -10,8 +10,12 @@ forward pass, vectorized over a frequency grid:
 with each pulse unitary applied to both.  The two components of psi and of
 dpsi are held as separate contiguous arrays: a free segment is an
 elementwise phase, and a pulse is 2x2 arithmetic with four scalars written
-out by hand.  Propagating the two basis columns instead of one state gives
-the full propagator P and W = dP/dB.  No time stepping is involved.  The
+out by hand.  The segment kernels Theta_k of pulse segments and drive
+steps alike come from one generator, signal_core._segment_thetas: a
+segment as long as the one before it costs no transcendental, as the
+phase exp(i*(omega*t + phi)) is carried across it by multiplication.
+Propagating the two basis columns instead of one state gives the full
+propagator P and W = dP/dB.  No time stepping is involved.  The
 pure-state Fisher information is
 
     J = 4 * (<dpsi|dpsi> + Re <dpsi|psi>^2)
@@ -43,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .protocol import ContinuousControl, GhzProtocol, PulseSequence, validate
-from .signal_core import SignalParams, theta
+from .signal_core import SignalParams, _segment_thetas, theta
 
 __all__ = [
     "IntegrationError",
@@ -98,12 +102,8 @@ def discrete_propagators(seq: PulseSequence, signal: SignalParams,
 
 def _pulse_steps(seq: PulseSequence, om, phi):
     """(Theta, u) per pulse of seq and a last (Theta, None) to total_time."""
-    t_prev = 0.0
-    for t_next, u in [(p.time, p.unitary) for p in seq.pulses] + [
-            (seq.total_time, None)]:
-        yield (theta(t_prev, t_next, om, phi) if t_next > t_prev
-               else None), u
-        t_prev = t_next
+    return zip(_segment_thetas(seq.boundaries(), om, phi),
+               [p.unitary for p in seq.pulses] + [None])
 
 
 def _propagate(cols, steps, signal: SignalParams, B: float, n_omega: int):
@@ -120,6 +120,8 @@ def _propagate(cols, steps, signal: SignalParams, B: float, n_omega: int):
     db = np.zeros(shape, dtype=complex)
     s1 = np.empty(shape, dtype=complex)
     s2 = np.empty(shape, dtype=complex)
+    x = np.empty(n_omega)
+    e = np.empty(n_omega, dtype=complex)
     zb = signal.zeta * B
     dz = -1j * signal.zeta
     for th, u in steps:
@@ -127,8 +129,7 @@ def _propagate(cols, steps, signal: SignalParams, B: float, n_omega: int):
             # free segment: psi <- F psi and dpsi <- F dpsi - i zeta Theta Z F psi
             # with F = exp(-i zeta B Theta Z); e = exp(-i zeta B Theta) comes
             # from a real cosine and sine, half the cost of np.exp
-            x = th * -zb
-            e = np.empty(n_omega, dtype=complex)
+            np.multiply(th, -zb, out=x)
             np.cos(x, out=e.real)
             np.sin(x, out=e.imag)
             a *= e
@@ -198,20 +199,22 @@ def _su2_exp(h, tau):
 
 def _split_steps(pieces, counts, om, phi):
     """(Theta, u) of the splitting with counts[k] steps on piece k."""
+    used = [(start, end, h, n, (end - start) / n)
+            for (start, end, h), n in zip(pieces, counts) if n]
+    # each step is given the nominal width dt rather than the difference of
+    # its rounded ends, so a piece's steps share one length, and one h and s
+    # of the phase recurrence
+    thetas = _segment_thetas(
+        np.concatenate([start + np.arange(n) * dt
+                        for start, _, _, n, dt in used] + [[used[-1][1]]]),
+        om, phi, np.repeat([dt for *_, dt in used], [n for *_, n, _ in used]))
     carry = None  # the previous piece's closing half step
-    for (start, end, h), n in zip(pieces, counts):
-        if n == 0:
-            continue
-        dt = (end - start) / n
+    for _, _, h, n, dt in used:
         half = _su2_exp(h, 0.5 * dt)
         full = _su2_exp(h, dt)
         yield None, half if carry is None else half @ carry
-        # Theta of a step of width dt: only the cosine at its midpoint
-        # changes from step to step
-        scale = dt * np.sinc(om * (dt / (2.0 * math.pi)))
         for k in range(n):
-            yield (scale * np.cos(om * (start + (k + 0.5) * dt) + phi),
-                   full if k < n - 1 else None)
+            yield next(thetas), full if k < n - 1 else None
         carry = half
     yield None, carry
 

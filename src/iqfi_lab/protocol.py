@@ -252,8 +252,10 @@ def make_pi2_train(spacing: float, total_time: float, axis="x",
     if abs(count - round(count)) > 1e-9:
         raise ValueError("spacing must divide total_time")
     count = int(round(count))
+    # count*spacing can land an ulp past total_time, which validate rejects
     pulses = tuple(
-        Pulse(time=k * spacing, axis=axis, angle=math.pi / 2.0)
+        Pulse(time=min(k * spacing, total_time), axis=axis,
+              angle=math.pi / 2.0)
         for k in range(1, count + 1)
     )
     return PulseSequence(pulses=pulses, total_time=total_time,
@@ -274,7 +276,9 @@ def make_trotterized_gx(total_time: float, m: int, g: float,
         raise ValueError("m must be a positive integer")
     dt = total_time / m
     angle = 2.0 * g * dt
-    pulses = tuple(Pulse(time=k * dt, axis="x", angle=angle) for k in range(1, m + 1))
+    # m*dt can land an ulp past total_time, which validate rejects
+    pulses = tuple(Pulse(time=min(k * dt, total_time), axis="x", angle=angle)
+                   for k in range(1, m + 1))
     return PulseSequence(pulses=pulses, total_time=total_time,
                          initial_state=initial_state)
 

@@ -4,9 +4,13 @@ A monochromatic field B*cos(omega*t + phi) couples to the sensor's Z axis
 with gyromagnetic factor zeta.  Free evolution between times t0 and t1
 advances the relative phase of the two Z eigenstates by 2*zeta*B*Theta,
 where Theta is the time integral of cos(omega*t + phi).  theta computes it
-elementwise over arrays of interval ends and frequencies; it is the one
-kernel that every protocol's evolution uses.  Everything here uses angular
-frequencies (rad/s), times in seconds, and hbar = 1.
+elementwise over arrays of interval ends and frequencies.  The evolution of
+pulse sequences and continuous drives asks for Theta of consecutive
+segments over one frequency array; _segment_thetas yields those, carrying
+the phase exp(i*(omega*t + phi)) from segment to segment so that a segment
+as long as the one before it costs two complex multiplications and no
+transcendental.  Everything here uses angular frequencies (rad/s), times in
+seconds, and hbar = 1.
 """
 
 from __future__ import annotations
@@ -71,3 +75,79 @@ def theta(t0, t1, omega, phi=0.0):
     mid = 0.5 * (t0 + t1)
     # np.sinc(x) = sin(pi x)/(pi x) with the x=0 limit handled exactly
     return d * np.cos(omega * mid + phi) * np.sinc(omega * d / (2.0 * np.pi))
+
+
+# z is evaluated afresh at a segment's start after this many recurrence
+# steps, so its rounding grows over at most 2*_RESEED_STRIDE multiplications
+_RESEED_STRIDE = 16
+
+
+def _unit_phase(z, scratch, omega, t, phi):
+    """z <- exp(i*(omega*t + phi)) in place, with scratch as a real buffer."""
+    np.multiply(omega, t, out=scratch)
+    scratch += phi
+    np.cos(scratch, out=z.real)
+    np.sin(scratch, out=z.imag)
+
+
+def _half_step(h, s, scratch, omega, d):
+    """h <- exp(i*omega*d/2) and s <- d*sinc(omega*d/2) = d*Im(h)/(omega*d/2)
+    in place, with scratch as a real buffer; s = d where omega*d/2 is 0."""
+    np.multiply(omega, 0.5 * d, out=scratch)
+    np.cos(scratch, out=h.real)
+    np.sin(scratch, out=h.imag)
+    s.fill(1.0)
+    np.divide(h.imag, scratch, out=s, where=scratch != 0.0)
+    s *= d
+
+
+def _length_recurs(widths):
+    """Whether a nonzero length occurs more than once in the array widths."""
+    w = np.sort(widths)
+    return bool(((w[1:] == w[:-1]) & (w[1:] > 0.0)).any())
+
+
+def _segment_thetas(edges, omega, phi, widths=None):
+    """Theta over the frequency array omega of each segment
+    [edges[k], edges[k+1]] in turn, or None for a segment of zero width.
+
+    widths (default the differences of edges) are the segment lengths.  If
+    a length recurs, every segment goes through the phase recurrence:
+    z = exp(i*(omega*t + phi)) is carried from the segment's start to its
+    midpoint and end by two multiplications with h = exp(i*omega*d/2), and
+    Theta = s*Re(z) at the midpoint, with s = d*sinc(omega*d/2).  h and s
+    are held for one length at a time and recomputed in place when the
+    length changes, so a run of equal segments costs no transcendental.  z
+    is evaluated afresh at the segment's start every _RESEED_STRIDE
+    segments.  If no length recurs, every segment goes through theta.  The
+    array yielded is reused for the next segment.
+    """
+    edges = np.asarray(edges, dtype=float)
+    widths = (np.diff(edges) if widths is None
+              else np.asarray(widths, dtype=float))
+    om = np.asarray(omega, dtype=float)
+    if not _length_recurs(widths):
+        for k, d in enumerate(widths):
+            yield theta(edges[k], edges[k + 1], om, phi) if d else None
+        return
+    z = np.empty(om.shape, dtype=complex)
+    h = np.empty(om.shape, dtype=complex)
+    s = np.empty(om.shape)
+    buf = np.empty(om.shape)
+    held = None  # the length whose h and s are held
+    run = _RESEED_STRIDE  # segments since z was evaluated; z is unset here
+    for k, d in enumerate(widths):
+        if d == 0.0:
+            yield None
+            continue
+        if d != held:
+            _half_step(h, s, buf, om, d)
+            held = d
+        if run == _RESEED_STRIDE:
+            _unit_phase(z, buf, om, edges[k], phi)
+            run = 0
+        z *= h
+        np.multiply(z.real, s, out=buf)
+        z *= h
+        run += 1
+        yield buf

@@ -100,9 +100,33 @@ def test_constructors_pass_validate():
         make_trotterized_gx(3.0, m=6, g=1.1),
         random_pulse_sequence(rng, 3.0, max_pulses=10),
         TransverseDrive(g=1.0, total_time=2.0),
+        # m*(T/m) and count*spacing land an ulp past T here
+        make_trotterized_gx(0.1, m=11, g=1.0),
+        make_trotterized_gx(0.3, m=37, g=1.0),
+        make_pi2_train(0.1, 0.3),
     ]
     for p in protos:
         assert validate(p) is None
+
+
+def test_no_pulse_lies_past_total_time():
+    # a last pulse that m*(T/m) puts past T sits at T; every other time,
+    # and a last pulse at or before T, stays at k*T/m
+    for T, m in [(0.1, 11), (0.3, 37), (0.9, 3), (3.3, 7)]:
+        seq = make_trotterized_gx(T, m=m, g=1.0)
+        assert [p.time for p in seq.pulses] == [min(k * (T / m), T)
+                                                for k in range(1, m + 1)]
+    assert make_trotterized_gx(0.1, m=11, g=1.0).pulses[-1].time == 0.1
+    assert make_pi2_train(0.1, 0.3).pulses[-1].time == 0.3
+
+
+def test_cli_runs_a_train_whose_last_pulse_was_past_T(capsys):
+    from iqfi_lab.cli import main
+
+    code = main(["iqfi", "--protocol", "trotter-gx", "--T", "0.1",
+                 "--m", "11"])
+    capsys.readouterr()
+    assert code == 0
 
 
 def test_validate_diagnostics():

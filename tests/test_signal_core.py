@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from iqfi_lab import evolution, signal_core
+from iqfi_lab.protocol import TransverseDrive, make_trotterized_gx
 from iqfi_lab.signal_core import SignalParams, theta
 
 
@@ -116,3 +118,145 @@ def test_signal_params_validation():
         with pytest.raises(ValueError, match="finite"):
             SignalParams(B=1.0, omega=1.0, zeta=bad)
 
+
+def _recurrence(edges, omega, phi, widths=None):
+    """Theta per segment from _segment_thetas, copied out of its reused
+    buffer; a zero-width segment gives 0, as theta does."""
+    return np.array([np.zeros_like(omega) if th is None else th.copy()
+                     for th in signal_core._segment_thetas(edges, omega, phi,
+                                                           widths)])
+
+
+def _assert_matches_theta(edges, omega, phi, widths=None):
+    """Segment by segment against theta on [t0, t0 + d].
+
+    Both round the phase omega*t + phi, theta at each midpoint and the
+    recurrence at its reseeds, so they agree to about eps times that
+    phase; the recurrence adds at most 2*_RESEED_STRIDE rounded complex
+    multiplications.  The bound is 1e-15*d times the sum of the two.
+    """
+    t0 = np.asarray(edges[:-1], dtype=float)
+    d = np.diff(edges) if widths is None else np.asarray(widths, dtype=float)
+    want = theta(t0[:, None], (t0 + d)[:, None], omega[None, :], phi)
+    got = _recurrence(edges, omega, phi, widths)
+    scale = (1.0 + omega[None, :] * (t0 + d)[:, None] + abs(phi)
+             + 2 * signal_core._RESEED_STRIDE)
+    err = np.abs(got - want)
+    assert (err <= 1e-15 * d[:, None] * scale).all(), (
+        (err / (d[:, None] * scale)).max())
+    # at omega = 0 both are d*cos(phi), bit for bit (theta's d is
+    # (t0 + d) - t0, which is d itself only for widths from the edges)
+    if widths is None:
+        zero = omega == 0.0
+        np.testing.assert_array_equal(got[:, zero], want[:, zero])
+    return got
+
+
+OMEGAS = np.concatenate(([0.0], np.linspace(1e-3, 1e4, 1201),
+                         np.random.default_rng(6).uniform(0.0, 1e4, 200)))
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.75 * math.pi])
+def test_recurrence_matches_theta_on_equal_segments(phi):
+    # 256 segments of exactly 1/64: chains sixteen times the reseed stride
+    edges = np.arange(257) * (4.0 / 256)
+    _assert_matches_theta(edges, OMEGAS, phi)
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.75 * math.pi])
+def test_recurrence_matches_theta_on_the_trotter_grid(phi):
+    # lengths k*T/m - (k-1)*T/m that differ by an ulp, and a last pulse at T
+    seq = make_trotterized_gx(3.3, m=7, g=1.0)
+    edges = seq.boundaries()
+    assert len(set(np.diff(edges)[:-1])) > 1
+    _assert_matches_theta(edges, OMEGAS, phi)
+
+
+def test_recurrence_matches_theta_on_a_mixed_random_train():
+    # pulses at 0 and T, repeated times (zero-length segments), and lengths
+    # that occur once between runs of a recurring length longer than the
+    # reseed stride
+    rng = np.random.default_rng(8)
+    pieces = [[0.0, 0.0]]
+    t = 0.0
+    for run in (3, 40, 1, 17):
+        for _ in range(run):
+            t += 0.125
+            pieces.append([t])
+        t += float(rng.uniform(0.01, 0.5))
+        pieces.append([t, t])
+    edges = np.concatenate(pieces)
+    for phi in (0.0, 2.1):
+        _assert_matches_theta(edges, OMEGAS, phi)
+
+
+def test_train_without_a_recurring_length_is_theta_itself():
+    rng = np.random.default_rng(10)
+    edges = np.concatenate(([0.0, 0.0], np.sort(rng.uniform(0.0, 3.0, 12)),
+                            [3.0, 3.0]))
+    assert not signal_core._length_recurs(np.diff(edges))
+    np.testing.assert_array_equal(
+        _recurrence(edges, OMEGAS, 0.7),
+        theta(edges[:-1, None], edges[1:, None], OMEGAS[None, :], 0.7))
+
+
+def test_held_length_is_recomputed_only_when_it_changes(monkeypatch):
+    # the trotter grid (3.3, 64) has lengths that differ by an ulp: h and s
+    # are recomputed at each change of length and at no other segment
+    calls = []
+    half_step = signal_core._half_step
+
+    def counted(h, s, scratch, omega, d):
+        calls.append(d)
+        half_step(h, s, scratch, omega, d)
+
+    monkeypatch.setattr(signal_core, "_half_step", counted)
+    edges = make_trotterized_gx(3.3, m=64, g=1.0).boundaries()
+    widths = np.diff(edges)
+    widths = widths[widths > 0.0]
+    changes = [d for k, d in enumerate(widths) if k == 0 or d != widths[k - 1]]
+    assert 1 < len(changes) < len(widths)
+    _assert_matches_theta(edges, OMEGAS, 0.3)
+    assert calls == changes
+
+
+def test_recurrence_with_nominal_widths():
+    # a drive passes its nominal step width for steps whose ends are
+    # start + k*dt; every step then shares one length
+    start, dt, n = 0.3, 1.1 / 37, 37
+    edges = np.append(start + np.arange(n) * dt, start + 1.1)
+    _assert_matches_theta(edges, OMEGAS, 0.4, widths=[dt] * n)
+
+
+def test_uniform_train_evaluates_no_theta(monkeypatch):
+    # 64 equal segments: no theta, and one exact phase per reseed stride
+    # (so never more than ceil(64/stride), and never fewer: a chain that is
+    # not reseeded drifts)
+    calls = {"theta": 0, "phase": 0, "h": 0, "level": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (signal_core, evolution):
+        monkeypatch.setattr(mod, "theta", counted("theta", mod.theta))
+    monkeypatch.setattr(signal_core, "_unit_phase",
+                        counted("phase", signal_core._unit_phase))
+    seq = make_trotterized_gx(32.0, m=64, g=math.pi / 2.0)
+    j = evolution.qfi_vs_omega(seq, SignalParams(B=1.0, omega=0.0),
+                               omegas=np.linspace(0.0, 50.0, 101))
+    assert np.isfinite(j).all()
+    assert calls["theta"] == 0
+    assert calls["phase"] == math.ceil(64 / signal_core._RESEED_STRIDE)
+    # the drive's steps take the same path, all with one length per level
+    monkeypatch.setattr(signal_core, "_half_step",
+                        counted("h", signal_core._half_step))
+    monkeypatch.setattr(evolution, "_propagate",
+                        counted("level", evolution._propagate))
+    evolution.qfi_vs_omega(TransverseDrive(g=1.0, total_time=0.5),
+                           SignalParams(B=0.3, omega=0.0),
+                           omegas=np.linspace(0.0, 20.0, 5))
+    assert calls["theta"] == 0
+    assert calls["h"] == calls["level"] >= 3
