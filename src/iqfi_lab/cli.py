@@ -368,7 +368,7 @@ def cmd_iqfi(args) -> int:
     reports = _applicable_bounds(protocol, signal, spectrum.integral,
                                  spectrum.error_estimate)
     values = {"K": spectrum.integral, "K_err": spectrum.error_estimate,
-              "tail_start": spectrum.tail_start}
+              "tail_start": spectrum.tail_start, "method": spectrum.method}
     _write(args, "json", {"schema": SCHEMA_TAG.lstrip("# "), **values,
                           "bounds": [r.to_dict() for r in reports]},
            "key,value", [*values.items(),

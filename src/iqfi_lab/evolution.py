@@ -28,8 +28,10 @@ splittings: each step of width h is a half step of the drive generator,
 the exact free segment, and another half step, the half steps at interior
 boundaries merged into one closed-form SU(2) exponential.  The global error
 is even in h, so Richardson extrapolation over m, 2m and 4m steps gives an
-O(h^6) result, and its difference from the O(h^4) one estimates the error.
-Frequencies whose estimate misses the tolerance are refined by doubling m;
+O(h^6) result, which is returned.  The error estimate is its difference
+from the O(h^4) one: that is the error of the O(h^4) result, so the O(h^6)
+result usually sits far inside the tolerance.  Frequencies whose estimate
+misses the tolerance are refined by doubling m;
 the starting m depends only on T, the generator norm, zeta*|B| and the
 tolerance, so a frequency's result does not depend on its batch.
 
@@ -74,9 +76,7 @@ def discrete_propagators(seq: PulseSequence, signal: SignalParams,
     W(omega) = dP/dB, each of shape (n_omega, 2, 2), so that one pass serves
     any initial state (used by the Haar average).
     """
-    problem = validate(seq)
-    if problem is not None:
-        raise ValueError(f"invalid sequence: {problem}")
+    _check_sequence(seq)
     if B is None:
         B = signal.B
     om = np.atleast_1d(np.asarray(
@@ -98,6 +98,12 @@ def discrete_propagators(seq: PulseSequence, signal: SignalParams,
     P[:, 0, :], P[:, 1, :] = a.T, b.T
     W[:, 0, :], W[:, 1, :] = da.T, db.T
     return P, W
+
+
+def _check_sequence(seq: PulseSequence) -> None:
+    problem = validate(seq)
+    if problem is not None:
+        raise ValueError(f"invalid sequence: {problem}")
 
 
 def _pulse_steps(seq: PulseSequence, om, phi):
@@ -232,14 +238,17 @@ def _continuous_batch(control, signal: SignalParams, B: float, omegas,
     """(psi, dpsi) at T for every frequency, as columns (a, b, da, db) of
     an (n_omega, 4) array.
 
-    Levels m, 2m and 4m are extrapolated to O(h^6); the difference between
-    that result and the O(h^4) one from the two finer levels estimates the
-    global error.  A frequency whose estimate exceeds tol gets another
-    level: m doubles and only the new finest level is computed.  m starts
-    from T, the largest generator norm, zeta*|B| and tol alone, so each
-    frequency's result does not depend on which frequencies share its
-    batch.  Raises IntegrationError, before computing it, for a finest
-    level above _MAX_STEPS_PER_RATE steps per unit of rate*time.
+    Levels m, 2m and 4m are extrapolated to O(h^6), the result returned.
+    Its difference from the O(h^4) result of the two finer levels is the
+    error estimate; that difference is the error of the O(h^4) result, not
+    of the O(h^6) one, so the estimate overstates the returned error,
+    usually by orders of magnitude.  A frequency whose estimate exceeds
+    tol gets another level: m doubles and only the new finest level is
+    computed.  m starts from T, the largest generator norm, zeta*|B| and
+    tol alone, so each frequency's result does not depend on which
+    frequencies share its batch.  Raises IntegrationError, before
+    computing it, for a finest level above _MAX_STEPS_PER_RATE steps per
+    unit of rate*time.
     """
     _check_ode_tol(tol)
     pieces = _drive_pieces(control)

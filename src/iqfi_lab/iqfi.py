@@ -11,10 +11,11 @@ runs out.  Beyond Omega, J tends to the toggling-frame (filter-
 function) form (4 zeta^2/omega^2) sum_jl D_jl sin(omega a_j + phi)
 sin(omega a_l + phi): a_j are the times where Z~ = U0^dag Z U0 of the
 control alone jumps, D the jumps' covariance in the initial state.  Its
-integral, in sine and cosine integrals, is the tail: exact for pulse
-sequences at B = 0 and GHZ registers at any B.  The average of K over
-Haar-random initial states is exact: a closed form at zero field and
-phase, elsewhere a trace formula integrated on one node set.
+integral, in sine and cosine integrals, is the tail.  For pulse sequences
+at B = 0 and GHZ registers at any B that form is J itself at every omega,
+so K is its integral from omega = 0, a closed form with no panels at all.
+The average of K over Haar-random initial states is exact: a closed form
+at zero field, elsewhere a trace formula integrated on one node set.
 """
 
 from __future__ import annotations
@@ -26,12 +27,19 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .evolution import IntegrationError, discrete_propagators, qfi_vs_omega
-from .evolution import _drive_pieces, _su2_exp
+from .evolution import _check_ode_tol, _check_sequence, _drive_pieces, _su2_exp
 from .protocol import ContinuousControl, GhzProtocol, PulseSequence
 from .signal_core import SignalParams
 
 GAUSS_ORDER = 16
 ABS_TOL = 1e-12  # absolute floor of the summed panel discrepancy
+# a free segment no longer than this fraction of T (16 ulps) is rounding,
+# as a pulse time k*(T/m) can leave before T, not a segment: it does not
+# raise a protocol's feature scale
+_ULP_SEGMENT = 16.0 * np.finfo(float).eps
+# rounding bound of the zero-field closed form, per unit of the sum of its
+# terms' magnitudes (see _zero_field_k)
+_FORM_ROUNDING = 16.0 * np.finfo(float).eps
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 __all__ = [
@@ -80,6 +88,13 @@ class QfiSpectrum:
     tail_start is inf.  error_estimate sums the panel discrepancies, a
     bound on the tail's error (0 where the tail is exact; see _tail) and
     1e-14 of |integral| for rounding.
+
+    method is "quadrature" for that, or "closed_form" where the whole of
+    K is the boundary form integrated from omega = 0 (pulse sequences at
+    B = 0, GHZ registers at any B): omegas, values and weights are then
+    empty, tail_start is still tail_start_factor times the feature scale,
+    tail_coefficient is integral*tail_start, and error_estimate bounds
+    the rounding of the form's sum.
     """
 
     omegas: np.ndarray
@@ -89,6 +104,7 @@ class QfiSpectrum:
     error_estimate: float
     tail_coefficient: float
     tail_start: float
+    method: str = "quadrature"
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -103,7 +119,7 @@ class QuadratureNonConvergence(RuntimeError):
 class HaarResult:
     """Exact initial-state average of K.
 
-    method is "closed_form" (B = 0, phi = 0) or "trace_formula".  The
+    method is "closed_form" (B = 0) or "trace_formula".  The
     average is exact, so stderr is 0.0 and samples 0; both fields stay
     for readers of the earlier Monte Carlo result.
     """
@@ -260,20 +276,20 @@ def _bloch_z(u):
     return np.array([m[0, 1].real, -m[0, 1].imag, m[0, 0].real])
 
 
-def _tail(protocol, signal: SignalParams, B: float, omega_max: float,
-          haar: bool = False):
-    """(tail, bound): the boundary-form integral of J beyond Omega, and a
-    bound on its error.  Q_j is the jump (r before minus r after; r = 0
-    outside [0, T]) of the control's toggling-frame Bloch vector r at a_j:
-    a sequence's pulses, a GHZ register's segment ends (r = +-z, coupling
-    n*zeta, exact at any B), or 0 and T for a continuous control.  D =
-    Q Q^T - (Q n)(Q n)^T for the initial Bloch vector n, or its Haar
-    average (2/3) Q Q^T.  (2 zeta |Q|_1)^2/Omega bounds the tail; the error
-    bound is that times zeta|B|/Omega, plus for a drive (rate/Omega)^2.
+def _jumps(protocol, zeta: float, haar: bool = False):
+    """(a, Q, D, zeta, rate): the boundary form of a protocol.
+
+    Q_j is the jump (r before minus r after; r = 0 outside [0, T]) of the
+    control's toggling-frame Bloch vector r at a_j: a sequence's pulses, a
+    GHZ register's segment ends (r = +-z, coupling n*zeta), or 0 and T for
+    a continuous control.  D = Q Q^T - (Q n)(Q n)^T for the initial Bloch
+    vector n, or its Haar average (2/3) Q Q^T.  Each row of D sums to zero,
+    as the jumps do.  zeta is the coupling of the form, and rate twice the
+    largest generator norm of a continuous control (0 otherwise).
     """
     n = np.array([1.0, 0.0, 0.0])  # |+>, where drives and registers start
     z = np.array([0.0, 0.0, 1.0])
-    zeta, field = signal.zeta, signal.zeta * abs(B) / omega_max
+    rate = 0.0
     if isinstance(protocol, PulseSequence):
         u, r = np.eye(2), [z]
         for p in protocol.pulses:
@@ -287,20 +303,65 @@ def _tail(protocol, signal: SignalParams, B: float, omega_max: float,
     elif isinstance(protocol, GhzProtocol):
         s = np.concatenate(([0.0], protocol.segment_signs(), [0.0]))
         a, Q = protocol.times, np.outer(s[:-1] - s[1:], z)
-        zeta, field = protocol.n * zeta, 0.0
+        zeta = protocol.n * zeta
     elif isinstance(protocol, ContinuousControl):
-        u, rate = np.eye(2), 0.0
+        u = np.eye(2)
         for start, end, h in _drive_pieces(protocol):
             u = _su2_exp(h, end - start) @ u
             rate = max(rate, 2.0 * float(np.linalg.norm(h, 2)))
         a, Q = (0.0, protocol.total_time), np.array([-z, _bloch_z(u)])
-        field += (rate / omega_max) ** 2
     else:
         raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
     D = (2.0 / 3.0) * Q @ Q.T if haar else Q @ Q.T - np.outer(Q @ n, Q @ n)
+    return np.asarray(a, dtype=float), Q, D, zeta, rate
+
+
+def _tail(protocol, signal: SignalParams, B: float, omega_max: float,
+          haar: bool = False):
+    """(tail, bound): the boundary-form integral of J beyond Omega (see
+    _jumps), and a bound on its error.  (2 zeta |Q|_1)^2/Omega bounds the
+    tail; the error bound is that times zeta|B|/Omega, plus for a drive
+    (rate/Omega)^2.  A GHZ register's form is exact at any B.
+    """
+    a, Q, D, zeta, rate = _jumps(protocol, signal.zeta, haar)
+    field = (0.0 if isinstance(protocol, GhzProtocol)
+             else signal.zeta * abs(B) / omega_max)
+    field += (rate / omega_max) ** 2
     size = (2.0 * zeta * np.linalg.norm(Q, axis=1).sum()) ** 2 / omega_max
     return (4.0 * zeta ** 2 * _boundary_tail(a, D, signal.phi, omega_max),
             float(field * size))
+
+
+def _zero_field_k(protocol, signal: SignalParams, haar: bool = False):
+    """(K, rounding bound) where J is the boundary form at every omega:
+    pulse sequences at B = 0 and GHZ registers at any B.
+
+    The Omega -> 0 limit of _boundary_tail, times 4 zeta^2, is
+    K = 2 zeta^2 sum_jl D_jl [-(pi/2)|a_j - a_l|
+                              - sin(2 phi) (a_j + a_l) ln(a_j + a_l)],
+    with 0 ln 0 = 0: the 1/Omega and ln Omega terms cancel, as each row of
+    D sums to zero.  For the same reason the times can be taken in units
+    of T, which keeps every term of order |D_jl|.  The terms are summed
+    exactly; the bound is _FORM_ROUNDING times the sum of the terms'
+    magnitudes, with (|Q_j| + 1)(|Q_l| + 1) for |D_jl|: a jump is the
+    difference of two unit vectors, each rounded to a few ulps of 1, so
+    the rounding of a small jump is not small relative to it.  Validates
+    a pulse sequence first.
+    """
+    if isinstance(protocol, PulseSequence):
+        _check_sequence(protocol)
+    a, Q, D, zeta, _ = _jumps(protocol, signal.zeta, haar)
+    T = float(protocol.total_time)
+    x = a / T
+    total = x[:, None] + x
+    gap = 0.5 * math.pi * np.abs(x[:, None] - x)
+    log = (math.sin(2.0 * signal.phi) * total
+           * np.log(np.where(total > 0.0, total, 1.0)))
+    scale = 2.0 * zeta ** 2 * T
+    q = np.linalg.norm(Q, axis=1) + 1.0
+    size = np.outer(q, q) * (gap + np.abs(log))
+    k = -scale * math.fsum((D * (gap + log)).ravel())
+    return k, float(_FORM_ROUNDING * scale * size.sum())
 
 
 # -- protocol plumbing --------------------------------------------------------
@@ -310,7 +371,8 @@ def feature_scale(protocol, signal: SignalParams, B: float) -> float:
     """Highest intrinsic frequency of a protocol under a field B.
 
     The largest of 1/T, zeta*|B| and the protocol's own rates: segments/T
-    for pulse trains and GHZ registers (with n*zeta*|B| for the register),
+    for pulse trains (a segment no longer than 16 ulps of T does not count)
+    and GHZ registers (with n*zeta*|B| for the register),
     2|g| for the drive, twice the largest generator norm for a piecewise
     generator.  integrate_iqfi starts the closed-form tail at
     tail_start_factor times this, where the tail's error bound is small;
@@ -319,7 +381,7 @@ def feature_scale(protocol, signal: SignalParams, B: float) -> float:
     T = float(protocol.total_time)
     scale = max(1.0 / T, signal.zeta * abs(B))
     if isinstance(protocol, PulseSequence):
-        scale = max(scale, protocol.segment_count() / T)
+        scale = max(scale, protocol.segment_count(_ULP_SEGMENT * T) / T)
     elif isinstance(protocol, GhzProtocol):
         scale = max(scale, (len(protocol.times) - 1) / T,
                     protocol.n * signal.zeta * abs(B))
@@ -335,16 +397,29 @@ def integrate_iqfi(protocol, signal: SignalParams, B: Optional[float] = None,
                    ode_tol: float = 1e-9) -> QfiSpectrum:
     """Integrated QFI over omega in [0, inf) for any protocol kind.
 
-    Panels of width pi/T cover [0, Omega]; the closed-form tail covers the
-    rest.  Raises QuadratureNonConvergence with a partial result when the
-    panel budget runs out.  ode_tol is passed to qfi_vs_omega for
-    continuous drives.
+    For a pulse sequence at B = 0 (any phi) and a GHZ register at any B,
+    J is the boundary form at every omega, and K is its closed-form
+    integral (method "closed_form", see _zero_field_k): no propagation and
+    no panels.  Otherwise panels of width pi/T cover [0, Omega] and the
+    closed-form tail covers the rest.  Raises QuadratureNonConvergence with
+    a partial result when the panel budget runs out.  ode_tol is passed to
+    qfi_vs_omega for continuous drives, and checked on every path, as is
+    the protocol.
     """
     cfg = cfg or QuadratureConfig()
     if B is None:
         B = signal.B
-    width = math.pi / float(protocol.total_time)
     omega_max = cfg.tail_start_factor * feature_scale(protocol, signal, B)
+    if isinstance(protocol, GhzProtocol) or (
+            B == 0.0 and isinstance(protocol, PulseSequence)):
+        _check_ode_tol(ode_tol)
+        k, err = _zero_field_k(protocol, signal)
+        empty = np.empty(0)
+        return QfiSpectrum(omegas=empty, values=empty, weights=empty,
+                           integral=k, error_estimate=err,
+                           tail_coefficient=k * omega_max,
+                           tail_start=omega_max, method="closed_form")
+    width = math.pi / float(protocol.total_time)
     return _integrate_adaptive(
         lambda om: qfi_vs_omega(protocol, signal, B, om, ode_tol=ode_tol),
         0.0, omega_max, width, cfg, _tail(protocol, signal, B, omega_max))
@@ -408,19 +483,25 @@ def haar_average_iqfi(seq: PulseSequence, signal: SignalParams,
     At B = 0 and signal phase 0 the average of K is (2/3)*2*pi*zeta^2*T for
     every pulse sequence: E[C_kl] = Tr(Z_k Z_l)/3 for the toggling-frame
     Z_k = U_k^dag Z U_k, and the integral of Theta_k Theta_l over omega is
-    (pi/2)*len_k*delta_kl.  Otherwise one pilot integration fixes the
-    nodes and weights, the trace formula is integrated on them, and the
-    boundary tail adds the rest with the jump covariance averaged over
-    initial states, (2/3) Q Q^T.  samples is accepted, for callers of the
-    earlier Monte Carlo, and ignored; stderr is always 0.
+    (pi/2)*len_k*delta_kl.  At B = 0 and any other phase it is the
+    zero-field closed form of integrate_iqfi with the jump covariance
+    averaged over initial states, (2/3) Q Q^T.  Otherwise one pilot
+    integration fixes the nodes and weights, the trace formula is
+    integrated on them, and the boundary tail adds the rest with that
+    averaged covariance.  Both B = 0 results have method "closed_form".
+    samples is accepted, for callers of the earlier Monte Carlo, and
+    ignored; stderr is always 0.
     """
     if not isinstance(seq, PulseSequence):
         raise TypeError(f"haar_average_iqfi needs a PulseSequence, got "
                         f"{type(seq).__name__}")
     if B is None:
         B = signal.B
-    if B == 0.0 and signal.phi == 0.0:
-        k = (2.0 / 3.0) * 2.0 * math.pi * signal.zeta ** 2 * seq.total_time
+    if B == 0.0:
+        if signal.phi == 0.0:
+            k = (2.0 / 3.0) * 2.0 * math.pi * signal.zeta ** 2 * seq.total_time
+        else:
+            k, _ = _zero_field_k(seq, signal, haar=True)
         return HaarResult(value=k, stderr=0.0, method="closed_form", samples=0)
     pilot = integrate_iqfi(seq, signal, B, cfg)
     P, W = discrete_propagators(seq, signal, B, pilot.omegas)

@@ -128,10 +128,10 @@ class PulseSequence:
         """Free-segment boundaries: 0, pulse times, total_time."""
         return np.concatenate(([0.0], self.times, [self.total_time]))
 
-    def segment_count(self) -> int:
-        """Number of nonzero-duration free segments."""
+    def segment_count(self, min_length: float = 0.0) -> int:
+        """Number of free segments longer than min_length, at least 1."""
         b = self.boundaries()
-        return max(1, int(np.count_nonzero(np.diff(b) > 0.0)))
+        return max(1, int(np.count_nonzero(np.diff(b) > min_length)))
 
     def initial_vector(self) -> np.ndarray:
         return bloch_state(*self.initial_state)

@@ -229,10 +229,27 @@ def test_bad_protocol_choice_exits_2(capsys):
 
 
 def test_panel_budget_exhaustion_exits_3(capsys):
+    # a field: at B = 0 a pulse sequence's K is a closed form, with no panels
     code, _, err = run(capsys, "iqfi", "--protocol", "ramsey", "--T", "4",
-                       "--B", "0", "--max-panels", "8")
+                       "--B", "0.3", "--max-panels", "8")
     assert code == 3
     assert "integration failed" in err
+
+
+def test_iqfi_reports_its_method(capsys):
+    for b, method in (("0", "closed_form"), ("0.3", "quadrature")):
+        code, out, _ = run(capsys, "iqfi", "--protocol", "pi-train", "--T",
+                           "4", "--B", b)
+        assert code == 0 and json.loads(out)["method"] == method
+
+
+@pytest.mark.parametrize("flags", [("--protocol", "trotter-gx", "--g", "nan"),
+                                   ("--protocol", "pi-train", "--times", "5")])
+def test_bad_sequence_at_zero_field_exits_2(capsys, flags):
+    # B = 0 takes the closed form; bad input is still refused
+    code, out, err = run(capsys, "iqfi", *flags, "--T", "4", "--B", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("iqfi-lab: bad protocol parameters")
 
 
 def test_output_files_are_byte_deterministic(tmp_path, capsys):
@@ -320,7 +337,7 @@ def test_haar_output_is_byte_deterministic(capsys):
     assert code == 0
     doc1 = json.loads(out1)
     assert (doc1["method"], doc1["stderr"], doc1["samples"]) == \
-        ("trace_formula", 0.0, 0)
+        ("closed_form", 0.0, 0)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
 

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import iqfi_lab.evolution
+import iqfi_lab.iqfi
 from iqfi_lab.bounds import pi_train_closed_form, ramsey_closed_form
 from iqfi_lab.cli import BATTERY_CFG_KW, PAULI_STATES
 from iqfi_lab.iqfi import (
@@ -18,9 +20,10 @@ from iqfi_lab.iqfi import (
     integrate_qfi_band,
     sweep_iqfi_vs_T,
 )
-from iqfi_lab.iqfi import _cos_tail, _sici_tail
+from iqfi_lab.iqfi import _cos_tail, _sici_tail, _tail
 from iqfi_lab.protocol import (
     GhzProtocol,
+    Pulse,
     PulseSequence,
     TransverseDrive,
     make_pi2_train,
@@ -29,9 +32,11 @@ from iqfi_lab.protocol import (
     make_trotterized_gx,
     random_pulse_sequence,
 )
+from iqfi_lab.protocol import _haar_su2
 from iqfi_lab.signal_core import SignalParams
 
 FLAT = SignalParams(B=0.0, omega=0.0, phi=0.0, zeta=1.0)
+GATE = QuadratureConfig(tail_start_factor=240.0, max_panels=40000)
 
 
 def test_ramsey_integral_matches_closed_form():
@@ -53,7 +58,9 @@ def test_pi_train_integral_and_zeta_scaling():
 
 
 def test_spectrum_fields_are_consistent():
-    spec = integrate_iqfi(make_ramsey(3.0), FLAT)
+    # at B = 0 K is a closed form with no nodes; a field sends it through
+    # the quadrature
+    spec = integrate_iqfi(make_ramsey(3.0), SignalParams(B=0.3, omega=0.0))
     assert len(spec.omegas) == len(spec.values)
     assert np.all(np.diff(spec.omegas) > 0.0)
     assert spec.tail_start > spec.omegas[0]
@@ -74,9 +81,10 @@ def test_sampled_spectrum_nonnegative_random_protocols():
 
 def test_ramsey_tail_coefficient():
     # J falls off as C / omega^2 with C -> 2 zeta^2 (the mid-point and
-    # half-width phases coincide, so cos^2 sin^2 averages to 1/8)
+    # half-width phases coincide, so cos^2 sin^2 averages to 1/8); a weak
+    # field, as at B = 0 K is a closed form and its coefficient is K*Omega
     for zeta in (1.0, 1.5):
-        sig = SignalParams(B=0.0, omega=0.0, zeta=zeta)
+        sig = SignalParams(B=0.01, omega=0.0, zeta=zeta)
         spec = integrate_iqfi(make_ramsey(4.0), sig)
         assert spec.tail_coefficient == pytest.approx(2.0 * zeta ** 2,
                                                       rel=0.05)
@@ -97,18 +105,19 @@ def test_error_decreases_with_tail_start():
     assert errs[0] > errs[1] > errs[2]
 
 
-def _zero_field_k(seq):
-    """Filter-function closed form at B = 0, phi = 0, zeta = 1:
-    K = 2 pi sum_k len_k (1 - <Z_k>^2), Z_k = U_k^dag Z U_k the
-    toggling-frame Z of segment k and <.> its initial-state mean."""
-    psi, u, total = seq.initial_vector(), np.eye(2), 0.0
+def _zero_field_k(seq, zeta=1.0):
+    """Filter-function closed form at B = 0, phi = 0:
+    K = 2 pi zeta^2 sum_k len_k (1 - <Z_k>^2), Z_k = U_k^dag Z U_k the
+    toggling-frame Z of segment k and <.> its initial-state mean, summed
+    exactly."""
+    psi, u, terms = seq.initial_vector(), np.eye(2), []
     z = np.diag([1.0, -1.0])
     for k, length in enumerate(np.diff(seq.boundaries())):
         if k:
             u = seq.pulses[k - 1].unitary @ u
         mean = np.vdot(psi, u.conj().T @ z @ u @ psi).real
-        total += length * (1.0 - mean ** 2)
-    return 2.0 * math.pi * total
+        terms.append(length * (1.0 - mean ** 2))
+    return 2.0 * math.pi * zeta ** 2 * math.fsum(terms)
 
 
 def _close_pulse_train():
@@ -222,11 +231,15 @@ def test_cosine_tail_edge_cases():
 
 
 def test_refining_rel_tol_never_degrades_accuracy():
+    # Ramsey's J = 4 zeta^2 Theta^2 does not depend on B, so its closed
+    # form holds at B = 0.3, where K goes through the panels
     T, exact = 4.0, ramsey_closed_form(4.0)
+    sig = SignalParams(B=0.3, omega=0.0)
     prev = None
     for rel in (1e-3, 5e-4, 2.5e-4, 1.25e-4):
-        spec = integrate_iqfi(make_ramsey(T), FLAT,
+        spec = integrate_iqfi(make_ramsey(T), sig,
                               cfg=QuadratureConfig(rel_tol=rel))
+        assert spec.method == "quadrature"
         err = abs(spec.integral - exact)
         if prev is not None:
             assert err <= prev * (1.0 + 1e-12)
@@ -258,13 +271,15 @@ def test_cross_spectral_closed_form_and_numeric():
 
 
 def test_nonconvergence_raises_with_partial():
+    # a field: at B = 0 a pulse sequence's K is a closed form, with no panels
+    sig = SignalParams(B=0.3, omega=0.0)
     with pytest.raises(QuadratureNonConvergence):
-        integrate_iqfi(make_ramsey(4.0), FLAT,
+        integrate_iqfi(make_ramsey(4.0), sig,
                        cfg=QuadratureConfig(max_panels=10))
     # a budget above the base panel count but below convergence should
     # surface the best-so-far estimate
     try:
-        integrate_iqfi(make_pi2_train(0.25, 4.0), FLAT,
+        integrate_iqfi(make_pi2_train(0.25, 4.0), sig,
                        cfg=QuadratureConfig(rel_tol=1e-13, max_panels=60))
     except QuadratureNonConvergence as exc:
         if exc.partial is not None:
@@ -314,11 +329,11 @@ def test_haar_exact_vs_six_states(seed):
     seq = random_pulse_sequence(rng, float(rng.uniform(1.0, 4.0)),
                                 max_pulses=5)
     B, phi = float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.2, 6.0))
-    # the closed form needs both B = 0 and phi = 0
+    # at B = 0 the average is a closed form at any phase
     for b, p in ((B, phi), (B, 0.0), (0.0, phi)):
         sig = SignalParams(B=b, omega=0.0, phi=p)
         res = haar_average_iqfi(seq, sig)
-        assert res.method == "trace_formula"
+        assert res.method == ("closed_form" if b == 0.0 else "trace_formula")
         assert res.value == pytest.approx(_six_state_mean(seq, sig),
                                           rel=1e-9)
 
@@ -358,7 +373,8 @@ def test_sweep_linear_scaling_and_failures():
     assert not any(p.failed for p in sweep.points)
     assert sweep.slope == pytest.approx(1.0, abs=1e-3)
 
-    broken = sweep_iqfi_vs_T(family, Ts, FLAT,
+    # a field: at B = 0 a pulse sequence's K needs no panels
+    broken = sweep_iqfi_vs_T(family, Ts, SignalParams(B=0.3, omega=0.0),
                              cfg=QuadratureConfig(max_panels=5))
     assert all(p.failed for p in broken.points)
     assert math.isnan(broken.slope)
@@ -446,10 +462,139 @@ def test_panel_count_doubles_until_the_tolerance_fits():
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
 @pytest.mark.parametrize("protocol", [TransverseDrive(g=1.0, total_time=1.0),
-                                      make_ramsey(1.0)])
+                                      make_ramsey(1.0),
+                                      GhzProtocol(n=2, times=(0.0, 1.0))])
 def test_integrals_reject_bad_ode_tol(protocol, tol):
+    # a GHZ register's K is a closed form, which still checks ode_tol
     sig = SignalParams(B=0.5, omega=0.0)
     with pytest.raises(ValueError, match="ode_tol"):
         integrate_iqfi(protocol, sig, ode_tol=tol)
     with pytest.raises(ValueError, match="ode_tol"):
         integrate_qfi_band(protocol, sig, 0.0, 1.0, ode_tol=tol)
+
+
+# -- the zero-field closed form ----------------------------------------------
+
+
+def _closed_form_cases(group):
+    """(protocol, signal) pairs where K is a closed form."""
+    if group == "acceptance_02":
+        rng = np.random.default_rng(1907)
+        return [(random_pulse_sequence(rng, 4.0, max_pulses=31, kind="pi_xy",
+                                       equator=True), FLAT)
+                for _ in range(50)]
+    if group == "trains":
+        rng = np.random.default_rng(1914)
+        seqs = [random_pulse_sequence(rng, float(rng.uniform(1.0, 4.0)),
+                                      max_pulses=16, kind=kind)
+                for kind in ("pi_xy", "su2") for _ in range(16)]
+        return [(seq, SignalParams(B=0.0, omega=0.0, phi=phi))
+                for seq in seqs for phi in (0.0, 0.7, 2.5)]
+    return [(GhzProtocol(n=n, times=(0.0, 0.7, 1.6, 2.5), flips=(True, False)),
+             SignalParams(B=b, omega=0.0, phi=0.4))
+            for n in (2, 3) for b in (0.0, 0.8)]
+
+
+@pytest.mark.parametrize("group", ["acceptance_02", "trains", "ghz"])
+def test_closed_form_matches_the_quadrature(group):
+    """The closed form against propagation and panels on [0, Omega] plus
+    the boundary tail, which is exact here: within 1e-9 and within the sum
+    of the two error estimates."""
+    for proto, sig in _closed_form_cases(group):
+        spec = integrate_iqfi(proto, sig, cfg=GATE)
+        assert spec.method == "closed_form" and spec.omegas.size == 0
+        band = integrate_qfi_band(proto, sig, 0.0, spec.tail_start, cfg=GATE)
+        assert band.method == "quadrature"
+        num = band.integral + _tail(proto, sig, sig.B, spec.tail_start)[0]
+        gap = abs(spec.integral - num)
+        assert gap <= 1e-9 * abs(num)
+        assert gap <= spec.error_estimate + band.error_estimate
+
+
+def test_closed_form_ramsey():
+    for T in (0.3, 1.0, 4.0, 9.7):
+        for phi in (0.0, 0.7, 2.5, 4.0):
+            for zeta in (1.0, 1.7):
+                sig = SignalParams(B=0.0, omega=0.0, phi=phi, zeta=zeta)
+                want = 2.0 * zeta ** 2 * T * (
+                    math.pi - math.log(4.0) * math.sin(2.0 * phi))
+                k = integrate_iqfi(make_ramsey(T), sig).integral
+                assert k == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["su2", "small_angles"])
+def test_closed_form_rounding_bound_on_a_long_train(kind):
+    """Long trains: the O(N^2) form against the O(N) one.  1024 SU(2)
+    pulses, and 512 pulses of 0.005 rad, whose jumps are so small that
+    their rounding is not small relative to them."""
+    rng = np.random.default_rng(1915)
+    T = 4.0
+    if kind == "su2":
+        seq = PulseSequence(
+            tuple(Pulse(time=float(t), matrix=_haar_su2(rng))
+                  for t in np.sort(rng.uniform(0.0, T, 1024))),
+            T, initial_state=(1.1, 0.3))
+    else:
+        seq = make_trotterized_gx(T, m=512, g=0.3, initial_state=(1.1, 0.3))
+    spec = integrate_iqfi(seq, SignalParams(B=0.0, omega=0.0, zeta=1.3))
+    assert spec.method == "closed_form"
+    assert abs(spec.integral - _zero_field_k(seq, zeta=1.3)) \
+        <= spec.error_estimate
+
+
+def test_closed_form_spectrum_fields():
+    spec = integrate_iqfi(make_pi_train([1.0, 2.0, 3.0], 4.0), FLAT)
+    assert spec.method == "closed_form"
+    assert spec.omegas.size == spec.values.size == spec.weights.size == 0
+    # Omega is where the quadrature's tail would start: 40 x 4 segments / T
+    assert spec.tail_start == 40.0
+    assert spec.tail_coefficient == spec.integral * spec.tail_start
+    _check_engine_contract(spec)
+
+
+def test_closed_form_runs_no_propagation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("propagation on a closed-form path")
+
+    for module in (iqfi_lab.evolution, iqfi_lab.iqfi):
+        for name in ("qfi_vs_omega", "discrete_propagators"):
+            monkeypatch.setattr(module, name, refuse)
+    seq = make_pi_train([1.0, 2.0, 3.0], 4.0)
+    ghz = GhzProtocol(n=3, times=(0.0, 0.7, 2.0), flips=(True,))
+    assert integrate_iqfi(seq, FLAT).method == "closed_form"
+    assert integrate_iqfi(ghz, SignalParams(B=0.8, omega=0.0)).method \
+        == "closed_form"
+    tilted = SignalParams(B=0.0, omega=0.0, phi=0.7)
+    assert haar_average_iqfi(seq, tilted).method == "closed_form"
+    # the guard is live: a field sends the train through the propagation
+    with pytest.raises(AssertionError, match="propagation"):
+        integrate_iqfi(seq, SignalParams(B=0.3, omega=0.0))
+
+
+@pytest.mark.parametrize("pulse", [Pulse(time=1.0, axis="x", angle=math.nan),
+                                   Pulse(time=5.0, axis="x", angle=math.pi)])
+def test_closed_form_rejects_what_the_quadrature_rejects(pulse):
+    seq = PulseSequence((pulse,), 4.0)
+    for call in (integrate_iqfi, haar_average_iqfi):
+        messages = []
+        for b in (0.0, 0.3):
+            with pytest.raises(ValueError, match="invalid sequence") as exc:
+                call(seq, SignalParams(B=b, omega=0.0, phi=0.7))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+
+def test_ulp_segment_does_not_raise_the_tail_start():
+    # 3 * (0.9 / 3) is an ulp short of 0.9, so the train ends in a free
+    # segment one ulp long; it must not count as a fourth segment
+    sig = SignalParams(B=1.0, omega=0.0)
+    seq = make_trotterized_gx(0.9, m=3, g=1.0)
+    assert 0.9 - seq.pulses[-1].time < 1e-15
+    spec = integrate_iqfi(seq, sig)
+    assert spec.tail_start == pytest.approx(40.0 * 3.0 / 0.9, rel=1e-14)
+    last = seq.pulses[-1]
+    exact = PulseSequence(
+        seq.pulses[:-1] + (Pulse(time=0.9, axis=last.axis, angle=last.angle),),
+        0.9)
+    assert spec.integral == pytest.approx(integrate_iqfi(exact, sig).integral,
+                                          rel=1e-13)
