@@ -301,7 +301,7 @@ def _grid(args, protocol, signal) -> np.ndarray:
     lo = _resolve(args, "omega_min", 0.0, float)
     hi = _resolve(args, "omega_max", None, float)
     if hi is None:
-        hi = 8.0 * feature_scale(protocol, signal, signal.B)
+        hi = 8.0 * feature_scale(protocol, signal)
     return _omega_grid(lo, hi, _resolve(args, "points", 513, int))
 
 

@@ -35,21 +35,22 @@ misses the tolerance are refined by doubling m;
 the starting m depends only on T, the generator norm, zeta*|B| and the
 tolerance, so a frequency's result does not depend on its batch.
 
-qfi_vs_omega is the one way to J: for a pulse sequence or a continuous
-control it applies the formula above to the batched states, and for a GHZ
-register, which stays in the {|0...0>, |1...1>} plane, it uses the closed
-form 4*(n*zeta*sum_k s_k Theta_k)^2 with the signed segment kernels.
+qfi_vs_omega is the one way to J, the formula above on the batched
+states.  Every public entry point, here and in iqfi, first replaces a GHZ
+register by the pulse sequence it is in the {|0...0>, |1...1>} plane.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
-from .protocol import ContinuousControl, GhzProtocol, PulseSequence, validate
-from .signal_core import SignalParams, _segment_thetas, theta
+from .protocol import (IDENTITY, SIGMA_X, ContinuousControl, GhzProtocol,
+                       Pulse, PulseSequence, validate)
+from .signal_core import SignalParams, _segment_thetas
 
 __all__ = [
     "IntegrationError",
@@ -63,11 +64,25 @@ class IntegrationError(RuntimeError):
     """Continuous evolution failed to meet its error target."""
 
 
+def _reduced(protocol, signal: SignalParams):
+    """(protocol, signal), a GHZ register replaced by its pulse sequence:
+    from |+>, the exact X at each flipped interior boundary and the
+    identity at the others, under the signal with zeta = n*zeta."""
+    if not isinstance(protocol, GhzProtocol):
+        return protocol, signal
+    t = protocol.times
+    flips = protocol.flips or (False,) * (len(t) - 2)
+    pulses = tuple(Pulse(time=x, matrix=SIGMA_X if f else IDENTITY)
+                   for x, f in zip(t[1:-1], flips))
+    return (PulseSequence(pulses, t[-1]),
+            replace(signal, zeta=protocol.n * signal.zeta))
+
+
 # -- discrete protocols -------------------------------------------------------
 
 
 def discrete_propagators(seq: PulseSequence, signal: SignalParams,
-                         B: Optional[float] = None, omegas=None, psi0=None):
+                         omegas=None, psi0=None):
     """Propagate a pulse sequence over a frequency grid.
 
     With an initial state psi0 (a 2-vector) returns (psi, dpsi), the final
@@ -77,8 +92,6 @@ def discrete_propagators(seq: PulseSequence, signal: SignalParams,
     any initial state (used by the Haar average).
     """
     _check_sequence(seq)
-    if B is None:
-        B = signal.B
     om = np.atleast_1d(np.asarray(
         signal.omega if omegas is None else omegas, dtype=float))
     # one row per initial column (the state, or the two basis vectors) in
@@ -91,7 +104,7 @@ def discrete_propagators(seq: PulseSequence, signal: SignalParams,
         P = np.empty((om.size, 2, 2), dtype=complex)
         W = np.empty_like(P)
     a, b, da, db = _propagate(cols, _pulse_steps(seq, om, signal.phi),
-                              signal, B, om.size)
+                              signal, om.size)
     if psi0 is not None:
         return (np.stack((a[0], b[0]), axis=1),
                 np.stack((da[0], db[0]), axis=1))
@@ -112,7 +125,7 @@ def _pulse_steps(seq: PulseSequence, om, phi):
                [p.unitary for p in seq.pulses] + [None])
 
 
-def _propagate(cols, steps, signal: SignalParams, B: float, n_omega: int):
+def _propagate(cols, steps, signal: SignalParams, n_omega: int):
     """The kernel: carry initial columns and their field derivatives
     through steps, a sequence of (Theta, u): a free segment with kernel
     Theta (an array over frequencies, or None for no segment), then the
@@ -128,7 +141,7 @@ def _propagate(cols, steps, signal: SignalParams, B: float, n_omega: int):
     s2 = np.empty(shape, dtype=complex)
     x = np.empty(n_omega)
     e = np.empty(n_omega, dtype=complex)
-    zb = signal.zeta * B
+    zb = signal.zeta * signal.B
     dz = -1j * signal.zeta
     for th, u in steps:
         if th is not None:
@@ -225,15 +238,14 @@ def _split_steps(pieces, counts, om, phi):
     yield None, carry
 
 
-def _split_level(pieces, counts, signal, B, om):
+def _split_level(pieces, counts, signal, om):
     """(a, b, da, db) at T from |+> under the splitting with counts[k]
     steps on piece k, as rows of a (4, n_omega) array."""
     return np.concatenate(_propagate(
-        _PLUS, _split_steps(pieces, counts, om, signal.phi), signal, B,
-        om.size))
+        _PLUS, _split_steps(pieces, counts, om, signal.phi), signal, om.size))
 
 
-def _continuous_batch(control, signal: SignalParams, B: float, omegas,
+def _continuous_batch(control, signal: SignalParams, omegas,
                       tol: float = 1e-10):
     """(psi, dpsi) at T for every frequency, as columns (a, b, da, db) of
     an (n_omega, 4) array.
@@ -254,7 +266,7 @@ def _continuous_batch(control, signal: SignalParams, B: float, omegas,
     pieces = _drive_pieces(control)
     om = np.atleast_1d(np.asarray(omegas, dtype=float))
     T = float(control.total_time)
-    rate = max([1.0 / T, signal.zeta * abs(B)]
+    rate = max([1.0 / T, signal.zeta * abs(signal.B)]
                + [float(np.linalg.norm(h, 2)) for _, _, h in pieces])
     density = _FIRST_STEPS_PER_RATE * rate * tol ** -0.25
     counts = np.array([math.ceil((e - s) * density) for s, e, _ in pieces])
@@ -268,9 +280,9 @@ def _continuous_batch(control, signal: SignalParams, B: float, omegas,
                 f"need {4.0 * density:.4g} steps per unit time, above "
                 f"{_MAX_STEPS_PER_RATE} times the rate {rate:.4g}")
         if s1 is None:
-            s1, s2 = (_split_level(pieces, k * counts, signal, B, om)
+            s1, s2 = (_split_level(pieces, k * counts, signal, om)
                       for k in (1, 2))
-        s4 = _split_level(pieces, 4 * counts, signal, B, om[todo])
+        s4 = _split_level(pieces, 4 * counts, signal, om[todo])
         r1 = (4.0 * s2 - s1) / 3.0
         r2 = (4.0 * s4 - s2) / 3.0
         best = (16.0 * r2 - r1) / 15.0
@@ -282,21 +294,10 @@ def _continuous_batch(control, signal: SignalParams, B: float, omegas,
         counts, density = 2 * counts, 2.0 * density
 
 
-# -- GHZ registers ------------------------------------------------------------
-
-
-def _ghz_qfi_vs_omega(proto: GhzProtocol, signal: SignalParams, omegas):
-    om = np.atleast_1d(np.asarray(omegas, dtype=float))
-    t = np.asarray(proto.times)
-    th = theta(t[:-1, None], t[1:, None], om[None, :], signal.phi)
-    phase = proto.segment_signs() @ th
-    return 4.0 * (proto.n * signal.zeta * phase) ** 2
-
-
 # -- states, J and the finite-difference oracle -------------------------------
 
 
-def _states(protocol, signal: SignalParams, B: float, om, ode_tol: float):
+def _states(protocol, signal: SignalParams, om, ode_tol: float):
     """(psi, dpsi) at T for every frequency in om, each of shape (n, 2).
 
     A continuous control's states are renormalized and dpsi projected onto
@@ -304,10 +305,10 @@ def _states(protocol, signal: SignalParams, B: float, om, ode_tol: float):
     IntegrationError, since it signals a failed error control.
     """
     if isinstance(protocol, PulseSequence):
-        return discrete_propagators(protocol, signal, B, om,
+        return discrete_propagators(protocol, signal, omegas=om,
                                     psi0=protocol.initial_vector())
     if isinstance(protocol, ContinuousControl):
-        y = _continuous_batch(protocol, signal, B, om, tol=ode_tol)
+        y = _continuous_batch(protocol, signal, om, tol=ode_tol)
         psi, dpsi = y[:, 0:2], y[:, 2:4]
         norms = np.linalg.norm(psi, axis=1, keepdims=True)
         drift = float(np.abs(norms - 1.0).max())
@@ -319,9 +320,9 @@ def _states(protocol, signal: SignalParams, B: float, om, ode_tol: float):
     raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
 
 
-def qfi_vs_omega(protocol, signal: SignalParams, B: Optional[float] = None,
-                 omegas=None, ode_tol: float = 1e-10) -> np.ndarray:
-    """J(B | omega) over a frequency grid for any protocol kind.
+def qfi_vs_omega(protocol, signal: SignalParams, omegas=None,
+                 ode_tol: float = 1e-10) -> np.ndarray:
+    """J(B | omega) at the signal's field B over a frequency grid.
 
     Without omegas, J at the signal's own frequency.  Every omega must be
     finite and >= 0.  ode_tol, which must be positive and finite, bounds
@@ -329,23 +330,20 @@ def qfi_vs_omega(protocol, signal: SignalParams, B: Optional[float] = None,
     derivative.
     """
     _check_ode_tol(ode_tol)
-    if B is None:
-        B = signal.B
+    protocol, signal = _reduced(protocol, signal)
     om = np.atleast_1d(np.asarray(
         signal.omega if omegas is None else omegas, dtype=float))
     bad = ~((om >= 0.0) & (om < math.inf))  # NaN fails both comparisons
     if bad.any():
         raise ValueError(f"omegas must be finite and >= 0, got {om[bad][0]}")
-    if isinstance(protocol, GhzProtocol):
-        return _ghz_qfi_vs_omega(protocol, signal, om)
-    psi, dpsi = _states(protocol, signal, B, om, ode_tol)
+    psi, dpsi = _states(protocol, signal, om, ode_tol)
     (a, b), (da, db) = psi.T, dpsi.T
     ov = da.conj() * a + db.conj() * b
     dd = (da.conj() * da + db.conj() * db).real
     return 4.0 * (dd + (ov * ov).real)
 
 
-def qfi_fd_oracle(protocol, signal: SignalParams, B: Optional[float] = None,
+def qfi_fd_oracle(protocol, signal: SignalParams,
                   step: Optional[float] = None, richardson: bool = False,
                   ode_tol: float = 1e-11) -> float:
     """QFI with dpsi replaced by a central finite difference of psi over B.
@@ -357,22 +355,22 @@ def qfi_fd_oracle(protocol, signal: SignalParams, B: Optional[float] = None,
 
     Default steps: 1e-6*max(1,|B|) for exact (pulse) evolutions,
     1e-4*max(1,|B|) for continuous ones, whose states carry an error of up
-    to ode_tol into the difference quotient.  A GHZ register raises
-    TypeError; its closed form in qfi_vs_omega has no state to difference.
+    to ode_tol into the difference quotient.  A GHZ register is
+    differenced as its pulse sequence.
     """
-    if B is None:
-        B = signal.B
+    protocol, signal = _reduced(protocol, signal)
     if step is None:
         rough = isinstance(protocol, ContinuousControl)
-        step = (1e-4 if rough else 1e-6) * max(1.0, abs(B))
+        step = (1e-4 if rough else 1e-6) * max(1.0, abs(signal.B))
 
     def state(b):
-        return _states(protocol, signal, b, [signal.omega], ode_tol)[0][0]
+        return _states(protocol, replace(signal, B=b), [signal.omega],
+                       ode_tol)[0][0]
 
     def fd(h):
-        return (state(B + h) - state(B - h)) / (2.0 * h)
+        return (state(signal.B + h) - state(signal.B - h)) / (2.0 * h)
 
-    psi = state(B)
+    psi = state(signal.B)
 
     def j_of(dpsi):
         ov = np.vdot(dpsi, psi)

@@ -11,11 +11,10 @@ runs out.  Beyond Omega, J tends to the toggling-frame (filter-
 function) form (4 zeta^2/omega^2) sum_jl D_jl sin(omega a_j + phi)
 sin(omega a_l + phi): a_j are the times where Z~ = U0^dag Z U0 of the
 control alone jumps, D the jumps' covariance in the initial state.  Its
-integral, in sine and cosine integrals, is the tail.  For pulse sequences
-at B = 0 and GHZ registers at any B that form is J itself at every omega,
-so K is its integral from omega = 0, a closed form with no panels at all.
-The average of K over Haar-random initial states is exact: a closed form
-at zero field, elsewhere a trace formula integrated on one node set.
+integral, in sine and cosine integrals, is the tail.  At B = 0, or where
+pulses keep Z~ on +-z, the form is J at every omega, and K its closed-form
+integral.  The average of K over Haar-random initial states is exact: that
+form where it holds, elsewhere a trace formula integrated on one node set.
 """
 
 from __future__ import annotations
@@ -27,8 +26,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .evolution import IntegrationError, discrete_propagators, qfi_vs_omega
-from .evolution import _check_ode_tol, _check_sequence, _drive_pieces, _su2_exp
-from .protocol import ContinuousControl, GhzProtocol, PulseSequence
+from .evolution import (_check_ode_tol, _check_sequence, _drive_pieces,
+                        _reduced, _su2_exp)
+from .protocol import ContinuousControl, PulseSequence
 from .signal_core import SignalParams
 
 GAUSS_ORDER = 16
@@ -89,12 +89,9 @@ class QfiSpectrum:
     bound on the tail's error (0 where the tail is exact; see _tail) and
     1e-14 of |integral| for rounding.
 
-    method is "quadrature" for that, or "closed_form" where the whole of
-    K is the boundary form integrated from omega = 0 (pulse sequences at
-    B = 0, GHZ registers at any B): omegas, values and weights are then
-    empty, tail_start is still tail_start_factor times the feature scale,
-    tail_coefficient is integral*tail_start, and error_estimate bounds
-    the rounding of the form's sum.
+    method is "quadrature", or "closed_form" (see _zero_field_k) with no
+    nodes, tail_start where the tail would start, tail_coefficient
+    integral*tail_start, and error_estimate bounding the form's error.
     """
 
     omegas: np.ndarray
@@ -119,7 +116,7 @@ class QuadratureNonConvergence(RuntimeError):
 class HaarResult:
     """Exact initial-state average of K.
 
-    method is "closed_form" (B = 0) or "trace_formula".  The
+    method is "closed_form" or "trace_formula".  The
     average is exact, so stderr is 0.0 and samples 0; both fields stay
     for readers of the earlier Monte Carlo result.
     """
@@ -276,115 +273,136 @@ def _bloch_z(u):
     return np.array([m[0, 1].real, -m[0, 1].imag, m[0, 0].real])
 
 
-def _jumps(protocol, zeta: float, haar: bool = False):
-    """(a, Q, D, zeta, rate): the boundary form of a protocol.
+def _jumps(protocol):
+    """(a, Q, r, n, rate): the boundary form of a validated protocol.
 
     Q_j is the jump (r before minus r after; r = 0 outside [0, T]) of the
-    control's toggling-frame Bloch vector r at a_j: a sequence's pulses, a
-    GHZ register's segment ends (r = +-z, coupling n*zeta), or 0 and T for
-    a continuous control.  D = Q Q^T - (Q n)(Q n)^T for the initial Bloch
-    vector n, or its Haar average (2/3) Q Q^T.  Each row of D sums to zero,
-    as the jumps do.  zeta is the coupling of the form, and rate twice the
-    largest generator norm of a continuous control (0 otherwise).
+    control's toggling-frame Bloch vector r at a_j: a sequence's pulses,
+    or 0 and T for a continuous control.  r is r on each segment (None for
+    a control); n is the initial Bloch vector, rate twice a control's
+    largest generator norm.
     """
-    n = np.array([1.0, 0.0, 0.0])  # |+>, where drives and registers start
     z = np.array([0.0, 0.0, 1.0])
-    rate = 0.0
     if isinstance(protocol, PulseSequence):
+        _check_sequence(protocol)
         u, r = np.eye(2), [z]
         for p in protocol.pulses:
             u = p.unitary @ u
             r.append(_bloch_z(u))
-        r = np.vstack([0.0 * z, *r, 0.0 * z])
-        a, Q = protocol.boundaries(), r[:-1] - r[1:]
+        r = np.array(r)
         alpha, beta = protocol.initial_state
         n = np.array([math.sin(alpha) * math.cos(beta),
                       math.sin(alpha) * math.sin(beta), math.cos(alpha)])
-    elif isinstance(protocol, GhzProtocol):
-        s = np.concatenate(([0.0], protocol.segment_signs(), [0.0]))
-        a, Q = protocol.times, np.outer(s[:-1] - s[1:], z)
-        zeta = protocol.n * zeta
-    elif isinstance(protocol, ContinuousControl):
-        u = np.eye(2)
+        Q = -np.diff(np.vstack([0.0 * z, r, 0.0 * z]), axis=0)
+        return protocol.boundaries(), Q, r, n, 0.0
+    if isinstance(protocol, ContinuousControl):
+        u, rate = np.eye(2), 0.0
         for start, end, h in _drive_pieces(protocol):
             u = _su2_exp(h, end - start) @ u
             rate = max(rate, 2.0 * float(np.linalg.norm(h, 2)))
-        a, Q = (0.0, protocol.total_time), np.array([-z, _bloch_z(u)])
-    else:
-        raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
-    D = (2.0 / 3.0) * Q @ Q.T if haar else Q @ Q.T - np.outer(Q @ n, Q @ n)
-    return np.asarray(a, dtype=float), Q, D, zeta, rate
+        return (np.array([0.0, float(protocol.total_time)]),
+                np.array([-z, _bloch_z(u)]), None,
+                np.array([1.0, 0.0, 0.0]), rate)
+    raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
 
 
-def _tail(protocol, signal: SignalParams, B: float, omega_max: float,
-          haar: bool = False):
+def _covariance(Q, n, haar: bool = False):
+    """D = Q Q^T - (Q n)(Q n)^T, the jumps' covariance in the initial Bloch
+    vector n, or its Haar average (2/3) Q Q^T; its rows sum to zero."""
+    qn = Q @ n
+    return (2.0 / 3.0) * Q @ Q.T if haar else Q @ Q.T - np.outer(qn, qn)
+
+
+def _tail(jumps, signal: SignalParams, omega_max: float, haar: bool = False):
     """(tail, bound): the boundary-form integral of J beyond Omega (see
     _jumps), and a bound on its error.  (2 zeta |Q|_1)^2/Omega bounds the
     tail; the error bound is that times zeta|B|/Omega, plus for a drive
-    (rate/Omega)^2.  A GHZ register's form is exact at any B.
+    (rate/Omega)^2.
     """
-    a, Q, D, zeta, rate = _jumps(protocol, signal.zeta, haar)
-    field = (0.0 if isinstance(protocol, GhzProtocol)
-             else signal.zeta * abs(B) / omega_max)
-    field += (rate / omega_max) ** 2
+    a, Q, _, n, rate = jumps
+    zeta = signal.zeta
+    field = zeta * abs(signal.B) / omega_max + (rate / omega_max) ** 2
     size = (2.0 * zeta * np.linalg.norm(Q, axis=1).sum()) ** 2 / omega_max
-    return (4.0 * zeta ** 2 * _boundary_tail(a, D, signal.phi, omega_max),
+    return (4.0 * zeta ** 2 * _boundary_tail(a, _covariance(Q, n, haar),
+                                             signal.phi, omega_max),
             float(field * size))
 
 
-def _zero_field_k(protocol, signal: SignalParams, haar: bool = False):
-    """(K, rounding bound) where J is the boundary form at every omega:
-    pulse sequences at B = 0 and GHZ registers at any B.
+def _zero_field_k(jumps, signal: SignalParams, cfg: QuadratureConfig,
+                  haar: bool = False):
+    """(K, error bound) from the closed form of K at B = 0, or None where
+    the panels must run: a drive, or a field that moves a sequence's
+    toggling-frame axis off +-z by more than the tolerance allows.
 
-    The Omega -> 0 limit of _boundary_tail, times 4 zeta^2, is
-    K = 2 zeta^2 sum_jl D_jl [-(pi/2)|a_j - a_l|
-                              - sin(2 phi) (a_j + a_l) ln(a_j + a_l)],
-    with 0 ln 0 = 0: the 1/Omega and ln Omega terms cancel, as each row of
-    D sums to zero.  For the same reason the times can be taken in units
-    of T, which keeps every term of order |D_jl|.  The terms are summed
-    exactly; the bound is _FORM_ROUNDING times the sum of the terms'
-    magnitudes, with (|Q_j| + 1)(|Q_l| + 1) for |D_jl|: a jump is the
-    difference of two unit vectors, each rounded to a few ulps of 1, so
-    the rounding of a small jump is not small relative to it.  Validates
-    a pulse sequence first.
+    At B = 0, J is the boundary form at every omega, and K, the Omega -> 0
+    limit of 4 zeta^2 _boundary_tail, is 2 zeta^2 sum_jl D_jl [-(pi/2)
+    |a_j - a_l| - sin(2 phi)(a_j + a_l) ln(a_j + a_l)] (0 ln 0 = 0; rows of
+    D sum to zero, so a is taken in units of T).  As Theta_k Theta_l
+    integrates to (pi/2) len_k delta_kl at phi = 0, the first part is
+    2 pi zeta^2 sum_k len_k C_kk, C_kk = 1 - (r_k.n)^2 (2/3 averaged over
+    states); only the second forms pairs, where sin(2 phi) != 0.  The sum
+    is exact; its rounding bound is _FORM_ROUNDING times the terms'
+    magnitude bounds, with |Q_j| + 1 for a jump, as a small jump's
+    rounding is not small next to it.
+
+    In a field J = 4 zeta^2 Var(G_B) in psi0, G_B = sum_k Theta_k A_k^dag
+    r_k.sigma A_k, A_k = V_(k-1)...V_0, V_k = exp(-i zeta B Theta_k
+    r_k.sigma).  For delta = max_k |r_k,perp|, |r_j x r_k| <= 2 delta, so
+    ||G_B - G_0|| <= 4 delta zeta |B| S^2 with S = sum_k |Theta_k| <= T,
+    and |J(B) - J(0)| <= 32 zeta^3 |B| delta S^3 (the standard deviation
+    is a seminorm, at most S).  The integral of S^2 is at most pi (N+1) T
+    for N pulses (Cauchy-Schwarz, Plancherel): |K(B) - K(0)| <= dev =
+    32 pi zeta^3 |B| delta (N+1) T^2, and K(0) <= 4 pi zeta^2 (N+1) T.
+    The form is taken where dev plus the rounding bound fits max(ABS_TOL,
+    rel_tol |K|), dev joining the bound; it is not summed where dev misses
+    even the largest K.  delta is 0 for Ramsey and GHZ registers, ulps for
+    pi trains, O(1) for pi/2 and SU(2) trains.
     """
-    if isinstance(protocol, PulseSequence):
-        _check_sequence(protocol)
-    a, Q, D, zeta, _ = _jumps(protocol, signal.zeta, haar)
-    T = float(protocol.total_time)
-    x = a / T
-    total = x[:, None] + x
-    gap = 0.5 * math.pi * np.abs(x[:, None] - x)
-    log = (math.sin(2.0 * signal.phi) * total
-           * np.log(np.where(total > 0.0, total, 1.0)))
+    a, Q, r, n, _ = jumps
+    if r is None:
+        return None
+    T, zeta = float(a[-1]), signal.zeta
+    k_max = 4.0 * math.pi * zeta ** 2 * len(r) * T
+    delta = float(np.hypot(r[:, 0], r[:, 1]).max())
+    dev = 8.0 * zeta * abs(signal.B) * delta * T * k_max
+    if dev > max(ABS_TOL, cfg.rel_tol * k_max):
+        return None
+    length = math.pi * (np.diff(a) / T)
+    terms = [length * (2.0 / 3.0 if haar else 1.0 - (r @ n) ** 2)]
+    sizes = [length * (np.linalg.norm(r, axis=1) + 1.0) ** 2]
+    s = math.sin(2.0 * signal.phi)
+    if s != 0.0:
+        total = (a[:, None] + a) / T
+        log = s * total * np.log(np.where(total > 0.0, total, 1.0))
+        q = np.linalg.norm(Q, axis=1) + 1.0
+        terms.append(-(_covariance(Q, n, haar) * log).ravel())
+        sizes.append((np.outer(q, q) * np.abs(log)).ravel())
     scale = 2.0 * zeta ** 2 * T
-    q = np.linalg.norm(Q, axis=1) + 1.0
-    size = np.outer(q, q) * (gap + np.abs(log))
-    k = -scale * math.fsum((D * (gap + log)).ravel())
-    return k, float(_FORM_ROUNDING * scale * size.sum())
+    k = scale * math.fsum(np.concatenate(terms))
+    err = float(_FORM_ROUNDING * scale * np.concatenate(sizes).sum())
+    if signal.B != 0.0 and dev + err > max(ABS_TOL, cfg.rel_tol * abs(k)):
+        return None
+    return k, err + dev
 
 
 # -- protocol plumbing --------------------------------------------------------
 
 
-def feature_scale(protocol, signal: SignalParams, B: float) -> float:
-    """Highest intrinsic frequency of a protocol under a field B.
+def feature_scale(protocol, signal: SignalParams) -> float:
+    """Highest intrinsic frequency of a protocol at the signal's field B.
 
-    The largest of 1/T, zeta*|B| and the protocol's own rates: segments/T
-    for pulse trains (a segment no longer than 16 ulps of T does not count)
-    and GHZ registers (with n*zeta*|B| for the register),
-    2|g| for the drive, twice the largest generator norm for a piecewise
-    generator.  integrate_iqfi starts the closed-form tail at
-    tail_start_factor times this, where the tail's error bound is small;
-    the CLI's default spectrum grid ends at 8 times it.
+    The largest of 1/T, zeta*|B| (n*zeta for a GHZ register) and the
+    protocol's own rates: segments/T for trains and registers (a segment
+    of at most 16 ulps of T does not count), 2|g| for the drive, twice the
+    largest generator norm for a piecewise generator.  The closed-form
+    tail starts at tail_start_factor times this; the CLI's default
+    spectrum grid ends at 8 times it.
     """
+    protocol, signal = _reduced(protocol, signal)
     T = float(protocol.total_time)
-    scale = max(1.0 / T, signal.zeta * abs(B))
+    scale = max(1.0 / T, signal.zeta * abs(signal.B))
     if isinstance(protocol, PulseSequence):
         scale = max(scale, protocol.segment_count(_ULP_SEGMENT * T) / T)
-    elif isinstance(protocol, GhzProtocol):
-        scale = max(scale, (len(protocol.times) - 1) / T,
-                    protocol.n * signal.zeta * abs(B))
     elif isinstance(protocol, ContinuousControl):
         gen = max((float(np.linalg.norm(h, 2)) for _, _, h in protocol.pieces),
                   default=0.0)
@@ -392,53 +410,49 @@ def feature_scale(protocol, signal: SignalParams, B: float) -> float:
     return scale
 
 
-def integrate_iqfi(protocol, signal: SignalParams, B: Optional[float] = None,
+def integrate_iqfi(protocol, signal: SignalParams,
                    cfg: Optional[QuadratureConfig] = None,
                    ode_tol: float = 1e-9) -> QfiSpectrum:
-    """Integrated QFI over omega in [0, inf) for any protocol kind.
+    """Integrated QFI over omega in [0, inf) at the signal's field B.
 
-    For a pulse sequence at B = 0 (any phi) and a GHZ register at any B,
-    J is the boundary form at every omega, and K is its closed-form
-    integral (method "closed_form", see _zero_field_k): no propagation and
-    no panels.  Otherwise panels of width pi/T cover [0, Omega] and the
-    closed-form tail covers the rest.  Raises QuadratureNonConvergence with
-    a partial result when the panel budget runs out.  ode_tol is passed to
-    qfi_vs_omega for continuous drives, and checked on every path, as is
-    the protocol.
+    Where _zero_field_k admits it (a pulse sequence or GHZ register at
+    B = 0, or one whose axis stays on +-z), K is a closed form (method
+    "closed_form"): no propagation, no panels.  Otherwise panels of width
+    pi/T cover [0, Omega] and the closed-form tail the rest; an exhausted
+    panel budget raises QuadratureNonConvergence with a partial result.
+    ode_tol, for continuous drives, is checked on every path, as is the
+    protocol.
     """
     cfg = cfg or QuadratureConfig()
-    if B is None:
-        B = signal.B
-    omega_max = cfg.tail_start_factor * feature_scale(protocol, signal, B)
-    if isinstance(protocol, GhzProtocol) or (
-            B == 0.0 and isinstance(protocol, PulseSequence)):
-        _check_ode_tol(ode_tol)
-        k, err = _zero_field_k(protocol, signal)
+    protocol, signal = _reduced(protocol, signal)
+    _check_ode_tol(ode_tol)
+    jumps = _jumps(protocol)
+    omega_max = cfg.tail_start_factor * feature_scale(protocol, signal)
+    closed = _zero_field_k(jumps, signal, cfg)
+    if closed is not None:
+        k, err = closed
         empty = np.empty(0)
         return QfiSpectrum(omegas=empty, values=empty, weights=empty,
                            integral=k, error_estimate=err,
                            tail_coefficient=k * omega_max,
                            tail_start=omega_max, method="closed_form")
-    width = math.pi / float(protocol.total_time)
     return _integrate_adaptive(
-        lambda om: qfi_vs_omega(protocol, signal, B, om, ode_tol=ode_tol),
-        0.0, omega_max, width, cfg, _tail(protocol, signal, B, omega_max))
+        lambda om: qfi_vs_omega(protocol, signal, omegas=om, ode_tol=ode_tol),
+        0.0, omega_max, math.pi / float(protocol.total_time), cfg,
+        _tail(jumps, signal, omega_max))
 
 
 def integrate_qfi_band(protocol, signal: SignalParams, lo: float, hi: float,
-                       B: Optional[float] = None,
                        cfg: Optional[QuadratureConfig] = None,
                        ode_tol: float = 1e-9) -> QfiSpectrum:
     """Integral of J over a finite band [lo, hi]; no tail term."""
     if not 0.0 <= lo < hi:
         raise ValueError("need 0 <= lo < hi")
-    cfg = cfg or QuadratureConfig()
-    if B is None:
-        B = signal.B
-    width = math.pi / float(protocol.total_time)
+    protocol, signal = _reduced(protocol, signal)
     return _integrate_adaptive(
-        lambda om: qfi_vs_omega(protocol, signal, B, om, ode_tol=ode_tol),
-        lo, hi, width, cfg)
+        lambda om: qfi_vs_omega(protocol, signal, omegas=om, ode_tol=ode_tol),
+        lo, hi, math.pi / float(protocol.total_time),
+        cfg or QuadratureConfig())
 
 
 def cross_spectral_integral(t1: float, t0: float, mode: str = "analytic",
@@ -472,45 +486,42 @@ def cross_spectral_integral(t1: float, t0: float, mode: str = "analytic",
 
 
 def haar_average_iqfi(seq: PulseSequence, signal: SignalParams,
-                      B: Optional[float] = None,
                       cfg: Optional[QuadratureConfig] = None,
                       samples=None) -> HaarResult:
-    """Exact average of K over Haar-random initial states.
+    """Exact average of K over Haar-random initial states at field B.
 
     J = 4*(<dpsi|dpsi> + Re <dpsi|psi>^2) has degree 2 in psi0 and psi0*,
     so its Haar average is a trace formula in P and W = dP/dB:
     4*(Tr A/2 + Re(Tr(M)^2 + Tr(M^2))/6) with A = W^dag W, M = W^dag P.
-    At B = 0 and signal phase 0 the average of K is (2/3)*2*pi*zeta^2*T for
-    every pulse sequence: E[C_kl] = Tr(Z_k Z_l)/3 for the toggling-frame
-    Z_k = U_k^dag Z U_k, and the integral of Theta_k Theta_l over omega is
-    (pi/2)*len_k*delta_kl.  At B = 0 and any other phase it is the
-    zero-field closed form of integrate_iqfi with the jump covariance
-    averaged over initial states, (2/3) Q Q^T.  Otherwise one pilot
-    integration fixes the nodes and weights, the trace formula is
-    integrated on them, and the boundary tail adds the rest with that
-    averaged covariance.  Both B = 0 results have method "closed_form".
-    samples is accepted, for callers of the earlier Monte Carlo, and
-    ignored; stderr is always 0.
+    Where _zero_field_k admits its form, the average is that form with D
+    averaged over initial states, (2/3) Q Q^T, which at B = 0 and signal
+    phase 0 is (2/3)*2*pi*zeta^2*T for every pulse sequence (method
+    "closed_form").  Otherwise one band integration of J fixes the nodes
+    and weights, the trace formula is integrated on them, and the boundary
+    tail with that D adds the rest.  samples is ignored and stderr 0, for
+    callers of the earlier Monte Carlo.
     """
     if not isinstance(seq, PulseSequence):
         raise TypeError(f"haar_average_iqfi needs a PulseSequence, got "
                         f"{type(seq).__name__}")
-    if B is None:
-        B = signal.B
-    if B == 0.0:
-        if signal.phi == 0.0:
-            k = (2.0 / 3.0) * 2.0 * math.pi * signal.zeta ** 2 * seq.total_time
-        else:
-            k, _ = _zero_field_k(seq, signal, haar=True)
+    if signal.B == 0.0 and signal.phi == 0.0:
+        k = (2.0 / 3.0) * 2.0 * math.pi * signal.zeta ** 2 * seq.total_time
         return HaarResult(value=k, stderr=0.0, method="closed_form", samples=0)
-    pilot = integrate_iqfi(seq, signal, B, cfg)
-    P, W = discrete_propagators(seq, signal, B, pilot.omegas)
+    cfg = cfg or QuadratureConfig()
+    jumps = _jumps(seq)
+    closed = _zero_field_k(jumps, signal, cfg, haar=True)
+    if closed is not None:
+        return HaarResult(value=closed[0], stderr=0.0, method="closed_form",
+                          samples=0)
+    omega_max = cfg.tail_start_factor * feature_scale(seq, signal)
+    pilot = integrate_qfi_band(seq, signal, 0.0, omega_max, cfg)
+    P, W = discrete_propagators(seq, signal, omegas=pilot.omegas)
     M = np.einsum("nij,nik->njk", W.conj(), P)
     tr_a = np.einsum("nij,nij->n", W.conj(), W).real
     tr_m = np.einsum("njj->n", M)
     tr_m2 = np.einsum("nij,nji->n", M, M)
     mean_j = 4.0 * (tr_a / 2.0 + (tr_m * tr_m + tr_m2).real / 6.0)
-    tail, _ = _tail(seq, signal, B, pilot.tail_start, haar=True)
+    tail, _ = _tail(jumps, signal, omega_max, haar=True)
     return HaarResult(value=float(mean_j @ pilot.weights + tail),
                       stderr=0.0, method="trace_formula", samples=0)
 
@@ -519,7 +530,7 @@ def haar_average_iqfi(seq: PulseSequence, signal: SignalParams,
 
 
 def sweep_iqfi_vs_T(family: Callable, Ts: Sequence[float],
-                    signal: SignalParams, B: Optional[float] = None,
+                    signal: SignalParams,
                     cfg: Optional[QuadratureConfig] = None,
                     slope_window: Optional[tuple] = None,
                     jobs: int = 1) -> SweepResult:
@@ -536,7 +547,7 @@ def sweep_iqfi_vs_T(family: Callable, Ts: Sequence[float],
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     cfg = cfg or QuadratureConfig()
-    tasks = [(float(T), family(float(T)), signal, B, cfg) for T in Ts]
+    tasks = [(float(T), family(float(T)), signal, cfg) for T in Ts]
     if jobs > 1:
         # imported on use: loading the pool machinery costs every process
         # about half a megabyte of memory
@@ -561,9 +572,9 @@ def sweep_iqfi_vs_T(family: Callable, Ts: Sequence[float],
 
 def _sweep_point(task) -> SweepPoint:
     """One sweep point; module-level so worker processes can unpickle it."""
-    T, protocol, signal, B, cfg = task
+    T, protocol, signal, cfg = task
     try:
-        spec = integrate_iqfi(protocol, signal, B, cfg)
+        spec = integrate_iqfi(protocol, signal, cfg)
         return SweepPoint(T=T, K=spec.integral, K_err=spec.error_estimate)
     except QuadratureNonConvergence as exc:
         spec = exc.partial

@@ -3,8 +3,9 @@
 A discrete protocol is a sequence of instantaneous pulses (2x2 unitaries)
 applied at fixed times inside [0, T], with free evolution under the signal
 in between.  Continuous protocols specify a drive generator added to the
-signal Hamiltonian.  Entangled-register protocols are described separately
-by GhzProtocol since their evolution never leaves a 2-dimensional subspace.
+signal Hamiltonian.  An entangled register is a GhzProtocol; its evolution
+never leaves the {|0...0>, |1...1>} plane, where evolution and integration
+treat it as the pulse sequence it is there.
 """
 
 from __future__ import annotations
@@ -204,17 +205,6 @@ class GhzProtocol:
     @property
     def total_time(self) -> float:
         return self.times[-1]
-
-    def segment_signs(self) -> np.ndarray:
-        """Sign of each segment's kernel in the accumulated phase."""
-        signs = np.ones(len(self.times) - 1)
-        if self.flips is not None:
-            flip = 1.0
-            for i, f in enumerate(self.flips):
-                if f:
-                    flip = -flip
-                signs[i + 1] = flip
-        return signs
 
 
 def make_ramsey(total_time: float, initial_state=(math.pi / 2.0, 0.0)) -> PulseSequence:

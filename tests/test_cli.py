@@ -229,16 +229,18 @@ def test_bad_protocol_choice_exits_2(capsys):
 
 
 def test_panel_budget_exhaustion_exits_3(capsys):
-    # a field: at B = 0 a pulse sequence's K is a closed form, with no panels
-    code, _, err = run(capsys, "iqfi", "--protocol", "ramsey", "--T", "4",
+    # a pi/2 train in a field: Ramsey's K would be a closed form, with no
+    # panels
+    code, _, err = run(capsys, "iqfi", "--protocol", "pi2-train", "--T", "4",
                        "--B", "0.3", "--max-panels", "8")
     assert code == 3
     assert "integration failed" in err
 
 
 def test_iqfi_reports_its_method(capsys):
+    # a pi/2 train: a field moves its axis off +-z
     for b, method in (("0", "closed_form"), ("0.3", "quadrature")):
-        code, out, _ = run(capsys, "iqfi", "--protocol", "pi-train", "--T",
+        code, out, _ = run(capsys, "iqfi", "--protocol", "pi2-train", "--T",
                            "4", "--B", b)
         assert code == 0 and json.loads(out)["method"] == method
 

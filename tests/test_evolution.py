@@ -170,11 +170,11 @@ def test_kernel_matches_explicit_matrix_product(kind, B, phi):
         err = np.abs(got - want).max()
         assert err <= 1e-13 * np.abs(want).max(), err
 
-    P, W = discrete_propagators(seq, sig, B, om)
+    P, W = discrete_propagators(seq, sig, omegas=om)
     close(P, P_ref)
     close(W, W_ref)
     psi0 = seq.initial_vector()
-    psi, dpsi = discrete_propagators(seq, sig, B, om, psi0=psi0)
+    psi, dpsi = discrete_propagators(seq, sig, omegas=om, psi0=psi0)
     assert psi.shape == dpsi.shape == (om.size, 2)
     close(psi, P_ref @ psi0)
     close(dpsi, W_ref @ psi0)
@@ -225,7 +225,7 @@ def test_continuous_zero_field_is_x_rotation():
     # J = 4 |int_0^T zeta cos(w t + phi) exp(-2igt) dt|^2.
     g, T, om = 0.8, 2.0, 1.0
     drive, sig = TransverseDrive(g=g, total_time=T), SignalParams(B=0.0, omega=om)
-    psi, _ = _states(drive, sig, 0.0, [om], 1e-12)
+    psi, _ = _states(drive, sig, [om], 1e-12)
     np.testing.assert_allclose(psi[0], np.exp(-1j * g * T) * PLUS, atol=1e-9)
 
     def osc(freq):
@@ -371,8 +371,7 @@ def test_refinement_meets_ode_tol_at_high_frequency(om):
     # added for these frequencies bring the state within it
     g, T = 0.5 * math.pi, 2.0
     sig = SignalParams(B=1.0, omega=om)
-    got, dgot = _states(TransverseDrive(g=g, total_time=T), sig, 1.0, [om],
-                        1e-10)
+    got, dgot = _states(TransverseDrive(g=g, total_time=T), sig, [om], 1e-10)
     psi, dpsi = _dop853_state([(0.0, T, g * SIGMA_X)], sig, om)
     assert np.max(np.abs(got[0] - psi)) <= 1e-10
     assert np.max(np.abs(dgot[0] - dpsi)) <= 1e-10
@@ -514,6 +513,21 @@ def test_ghz_matches_tensor_oracle(n):
                              sig)[0]
             ref = _tensor_ghz_qfi(n, times, flips, sig, B)
             assert j == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
+def test_fd_oracle_matches_engine_on_registers():
+    # a register is differenced as the pulse sequence it reduces to
+    rng = np.random.default_rng(26)
+    for n in (2, 3):
+        times = (0.0, *np.sort(rng.uniform(0.0, 3.0, 2)), 3.0)
+        for flips in (None, (True, False)):
+            sig = SignalParams(B=float(rng.uniform(-1.0, 1.0)),
+                               omega=float(rng.uniform(0.0, 4.0)),
+                               phi=float(rng.uniform(0.0, 6.2)))
+            ghz = GhzProtocol(n=n, times=times, flips=flips)
+            j = float(qfi_vs_omega(ghz, sig)[0])
+            ref = qfi_fd_oracle(ghz, sig, richardson=True)
+            assert j == pytest.approx(ref, rel=1e-6, abs=1e-9)
 
 
 def test_ghz_protocol_spectrum_path():

@@ -1,6 +1,7 @@
 """Frequency integration: adaptive quadrature, tail handling, averages."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,18 +10,20 @@ import iqfi_lab.evolution
 import iqfi_lab.iqfi
 from iqfi_lab.bounds import pi_train_closed_form, ramsey_closed_form
 from iqfi_lab.cli import BATTERY_CFG_KW, PAULI_STATES
+from iqfi_lab.evolution import _reduced
 from iqfi_lab.iqfi import (
     ABS_TOL,
     QuadratureConfig,
     QuadratureNonConvergence,
     cross_spectral_integral,
+    feature_scale,
     fit_loglog_slope,
     haar_average_iqfi,
     integrate_iqfi,
     integrate_qfi_band,
     sweep_iqfi_vs_T,
 )
-from iqfi_lab.iqfi import _cos_tail, _sici_tail, _tail
+from iqfi_lab.iqfi import _cos_tail, _jumps, _sici_tail, _tail
 from iqfi_lab.protocol import (
     GhzProtocol,
     Pulse,
@@ -58,9 +61,10 @@ def test_pi_train_integral_and_zeta_scaling():
 
 
 def test_spectrum_fields_are_consistent():
-    # at B = 0 K is a closed form with no nodes; a field sends it through
-    # the quadrature
-    spec = integrate_iqfi(make_ramsey(3.0), SignalParams(B=0.3, omega=0.0))
+    # a closed-form K has no nodes: a pi/2 train's axis leaves +-z, so a
+    # field sends it through the quadrature
+    spec = integrate_iqfi(make_pi2_train(0.5, 3.0),
+                          SignalParams(B=0.3, omega=0.0))
     assert len(spec.omegas) == len(spec.values)
     assert np.all(np.diff(spec.omegas) > 0.0)
     assert spec.tail_start > spec.omegas[0]
@@ -81,13 +85,14 @@ def test_sampled_spectrum_nonnegative_random_protocols():
 
 def test_ramsey_tail_coefficient():
     # J falls off as C / omega^2 with C -> 2 zeta^2 (the mid-point and
-    # half-width phases coincide, so cos^2 sin^2 averages to 1/8); a weak
-    # field, as at B = 0 K is a closed form and its coefficient is K*Omega
+    # half-width phases coincide, so cos^2 sin^2 averages to 1/8); the tail
+    # itself, as Ramsey's K is a closed form with coefficient K*Omega
+    seq = make_ramsey(4.0)
     for zeta in (1.0, 1.5):
         sig = SignalParams(B=0.01, omega=0.0, zeta=zeta)
-        spec = integrate_iqfi(make_ramsey(4.0), sig)
-        assert spec.tail_coefficient == pytest.approx(2.0 * zeta ** 2,
-                                                      rel=0.05)
+        omega_max = 40.0 * feature_scale(seq, sig)
+        tail, _ = _tail(_jumps(seq), sig, omega_max)
+        assert tail * omega_max == pytest.approx(2.0 * zeta ** 2, rel=0.05)
 
 
 def test_error_decreases_with_tail_start():
@@ -231,14 +236,14 @@ def test_cosine_tail_edge_cases():
 
 
 def test_refining_rel_tol_never_degrades_accuracy():
-    # Ramsey's J = 4 zeta^2 Theta^2 does not depend on B, so its closed
-    # form holds at B = 0.3, where K goes through the panels
-    T, exact = 4.0, ramsey_closed_form(4.0)
-    sig = SignalParams(B=0.3, omega=0.0)
+    # a pi/2 train at B = 0.3 goes through the panels; against its panels
+    # at rel_tol 1e-12 and the same tail, the error is the panels' own
+    seq, sig = make_pi2_train(0.5, 4.0), SignalParams(B=0.3, omega=0.0)
+    exact = integrate_iqfi(seq, sig, cfg=QuadratureConfig(
+        rel_tol=1e-12, max_panels=40000)).integral
     prev = None
     for rel in (1e-3, 5e-4, 2.5e-4, 1.25e-4):
-        spec = integrate_iqfi(make_ramsey(T), sig,
-                              cfg=QuadratureConfig(rel_tol=rel))
+        spec = integrate_iqfi(seq, sig, cfg=QuadratureConfig(rel_tol=rel))
         assert spec.method == "quadrature"
         err = abs(spec.integral - exact)
         if prev is not None:
@@ -271,10 +276,10 @@ def test_cross_spectral_closed_form_and_numeric():
 
 
 def test_nonconvergence_raises_with_partial():
-    # a field: at B = 0 a pulse sequence's K is a closed form, with no panels
+    # a pi/2 train in a field: the closed form needs B = 0 or an axis on +-z
     sig = SignalParams(B=0.3, omega=0.0)
     with pytest.raises(QuadratureNonConvergence):
-        integrate_iqfi(make_ramsey(4.0), sig,
+        integrate_iqfi(make_pi2_train(0.5, 4.0), sig,
                        cfg=QuadratureConfig(max_panels=10))
     # a budget above the base panel count but below convergence should
     # surface the best-so-far estimate
@@ -307,8 +312,8 @@ def _six_state_mean(seq, sig, cfg=None):
 
 def test_haar_monte_carlo_vs_trace_formula():
     # independent oracle: a seeded Haar Monte Carlo of K, each state
-    # through integrate_iqfi
-    seq = make_pi_train([1.0, 2.0, 3.0], 4.0)
+    # through integrate_iqfi; a pi/2 train, whose axis leaves +-z
+    seq = make_pi2_train(1.0, 4.0)
     sig = SignalParams(B=0.3, omega=0.0, phi=0.5)
     res = haar_average_iqfi(seq, sig)
     assert (res.method, res.stderr, res.samples) == ("trace_formula", 0.0, 0)
@@ -334,6 +339,19 @@ def test_haar_exact_vs_six_states(seed):
         sig = SignalParams(B=b, omega=0.0, phi=p)
         res = haar_average_iqfi(seq, sig)
         assert res.method == ("closed_form" if b == 0.0 else "trace_formula")
+        assert res.value == pytest.approx(_six_state_mean(seq, sig),
+                                          rel=1e-9)
+
+
+def test_haar_of_an_on_axis_train_in_a_field():
+    # a pi-xy train's axis stays on +-z, so at B = 0.5 its average is the
+    # closed form with the averaged covariance, taken before any pilot
+    seq = random_pulse_sequence(np.random.default_rng(1919), 3.0,
+                                max_pulses=10, kind="pi_xy")
+    for phi in (0.0, 0.9):
+        sig = SignalParams(B=0.5, omega=0.0, phi=phi)
+        res = haar_average_iqfi(seq, sig)
+        assert res.method == "closed_form"
         assert res.value == pytest.approx(_six_state_mean(seq, sig),
                                           rel=1e-9)
 
@@ -366,14 +384,14 @@ def test_haar_rejects_non_pulse_protocols():
 
 
 def test_sweep_linear_scaling_and_failures():
-    family = lambda T: make_pi_train([T / 2.0], T)
+    # pi/2 trains: at B = 0.3 their axis leaves +-z and K needs panels
+    family = lambda T: make_pi2_train(T / 2.0, T)
     Ts = [2.0, 4.0, 8.0, 16.0]
     sweep = sweep_iqfi_vs_T(family, Ts, FLAT)
     assert [p.T for p in sweep.points] == Ts
     assert not any(p.failed for p in sweep.points)
     assert sweep.slope == pytest.approx(1.0, abs=1e-3)
 
-    # a field: at B = 0 a pulse sequence's K needs no panels
     broken = sweep_iqfi_vs_T(family, Ts, SignalParams(B=0.3, omega=0.0),
                              cfg=QuadratureConfig(max_panels=5))
     assert all(p.failed for p in broken.points)
@@ -476,13 +494,17 @@ def test_integrals_reject_bad_ode_tol(protocol, tol):
 # -- the zero-field closed form ----------------------------------------------
 
 
+def _acceptance_02_trains():
+    """The 50 seeded equatorial pi-xy trains of acceptance check 02."""
+    rng = np.random.default_rng(1907)
+    return [random_pulse_sequence(rng, 4.0, max_pulses=31, kind="pi_xy",
+                                  equator=True) for _ in range(50)]
+
+
 def _closed_form_cases(group):
     """(protocol, signal) pairs where K is a closed form."""
     if group == "acceptance_02":
-        rng = np.random.default_rng(1907)
-        return [(random_pulse_sequence(rng, 4.0, max_pulses=31, kind="pi_xy",
-                                       equator=True), FLAT)
-                for _ in range(50)]
+        return [(seq, FLAT) for seq in _acceptance_02_trains()]
     if group == "trains":
         rng = np.random.default_rng(1914)
         seqs = [random_pulse_sequence(rng, float(rng.uniform(1.0, 4.0)),
@@ -495,20 +517,69 @@ def _closed_form_cases(group):
             for n in (2, 3) for b in (0.0, 0.8)]
 
 
-@pytest.mark.parametrize("group", ["acceptance_02", "trains", "ghz"])
-def test_closed_form_matches_the_quadrature(group):
+def _check_against_the_quadrature(proto, sig):
     """The closed form against propagation and panels on [0, Omega] plus
     the boundary tail, which is exact here: within 1e-9 and within the sum
     of the two error estimates."""
+    spec = integrate_iqfi(proto, sig, cfg=GATE)
+    assert spec.method == "closed_form" and spec.omegas.size == 0
+    band = integrate_qfi_band(proto, sig, 0.0, spec.tail_start, cfg=GATE)
+    assert band.method == "quadrature"
+    seq, reduced = _reduced(proto, sig)
+    num = band.integral + _tail(_jumps(seq), reduced, spec.tail_start)[0]
+    gap = abs(spec.integral - num)
+    assert gap <= 1e-9 * abs(num)
+    assert gap <= spec.error_estimate + band.error_estimate
+
+
+@pytest.mark.parametrize("group", ["acceptance_02", "trains", "ghz"])
+def test_closed_form_matches_the_quadrature(group):
     for proto, sig in _closed_form_cases(group):
-        spec = integrate_iqfi(proto, sig, cfg=GATE)
-        assert spec.method == "closed_form" and spec.omegas.size == 0
-        band = integrate_qfi_band(proto, sig, 0.0, spec.tail_start, cfg=GATE)
-        assert band.method == "quadrature"
-        num = band.integral + _tail(proto, sig, sig.B, spec.tail_start)[0]
-        gap = abs(spec.integral - num)
-        assert gap <= 1e-9 * abs(num)
-        assert gap <= spec.error_estimate + band.error_estimate
+        _check_against_the_quadrature(proto, sig)
+
+
+@pytest.mark.parametrize("B", [0.3, 1.7])
+def test_on_axis_closed_form_matches_the_quadrature(B):
+    """Where every pulse maps Z to +-Z, J does not depend on B, and the
+    closed form holds in a field: acceptance 02's pi trains, seeded pi-xy
+    trains at two phases, and Ramsey."""
+    rng = np.random.default_rng(1916)
+    xy = [random_pulse_sequence(rng, float(rng.uniform(1.0, 4.0)),
+                                max_pulses=16, kind="pi_xy")
+          for _ in range(16)]
+    cases = ([(seq, SignalParams(B=B, omega=0.0))
+              for seq in _acceptance_02_trains()]
+             + [(seq, SignalParams(B=B, omega=0.0, phi=phi))
+                for seq in xy for phi in (0.0, 0.7)]
+             + [(make_ramsey(2.5), SignalParams(B=B, omega=0.0, phi=0.7))])
+    for proto, sig in cases:
+        _check_against_the_quadrature(proto, sig)
+
+
+def test_near_pi_trains_take_the_quadrature_or_cover_their_gap():
+    """Pulses of angle pi + 1e-6 tip the axis off +-z by about 1e-6: at
+    the gate tolerance that refuses the closed form, and at a loose one
+    the closed form's estimate covers its distance from the quadrature."""
+    rng = np.random.default_rng(1917)
+    loose = QuadratureConfig(rel_tol=1e-3, tail_start_factor=240.0,
+                             max_panels=40000)
+    methods = set()
+    for _ in range(6):
+        xy = random_pulse_sequence(rng, float(rng.uniform(1.0, 4.0)),
+                                   max_pulses=8, kind="pi_xy")
+        seq = PulseSequence(tuple(Pulse(time=p.time, axis=p.axis,
+                                        angle=math.pi + 1e-6)
+                                  for p in xy.pulses),
+                            xy.total_time, xy.initial_state)
+        sig = SignalParams(B=float(rng.uniform(0.2, 2.0)), omega=0.0,
+                           phi=float(rng.uniform(0.0, 6.2)))
+        num = integrate_iqfi(seq, sig, cfg=GATE)
+        assert num.method == "quadrature"
+        spec = integrate_iqfi(seq, sig, cfg=loose)
+        methods.add(spec.method)
+        if spec.method == "closed_form":
+            assert abs(spec.integral - num.integral) <= spec.error_estimate
+    assert "closed_form" in methods
 
 
 def test_closed_form_ramsey():
@@ -542,6 +613,50 @@ def test_closed_form_rounding_bound_on_a_long_train(kind):
         <= spec.error_estimate
 
 
+def test_closed_form_memory_is_linear_at_phase_zero():
+    # at phi = 0 the form needs no pulse pairs: 2048 pulses stay far below
+    # the 34 MB of one 2049 x 2049 array
+    seq = make_trotterized_gx(4.0, m=2048, g=0.3)
+    tracemalloc.start()
+    try:
+        spec = integrate_iqfi(seq, FLAT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.method == "closed_form"
+    assert peak < 10 * 2 ** 20
+
+
+def test_results_give_the_tail_share_a_finite_value():
+    """A closed form and a quadrature of each protocol kind (a drive's K
+    is always a quadrature): tail_start is finite and positive, and
+    tail_coefficient / tail_start / integral, which a reader forms, is
+    finite, as JSON has no token for a NaN or an infinity."""
+    sig = SignalParams(B=0.3, omega=0.0, phi=0.4)
+    ghz = GhzProtocol(n=2, times=(0.0, 1.0, 2.5), flips=(True,))
+    # below the rounding of the form, the register takes the panels
+    exacting = QuadratureConfig(rel_tol=1e-15, max_panels=40000)
+    results = [
+        integrate_iqfi(make_pi_train([1.0, 2.0, 3.0], 4.0), sig),
+        integrate_iqfi(make_pi2_train(0.5, 3.0), sig),
+        integrate_iqfi(make_ramsey(2.0), FLAT),
+        integrate_iqfi(ghz, sig),
+        integrate_iqfi(ghz, sig, cfg=exacting),
+        integrate_iqfi(TransverseDrive(g=1.0, total_time=0.5),
+                       SignalParams(B=0.05, omega=0.0),
+                       cfg=QuadratureConfig(tail_start_factor=10.0)),
+    ]
+    assert [r.method for r in results] == [
+        "closed_form", "quadrature", "closed_form", "closed_form",
+        "quadrature", "quadrature"]
+    for spec in results:
+        assert math.isfinite(spec.tail_start) and spec.tail_start > 0.0
+        assert math.isfinite(spec.tail_coefficient)
+        assert math.isfinite(spec.integral) and spec.integral != 0.0
+        assert math.isfinite(
+            spec.tail_coefficient / spec.tail_start / spec.integral)
+
+
 def test_closed_form_spectrum_fields():
     spec = integrate_iqfi(make_pi_train([1.0, 2.0, 3.0], 4.0), FLAT)
     assert spec.method == "closed_form"
@@ -561,14 +676,20 @@ def test_closed_form_runs_no_propagation(monkeypatch):
             monkeypatch.setattr(module, name, refuse)
     seq = make_pi_train([1.0, 2.0, 3.0], 4.0)
     ghz = GhzProtocol(n=3, times=(0.0, 0.7, 2.0), flips=(True,))
+    xy = random_pulse_sequence(np.random.default_rng(1918), 3.0,
+                               max_pulses=12, kind="pi_xy")
     assert integrate_iqfi(seq, FLAT).method == "closed_form"
     assert integrate_iqfi(ghz, SignalParams(B=0.8, omega=0.0)).method \
         == "closed_form"
+    assert integrate_iqfi(xy, SignalParams(B=1.7, omega=0.0)).method \
+        == "closed_form"
     tilted = SignalParams(B=0.0, omega=0.0, phi=0.7)
     assert haar_average_iqfi(seq, tilted).method == "closed_form"
-    # the guard is live: a field sends the train through the propagation
+    assert haar_average_iqfi(xy, SignalParams(B=0.5, omega=0.0)).method \
+        == "closed_form"
+    # the guard is live: a field sends a pi/2 train through the propagation
     with pytest.raises(AssertionError, match="propagation"):
-        integrate_iqfi(seq, SignalParams(B=0.3, omega=0.0))
+        integrate_iqfi(make_pi2_train(1.0, 4.0), SignalParams(B=0.3, omega=0.0))
 
 
 @pytest.mark.parametrize("pulse", [Pulse(time=1.0, axis="x", angle=math.nan),

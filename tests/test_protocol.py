@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from iqfi_lab.evolution import _reduced
+from iqfi_lab.iqfi import _jumps
 from iqfi_lab.protocol import (
     GhzProtocol,
     PiecewiseGenerator,
@@ -22,6 +24,7 @@ from iqfi_lab.protocol import (
     sequence_to_json,
     validate,
 )
+from iqfi_lab.signal_core import SignalParams
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -159,8 +162,15 @@ def test_pulse_unitary_axis_angle():
 
 
 def test_ghz_protocol_segment_signs():
+    # a register is the pulse sequence it is in the {|0..0>, |1..1>} plane:
+    # each segment's sign is the z of that sequence's toggling frame, and
+    # the coupling is n*zeta
     proto = GhzProtocol(n=3, times=(0.0, 1.0, 2.0, 3.0), flips=(True, False))
-    np.testing.assert_allclose(proto.segment_signs(), [1.0, -1.0, -1.0])
+    seq, sig = _reduced(proto, SignalParams(B=0.5, omega=0.0, zeta=1.5))
+    np.testing.assert_array_equal(_jumps(seq)[2],
+                                  [[0, 0, 1], [0, 0, -1], [0, 0, -1]])
+    assert np.array_equal(seq.boundaries(), proto.times)
+    assert (sig.zeta, sig.B) == (4.5, 0.5)
     assert proto.total_time == 3.0
     with pytest.raises(ValueError):
         GhzProtocol(n=0, times=(0.0, 1.0))

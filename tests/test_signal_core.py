@@ -240,8 +240,7 @@ def test_uniform_train_evaluates_no_theta(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod in (signal_core, evolution):
-        monkeypatch.setattr(mod, "theta", counted("theta", mod.theta))
+    monkeypatch.setattr(signal_core, "theta", counted("theta", signal_core.theta))
     monkeypatch.setattr(signal_core, "_unit_phase",
                         counted("phase", signal_core._unit_phase))
     seq = make_trotterized_gx(32.0, m=64, g=math.pi / 2.0)
