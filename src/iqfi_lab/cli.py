@@ -38,7 +38,7 @@ from .bounds import (
     report_lower_bound,
     rwa_iqfi_lower_bound,
 )
-from .evolution import IntegrationError, qfi_vs_omega
+from .evolution import ODE_TOL, IntegrationError, qfi_vs_omega
 from .iqfi import (
     QuadratureConfig,
     QuadratureNonConvergence,
@@ -230,7 +230,7 @@ def _duration(args, default: float) -> float:
 
 
 def _ode_tol(args) -> float:
-    tol = _resolve(args, "ode_tol", 1e-9, float)
+    tol = _resolve(args, "ode_tol", ODE_TOL, float)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"--ode-tol must be positive and finite, got {tol}")
     return tol
@@ -320,8 +320,8 @@ def cmd_spectrum(args) -> int:
     signal = _build_signal(args)
     protocol = _build_protocol(args)
     omegas = _grid(args, protocol, signal)
-    ode_tol = _ode_tol(args)
-    values = qfi_vs_omega(protocol, signal, omegas=omegas, ode_tol=ode_tol)
+    values = qfi_vs_omega(protocol, signal, omegas=omegas,
+                          ode_tol=_ode_tol(args))
     _write(args, "csv", {"schema": SCHEMA_TAG.lstrip("# "),
                          "omega": [float(w) for w in omegas],
                          "J": [float(v) for v in values]},
@@ -362,9 +362,8 @@ def _applicable_bounds(protocol, signal, k: float, k_err: float) -> list:
 def cmd_iqfi(args) -> int:
     signal = _build_signal(args)
     protocol = _build_protocol(args)
-    cfg = _quad_cfg(args)
-    ode_tol = _ode_tol(args)
-    spectrum = integrate_iqfi(protocol, signal, cfg=cfg, ode_tol=ode_tol)
+    spectrum = integrate_iqfi(protocol, signal, cfg=_quad_cfg(args),
+                              ode_tol=_ode_tol(args))
     reports = _applicable_bounds(protocol, signal, spectrum.integral,
                                  spectrum.error_estimate)
     values = {"K": spectrum.integral, "K_err": spectrum.error_estimate,
@@ -531,7 +530,7 @@ def run_bound_battery(seed: int = BATTERY_SEED, draws: int = 10,
     g = math.pi / 2.0
     drive = TransverseDrive(g=g, total_time=8.0)
     band = integrate_qfi_band(drive, SignalParams(B=1.0, omega=0.0),
-                              g, 3.0 * g, ode_tol=1e-9)
+                              g, 3.0 * g)
     reports.append(report_lower_bound(
         "resonance_band_floor", band.integral,
         rwa_iqfi_lower_bound(T=8.0, B=1.0, g=g)))
@@ -599,7 +598,7 @@ _FLAGS = {
                               f"{QuadratureConfig.max_panels})"),
     "--ode-tol": dict(type=float,
                       help="error target of a continuous drive's state and "
-                           "field derivative (default 1e-9)"),
+                           f"field derivative (default {ODE_TOL:g})"),
     "--T-list": dict(help="comma list of durations (default 2..32)"),
     "--slope-window": dict(help="T window for the log-log fit (default 8,32)"),
     "--jobs": dict(type=int, help="worker processes (default 1)"),

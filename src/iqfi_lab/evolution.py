@@ -36,7 +36,8 @@ the starting m depends only on T, the generator norm, zeta*|B| and the
 tolerance, so a frequency's result does not depend on its batch.
 
 qfi_vs_omega is the one way to J, the formula above on the batched
-states.  Every public entry point, here and in iqfi, first replaces a GHZ
+states, or its Haar average for a sequence with initial_state None.
+Every public entry point, here and in iqfi, first replaces a GHZ
 register by the pulse sequence it is in the {|0...0>, |1...1>} plane.
 """
 
@@ -53,6 +54,7 @@ from .protocol import (IDENTITY, SIGMA_X, ContinuousControl, GhzProtocol,
 from .signal_core import SignalParams, _segment_thetas
 
 __all__ = [
+    "ODE_TOL",
     "IntegrationError",
     "qfi_vs_omega",
     "qfi_fd_oracle",
@@ -89,7 +91,7 @@ def discrete_propagators(seq: PulseSequence, signal: SignalParams,
     state and its field derivative dpsi/dB, each of shape (n_omega, 2).
     Without one, returns the propagator P(omega) and its derivative
     W(omega) = dP/dB, each of shape (n_omega, 2, 2), so that one pass serves
-    any initial state (used by the Haar average).
+    any initial state (used by the Haar average, _mean_j).
     """
     _check_sequence(seq)
     om = np.atleast_1d(np.asarray(
@@ -190,6 +192,7 @@ def _rotate(x, y, u, s1, s2):
 _FIRST_STEPS_PER_RATE = 0.25
 _MAX_STEPS_PER_RATE = 4096
 _PLUS = np.array([[1.0, 1.0]], dtype=complex) / math.sqrt(2.0)  # |+>
+ODE_TOL = 1e-9  # default error target of a drive's state and derivative
 
 
 def _check_ode_tol(tol) -> None:
@@ -245,8 +248,7 @@ def _split_level(pieces, counts, signal, om):
         _PLUS, _split_steps(pieces, counts, om, signal.phi), signal, om.size))
 
 
-def _continuous_batch(control, signal: SignalParams, omegas,
-                      tol: float = 1e-10):
+def _continuous_batch(control, signal: SignalParams, omegas, tol: float):
     """(psi, dpsi) at T for every frequency, as columns (a, b, da, db) of
     an (n_omega, 4) array.
 
@@ -321,13 +323,13 @@ def _states(protocol, signal: SignalParams, om, ode_tol: float):
 
 
 def qfi_vs_omega(protocol, signal: SignalParams, omegas=None,
-                 ode_tol: float = 1e-10) -> np.ndarray:
+                 ode_tol: float = ODE_TOL) -> np.ndarray:
     """J(B | omega) at the signal's field B over a frequency grid.
 
     Without omegas, J at the signal's own frequency.  Every omega must be
     finite and >= 0.  ode_tol, which must be positive and finite, bounds
     the estimated error of a continuous drive's final state and field
-    derivative.
+    derivative.  For initial_state None, J is averaged over Haar states.
     """
     _check_ode_tol(ode_tol)
     protocol, signal = _reduced(protocol, signal)
@@ -336,11 +338,26 @@ def qfi_vs_omega(protocol, signal: SignalParams, omegas=None,
     bad = ~((om >= 0.0) & (om < math.inf))  # NaN fails both comparisons
     if bad.any():
         raise ValueError(f"omegas must be finite and >= 0, got {om[bad][0]}")
+    if isinstance(protocol, PulseSequence) and protocol.initial_state is None:
+        return _mean_j(*discrete_propagators(protocol, signal, omegas=om))
     psi, dpsi = _states(protocol, signal, om, ode_tol)
     (a, b), (da, db) = psi.T, dpsi.T
     ov = da.conj() * a + db.conj() * b
     dd = (da.conj() * da + db.conj() * db).real
     return 4.0 * (dd + (ov * ov).real)
+
+
+def _mean_j(P, W):
+    """J averaged over Haar-random psi0, from P and W = dP/dB: exact, as J
+    has degree 2 in psi0 and psi0*.  It is 4*(Tr A/2 + Re(Tr(M)^2 +
+    Tr(M^2))/6), A = W^dag W, M = W^dag P written out elementwise."""
+    (p00, p01), (p10, p11) = P.transpose(1, 2, 0)
+    (w00, w01), (w10, w11) = W.conj().transpose(1, 2, 0)
+    m00, m01 = w00 * p00 + w10 * p10, w00 * p01 + w10 * p11
+    m10, m11 = w01 * p00 + w11 * p10, w01 * p01 + w11 * p11
+    tr_a = (W.real ** 2 + W.imag ** 2).sum(axis=(1, 2))
+    tr_m2 = m00 * m00 + m11 * m11 + 2.0 * m01 * m10
+    return 4.0 * (tr_a / 2.0 + ((m00 + m11) ** 2 + tr_m2).real / 6.0)
 
 
 def qfi_fd_oracle(protocol, signal: SignalParams,
@@ -355,7 +372,8 @@ def qfi_fd_oracle(protocol, signal: SignalParams,
 
     Default steps: 1e-6*max(1,|B|) for exact (pulse) evolutions,
     1e-4*max(1,|B|) for continuous ones, whose states carry an error of up
-    to ode_tol into the difference quotient.  A GHZ register is
+    to ode_tol into the difference quotient; it divides that error by the
+    step, hence a default ode_tol below ODE_TOL.  A GHZ register is
     differenced as its pulse sequence.
     """
     protocol, signal = _reduced(protocol, signal)

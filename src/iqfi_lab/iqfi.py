@@ -13,19 +13,20 @@ sin(omega a_l + phi): a_j are the times where Z~ = U0^dag Z U0 of the
 control alone jumps, D the jumps' covariance in the initial state.  Its
 integral, in sine and cosine integrals, is the tail.  At B = 0, or where
 pulses keep Z~ on +-z, the form is J at every omega, and K its closed-form
-integral.  The average of K over Haar-random initial states is exact: that
-form where it holds, elsewhere a trace formula integrated on one node set.
+integral.  For a sequence with initial_state None, J and D are averaged
+over Haar-random initial states, and K takes the same paths.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .evolution import IntegrationError, discrete_propagators, qfi_vs_omega
+from .evolution import ODE_TOL, IntegrationError, qfi_vs_omega
 from .evolution import (_check_ode_tol, _check_sequence, _drive_pieces,
                         _reduced, _su2_exp)
 from .protocol import ContinuousControl, PulseSequence
@@ -40,6 +41,7 @@ _ULP_SEGMENT = 16.0 * np.finfo(float).eps
 # rounding bound of the zero-field closed form, per unit of the sum of its
 # terms' magnitudes (see _zero_field_k)
 _FORM_ROUNDING = 16.0 * np.finfo(float).eps
+_PAIR_BLOCK = 1 << 16  # pulse pairs of the form formed at a time
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 __all__ = [
@@ -116,9 +118,8 @@ class QuadratureNonConvergence(RuntimeError):
 class HaarResult:
     """Exact initial-state average of K.
 
-    method is "closed_form" or "trace_formula".  The
-    average is exact, so stderr is 0.0 and samples 0; both fields stay
-    for readers of the earlier Monte Carlo result.
+    method is "closed_form", or "trace_formula" where K took the panels.
+    stderr is 0.0 and samples 0, kept for readers of the earlier Monte Carlo.
     """
 
     value: float
@@ -279,8 +280,10 @@ def _jumps(protocol):
     Q_j is the jump (r before minus r after; r = 0 outside [0, T]) of the
     control's toggling-frame Bloch vector r at a_j: a sequence's pulses,
     or 0 and T for a continuous control.  r is r on each segment (None for
-    a control); n is the initial Bloch vector, rate twice a control's
-    largest generator norm.
+    a control); n is the initial Bloch vector (None for a sequence with no
+    definite initial state), rate twice a control's largest generator norm.
+    The jumps' covariance in the initial state is D = Q Q^T - (Q n)(Q n)^T,
+    and (2/3) Q Q^T, its Haar average, for n None; its rows sum to zero.
     """
     z = np.array([0.0, 0.0, 1.0])
     if isinstance(protocol, PulseSequence):
@@ -289,10 +292,11 @@ def _jumps(protocol):
         for p in protocol.pulses:
             u = p.unitary @ u
             r.append(_bloch_z(u))
-        r = np.array(r)
-        alpha, beta = protocol.initial_state
-        n = np.array([math.sin(alpha) * math.cos(beta),
-                      math.sin(alpha) * math.sin(beta), math.cos(alpha)])
+        r, n = np.array(r), None
+        if protocol.initial_state is not None:
+            alpha, beta = protocol.initial_state
+            n = np.array([math.sin(alpha) * math.cos(beta),
+                          math.sin(alpha) * math.sin(beta), math.cos(alpha)])
         Q = -np.diff(np.vstack([0.0 * z, r, 0.0 * z]), axis=0)
         return protocol.boundaries(), Q, r, n, 0.0
     if isinstance(protocol, ContinuousControl):
@@ -306,30 +310,22 @@ def _jumps(protocol):
     raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
 
 
-def _covariance(Q, n, haar: bool = False):
-    """D = Q Q^T - (Q n)(Q n)^T, the jumps' covariance in the initial Bloch
-    vector n, or its Haar average (2/3) Q Q^T; its rows sum to zero."""
-    qn = Q @ n
-    return (2.0 / 3.0) * Q @ Q.T if haar else Q @ Q.T - np.outer(qn, qn)
-
-
-def _tail(jumps, signal: SignalParams, omega_max: float, haar: bool = False):
+def _tail(jumps, signal: SignalParams, omega_max: float):
     """(tail, bound): the boundary-form integral of J beyond Omega (see
     _jumps), and a bound on its error.  (2 zeta |Q|_1)^2/Omega bounds the
     tail; the error bound is that times zeta|B|/Omega, plus for a drive
     (rate/Omega)^2.
     """
     a, Q, _, n, rate = jumps
-    zeta = signal.zeta
+    zeta, qn = signal.zeta, None if n is None else Q @ n
+    D = (2.0 / 3.0) * Q @ Q.T if n is None else Q @ Q.T - np.outer(qn, qn)
     field = zeta * abs(signal.B) / omega_max + (rate / omega_max) ** 2
     size = (2.0 * zeta * np.linalg.norm(Q, axis=1).sum()) ** 2 / omega_max
-    return (4.0 * zeta ** 2 * _boundary_tail(a, _covariance(Q, n, haar),
-                                             signal.phi, omega_max),
+    return (4.0 * zeta ** 2 * _boundary_tail(a, D, signal.phi, omega_max),
             float(field * size))
 
 
-def _zero_field_k(jumps, signal: SignalParams, cfg: QuadratureConfig,
-                  haar: bool = False):
+def _zero_field_k(jumps, signal: SignalParams, cfg: QuadratureConfig):
     """(K, error bound) from the closed form of K at B = 0, or None where
     the panels must run: a drive, or a field that moves a sequence's
     toggling-frame axis off +-z by more than the tolerance allows.
@@ -339,11 +335,11 @@ def _zero_field_k(jumps, signal: SignalParams, cfg: QuadratureConfig,
     |a_j - a_l| - sin(2 phi)(a_j + a_l) ln(a_j + a_l)] (0 ln 0 = 0; rows of
     D sum to zero, so a is taken in units of T).  As Theta_k Theta_l
     integrates to (pi/2) len_k delta_kl at phi = 0, the first part is
-    2 pi zeta^2 sum_k len_k C_kk, C_kk = 1 - (r_k.n)^2 (2/3 averaged over
-    states); only the second forms pairs, where sin(2 phi) != 0.  The sum
-    is exact; its rounding bound is _FORM_ROUNDING times the terms'
-    magnitude bounds, with |Q_j| + 1 for a jump, as a small jump's
-    rounding is not small next to it.
+    2 pi zeta^2 sum_k len_k C_kk, C_kk = 1 - (r_k.n)^2 (2/3 for n None);
+    only the second forms pairs, where sin(2 phi) != 0, _PAIR_BLOCK at a
+    time.  One fsum takes every term: the sum is exact.  Its rounding bound
+    is _FORM_ROUNDING times the terms' magnitude bounds, with |Q_j| + 1 for
+    a jump, as a small jump's rounding is not small next to it.
 
     In a field J = 4 zeta^2 Var(G_B) in psi0, G_B = sum_k Theta_k A_k^dag
     r_k.sigma A_k, A_k = V_(k-1)...V_0, V_k = exp(-i zeta B Theta_k
@@ -368,18 +364,26 @@ def _zero_field_k(jumps, signal: SignalParams, cfg: QuadratureConfig,
     if dev > max(ABS_TOL, cfg.rel_tol * k_max):
         return None
     length = math.pi * (np.diff(a) / T)
-    terms = [length * (2.0 / 3.0 if haar else 1.0 - (r @ n) ** 2)]
-    sizes = [length * (np.linalg.norm(r, axis=1) + 1.0) ** 2]
+    sizes = [(length * (np.linalg.norm(r, axis=1) + 1.0) ** 2).sum()]
     s = math.sin(2.0 * signal.phi)
-    if s != 0.0:
-        total = (a[:, None] + a) / T
-        log = s * total * np.log(np.where(total > 0.0, total, 1.0))
-        q = np.linalg.norm(Q, axis=1) + 1.0
-        terms.append(-(_covariance(Q, n, haar) * log).ravel())
-        sizes.append((np.outer(q, q) * np.abs(log)).ravel())
+
+    def terms():
+        yield length * (2.0 / 3.0 if n is None else 1.0 - (r @ n) ** 2)
+        if s == 0.0:
+            return
+        q, qn = np.linalg.norm(Q, axis=1) + 1.0, None if n is None else Q @ n
+        step = max(1, _PAIR_BLOCK // a.size)
+        for rows in (slice(i, i + step) for i in range(0, a.size, step)):
+            total = (a[rows, None] + a) / T
+            log = s * total * np.log(np.where(total > 0.0, total, 1.0))
+            cov = ((2.0 / 3.0) * Q[rows] @ Q.T if n is None
+                   else Q[rows] @ Q.T - np.outer(qn[rows], qn))
+            sizes.append((np.outer(q[rows], q) * np.abs(log)).sum())
+            yield (-(cov * log)).ravel().tolist()
+
     scale = 2.0 * zeta ** 2 * T
-    k = scale * math.fsum(np.concatenate(terms))
-    err = float(_FORM_ROUNDING * scale * np.concatenate(sizes).sum())
+    k = scale * math.fsum(itertools.chain.from_iterable(terms()))
+    err = float(_FORM_ROUNDING * scale * math.fsum(sizes))
     if signal.B != 0.0 and dev + err > max(ABS_TOL, cfg.rel_tol * abs(k)):
         return None
     return k, err + dev
@@ -412,7 +416,7 @@ def feature_scale(protocol, signal: SignalParams) -> float:
 
 def integrate_iqfi(protocol, signal: SignalParams,
                    cfg: Optional[QuadratureConfig] = None,
-                   ode_tol: float = 1e-9) -> QfiSpectrum:
+                   ode_tol: float = ODE_TOL) -> QfiSpectrum:
     """Integrated QFI over omega in [0, inf) at the signal's field B.
 
     Where _zero_field_k admits it (a pulse sequence or GHZ register at
@@ -421,7 +425,7 @@ def integrate_iqfi(protocol, signal: SignalParams,
     pi/T cover [0, Omega] and the closed-form tail the rest; an exhausted
     panel budget raises QuadratureNonConvergence with a partial result.
     ode_tol, for continuous drives, is checked on every path, as is the
-    protocol.
+    protocol.  A sequence with initial_state None gives the Haar average.
     """
     cfg = cfg or QuadratureConfig()
     protocol, signal = _reduced(protocol, signal)
@@ -444,10 +448,10 @@ def integrate_iqfi(protocol, signal: SignalParams,
 
 def integrate_qfi_band(protocol, signal: SignalParams, lo: float, hi: float,
                        cfg: Optional[QuadratureConfig] = None,
-                       ode_tol: float = 1e-9) -> QfiSpectrum:
+                       ode_tol: float = ODE_TOL) -> QfiSpectrum:
     """Integral of J over a finite band [lo, hi]; no tail term."""
-    if not 0.0 <= lo < hi:
-        raise ValueError("need 0 <= lo < hi")
+    if not 0.0 <= lo < hi < math.inf:
+        raise ValueError(f"need 0 <= lo < hi < inf, got [{lo}, {hi}]")
     protocol, signal = _reduced(protocol, signal)
     return _integrate_adaptive(
         lambda om: qfi_vs_omega(protocol, signal, omegas=om, ode_tol=ode_tol),
@@ -463,8 +467,8 @@ def cross_spectral_integral(t1: float, t0: float, mode: str = "analytic",
     engine on the raw kernel instead, with the boundary tail of its two
     boundaries t1 and t0, as an end-to-end check of the quadrature itself.
     """
-    if t1 < 0.0 or t0 < 0.0:
-        raise ValueError("times must be >= 0")
+    if not (0.0 <= t1 < math.inf and 0.0 <= t0 < math.inf):
+        raise ValueError(f"times must be finite and >= 0, got {t1}, {t0}")
     if mode == "analytic":
         return 0.5 * math.pi * min(t1, t0)
     if mode != "numeric":
@@ -490,16 +494,9 @@ def haar_average_iqfi(seq: PulseSequence, signal: SignalParams,
                       samples=None) -> HaarResult:
     """Exact average of K over Haar-random initial states at field B.
 
-    J = 4*(<dpsi|dpsi> + Re <dpsi|psi>^2) has degree 2 in psi0 and psi0*,
-    so its Haar average is a trace formula in P and W = dP/dB:
-    4*(Tr A/2 + Re(Tr(M)^2 + Tr(M^2))/6) with A = W^dag W, M = W^dag P.
-    Where _zero_field_k admits its form, the average is that form with D
-    averaged over initial states, (2/3) Q Q^T, which at B = 0 and signal
-    phase 0 is (2/3)*2*pi*zeta^2*T for every pulse sequence (method
-    "closed_form").  Otherwise one band integration of J fixes the nodes
-    and weights, the trace formula is integrated on them, and the boundary
-    tail with that D adds the rest.  samples is ignored and stderr 0, for
-    callers of the earlier Monte Carlo.
+    K of the sequence with initial_state None, by integrate_iqfi; at B = 0
+    and signal phase 0 it is (2/3)*2*pi*zeta^2*T for every pulse sequence.
+    samples is ignored and stderr 0, for callers of the earlier Monte Carlo.
     """
     if not isinstance(seq, PulseSequence):
         raise TypeError(f"haar_average_iqfi needs a PulseSequence, got "
@@ -507,23 +504,9 @@ def haar_average_iqfi(seq: PulseSequence, signal: SignalParams,
     if signal.B == 0.0 and signal.phi == 0.0:
         k = (2.0 / 3.0) * 2.0 * math.pi * signal.zeta ** 2 * seq.total_time
         return HaarResult(value=k, stderr=0.0, method="closed_form", samples=0)
-    cfg = cfg or QuadratureConfig()
-    jumps = _jumps(seq)
-    closed = _zero_field_k(jumps, signal, cfg, haar=True)
-    if closed is not None:
-        return HaarResult(value=closed[0], stderr=0.0, method="closed_form",
-                          samples=0)
-    omega_max = cfg.tail_start_factor * feature_scale(seq, signal)
-    pilot = integrate_qfi_band(seq, signal, 0.0, omega_max, cfg)
-    P, W = discrete_propagators(seq, signal, omegas=pilot.omegas)
-    M = np.einsum("nij,nik->njk", W.conj(), P)
-    tr_a = np.einsum("nij,nij->n", W.conj(), W).real
-    tr_m = np.einsum("njj->n", M)
-    tr_m2 = np.einsum("nij,nji->n", M, M)
-    mean_j = 4.0 * (tr_a / 2.0 + (tr_m * tr_m + tr_m2).real / 6.0)
-    tail, _ = _tail(jumps, signal, omega_max, haar=True)
-    return HaarResult(value=float(mean_j @ pilot.weights + tail),
-                      stderr=0.0, method="trace_formula", samples=0)
+    spec = integrate_iqfi(replace(seq, initial_state=None), signal, cfg)
+    return HaarResult(value=spec.integral, stderr=0.0, samples=0, method=(
+        "trace_formula" if spec.method == "quadrature" else "closed_form"))
 
 
 # -- sweeps -------------------------------------------------------------------

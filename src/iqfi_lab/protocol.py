@@ -111,7 +111,7 @@ class PulseSequence:
     """Pulses inside [0, total_time] plus the Bloch-angle initial state.
 
     initial_state = (alpha, beta) meaning cos(alpha/2)|0> + e^{i beta} sin(alpha/2)|1>;
-    the default (pi/2, 0) is |+>.
+    the default (pi/2, 0) is |+>.  With None, J and K are Haar averages.
     """
 
     pulses: tuple
@@ -291,8 +291,7 @@ def validate(protocol) -> Optional[str]:
 def _validate_sequence(seq: PulseSequence) -> Optional[str]:
     if not math.isfinite(seq.total_time) or seq.total_time <= 0.0:
         return f"total_time must be positive and finite, got {seq.total_time}"
-    alpha, beta = seq.initial_state
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
+    if not all(map(math.isfinite, seq.initial_state or ())):
         return "initial_state angles must be finite"
     prev = 0.0
     for i, p in enumerate(seq.pulses):

@@ -14,6 +14,7 @@ import pytest
 
 import iqfi_lab.cli
 from iqfi_lab.cli import SCHEMA_TAG, build_parser, main
+from iqfi_lab.evolution import ODE_TOL
 
 TAG = SCHEMA_TAG  # "# iqfi-lab v1"
 
@@ -196,6 +197,16 @@ def test_bad_ode_tol_exits_2(capsys, command, tol):
     code, out, err = run(capsys, command, "--protocol", "gx", "--T", "1",
                          *grid, "--ode-tol", tol)
     assert code == 2 and out == "" and "--ode-tol" in err
+
+
+def test_ode_tol_default_is_the_library_default(capsys):
+    argv = ("iqfi", "--protocol", "gx", "--T", "1", "--B", "0.2")
+    assert run(capsys, *argv) == run(capsys, *argv, "--ode-tol",
+                                     repr(ODE_TOL))
+    with pytest.raises(SystemExit):
+        main(["iqfi", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"field derivative (default {ODE_TOL:g})" in help_text
 
 
 def test_drive_floor_reported_only_where_it_bounds(capsys):

@@ -7,21 +7,27 @@ DOP853 integration of the drive, and, for the entangled register, a dense
 tensor-product evolution built inside the test.
 """
 
+import inspect
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from iqfi_lab.bounds import pi_train_qfi
+from iqfi_lab.cli import PAULI_STATES
 import iqfi_lab.evolution
 from iqfi_lab.evolution import (
+    ODE_TOL,
     IntegrationError,
+    _continuous_batch,
     _states,
     discrete_propagators,
     qfi_fd_oracle,
     qfi_vs_omega,
 )
+from iqfi_lab.iqfi import integrate_iqfi, integrate_qfi_band
 from iqfi_lab.protocol import (
     SIGMA_X,
     SIGMA_Y,
@@ -539,3 +545,32 @@ def test_ghz_protocol_spectrum_path():
         j = qfi_vs_omega(proto, SignalParams(B=0.2, omega=float(w)))[0]
         assert j_grid[k] == pytest.approx(j, rel=1e-13, abs=1e-300)
 
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.7])
+@pytest.mark.parametrize("B", [0.3, 1.7])
+def test_haar_spectrum_is_the_six_state_mean(B, phi):
+    # J has degree 2 in psi0 and in psi0*, and the six Pauli eigenstates
+    # are a 2-design: their mean is the Haar average at every omega
+    rng = np.random.default_rng(1923)
+    sig = SignalParams(B=B, omega=0.0, phi=phi)
+    om = np.linspace(0.0, 40.0, 81)
+    for _ in range(3):
+        seq = random_pulse_sequence(rng, float(rng.uniform(1.0, 4.0)),
+                                    max_pulses=6)
+        six = [qfi_vs_omega(PulseSequence(seq.pulses, seq.total_time, st),
+                            sig, omegas=om) for st in PAULI_STATES]
+        mean = np.array([math.fsum(col) for col in zip(*six)]) / 6.0
+        avg = qfi_vs_omega(replace(seq, initial_state=None), sig, omegas=om)
+        np.testing.assert_allclose(avg, mean, rtol=1e-12, atol=0.0)
+
+
+def test_one_ode_tol_default():
+    # the finite-difference oracle divides the state error by its step,
+    # so it alone asks for more
+    for fn in (qfi_vs_omega, integrate_iqfi, integrate_qfi_band):
+        assert inspect.signature(fn).parameters["ode_tol"].default is ODE_TOL
+    assert inspect.signature(qfi_fd_oracle).parameters["ode_tol"].default \
+        == 1e-11 < ODE_TOL
+    tol = inspect.signature(_continuous_batch).parameters["tol"]
+    assert tol.default is inspect.Parameter.empty

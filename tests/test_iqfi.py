@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from iqfi_lab.iqfi import (
     integrate_qfi_band,
     sweep_iqfi_vs_T,
 )
-from iqfi_lab.iqfi import _cos_tail, _jumps, _sici_tail, _tail
+from iqfi_lab.iqfi import _FORM_ROUNDING, _cos_tail, _jumps, _sici_tail, _tail
 from iqfi_lab.protocol import (
     GhzProtocol,
     Pulse,
@@ -374,6 +375,55 @@ def test_haar_closed_form_for_any_train(kind):
     assert res.value == pytest.approx(six, rel=1e-3)
 
 
+def test_haar_is_k_with_no_initial_state():
+    # the average is integrate_iqfi of the sequence with initial_state
+    # None, on the panels and in closed form alike
+    seq = random_pulse_sequence(np.random.default_rng(1931), 3.0,
+                                max_pulses=4)
+    xy = random_pulse_sequence(np.random.default_rng(1919), 3.0,
+                               max_pulses=10, kind="pi_xy")
+    for train, sig, method in (
+            (seq, SignalParams(B=0.4, omega=0.0, phi=0.3), "trace_formula"),
+            (seq, SignalParams(B=0.0, omega=0.0, phi=0.7), "closed_form"),
+            (xy, SignalParams(B=0.5, omega=0.0, phi=0.9), "closed_form")):
+        res = haar_average_iqfi(train, sig, GATE)
+        assert res.method == method
+        assert res.value == integrate_iqfi(
+            replace(train, initial_state=None), sig, GATE).integral
+
+
+@pytest.mark.parametrize("B, phi", [(0.4, 0.0), (1.1, 0.6)])
+def test_haar_within_its_error_of_the_six_states(B, phi):
+    seq = random_pulse_sequence(np.random.default_rng(1933), 2.5,
+                                max_pulses=5)
+    sig = SignalParams(B=B, omega=0.0, phi=phi)
+    avg = integrate_iqfi(replace(seq, initial_state=None), sig, GATE)
+    six = [integrate_iqfi(PulseSequence(seq.pulses, seq.total_time, st),
+                          sig, GATE) for st in PAULI_STATES]
+    mean = math.fsum(s.integral for s in six) / 6.0
+    err = math.fsum(s.error_estimate for s in six) / 6.0
+    assert avg.method == "quadrature"
+    assert abs(avg.integral - mean) <= avg.error_estimate + err
+
+
+def test_haar_propagates_once(monkeypatch):
+    # no pilot integration of the sequence's own J: one propagator pass
+    calls = []
+    propagate = iqfi_lab.evolution.discrete_propagators
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("psi0"))
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(iqfi_lab.evolution, "discrete_propagators", counted)
+    seq = random_pulse_sequence(np.random.default_rng(1931), 3.0,
+                                max_pulses=4)
+    res = haar_average_iqfi(seq, SignalParams(B=0.4, omega=0.0, phi=0.3),
+                            GATE)
+    assert res.method == "trace_formula"
+    assert calls == [None]
+
+
 def test_haar_rejects_non_pulse_protocols():
     # the closed form is a single-qubit pulse-sequence result; a GHZ
     # register at B = 0 must not silently receive it
@@ -627,6 +677,53 @@ def test_closed_form_memory_is_linear_at_phase_zero():
     assert peak < 10 * 2 ** 20
 
 
+def test_closed_form_pairs_are_summed_in_row_blocks():
+    # at phi != 0 the pairs of 2048 pulses are formed a block of rows at a
+    # time: the traced peak stays far below the 160 MB of the full arrays,
+    # and one fsum of every term gives K bit for bit
+    seq = make_trotterized_gx(4.0, m=2048, g=0.3, initial_state=(1.1, 0.3))
+    s = math.sin(1.4)
+    tracemalloc.start()
+    try:
+        spec = integrate_iqfi(seq, SignalParams(B=0.0, omega=0.0, phi=0.7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.method == "closed_form"
+    assert peak < 16 * 2 ** 20
+    # the same terms from the full 2050 x 2050 arrays
+    a, Q, r, n, _ = _jumps(seq)
+    T = float(a[-1])
+    length = math.pi * (np.diff(a) / T)
+    total = (a[:, None] + a) / T
+    log = s * total * np.log(np.where(total > 0.0, total, 1.0))
+    qn = Q @ n
+    q = np.linalg.norm(Q, axis=1) + 1.0
+    terms = np.concatenate([length * (1.0 - (r @ n) ** 2),
+                            -((Q @ Q.T - np.outer(qn, qn)) * log).ravel()])
+    sizes = np.concatenate([
+        length * (np.linalg.norm(r, axis=1) + 1.0) ** 2,
+        (np.outer(q, q) * np.abs(log)).ravel()])
+    assert spec.integral == 2.0 * T * math.fsum(terms)
+    assert spec.error_estimate == pytest.approx(
+        float(_FORM_ROUNDING * 2.0 * T * sizes.sum()), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("t1, t0", [(math.nan, 1.0), (1.0, math.nan),
+                                    (math.inf, 1.0), (1.0, -1.0)])
+def test_cross_spectral_integral_rejects_bad_times(t1, t0):
+    for mode in ("analytic", "numeric"):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            cross_spectral_integral(t1, t0, mode=mode)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (math.nan, 1.0),
+                                    (0.0, math.nan), (2.0, 1.0)])
+def test_band_rejects_bad_edges(lo, hi):
+    with pytest.raises(ValueError, match="0 <= lo < hi < inf"):
+        integrate_qfi_band(make_ramsey(2.0), FLAT, lo, hi)
+
+
 def test_results_give_the_tail_share_a_finite_value():
     """A closed form and a quadrature of each protocol kind (a drive's K
     is always a quadrature): tail_start is finite and positive, and
@@ -671,9 +768,11 @@ def test_closed_form_runs_no_propagation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("propagation on a closed-form path")
 
-    for module in (iqfi_lab.evolution, iqfi_lab.iqfi):
-        for name in ("qfi_vs_omega", "discrete_propagators"):
-            monkeypatch.setattr(module, name, refuse)
+    # iqfi reaches the propagation only through qfi_vs_omega
+    for module, name in ((iqfi_lab.evolution, "qfi_vs_omega"),
+                         (iqfi_lab.evolution, "discrete_propagators"),
+                         (iqfi_lab.iqfi, "qfi_vs_omega")):
+        monkeypatch.setattr(module, name, refuse)
     seq = make_pi_train([1.0, 2.0, 3.0], 4.0)
     ghz = GhzProtocol(n=3, times=(0.0, 0.7, 2.0), flips=(True,))
     xy = random_pulse_sequence(np.random.default_rng(1918), 3.0,

@@ -150,6 +150,14 @@ def test_validate_diagnostics():
     assert "non-decreasing" in validate(out_of_order)
 
 
+def test_validate_accepts_no_initial_state():
+    # None means J and K averaged over Haar-random initial states
+    train = make_pi_train([1.0, 2.0], 3.0)
+    assert validate(PulseSequence(train.pulses, 3.0, None)) is None
+    assert "finite" in validate(PulseSequence(train.pulses, 3.0,
+                                              (math.nan, 0.0)))
+
+
 def test_validate_rejects_nan_pulse_angle():
     seq = make_trotterized_gx(2.0, m=4, g=float("nan"))
     assert "unitary" in validate(seq)
