@@ -374,16 +374,22 @@ def qfi_fd_oracle(protocol, signal: SignalParams,
     1e-4*max(1,|B|) for continuous ones, whose states carry an error of up
     to ode_tol into the difference quotient; it divides that error by the
     step, hence a default ode_tol below ODE_TOL.  A GHZ register is
-    differenced as its pulse sequence.
+    differenced as its pulse sequence.  For a sequence with initial_state
+    None the propagator P is differenced, and J averaged by _mean_j.
     """
     protocol, signal = _reduced(protocol, signal)
     if step is None:
         rough = isinstance(protocol, ContinuousControl)
         step = (1e-4 if rough else 1e-6) * max(1.0, abs(signal.B))
+    haar = (isinstance(protocol, PulseSequence)
+            and protocol.initial_state is None)
 
     def state(b):
-        return _states(protocol, replace(signal, B=b), [signal.omega],
-                       ode_tol)[0][0]
+        shifted = replace(signal, B=b)
+        if haar:
+            return discrete_propagators(protocol, shifted,
+                                        omegas=[signal.omega])[0]
+        return _states(protocol, shifted, [signal.omega], ode_tol)[0][0]
 
     def fd(h):
         return (state(signal.B + h) - state(signal.B - h)) / (2.0 * h)
@@ -391,6 +397,8 @@ def qfi_fd_oracle(protocol, signal: SignalParams,
     psi = state(signal.B)
 
     def j_of(dpsi):
+        if haar:
+            return float(_mean_j(psi, dpsi)[0])
         ov = np.vdot(dpsi, psi)
         return float(4.0 * (np.vdot(dpsi, dpsi).real + (ov * ov).real))
 

@@ -3,18 +3,19 @@
 K(T) = integral of J(B | omega) over omega in [0, inf).  The integrand
 oscillates on the scale pi/T, so the finite range [0, Omega] is cut into
 panels of that width.  All base panels are laid out as arrays, one row per
-panel, and evaluated in one batched call: a two-half Gauss rule of order
-16 gives each panel's value, the whole-panel rule its discrepancy.  Only
-if the summed discrepancy misses the tolerance does the panel count double,
-every panel evaluated again in one batch, until it fits or the panel budget
-runs out.  Beyond Omega, J tends to the toggling-frame (filter-
-function) form (4 zeta^2/omega^2) sum_jl D_jl sin(omega a_j + phi)
-sin(omega a_l + phi): a_j are the times where Z~ = U0^dag Z U0 of the
-control alone jumps, D the jumps' covariance in the initial state.  Its
-integral, in sine and cosine integrals, is the tail.  At B = 0, or where
-pulses keep Z~ on +-z, the form is J at every omega, and K its closed-form
-integral.  For a sequence with initial_state None, J and D are averaged
-over Haar-random initial states, and K takes the same paths.
+panel, and evaluated in one batched call at the 33 nodes of the Gauss-
+Kronrod rule: its value is the panel's, and its distance from the 16-point
+Gauss rule on 16 of the same nodes the panel's error.  Only if the summed
+error misses the tolerance does the panel count double, every panel
+evaluated again in one batch, until it fits or the panel budget runs out.
+Beyond Omega, J tends to the toggling-frame (filter-function) form
+(4 zeta^2/omega^2) sum_jl D_jl sin(omega a_j + phi) sin(omega a_l + phi):
+a_j are the times where Z~ = U0^dag Z U0 of the control alone jumps, D the
+jumps' covariance in the initial state.  Its integral, in sine and cosine
+integrals, is the tail.  At B = 0, or where pulses keep Z~ on +-z, the
+form is J at every omega, and K its closed-form integral.  For a sequence
+with initial_state None, J and D are averaged over Haar-random initial
+states, and K takes the same paths.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .evolution import (_check_ode_tol, _check_sequence, _drive_pieces,
 from .protocol import ContinuousControl, PulseSequence
 from .signal_core import SignalParams
 
-GAUSS_ORDER = 16
-ABS_TOL = 1e-12  # absolute floor of the summed panel discrepancy
+ABS_TOL = 1e-12  # absolute floor of the summed panel error
 # a free segment no longer than this fraction of T (16 ulps) is rounding,
 # as a pulse time k*(T/m) can leave before T, not a segment: it does not
 # raise a protocol's feature scale
@@ -41,8 +41,7 @@ _ULP_SEGMENT = 16.0 * np.finfo(float).eps
 # rounding bound of the zero-field closed form, per unit of the sum of its
 # terms' magnitudes (see _zero_field_k)
 _FORM_ROUNDING = 16.0 * np.finfo(float).eps
-_PAIR_BLOCK = 1 << 16  # pulse pairs of the form formed at a time
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+_PAIR_BLOCK = 1 << 16  # pulse pairs formed at a time, in blocks of rows
 
 __all__ = [
     "QuadratureConfig",
@@ -83,11 +82,11 @@ class QuadratureConfig:
 class QfiSpectrum:
     """Sampled spectrum plus its integral.
 
-    omegas/values are every retained quadrature node in increasing omega,
-    and weights their quadrature weights, so values @ weights is the
-    integral over the panels.  integral adds the closed-form tail,
+    omegas/values are every evaluated node in increasing omega, 33 per
+    panel, and weights their Gauss-Kronrod weights, so values @ weights is
+    the integral over the panels.  integral adds the closed-form tail,
     tail_coefficient/tail_start; a band integral has no tail and
-    tail_start is inf.  error_estimate sums the panel discrepancies, a
+    tail_start is inf.  error_estimate sums the panels' |K33 - G16|, a
     bound on the tail's error (0 where the tail is exact; see _tail) and
     1e-14 of |integral| for rounding.
 
@@ -146,32 +145,45 @@ class SweepResult:
 # -- panel machinery ----------------------------------------------------------
 
 
+def _gauss_kronrod(n):
+    """Nodes and (Kronrod, Gauss) weight columns of the (2n+1)-point Gauss-
+    Kronrod rule, exact to 3n+1: leggauss(n) and, between its nodes, the
+    roots of E = P_(n+1) + sum_(j<=n) e_j P_j orthogonal to P_n P_k, k <= n.
+    The weight at y is the Gauss weight plus 2/((n+1) q'(y)), q = P_n E.  No
+    solver, einsum or legmul: each routine loaded adds to resident memory."""
+    leg = np.polynomial.legendre
+    x, w = leg.leggauss(n)
+    qx, qw = leg.leggauss((3 * n + 3) // 2)  # exact to degree 3n+1
+    p = leg.legvander(qx, n + 1)
+    m = (p * (qw * p[:, n])[:, None]).T @ p  # integrals of P_n P_k P_j
+    e = np.eye(n + 2)[n + 1]
+    for k in range(n + 1):  # row k of m holds e_j for j >= n - k only
+        e[n - k] = -(m[k, n - k + 1:] @ e[n - k + 1:]) / m[k, n - k]
+    de, pn = leg.legder(e), np.eye(n + 1)[n]
+    y = 0.5 * (np.append(-1.0, x) + np.append(x, 1.0))  # Newton from these
+    for _ in range(6):  # at rounding after five steps
+        y = y - leg.legval(y, e) / leg.legval(y, de)
+    nodes, gauss = np.empty(2 * n + 1), np.zeros(2 * n + 1)
+    nodes[0::2], nodes[1::2], gauss[1::2] = y, x, w
+    dq = (leg.legval(nodes, leg.legder(pn)) * leg.legval(nodes, e)
+          + leg.legval(nodes, pn) * leg.legval(nodes, de))
+    return nodes, np.column_stack([gauss + 2.0 / ((n + 1) * dq), gauss])
+
+
+_NODES, _WEIGHTS = _gauss_kronrod(16)
+
+
 def _panels(f, a, b):
     """Panels [a_i, b_i], one row each, from one batched call to f.
 
-    Returns (nodes, values, weights, value, error): the two-half Gauss
-    rule's nodes, values and weights per row, the panel value, and its
-    discrepancy against the whole-panel rule.
+    Returns (nodes, values, weights, value, error) per row: the Gauss-
+    Kronrod nodes, values and weights, the value, and its error |K33 - G16|.
     """
-    lo, hi = a[:, None], b[:, None]
-    mid = 0.5 * (lo + hi)
-    nodes = np.hstack([0.5 * (mid - lo) * _NODES + 0.5 * (lo + mid),
-                       0.5 * (hi - mid) * _NODES + 0.5 * (mid + hi)])
-    weights = np.hstack([0.5 * (mid - lo) * _WEIGHTS,
-                         0.5 * (hi - mid) * _WEIGHTS])
-    coarse = 0.5 * (hi - lo) * _NODES + 0.5 * (lo + hi)
-    coarse_w = 0.5 * (hi - lo) * _WEIGHTS
-    out = np.asarray(f(np.concatenate([nodes.ravel(), coarse.ravel()])),
-                     dtype=float)
-    values = out[:nodes.size].reshape(nodes.shape)
-    fine = _row_dot(weights, values)
-    whole = _row_dot(coarse_w, out[nodes.size:].reshape(coarse.shape))
-    return nodes, values, weights, fine, np.abs(fine - whole)
-
-
-def _row_dot(x, y):
-    """Per-row dot products; each row is one BLAS dot, as np.dot would do."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    half, mid = 0.5 * (b - a)[:, None], 0.5 * (a + b)[:, None]
+    nodes = half * _NODES + mid
+    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    value, gauss = (half * (values @ _WEIGHTS)).T
+    return nodes, values, half * _WEIGHTS[:, 0], value, np.abs(value - gauss)
 
 
 def _integrate_adaptive(f, lo, hi, width, cfg: QuadratureConfig,
@@ -179,7 +191,7 @@ def _integrate_adaptive(f, lo, hi, width, cfg: QuadratureConfig,
     """Shared core: panel-refined integral of f over [lo, hi].
 
     n = ceil((hi - lo)/width) equal panels are evaluated in one batch.
-    While their summed discrepancy misses max(ABS_TOL, rel_tol*|value|), n
+    While their summed error misses max(ABS_TOL, rel_tol*|value|), n
     doubles and every panel is evaluated again.  Past max_panels it raises
     QuadratureNonConvergence with the last spectrum as its partial, None
     if even the base panels are too many.  tail is (value, error bound) of
@@ -201,7 +213,7 @@ def _integrate_adaptive(f, lo, hi, width, cfg: QuadratureConfig,
                                                 + 1e-14 * abs(k)),
                            tail_coefficient=tail_value * hi,
                            tail_start=hi if tail else math.inf)
-        # a NaN discrepancy stops here too: more panels cannot cure it
+        # a NaN error stops here too: more panels cannot cure it
         if not err > max(ABS_TOL, cfg.rel_tol * abs(value)):
             return spec
         n *= 2
@@ -258,16 +270,6 @@ def _cos_tail(c, psi, omega_max):
             - c * (np.cos(psi) * si_c - np.sin(psi) * ci))
 
 
-def _boundary_tail(a, D, phi, omega_max):
-    """Integral over [Omega, inf) of sum_jl D_jl sin(omega a_j + phi)
-    sin(omega a_l + phi)/omega^2: half the sum over pairs of the cosine
-    tails at a_j - a_l and at a_j + a_l with phase 2 phi."""
-    a = np.asarray(a, dtype=float)
-    g = _cos_tail(np.stack([a[:, None] - a, a[:, None] + a]),
-                  np.array([0.0, 2.0 * phi])[:, None, None], omega_max)
-    return 0.5 * float(np.sum(D * (g[0] - g[1])))
-
-
 def _bloch_z(u):
     """Bloch vector r of u^dag Z u = r.sigma."""
     m = u.conj().T @ np.diag([1.0, -1.0]) @ u
@@ -310,19 +312,31 @@ def _jumps(protocol):
     raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
 
 
+def _covariance_rows(Q, n):
+    """(rows, D[rows]) of the jumps' covariance D (see _jumps) by blocks."""
+    qn = None if n is None else Q @ n
+    step = max(1, _PAIR_BLOCK // len(Q))
+    for rows in (slice(i, i + step) for i in range(0, len(Q), step)):
+        yield rows, ((2.0 / 3.0) * Q[rows] @ Q.T if n is None
+                     else Q[rows] @ Q.T - np.outer(qn[rows], qn))
+
+
 def _tail(jumps, signal: SignalParams, omega_max: float):
     """(tail, bound): the boundary-form integral of J beyond Omega (see
-    _jumps), and a bound on its error.  (2 zeta |Q|_1)^2/Omega bounds the
-    tail; the error bound is that times zeta|B|/Omega, plus for a drive
-    (rate/Omega)^2.
-    """
+    _jumps), half the sum over pairs, by row blocks, of D_jl times the cosine
+    tail at a_j - a_l less that at a_j + a_l with phase 2 phi.  The error
+    bound is (2 zeta |Q|_1)^2/Omega, which bounds the tail, times
+    zeta|B|/Omega, plus for a drive (rate/Omega)^2."""
     a, Q, _, n, rate = jumps
-    zeta, qn = signal.zeta, None if n is None else Q @ n
-    D = (2.0 / 3.0) * Q @ Q.T if n is None else Q @ Q.T - np.outer(qn, qn)
+    zeta, parts = signal.zeta, []
+    for rows, cov in _covariance_rows(Q, n):
+        g = _cos_tail(np.stack([a[rows, None] - a, a[rows, None] + a]),
+                      np.array([0.0, 2.0 * signal.phi])[:, None, None],
+                      omega_max)
+        parts.append(float(np.sum(cov * (g[0] - g[1]))))
     field = zeta * abs(signal.B) / omega_max + (rate / omega_max) ** 2
     size = (2.0 * zeta * np.linalg.norm(Q, axis=1).sum()) ** 2 / omega_max
-    return (4.0 * zeta ** 2 * _boundary_tail(a, D, signal.phi, omega_max),
-            float(field * size))
+    return 4.0 * zeta ** 2 * (0.5 * math.fsum(parts)), float(field * size)
 
 
 def _zero_field_k(jumps, signal: SignalParams, cfg: QuadratureConfig):
@@ -331,15 +345,15 @@ def _zero_field_k(jumps, signal: SignalParams, cfg: QuadratureConfig):
     toggling-frame axis off +-z by more than the tolerance allows.
 
     At B = 0, J is the boundary form at every omega, and K, the Omega -> 0
-    limit of 4 zeta^2 _boundary_tail, is 2 zeta^2 sum_jl D_jl [-(pi/2)
-    |a_j - a_l| - sin(2 phi)(a_j + a_l) ln(a_j + a_l)] (0 ln 0 = 0; rows of
-    D sum to zero, so a is taken in units of T).  As Theta_k Theta_l
-    integrates to (pi/2) len_k delta_kl at phi = 0, the first part is
-    2 pi zeta^2 sum_k len_k C_kk, C_kk = 1 - (r_k.n)^2 (2/3 for n None);
-    only the second forms pairs, where sin(2 phi) != 0, _PAIR_BLOCK at a
-    time.  One fsum takes every term: the sum is exact.  Its rounding bound
-    is _FORM_ROUNDING times the terms' magnitude bounds, with |Q_j| + 1 for
-    a jump, as a small jump's rounding is not small next to it.
+    limit of _tail's integral, is 2 zeta^2 sum_jl D_jl [-(pi/2) |a_j - a_l|
+    - sin(2 phi)(a_j + a_l) ln(a_j + a_l)] (0 ln 0 = 0; rows of D sum to
+    zero, so a is taken in units of T).  As Theta_k Theta_l integrates to
+    (pi/2) len_k delta_kl at phi = 0, the first part is 2 pi zeta^2 sum_k
+    len_k C_kk, C_kk = 1 - (r_k.n)^2 (2/3 for n None); only the second
+    forms pairs, where sin(2 phi) != 0, _PAIR_BLOCK at a time.  One fsum
+    takes every term: the sum is exact.  Its rounding bound is
+    _FORM_ROUNDING times the terms' magnitude bounds, with |Q_j| + 1 for a
+    jump, as a small jump's rounding is not small next to it.
 
     In a field J = 4 zeta^2 Var(G_B) in psi0, G_B = sum_k Theta_k A_k^dag
     r_k.sigma A_k, A_k = V_(k-1)...V_0, V_k = exp(-i zeta B Theta_k
@@ -371,13 +385,10 @@ def _zero_field_k(jumps, signal: SignalParams, cfg: QuadratureConfig):
         yield length * (2.0 / 3.0 if n is None else 1.0 - (r @ n) ** 2)
         if s == 0.0:
             return
-        q, qn = np.linalg.norm(Q, axis=1) + 1.0, None if n is None else Q @ n
-        step = max(1, _PAIR_BLOCK // a.size)
-        for rows in (slice(i, i + step) for i in range(0, a.size, step)):
+        q = np.linalg.norm(Q, axis=1) + 1.0
+        for rows, cov in _covariance_rows(Q, n):
             total = (a[rows, None] + a) / T
             log = s * total * np.log(np.where(total > 0.0, total, 1.0))
-            cov = ((2.0 / 3.0) * Q[rows] @ Q.T if n is None
-                   else Q[rows] @ Q.T - np.outer(qn[rows], qn))
             sizes.append((np.outer(q[rows], q) * np.abs(log)).sum())
             yield (-(cov * log)).ravel().tolist()
 
@@ -464,8 +475,8 @@ def cross_spectral_integral(t1: float, t0: float, mode: str = "analytic",
     """Integral of sin(omega*t1)*sin(omega*t0)/omega^2 over [0, inf).
 
     Closed form (pi/2)*min(t1, t0); mode="numeric" runs the generic panel
-    engine on the raw kernel instead, with the boundary tail of its two
-    boundaries t1 and t0, as an end-to-end check of the quadrature itself.
+    engine on the raw kernel instead, with its exact tail (cosine tails at
+    t1 -+ t0), as an end-to-end check of the quadrature itself.
     """
     if not (0.0 <= t1 < math.inf and 0.0 <= t0 < math.inf):
         raise ValueError(f"times must be finite and >= 0, got {t1}, {t0}")
@@ -478,12 +489,12 @@ def cross_spectral_integral(t1: float, t0: float, mode: str = "analytic",
     cfg = cfg or QuadratureConfig()
     # the tail is exact, so Omega need not wait for the spectrum to settle
     omega_max = cfg.tail_start_factor / min(t1, t0)
-    tail = _boundary_tail([t1, t0], [[0.0, 0.5], [0.5, 0.0]], 0.0, omega_max)
+    g = _cos_tail(np.array([t1 - t0, t1 + t0]), 0.0, omega_max)
     return _integrate_adaptive(
         lambda om: t1 * t0 * np.sinc(om * t1 / math.pi) * np.sinc(
             om * t0 / math.pi),
         0.0, omega_max, math.pi / max(t1, t0), cfg,
-        (tail, 0.0)).integral
+        (0.5 * float(g[0] - g[1]), 0.0)).integral
 
 
 # -- Haar averaging -----------------------------------------------------------

@@ -376,6 +376,7 @@ def _haar_su2(rng: np.random.Generator) -> np.ndarray:
 #
 # Schema: {"type": "pulse_sequence", "T": .., "initial_state": {"alpha","beta"},
 #          "pulses": [{"t", "axis", "angle"} | {"t", "matrix"}]}
+# "initial_state": null is a sequence averaged over Haar-random states.
 # Floats are emitted with repr so a load/dump cycle is bit-exact.
 
 
@@ -402,11 +403,12 @@ def _pulse_from_dict(d: dict) -> Pulse:
 
 
 def sequence_to_json(seq: PulseSequence) -> str:
-    alpha, beta = seq.initial_state
+    init = seq.initial_state
     doc = {
         "type": "pulse_sequence",
         "T": seq.total_time,
-        "initial_state": {"alpha": float(alpha), "beta": float(beta)},
+        "initial_state": None if init is None else {
+            "alpha": float(init[0]), "beta": float(init[1])},
         "pulses": [_pulse_to_dict(p) for p in seq.pulses],
     }
     return json.dumps(doc, indent=2)
@@ -420,5 +422,6 @@ def sequence_from_json(text: str) -> PulseSequence:
     return PulseSequence(
         pulses=tuple(_pulse_from_dict(d) for d in doc.get("pulses", [])),
         total_time=float(doc["T"]),
-        initial_state=(float(init["alpha"]), float(init["beta"])),
+        initial_state=None if init is None else (float(init["alpha"]),
+                                                 float(init["beta"])),
     )

@@ -101,35 +101,24 @@ def _half_step(h, s, scratch, omega, d):
     s *= d
 
 
-def _length_recurs(widths):
-    """Whether a nonzero length occurs more than once in the array widths."""
-    w = np.sort(widths)
-    return bool(((w[1:] == w[:-1]) & (w[1:] > 0.0)).any())
-
-
 def _segment_thetas(edges, omega, phi, widths=None):
     """Theta over the frequency array omega of each segment
     [edges[k], edges[k+1]] in turn, or None for a segment of zero width.
 
-    widths (default the differences of edges) are the segment lengths.  If
-    a length recurs, every segment goes through the phase recurrence:
-    z = exp(i*(omega*t + phi)) is carried from the segment's start to its
-    midpoint and end by two multiplications with h = exp(i*omega*d/2), and
-    Theta = s*Re(z) at the midpoint, with s = d*sinc(omega*d/2).  h and s
-    are held for one length at a time and recomputed in place when the
-    length changes, so a run of equal segments costs no transcendental.  z
-    is evaluated afresh at the segment's start every _RESEED_STRIDE
-    segments.  If no length recurs, every segment goes through theta.  The
-    array yielded is reused for the next segment.
+    widths (default the differences of edges) are the segment lengths.
+    Every segment goes through the phase recurrence: z = exp(i*(omega*t +
+    phi)) is carried from the segment's start to its midpoint and end by
+    two multiplications with h = exp(i*omega*d/2), and Theta = s*Re(z) at
+    the midpoint, with s = d*sinc(omega*d/2).  h and s are held for one
+    length at a time and recomputed in place when the length changes, so a
+    run of equal segments costs no transcendental.  z is evaluated afresh
+    at the segment's start every _RESEED_STRIDE segments.  The array
+    yielded is reused for the next segment.
     """
     edges = np.asarray(edges, dtype=float)
     widths = (np.diff(edges) if widths is None
               else np.asarray(widths, dtype=float))
     om = np.asarray(omega, dtype=float)
-    if not _length_recurs(widths):
-        for k, d in enumerate(widths):
-            yield theta(edges[k], edges[k + 1], om, phi) if d else None
-        return
     z = np.empty(om.shape, dtype=complex)
     h = np.empty(om.shape, dtype=complex)
     s = np.empty(om.shape)

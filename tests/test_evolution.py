@@ -218,6 +218,26 @@ def test_fd_oracle_matches_engine_discrete():
         assert j == pytest.approx(ref, rel=1e-6, abs=1e-9)
 
 
+def test_fd_oracle_of_a_haar_sequence():
+    # with no initial state the oracle differences the propagator: it meets
+    # the Haar-averaged J and the mean of its own six Pauli-state values
+    rng = np.random.default_rng(29)
+    for _ in range(6):
+        T = float(rng.uniform(0.5, 5.0))
+        seq = replace(random_pulse_sequence(rng, T, max_pulses=8, kind="su2"),
+                      initial_state=None)
+        sig = SignalParams(B=float(rng.uniform(-2.0, 2.0)),
+                           omega=float(rng.uniform(0.0, 20.0 / T)),
+                           phi=float(rng.uniform(0.0, 2.0 * math.pi)))
+        ref = qfi_fd_oracle(seq, sig, richardson=True)
+        assert float(qfi_vs_omega(seq, sig)[0]) == pytest.approx(
+            ref, rel=1e-6, abs=1e-9)
+        six = np.mean([qfi_fd_oracle(replace(seq, initial_state=state), sig,
+                                     richardson=True)
+                       for state in PAULI_STATES])
+        assert ref == pytest.approx(six, rel=1e-6, abs=1e-9)
+
+
 def test_fd_oracle_rejects_too_large_step():
     sig = SignalParams(B=0.0, omega=0.0)
     with pytest.raises(RuntimeError):

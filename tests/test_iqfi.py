@@ -511,7 +511,7 @@ def test_budget_exhausted_partial_carries_weights():
     with pytest.raises(QuadratureNonConvergence) as exc:
         integrate_iqfi(_su2_train(), sig, cfg=cfg)
     partial = exc.value.partial
-    assert partial.omegas.size == 191 * 32
+    assert partial.omegas.size == 191 * 33
     _check_engine_contract(partial)
     assert partial.integral == integrate_iqfi(_su2_train(), sig).integral
 
@@ -523,9 +523,42 @@ def test_panel_count_doubles_until_the_tolerance_fits():
                               cfg=QuadratureConfig(rel_tol=1e-9))
     ref = integrate_qfi_band(_su2_train(), sig, 0.0, 20.0,
                              cfg=QuadratureConfig(rel_tol=1e-12))
-    assert spec.omegas.size == 32 * n_base * 2 ** 2
-    assert ref.omegas.size == 32 * n_base * 2 ** 3
+    assert spec.omegas.size == 33 * n_base * 2 ** 2
+    assert ref.omegas.size == 33 * n_base * 2 ** 3
     assert abs(spec.integral - ref.integral) <= spec.error_estimate
+
+
+def test_gauss_kronrod_rule():
+    # exact to degree 3n+1 = 49 with positive weights; the embedded Gauss
+    # rule is leggauss(16) itself, with weight 0 at the 17 added nodes
+    leg = np.polynomial.legendre
+    nodes, (kronrod, gauss) = iqfi_lab.iqfi._NODES, iqfi_lab.iqfi._WEIGHTS.T
+    assert nodes.size == kronrod.size == gauss.size == 33
+    assert np.all(np.diff(nodes) > 0.0)
+    moments = leg.legvander(nodes, 49).T @ kronrod
+    assert np.abs(moments - 2.0 * np.eye(50)[0]).max() <= 1e-14
+    assert (kronrod > 0.0).all()
+    x, w = leg.leggauss(16)
+    embedded = gauss != 0.0
+    assert embedded.sum() == 16
+    np.testing.assert_array_equal(nodes[embedded], x)
+    np.testing.assert_array_equal(gauss[embedded], w)
+
+
+def test_every_evaluated_frequency_is_kept(monkeypatch):
+    # the panels' error comes from the same evaluations as their value
+    evaluated = []
+    spectrum = iqfi_lab.iqfi.qfi_vs_omega
+
+    def recorded(protocol, signal, omegas, **kwargs):
+        evaluated.append(np.array(omegas))
+        return spectrum(protocol, signal, omegas=omegas, **kwargs)
+
+    monkeypatch.setattr(iqfi_lab.iqfi, "qfi_vs_omega", recorded)
+    spec = integrate_iqfi(_su2_train(), SignalParams(B=2.3, omega=0.0))
+    assert spec.method == "quadrature"
+    assert sum(om.size for om in evaluated) == spec.omegas.size
+    assert np.isin(np.concatenate(evaluated), spec.omegas).all()
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
@@ -707,6 +740,27 @@ def test_closed_form_pairs_are_summed_in_row_blocks():
     assert spec.integral == 2.0 * T * math.fsum(terms)
     assert spec.error_estimate == pytest.approx(
         float(_FORM_ROUNDING * 2.0 * T * sizes.sum()), rel=1e-12, abs=0.0)
+
+
+def test_tail_pairs_are_formed_in_row_blocks():
+    # the tail of 512 pulses forms its pairs a block of rows at a time: the
+    # traced peak stays far below the 83 MB of the two full 514 x 514
+    # stacks, and the block sums agree with the full one
+    seq = make_trotterized_gx(4.0, m=512, g=0.3)
+    sig = SignalParams(B=0.5, omega=0.0, phi=0.7)
+    jumps = _jumps(seq)
+    tracemalloc.start()
+    try:
+        tail, _ = _tail(jumps, sig, 300.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    a, Q, _, n, _ = jumps
+    g = _cos_tail(np.stack([a[:, None] - a, a[:, None] + a]),
+                  np.array([0.0, 1.4])[:, None, None], 300.0)
+    D = Q @ Q.T - np.outer(Q @ n, Q @ n)
+    assert tail == pytest.approx(2.0 * np.sum(D * (g[0] - g[1])), rel=1e-12)
 
 
 @pytest.mark.parametrize("t1, t0", [(math.nan, 1.0), (1.0, math.nan),

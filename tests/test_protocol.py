@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,6 +248,21 @@ def test_json_fields():
     assert [p["t"] for p in doc["pulses"]] == [1.0, 2.0]
     assert all(p["axis"] == "x" and p["angle"] == math.pi
                for p in doc["pulses"])
+
+
+def test_json_round_trip_of_a_haar_sequence():
+    # no definite initial state is written as null and read back as None;
+    # a missing key is still |+>
+    seq = replace(make_pi_train([1.0, 2.0], 4.0), initial_state=None)
+    text = sequence_to_json(seq)
+    assert json.loads(text)["initial_state"] is None
+    back = sequence_from_json(text)
+    assert back.initial_state is None
+    assert [p.time for p in back.pulses] == [1.0, 2.0]
+    doc = json.loads(text)
+    del doc["initial_state"]
+    assert sequence_from_json(json.dumps(doc)).initial_state == (
+        math.pi / 2.0, 0.0)
 
 
 def test_segment_count():

@@ -190,14 +190,15 @@ def test_recurrence_matches_theta_on_a_mixed_random_train():
         _assert_matches_theta(edges, OMEGAS, phi)
 
 
-def test_train_without_a_recurring_length_is_theta_itself():
+def test_recurrence_matches_theta_where_no_length_recurs():
+    # every nonzero length occurs once: h and s are recomputed at every
+    # segment, and the recurrence still agrees with theta
     rng = np.random.default_rng(10)
     edges = np.concatenate(([0.0, 0.0], np.sort(rng.uniform(0.0, 3.0, 12)),
                             [3.0, 3.0]))
-    assert not signal_core._length_recurs(np.diff(edges))
-    np.testing.assert_array_equal(
-        _recurrence(edges, OMEGAS, 0.7),
-        theta(edges[:-1, None], edges[1:, None], OMEGAS[None, :], 0.7))
+    widths = np.diff(edges)
+    assert len(set(widths[widths > 0.0])) == np.count_nonzero(widths)
+    _assert_matches_theta(edges, OMEGAS, 0.7)
 
 
 def test_held_length_is_recomputed_only_when_it_changes(monkeypatch):
