@@ -17,7 +17,6 @@ from .protocol import (
     random_pulse_sequence,
     sequence_from_json,
     sequence_to_json,
-    validate,
 )
 from .evolution import IntegrationError, qfi_fd_oracle, qfi_vs_omega
 from .iqfi import (

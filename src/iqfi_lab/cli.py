@@ -57,7 +57,6 @@ from .protocol import (
     make_ramsey,
     make_trotterized_gx,
     random_pulse_sequence,
-    validate,
 )
 from .signal_core import SignalParams
 
@@ -269,17 +268,11 @@ def _build_protocol(args):
             times = tuple(_float_list(times_raw)) if times_raw is not None \
                 else (0.0, T)
             flips_raw = _resolve(args, "flips", None)
-            flips = None
-            if flips_raw is not None:
-                flips = tuple(bool(int(x)) for x in _float_list(flips_raw))
+            flips = tuple(_float_list(flips_raw)) if flips_raw is not None \
+                else None
             protocol = GhzProtocol(n=n, times=times, flips=flips)
     except ValueError as exc:
         raise ConfigError(f"bad protocol parameters: {exc}")
-    # the constructors check durations and times; validate() also catches
-    # a NaN pulse angle or drive rate and a non-finite initial state
-    problem = validate(protocol)
-    if problem is not None:
-        raise ConfigError(f"bad protocol parameters: {problem}")
     return protocol
 
 
@@ -378,10 +371,11 @@ def cmd_iqfi(args) -> int:
 def cmd_fig1(args) -> int:
     t_list = _float_list(_resolve(args, "T_list", "2,3,4,6,8,11,16,23,32"))
     b_list = _float_list(_resolve(args, "B", "1.0,0.01"))
-    if not all(math.isfinite(T) and T > 0.0 for T in t_list):
+    # an empty list (",") would write files without rows, or no file
+    if not t_list or not all(math.isfinite(T) and T > 0.0 for T in t_list):
         raise ConfigError(f"--T-list entries must be positive and finite, "
                           f"got {t_list}")
-    if not all(math.isfinite(b) for b in b_list):
+    if not b_list or not all(math.isfinite(b) for b in b_list):
         raise ConfigError(f"--B values must be finite, got {b_list}")
     g = _resolve(args, "g", math.pi / 2.0, float)
     if not math.isfinite(g):
@@ -464,6 +458,8 @@ def run_bound_battery(seed: int = BATTERY_SEED, draws: int = 10,
     """Randomized regression battery over every closed form and cap."""
     if draws < 1:  # each worst-of-draws item needs a draw
         raise ConfigError(f"--draws must be >= 1, got {draws}")
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     cfg = cfg or QuadratureConfig(**BATTERY_CFG_KW)
     rng = np.random.default_rng(seed)
     reports = []

@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .protocol import (IDENTITY, SIGMA_X, ContinuousControl, GhzProtocol,
-                       Pulse, PulseSequence, validate)
+                       Pulse, PulseSequence)
 from .signal_core import SignalParams, _segment_thetas
 
 __all__ = [
@@ -93,7 +93,6 @@ def discrete_propagators(seq: PulseSequence, signal: SignalParams,
     W(omega) = dP/dB, each of shape (n_omega, 2, 2), so that one pass serves
     any initial state (used by the Haar average, _mean_j).
     """
-    _check_sequence(seq)
     om = np.atleast_1d(np.asarray(
         signal.omega if omegas is None else omegas, dtype=float))
     # one row per initial column (the state, or the two basis vectors) in
@@ -113,12 +112,6 @@ def discrete_propagators(seq: PulseSequence, signal: SignalParams,
     P[:, 0, :], P[:, 1, :] = a.T, b.T
     W[:, 0, :], W[:, 1, :] = da.T, db.T
     return P, W
-
-
-def _check_sequence(seq: PulseSequence) -> None:
-    problem = validate(seq)
-    if problem is not None:
-        raise ValueError(f"invalid sequence: {problem}")
 
 
 def _pulse_steps(seq: PulseSequence, om, phi):
@@ -200,14 +193,6 @@ def _check_ode_tol(tol) -> None:
         raise ValueError(f"ode_tol must be positive and finite, got {tol}")
 
 
-def _drive_pieces(control):
-    """(start, end, generator) triples of a validated continuous control."""
-    problem = validate(control)
-    if problem is not None:
-        raise ValueError(f"invalid control: {problem}")
-    return list(control.pieces)
-
-
 def _su2_exp(h, tau):
     """exp(-i h tau) of a 2x2 Hermitian h, in closed form: with
     h = h0 + n.sigma it is exp(-i h0 tau) (cos(|n| tau) - i sin(|n| tau)
@@ -265,7 +250,7 @@ def _continuous_batch(control, signal: SignalParams, omegas, tol: float):
     unit of rate*time.
     """
     _check_ode_tol(tol)
-    pieces = _drive_pieces(control)
+    pieces = control.pieces
     om = np.atleast_1d(np.asarray(omegas, dtype=float))
     T = float(control.total_time)
     rate = max([1.0 / T, signal.zeta * abs(signal.B)]

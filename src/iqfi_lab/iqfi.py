@@ -28,8 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .evolution import ODE_TOL, IntegrationError, qfi_vs_omega
-from .evolution import (_check_ode_tol, _check_sequence, _drive_pieces,
-                        _reduced, _su2_exp)
+from .evolution import _check_ode_tol, _reduced, _su2_exp
 from .protocol import ContinuousControl, PulseSequence
 from .signal_core import SignalParams
 
@@ -277,7 +276,7 @@ def _bloch_z(u):
 
 
 def _jumps(protocol):
-    """(a, Q, r, n, rate): the boundary form of a validated protocol.
+    """(a, Q, r, n, rate): the boundary form of a protocol.
 
     Q_j is the jump (r before minus r after; r = 0 outside [0, T]) of the
     control's toggling-frame Bloch vector r at a_j: a sequence's pulses,
@@ -289,7 +288,6 @@ def _jumps(protocol):
     """
     z = np.array([0.0, 0.0, 1.0])
     if isinstance(protocol, PulseSequence):
-        _check_sequence(protocol)
         u, r = np.eye(2), [z]
         for p in protocol.pulses:
             u = p.unitary @ u
@@ -303,7 +301,7 @@ def _jumps(protocol):
         return protocol.boundaries(), Q, r, n, 0.0
     if isinstance(protocol, ContinuousControl):
         u, rate = np.eye(2), 0.0
-        for start, end, h in _drive_pieces(protocol):
+        for start, end, h in protocol.pieces:
             u = _su2_exp(h, end - start) @ u
             rate = max(rate, 2.0 * float(np.linalg.norm(h, 2)))
         return (np.array([0.0, float(protocol.total_time)]),
@@ -435,8 +433,8 @@ def integrate_iqfi(protocol, signal: SignalParams,
     "closed_form"): no propagation, no panels.  Otherwise panels of width
     pi/T cover [0, Omega] and the closed-form tail the rest; an exhausted
     panel budget raises QuadratureNonConvergence with a partial result.
-    ode_tol, for continuous drives, is checked on every path, as is the
-    protocol.  A sequence with initial_state None gives the Haar average.
+    ode_tol, for continuous drives, is checked on every path.  A sequence
+    with initial_state None gives the Haar average.
     """
     cfg = cfg or QuadratureConfig()
     protocol, signal = _reduced(protocol, signal)

@@ -1,4 +1,4 @@
-"""Sensing protocol construction, validation and serialization.
+"""Sensing protocols: construction, with their checks, and serialization.
 
 A discrete protocol is a sequence of instantaneous pulses (2x2 unitaries)
 applied at fixed times inside [0, T], with free evolution under the signal
@@ -6,6 +6,11 @@ in between.  Continuous protocols specify a drive generator added to the
 signal Hamiltonian.  An entangled register is a GhzProtocol; its evolution
 never leaves the {|0...0>, |1...1>} plane, where evolution and integration
 treat it as the pulse sequence it is there.
+
+Every protocol is checked once, when it is built: a constructor raises
+ValueError for a protocol that breaks an invariant, and copies the arrays
+it is given, so a protocol that exists is valid and no other module
+checks one again.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ __all__ = [
     "make_pi_train",
     "make_pi2_train",
     "make_trotterized_gx",
-    "validate",
     "random_pulse_sequence",
     "sequence_to_json",
     "sequence_from_json",
@@ -57,14 +61,12 @@ def bloch_state(alpha: float, beta: float) -> np.ndarray:
 
 
 def rotation_matrix(axis, angle: float) -> np.ndarray:
-    """SU(2) rotation exp(-i*angle/2 * n.sigma) about unit vector n."""
+    """SU(2) rotation exp(-i*angle/2 * n.sigma), n the unit vector along
+    axis: "x", "y", "z" or a nonzero 3-vector."""
     if isinstance(axis, str):
         axis = _AXES[axis.lower()]
     n = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(n)
-    if norm == 0.0:
-        raise ValueError("rotation axis must be nonzero")
-    n = n / norm
+    n = n / np.linalg.norm(n)
     gen = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
     half = 0.5 * angle
     return math.cos(half) * IDENTITY - 1j * math.sin(half) * gen
@@ -80,7 +82,10 @@ def _check_total_time(total_time: float) -> None:
 class Pulse:
     """Instantaneous unitary at lab time `time`.
 
-    Either (axis, angle) for a rotation, or an explicit 2x2 matrix.
+    Either (axis, angle) for a rotation, or an explicit 2x2 matrix.  The
+    axis is "x", "y", "z" or a nonzero 3-vector, kept as a tuple; the
+    matrix is copied.  The PulseSequence that holds the pulse checks that
+    its unitary is unitary.
     """
 
     time: float
@@ -94,10 +99,20 @@ class Pulse:
         if has_rot == has_mat:
             raise ValueError("give exactly one of (axis, angle) or matrix")
         if has_mat:
-            m = np.asarray(self.matrix, dtype=complex)
+            m = np.array(self.matrix, dtype=complex)
             if m.shape != (2, 2):
                 raise ValueError("pulse matrix must be 2x2")
             object.__setattr__(self, "matrix", m)
+        elif isinstance(self.axis, str):
+            if self.axis.lower() not in _AXES:
+                raise ValueError(
+                    f"unknown axis {self.axis!r}; choose x, y or z")
+        else:
+            axis = tuple(float(a) for a in self.axis)
+            if len(axis) != 3 or not any(axis):
+                raise ValueError(
+                    f"rotation axis must be a nonzero 3-vector, got {axis}")
+            object.__setattr__(self, "axis", axis)
 
     @cached_property
     def unitary(self) -> np.ndarray:
@@ -112,6 +127,8 @@ class PulseSequence:
 
     initial_state = (alpha, beta) meaning cos(alpha/2)|0> + e^{i beta} sin(alpha/2)|1>;
     the default (pi/2, 0) is |+>.  With None, J and K are Haar averages.
+    Raises ValueError unless total_time is positive and finite, the angles
+    finite, and the pulses unitary at non-decreasing times in [0, T].
     """
 
     pulses: tuple
@@ -120,6 +137,27 @@ class PulseSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "pulses", tuple(self.pulses))
+        if self.initial_state is not None:
+            object.__setattr__(self, "initial_state",
+                               tuple(float(x) for x in self.initial_state))
+        _check_total_time(self.total_time)
+        if not all(map(math.isfinite, self.initial_state or ())):
+            raise ValueError("initial_state angles must be finite")
+        prev = 0.0
+        for i, p in enumerate(self.pulses):
+            if not math.isfinite(p.time):
+                raise ValueError(f"pulse {i}: time must be finite")
+            if p.time < 0.0 or p.time > self.total_time:
+                raise ValueError(
+                    f"pulse {i}: time {p.time} outside [0, {self.total_time}]")
+            if p.time < prev:
+                raise ValueError(f"pulse {i}: times must be non-decreasing")
+            prev = p.time
+            u = p.unitary
+            defect = np.abs(u.conj().T @ u - IDENTITY).max()
+            if not defect <= 1e-12:  # a NaN entry fails this, as it should
+                raise ValueError(
+                    f"pulse {i}: not unitary (defect {defect:.2e})")
 
     @property
     def times(self) -> np.ndarray:
@@ -160,7 +198,9 @@ class TransverseDrive:
 class PiecewiseGenerator:
     """Piecewise-constant Hermitian generators tiling [0, T].
 
-    pieces: sequence of (t_start, t_end, H) with contiguous intervals.
+    pieces: sequence of (t_start, t_end, H) with contiguous intervals; each
+    H is copied.  Raises ValueError unless total_time is positive and
+    finite and the pieces tile [0, T] with finite 2x2 Hermitian generators.
     """
 
     pieces: tuple
@@ -169,8 +209,30 @@ class PiecewiseGenerator:
     def __post_init__(self):
         norm = []
         for start, end, h in self.pieces:
-            norm.append((float(start), float(end), np.asarray(h, dtype=complex)))
+            norm.append((float(start), float(end), np.array(h, dtype=complex)))
         object.__setattr__(self, "pieces", tuple(norm))
+        _check_total_time(self.total_time)
+        if not self.pieces:
+            raise ValueError("pieces must be non-empty")
+        expect = 0.0
+        # written as "not x <= tol" so that a NaN fails each test
+        for i, (start, end, h) in enumerate(self.pieces):
+            if not abs(start - expect) <= 1e-12:
+                raise ValueError(
+                    f"piece {i}: starts at {start}, expected {expect}")
+            if not start <= end < math.inf:
+                raise ValueError(
+                    f"piece {i}: end {end} before start or not finite")
+            if h.shape != (2, 2):
+                raise ValueError(f"piece {i}: generator must be 2x2")
+            if not np.isfinite(h).all():
+                raise ValueError(f"piece {i}: generator entries must be finite")
+            if not np.abs(h - h.conj().T).max() <= 1e-12:
+                raise ValueError(f"piece {i}: generator not Hermitian")
+            expect = end
+        if not abs(expect - self.total_time) <= 1e-12:
+            raise ValueError(f"pieces end at {expect}, expected total_time "
+                             f"{self.total_time}")
 
 
 ContinuousControl = Union[TransverseDrive, PiecewiseGenerator]
@@ -180,8 +242,8 @@ ContinuousControl = Union[TransverseDrive, PiecewiseGenerator]
 class GhzProtocol:
     """n-qubit GHZ register, free evolution over consecutive segments.
 
-    times: segment boundaries from 0 to T.  flips: optional booleans, one per
-    interior boundary, marking collective X flips applied there.
+    times: segment boundaries from 0 to T.  flips: optional booleans (0 or
+    1), one per interior boundary, marking collective X flips applied there.
     """
 
     n: int
@@ -199,8 +261,13 @@ class GhzProtocol:
             raise ValueError("times must be finite")
         if any(b < a for a, b in zip(t, t[1:])):
             raise ValueError("times must be non-decreasing")
-        if self.flips is not None and len(self.flips) != len(t) - 2:
+        if self.flips is None:
+            return
+        if len(self.flips) != len(t) - 2:
             raise ValueError("flips must have one entry per interior boundary")
+        if not all(f in (0, 1) for f in self.flips):
+            raise ValueError(f"flips must be 0 or 1, got {self.flips}")
+        object.__setattr__(self, "flips", tuple(bool(f) for f in self.flips))
 
     @property
     def total_time(self) -> float:
@@ -209,22 +276,14 @@ class GhzProtocol:
 
 def make_ramsey(total_time: float, initial_state=(math.pi / 2.0, 0.0)) -> PulseSequence:
     """Free evolution only: prepare, wait T, measure."""
-    _check_total_time(total_time)
     return PulseSequence(pulses=(), total_time=total_time, initial_state=initial_state)
 
 
 def make_pi_train(times, total_time: float, axis="x",
                   initial_state=(math.pi / 2.0, 0.0)) -> PulseSequence:
     """pi rotations about `axis` at the given times (t = total_time allowed)."""
-    _check_total_time(total_time)
-    ts = [float(t) for t in times]
-    if not all(math.isfinite(t) for t in ts):
-        raise ValueError("pulse times must be finite")
-    if any(b < a for a, b in zip(ts, ts[1:])):
-        raise ValueError("pulse times must be non-decreasing")
-    if ts and (ts[0] < 0.0 or ts[-1] > total_time):
-        raise ValueError("pulse times must lie inside [0, total_time]")
-    pulses = tuple(Pulse(time=t, axis=axis, angle=math.pi) for t in ts)
+    pulses = tuple(Pulse(time=float(t), axis=axis, angle=math.pi)
+                   for t in times)
     return PulseSequence(pulses=pulses, total_time=total_time,
                          initial_state=initial_state)
 
@@ -242,7 +301,8 @@ def make_pi2_train(spacing: float, total_time: float, axis="x",
     if abs(count - round(count)) > 1e-9:
         raise ValueError("spacing must divide total_time")
     count = int(round(count))
-    # count*spacing can land an ulp past total_time, which validate rejects
+    # count*spacing can land an ulp past total_time, which PulseSequence
+    # rejects
     pulses = tuple(
         Pulse(time=min(k * spacing, total_time), axis=axis,
               angle=math.pi / 2.0)
@@ -266,71 +326,11 @@ def make_trotterized_gx(total_time: float, m: int, g: float,
         raise ValueError("m must be a positive integer")
     dt = total_time / m
     angle = 2.0 * g * dt
-    # m*dt can land an ulp past total_time, which validate rejects
+    # m*dt can land an ulp past total_time, which PulseSequence rejects
     pulses = tuple(Pulse(time=min(k * dt, total_time), axis="x", angle=angle)
                    for k in range(1, m + 1))
     return PulseSequence(pulses=pulses, total_time=total_time,
                          initial_state=initial_state)
-
-
-def validate(protocol) -> Optional[str]:
-    """Return a description of the first invariant violation, or None.
-
-    Accepts PulseSequence, TransverseDrive, PiecewiseGenerator or GhzProtocol.
-    Diagnoses rather than raising so hand-built protocols can be inspected.
-    """
-    if isinstance(protocol, PulseSequence):
-        return _validate_sequence(protocol)
-    if isinstance(protocol, ContinuousControl):
-        return _validate_piecewise(protocol)
-    if isinstance(protocol, GhzProtocol):
-        return None  # construction already enforced the invariants
-    return f"unknown protocol type {type(protocol).__name__}"
-
-
-def _validate_sequence(seq: PulseSequence) -> Optional[str]:
-    if not math.isfinite(seq.total_time) or seq.total_time <= 0.0:
-        return f"total_time must be positive and finite, got {seq.total_time}"
-    if not all(map(math.isfinite, seq.initial_state or ())):
-        return "initial_state angles must be finite"
-    prev = 0.0
-    for i, p in enumerate(seq.pulses):
-        if not math.isfinite(p.time):
-            return f"pulse {i}: time must be finite"
-        if p.time < 0.0 or p.time > seq.total_time:
-            return f"pulse {i}: time {p.time} outside [0, {seq.total_time}]"
-        if p.time < prev:
-            return f"pulse {i}: times must be non-decreasing"
-        prev = p.time
-        u = p.unitary
-        defect = np.abs(u.conj().T @ u - IDENTITY).max()
-        if not defect <= 1e-12:  # a NaN entry fails this, as it should
-            return f"pulse {i}: not unitary (defect {defect:.2e})"
-    return None
-
-
-def _validate_piecewise(ctrl: ContinuousControl) -> Optional[str]:
-    if not math.isfinite(ctrl.total_time) or ctrl.total_time <= 0.0:
-        return f"total_time must be positive and finite, got {ctrl.total_time}"
-    if not ctrl.pieces:
-        return "pieces must be non-empty"
-    expect = 0.0
-    # written as "not x <= tol" so that a NaN fails each test
-    for i, (start, end, h) in enumerate(ctrl.pieces):
-        if not abs(start - expect) <= 1e-12:
-            return f"piece {i}: starts at {start}, expected {expect}"
-        if not start <= end < math.inf:
-            return f"piece {i}: end {end} before start or not finite"
-        if h.shape != (2, 2):
-            return f"piece {i}: generator must be 2x2"
-        if not np.isfinite(h).all():
-            return f"piece {i}: generator entries must be finite"
-        if not np.abs(h - h.conj().T).max() <= 1e-12:
-            return f"piece {i}: generator not Hermitian"
-        expect = end
-    if not abs(expect - ctrl.total_time) <= 1e-12:
-        return f"pieces end at {expect}, expected total_time {ctrl.total_time}"
-    return None
 
 
 def random_pulse_sequence(rng: np.random.Generator, total_time: float,

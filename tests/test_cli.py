@@ -181,7 +181,8 @@ def test_non_finite_input_exits_2(tmp_path, monkeypatch, capsys, flags):
 
 @pytest.mark.parametrize("protocol", ["trotter-gx", "gx"])
 def test_spectrum_nan_drive_rate_exits_2(capsys, protocol):
-    # a NaN angle passes every sign test; validate() must still catch it
+    # a NaN angle passes every sign test; the checks at construction must
+    # still catch it
     code, out, err = run(capsys, "spectrum", "--protocol", protocol,
                          "--g", "nan", "--T", "2", "--points", "3",
                          "--omega-max", "1")
@@ -224,7 +225,9 @@ def test_drive_floor_reported_only_where_it_bounds(capsys):
 
 @pytest.mark.parametrize("flags", [("--B", "1,nan"), ("--T-list", "2,inf"),
                                    ("--g", "nan"),
-                                   ("--slope-window", "nan,inf")])
+                                   ("--slope-window", "nan,inf"),
+                                   # empty lists wrote row-less files, or none
+                                   ("--T-list", ","), ("--B", ",")])
 def test_fig1_non_finite_input_exits_2(tmp_path, capsys, flags):
     code, out, err = run(capsys, "fig1", "--out", str(tmp_path / "f.csv"),
                          *flags)
@@ -257,7 +260,12 @@ def test_iqfi_reports_its_method(capsys):
 
 
 @pytest.mark.parametrize("flags", [("--protocol", "trotter-gx", "--g", "nan"),
-                                   ("--protocol", "pi-train", "--times", "5")])
+                                   ("--protocol", "pi-train", "--times", "5"),
+                                   # a flip is 0 or 1, not read as a truth value
+                                   ("--protocol", "ghz", "--times", "0,1,2",
+                                    "--flips", "7"),
+                                   ("--protocol", "ghz", "--times", "0,1,2",
+                                    "--flips", "0.5")])
 def test_bad_sequence_at_zero_field_exits_2(capsys, flags):
     # B = 0 takes the closed form; bad input is still refused
     code, out, err = run(capsys, "iqfi", *flags, "--T", "4", "--B", "0")
@@ -385,13 +393,15 @@ def test_bounds_check_passes(capsys):
     ("bounds-check", "--draws", "0"),
     ("bounds-check", "--draws", "-3"),
     ("fig1", "--T-list", "2", "--B", "0.01", "--jobs", "0"),
+    ("bounds-check", "--seed", "-1"),
 ])
 def test_counts_below_one_exit_2(argv, capsys, tmp_path, monkeypatch):
     # --draws 0 used to end in an AttributeError traceback: the
-    # worst-of-draws loops never ran
+    # worst-of-draws loops never ran; --seed -1 in numpy's ValueError
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out == "" and ">= 1" in err
+    least = ">= 0" if "--seed" in argv else ">= 1"  # a seed may be 0
+    assert code == 2 and out == "" and least in err
     assert list(tmp_path.iterdir()) == []
 
 

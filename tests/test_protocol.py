@@ -1,12 +1,19 @@
-"""Protocol constructors, validation diagnostics, and serialization."""
+"""Protocol constructors, the checks they make, and serialization."""
 
+import ast
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iqfi_lab
+import iqfi_lab.cli
+import iqfi_lab.evolution
+import iqfi_lab.iqfi
 from iqfi_lab.evolution import _reduced
 from iqfi_lab.iqfi import _jumps
 from iqfi_lab.protocol import (
@@ -23,7 +30,6 @@ from iqfi_lab.protocol import (
     random_pulse_sequence,
     sequence_from_json,
     sequence_to_json,
-    validate,
 )
 from iqfi_lab.signal_core import SignalParams
 
@@ -96,6 +102,8 @@ def test_constructors_reject_bad_durations(bad):
 
 
 def test_constructors_pass_validate():
+    # each maker builds a protocol that passes the checks at construction,
+    # and rebuilding it from its own fields passes them again
     rng = np.random.default_rng(9)
     protos = [
         make_ramsey(3.0),
@@ -110,7 +118,7 @@ def test_constructors_pass_validate():
         make_pi2_train(0.1, 0.3),
     ]
     for p in protos:
-        assert validate(p) is None
+        assert replace(p).total_time == p.total_time
 
 
 def test_no_pulse_lies_past_total_time():
@@ -134,34 +142,166 @@ def test_cli_runs_a_train_whose_last_pulse_was_past_T(capsys):
 
 
 def test_validate_diagnostics():
-    bad_time = PulseSequence(
-        pulses=(Pulse(time=5.0, axis="x", angle=math.pi),), total_time=4.0)
-    assert "outside" in validate(bad_time)
+    with pytest.raises(ValueError, match="outside"):
+        PulseSequence(pulses=(Pulse(time=5.0, axis="x", angle=math.pi),),
+                      total_time=4.0)
 
-    not_unitary = PulseSequence(
-        pulses=(Pulse(time=1.0, matrix=np.array([[1.0, 1.0], [0.0, 1.0]],
-                                                dtype=complex)),),
-        total_time=4.0)
-    assert "unitary" in validate(not_unitary)
+    with pytest.raises(ValueError, match="unitary"):
+        PulseSequence(
+            pulses=(Pulse(time=1.0, matrix=np.array([[1.0, 1.0], [0.0, 1.0]],
+                                                    dtype=complex)),),
+            total_time=4.0)
 
-    out_of_order = PulseSequence(
-        pulses=(Pulse(time=2.0, axis="x", angle=1.0),
-                Pulse(time=1.0, axis="y", angle=1.0)),
-        total_time=4.0)
-    assert "non-decreasing" in validate(out_of_order)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        PulseSequence(
+            pulses=(Pulse(time=2.0, axis="x", angle=1.0),
+                    Pulse(time=1.0, axis="y", angle=1.0)),
+            total_time=4.0)
 
 
 def test_validate_accepts_no_initial_state():
     # None means J and K averaged over Haar-random initial states
     train = make_pi_train([1.0, 2.0], 3.0)
-    assert validate(PulseSequence(train.pulses, 3.0, None)) is None
-    assert "finite" in validate(PulseSequence(train.pulses, 3.0,
-                                              (math.nan, 0.0)))
+    assert PulseSequence(train.pulses, 3.0, None).initial_state is None
+    with pytest.raises(ValueError, match="finite"):
+        PulseSequence(train.pulses, 3.0, (math.nan, 0.0))
 
 
 def test_validate_rejects_nan_pulse_angle():
-    seq = make_trotterized_gx(2.0, m=4, g=float("nan"))
-    assert "unitary" in validate(seq)
+    with pytest.raises(ValueError, match="unitary"):
+        make_trotterized_gx(2.0, m=4, g=float("nan"))
+
+
+PI_X = Pulse(time=1.0, axis="x", angle=math.pi)
+# (what is built, the exact message of the ValueError it raises)
+INVALID = {
+    "time_past_T": (lambda: PulseSequence(
+        (Pulse(time=5.0, axis="x", angle=math.pi),), 4.0),
+        "pulse 0: time 5.0 outside [0, 4.0]"),
+    "time_before_0": (lambda: PulseSequence(
+        (Pulse(time=-0.5, axis="x", angle=math.pi),), 4.0),
+        "pulse 0: time -0.5 outside [0, 4.0]"),
+    "time_out_of_order": (lambda: PulseSequence(
+        (Pulse(time=2.0, axis="x", angle=1.0),
+         Pulse(time=1.0, axis="y", angle=1.0)), 4.0),
+        "pulse 1: times must be non-decreasing"),
+    "time_nan": (lambda: PulseSequence(
+        (PI_X, Pulse(time=math.nan, axis="x", angle=1.0)), 4.0),
+        "pulse 1: time must be finite"),
+    "time_inf": (lambda: make_pi_train([1.0, math.inf], 4.0),
+                 "pulse 1: time must be finite"),
+    "angle_nan": (lambda: PulseSequence(
+        (Pulse(time=1.0, axis="x", angle=math.nan),), 4.0),
+        "pulse 0: not unitary (defect nan)"),
+    "matrix_not_unitary": (lambda: PulseSequence(
+        (PI_X, Pulse(time=2.0, matrix=[[1.0, 1.0], [0.0, 1.0]])), 4.0),
+        "pulse 1: not unitary (defect 1.00e+00)"),
+    "total_time_nan": (lambda: PulseSequence((), math.nan),
+                       "total_time must be positive and finite, got nan"),
+    "total_time_inf": (lambda: PulseSequence((PI_X,), math.inf),
+                       "total_time must be positive and finite, got inf"),
+    "total_time_zero": (lambda: make_ramsey(0.0),
+                        "total_time must be positive and finite, got 0.0"),
+    "total_time_negative": (lambda: make_pi_train([], -1.0),
+                            "total_time must be positive and finite, got -1.0"),
+    "initial_state_nan": (lambda: PulseSequence((PI_X,), 4.0, (math.nan, 0.0)),
+                          "initial_state angles must be finite"),
+    "initial_state_inf": (lambda: make_ramsey(2.0, (0.5, math.inf)),
+                          "initial_state angles must be finite"),
+    "piecewise_total_time": (lambda: PiecewiseGenerator(
+        ((0.0, 1.0, SX),), math.inf),
+        "total_time must be positive and finite, got inf"),
+    "piecewise_empty": (lambda: PiecewiseGenerator((), 1.0),
+                        "pieces must be non-empty"),
+    "piecewise_gap": (lambda: PiecewiseGenerator(
+        ((0.0, 1.0, SX), (1.5, 2.0, SX)), 2.0),
+        "piece 1: starts at 1.5, expected 1.0"),
+    "piecewise_start_nan": (lambda: PiecewiseGenerator(
+        ((0.0, 1.0, SX), (math.nan, 2.0, SX)), 2.0),
+        "piece 1: starts at nan, expected 1.0"),
+    "piecewise_end_before_start": (lambda: PiecewiseGenerator(
+        ((0.0, 1.0, SX), (1.0, 0.5, SX)), 2.0),
+        "piece 1: end 0.5 before start or not finite"),
+    "piecewise_end_inf": (lambda: PiecewiseGenerator(
+        ((0.0, math.inf, SX),), 2.0),
+        "piece 0: end inf before start or not finite"),
+    "piecewise_shape": (lambda: PiecewiseGenerator(
+        ((0.0, 1.0, np.eye(3)),), 1.0),
+        "piece 0: generator must be 2x2"),
+    "piecewise_entry_nan": (lambda: PiecewiseGenerator(
+        ((0.0, 1.0, [[0.0, math.nan], [math.nan, 0.0]]),), 1.0),
+        "piece 0: generator entries must be finite"),
+    "piecewise_not_hermitian": (lambda: PiecewiseGenerator(
+        ((0.0, 1.0, [[0.0, 1.0], [0.0, 0.0]]),), 1.0),
+        "piece 0: generator not Hermitian"),
+    "piecewise_short": (lambda: PiecewiseGenerator(((0.0, 1.0, SX),), 2.0),
+                        "pieces end at 1.0, expected total_time 2.0"),
+    "axis_unknown": (lambda: Pulse(time=1.0, axis="w", angle=1.0),
+                     "unknown axis 'w'; choose x, y or z"),
+    "axis_zero": (lambda: Pulse(time=1.0, axis=(0.0, 0.0, 0.0), angle=1.0),
+                  "rotation axis must be a nonzero 3-vector, got "
+                  "(0.0, 0.0, 0.0)"),
+    "ghz_flip_not_0_or_1": (lambda: GhzProtocol(
+        n=2, times=(0.0, 1.0, 2.0), flips=(0.5,)),
+        "flips must be 0 or 1, got (0.5,)"),
+}
+
+
+@pytest.mark.parametrize("name", INVALID)
+def test_invalid_protocols_raise_at_construction(name):
+    # every fault the former validate() diagnosed on a built protocol; the
+    # NaN angle and the pulse past T were the two sequences that the Haar
+    # average's closed form at B = 0 used to accept
+    build, message = INVALID[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_invalid_json_document_raises_when_it_loads():
+    doc = json.loads(sequence_to_json(make_pi_train([1.0, 2.0], 4.0)))
+    doc["pulses"][1]["t"] = 5.0
+    with pytest.raises(ValueError, match="pulse 1: time 5.0 outside"):
+        sequence_from_json(json.dumps(doc))
+
+
+def test_a_built_protocol_keeps_its_own_arrays():
+    # the caller's arrays and lists, edited after construction, change
+    # nothing in the protocol
+    m, h = SX.copy(), SX.copy()
+    axis, state = [0.0, 1.0, 0.0], [0.3, 0.2]
+    seq = PulseSequence((Pulse(time=1.0, matrix=m),
+                         Pulse(time=2.0, axis=axis, angle=1.0)), 3.0, state)
+    ctrl = PiecewiseGenerator(((0.0, 3.0, h),), 3.0)
+    m[:] = 0.0
+    h[0, 1] = math.nan
+    axis[1], state[0] = 0.0, math.nan
+    np.testing.assert_array_equal(seq.pulses[0].unitary, SX)
+    np.testing.assert_array_equal(ctrl.pieces[0][2], SX)
+    assert seq.pulses[1].axis == (0.0, 1.0, 0.0)
+    assert seq.initial_state == (0.3, 0.2)
+    flips = GhzProtocol(n=2, times=(0.0, 1.0, 2.0, 3.0), flips=(1, 0.0)).flips
+    assert flips == (True, False) and all(type(f) is bool for f in flips)
+
+
+def test_no_module_but_protocol_checks_a_protocol():
+    """What makes a protocol valid is decided where it is built: the
+    modules that use protocols define no protocol check and import none."""
+    checks = {"validate", "_check_sequence", "_drive_pieces"}
+    found = []
+    for module in (iqfi_lab.evolution, iqfi_lab.iqfi, iqfi_lab.cli):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                from_protocol = (node.module or "").endswith("protocol")
+                names = [a.name for a in node.names if a.name in checks or (
+                    from_protocol and a.name.startswith(("_check",
+                                                         "_validate")))]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name] if node.name in checks else []
+            else:
+                continue
+            found += [(Path(module.__file__).name, n) for n in names]
+    assert found == []
+    assert not hasattr(iqfi_lab, "validate")
 
 
 def test_pulse_unitary_axis_angle():
@@ -191,10 +331,10 @@ def test_piecewise_generator_validation():
     h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     ok = PiecewiseGenerator(pieces=((0.0, 1.0, h), (1.0, 2.0, 2.0 * h)),
                             total_time=2.0)
-    assert validate(ok) is None
-    gap = PiecewiseGenerator(pieces=((0.0, 1.0, h), (1.5, 2.0, h)),
-                             total_time=2.0)
-    assert validate(gap) is not None
+    assert len(ok.pieces) == 2
+    with pytest.raises(ValueError, match="piece 1: starts at 1.5"):
+        PiecewiseGenerator(pieces=((0.0, 1.0, h), (1.5, 2.0, h)),
+                           total_time=2.0)
 
 
 @pytest.mark.parametrize("bad", ["entry", "start", "end", "inf_end"])
@@ -209,9 +349,9 @@ def test_piecewise_generator_rejects_non_finite(bad):
         pieces[0][1] = math.nan
     else:
         pieces[1][1] = math.inf
-    problem = validate(PiecewiseGenerator(
-        pieces=tuple(tuple(p) for p in pieces), total_time=2.0))
-    assert problem is not None
+    with pytest.raises(ValueError, match="^piece "):
+        PiecewiseGenerator(pieces=tuple(tuple(p) for p in pieces),
+                           total_time=2.0)
 
 
 @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
