@@ -235,12 +235,14 @@ def _ode_tol(args) -> float:
     return tol
 
 
-def _build_protocol(args):
-    name = _resolve(args, "protocol", "ramsey", str)
+def _build_protocol(args, name=None, T=None):
+    """The protocol of the command's flags; name and T, if given, stand for
+    --protocol and --T.  Flags the command lacks take their defaults."""
+    name = name or _resolve(args, "protocol", "ramsey", str)
     if name not in PROTOCOL_NAMES:
         raise ConfigError(
             f"unknown protocol {name!r}; choose from {', '.join(PROTOCOL_NAMES)}")
-    T = _duration(args, 4.0)
+    T = _duration(args, 4.0) if T is None else T
     alpha = _resolve(args, "alpha", math.pi / 2.0, float)
     beta = _resolve(args, "beta", 0.0, float)
     state = (alpha, beta)
@@ -386,18 +388,14 @@ def cmd_fig1(args) -> int:
     if len(window) != 2 or not -math.inf < window[0] < window[1] < math.inf:
         raise ConfigError(f"--slope-window needs two finite numbers lo < hi, "
                           f"got {window}")
-    jobs = _resolve(args, "jobs", 1, int)
-    if jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
     out = _resolve(args, "out", "fig1.csv", str)
 
     def family(T):
-        return make_trotterized_gx(T, m=max(1, int(round(2 * T))), g=g)
+        return _build_protocol(args, "trotter-gx", T)
 
     for b in b_list:
         sweep = sweep_iqfi_vs_T(family, t_list, SignalParams(B=b, omega=0.0),
-                                cfg=cfg, slope_window=tuple(window),
-                                jobs=jobs)
+                                cfg=cfg, slope_window=tuple(window))
         nan = float("nan")
         rows = [(p.T, nan if p.failed else p.K, nan if p.failed else p.K_err,
                  sweep.slope) for p in sweep.points]
@@ -422,15 +420,8 @@ def cmd_fig2(args) -> int:
     ode_tol = _ode_tol(args)
     out = _resolve(args, "out", "fig2", str)
 
-    try:
-        protocols = [
-            ("ramsey", make_ramsey(T)),
-            ("pi-train", make_pi_train(_default_pi_times(T), T)),
-            ("pi2-train", make_pi2_train(0.5, T)),
-            ("gx", TransverseDrive(g=g, total_time=T)),
-        ]
-    except ValueError as exc:
-        raise ConfigError(f"bad protocol parameters: {exc}")
+    protocols = [(tag, _build_protocol(args, tag, T))
+                 for tag in ("ramsey", "pi-train", "pi2-train", "gx")]
     lo = _resolve(args, "omega_min", 0.0, float)
     hi = _resolve(args, "omega_max", max(4.0 * g, 8.0 * math.pi / T), float)
     omegas = _omega_grid(lo, hi, _resolve(args, "points", 601, int))
@@ -597,7 +588,6 @@ _FLAGS = {
                            f"field derivative (default {ODE_TOL:g})"),
     "--T-list": dict(help="comma list of durations (default 2..32)"),
     "--slope-window": dict(help="T window for the log-log fit (default 8,32)"),
-    "--jobs": dict(type=int, help="worker processes (default 1)"),
     "--draws": dict(type=int,
                     help="random draws per battery item (default 10)"),
     "--seed": dict(type=int, help="battery rng seed (default 1905)"),
@@ -617,7 +607,7 @@ _COMMANDS = (
     ("iqfi", cmd_iqfi, "integrated QFI with error estimate and bounds",
      _SIGNAL + _PROTOCOL + _QUADRATURE + ("--ode-tol", "--format"), {}),
     ("fig1", cmd_fig1, "K vs T sweep for the trotterized drive",
-     ("--B", "--g", "--rel-tol", "--T-list", "--slope-window", "--jobs"),
+     ("--B", "--g", "--rel-tol", "--T-list", "--slope-window"),
      {"--B": "comma list of field values, one output file each "
              "(default 1.0,0.01)",
       "--out": "output path; with several fields, one file per field "

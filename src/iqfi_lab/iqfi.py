@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -524,34 +525,43 @@ def haar_average_iqfi(seq: PulseSequence, signal: SignalParams,
 def sweep_iqfi_vs_T(family: Callable, Ts: Sequence[float],
                     signal: SignalParams,
                     cfg: Optional[QuadratureConfig] = None,
-                    slope_window: Optional[tuple] = None,
-                    jobs: int = 1) -> SweepResult:
+                    slope_window: Optional[tuple] = None) -> SweepResult:
     """K(T) across durations for a protocol family T -> protocol.
 
-    The protocols are built in the calling process; with jobs > 1 a pool
-    of that many worker processes integrates them, with results identical
-    to a serial run.
+    The protocols are built in the calling thread, then integrated by a pool
+    of one thread per usable CPU (no more than there are points): numpy
+    releases the GIL on the node arrays where a point spends its time.  The
+    points do not depend on the number of threads; narrow the process's CPU
+    affinity (taskset) for fewer.
     Per-point integration failures (panel budget or evolution) are recorded
     with failed=True, carrying the partial estimate if there is one, and
     the sweep continues.  The log-log slope is fitted over slope_window
     (defaults to the full range of successful points).
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    cfg = cfg or QuadratureConfig()
-    tasks = [(float(T), family(float(T)), signal, cfg) for T in Ts]
-    if jobs > 1:
-        # imported on use: loading the pool machinery costs every process
-        # about half a megabyte of memory
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    # imported on use, so that no other command loads the pool machinery
+    from concurrent.futures import ThreadPoolExecutor
 
-        # spawned, not forked: forking a process with BLAS threads can deadlock
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            points = list(pool.map(_sweep_point, tasks))
-    else:
-        points = [_sweep_point(t) for t in tasks]
+    cfg = cfg or QuadratureConfig()
+    Ts = [float(T) for T in Ts]
+    protocols = [family(T) for T in Ts]
+
+    def point(T: float, protocol) -> SweepPoint:
+        try:
+            spec = integrate_iqfi(protocol, signal, cfg)
+            return SweepPoint(T=T, K=spec.integral, K_err=spec.error_estimate)
+        except QuadratureNonConvergence as exc:
+            spec = exc.partial
+        except IntegrationError:
+            spec = None
+        nan = float("nan")
+        return SweepPoint(T=T, K=spec.integral if spec is not None else nan,
+                          K_err=spec.error_estimate if spec is not None else nan,
+                          failed=True)
+
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=max(1, min(cpus, len(Ts)))) as pool:
+        points = list(pool.map(point, Ts, protocols))
     good = [p for p in points if not p.failed and p.K > 0.0]
     if slope_window is None and good:
         slope_window = (good[0].T, good[-1].T)
@@ -560,22 +570,6 @@ def sweep_iqfi_vs_T(family: Callable, Ts: Sequence[float],
     ) if len(good) >= 2 else float("nan")
     return SweepResult(points=tuple(points), slope=slope,
                        slope_window=tuple(slope_window) if slope_window else ())
-
-
-def _sweep_point(task) -> SweepPoint:
-    """One sweep point; module-level so worker processes can unpickle it."""
-    T, protocol, signal, cfg = task
-    try:
-        spec = integrate_iqfi(protocol, signal, cfg)
-        return SweepPoint(T=T, K=spec.integral, K_err=spec.error_estimate)
-    except QuadratureNonConvergence as exc:
-        spec = exc.partial
-    except IntegrationError:
-        spec = None
-    nan = float("nan")
-    return SweepPoint(T=T, K=spec.integral if spec is not None else nan,
-                      K_err=spec.error_estimate if spec is not None else nan,
-                      failed=True)
 
 
 def fit_loglog_slope(Ts, Ks, window: Optional[tuple] = None) -> float:

@@ -9,8 +9,8 @@ treat it as the pulse sequence it is there.
 
 Every protocol is checked once, when it is built: a constructor raises
 ValueError for a protocol that breaks an invariant, and copies the arrays
-it is given, so a protocol that exists is valid and no other module
-checks one again.
+it is given, read-only, so a protocol that exists is valid and no other
+module checks one again.
 """
 
 from __future__ import annotations
@@ -23,10 +23,17 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY = np.eye(2, dtype=complex)
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: writing into it raises ValueError."""
+    a.flags.writeable = False
+    return a
+
+
+SIGMA_X = _frozen(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+SIGMA_Y = _frozen(np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex))
+SIGMA_Z = _frozen(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
+IDENTITY = _frozen(np.eye(2, dtype=complex))
 
 _AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
@@ -84,8 +91,8 @@ class Pulse:
 
     Either (axis, angle) for a rotation, or an explicit 2x2 matrix.  The
     axis is "x", "y", "z" or a nonzero 3-vector, kept as a tuple; the
-    matrix is copied.  The PulseSequence that holds the pulse checks that
-    its unitary is unitary.
+    matrix is copied, and it and the unitary are read-only.  The
+    PulseSequence that holds the pulse checks that its unitary is unitary.
     """
 
     time: float
@@ -102,7 +109,7 @@ class Pulse:
             m = np.array(self.matrix, dtype=complex)
             if m.shape != (2, 2):
                 raise ValueError("pulse matrix must be 2x2")
-            object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "matrix", _frozen(m))
         elif isinstance(self.axis, str):
             if self.axis.lower() not in _AXES:
                 raise ValueError(
@@ -118,7 +125,7 @@ class Pulse:
     def unitary(self) -> np.ndarray:
         if self.matrix is not None:
             return self.matrix
-        return rotation_matrix(self.axis, self.angle)
+        return _frozen(rotation_matrix(self.axis, self.angle))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,8 +206,9 @@ class PiecewiseGenerator:
     """Piecewise-constant Hermitian generators tiling [0, T].
 
     pieces: sequence of (t_start, t_end, H) with contiguous intervals; each
-    H is copied.  Raises ValueError unless total_time is positive and
-    finite and the pieces tile [0, T] with finite 2x2 Hermitian generators.
+    H is copied and read-only.  Raises ValueError unless total_time is
+    positive and finite and the pieces tile [0, T] with finite 2x2 Hermitian
+    generators.
     """
 
     pieces: tuple
@@ -209,7 +217,8 @@ class PiecewiseGenerator:
     def __post_init__(self):
         norm = []
         for start, end, h in self.pieces:
-            norm.append((float(start), float(end), np.array(h, dtype=complex)))
+            norm.append((float(start), float(end),
+                         _frozen(np.array(h, dtype=complex))))
         object.__setattr__(self, "pieces", tuple(norm))
         _check_total_time(self.total_time)
         if not self.pieces:
@@ -252,8 +261,10 @@ class GhzProtocol:
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        # a NaN or an infinity fails the chained comparison before int()
+        if not (1 <= self.n < math.inf and self.n == int(self.n)):
+            raise ValueError(f"n must be a whole number >= 1, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
         t = self.times
         if len(t) < 2 or t[0] != 0.0:
             raise ValueError("times must start at 0 and contain the end time")

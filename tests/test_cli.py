@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 import iqfi_lab.cli
-from iqfi_lab.cli import SCHEMA_TAG, build_parser, main
+from iqfi_lab.cli import BATTERY_CFG_KW, SCHEMA_TAG, build_parser, main
 from iqfi_lab.evolution import ODE_TOL
+from iqfi_lab.iqfi import QuadratureConfig, fit_loglog_slope, integrate_iqfi
+from iqfi_lab.protocol import make_trotterized_gx
+from iqfi_lab.signal_core import SignalParams
 
 TAG = SCHEMA_TAG  # "# iqfi-lab v1"
 
@@ -29,12 +32,12 @@ ACCEPTED = {
     "iqfi": SIGNAL + PROTOCOL + QUADRATURE + ("--ode-tol", "--format"),
     "haar": SIGNAL + PROTOCOL + QUADRATURE + ("--format",),
     "fig2": ("--T", "--g") + SIGNAL + GRID + ("--ode-tol",),
-    "fig1": ("--B", "--g", "--rel-tol", "--T-list", "--slope-window",
-             "--jobs"),
+    "fig1": ("--B", "--g", "--rel-tol", "--T-list", "--slope-window"),
     "bounds-check": ("--draws", "--seed", "--format"),
 }
 # flags that several commands read; each command that does not read one
-# must reject it rather than ignore it
+# must reject it rather than ignore it.  No command reads --jobs any more:
+# fig1's sweep sizes its thread pool to the machine
 SHARED = SIGNAL + PROTOCOL + GRID + QUADRATURE + ("--ode-tol", "--jobs",
                                                   "--format")
 REJECTED = [(command, flag) for command, flags in ACCEPTED.items()
@@ -142,6 +145,12 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "iqfi", "--config", str(cfg))
     assert code == 2
     assert "wavelength" in err
+    # fig1 sizes its thread pool to the machine; jobs is no key of it
+    cfg.write_text("jobs = 2\n")
+    code, out, err = run(capsys, "fig1", "--config", str(cfg),
+                         "--out", str(tmp_path / "f.csv"))
+    assert code == 2 and out == "" and "unknown config key 'jobs'" in err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -284,22 +293,28 @@ def test_output_files_are_byte_deterministic(tmp_path, capsys):
     assert a.read_bytes().startswith(TAG.encode())
 
 
-def test_fig1_serial_and_parallel_agree(tmp_path, capsys):
-    common = ["fig1", "--T-list", "2,4", "--B", "0.01", "--slope-window",
-              "2,4", "--rel-tol", "1e-4"]
-    f1, f2 = tmp_path / "s.csv", tmp_path / "p.csv"
-    assert main(common + ["--jobs", "1", "--out", str(f1)]) == 0
-    assert main(common + ["--jobs", "2", "--out", str(f2)]) == 0
+def test_fig1_rows_match_serial_integrals(tmp_path, capsys):
+    # each row is K of the m = 2T trotterized drive at fig1's quadrature
+    # config, whatever the number of threads that integrated it
+    out = tmp_path / "f.csv"
+    assert main(["fig1", "--T-list", "2,4", "--B", "0.01", "--slope-window",
+                 "2,4", "--rel-tol", "1e-4", "--out", str(out)]) == 0
     capsys.readouterr()
-    assert f1.read_bytes() == f2.read_bytes()
-    lines = f1.read_text().strip().splitlines()
+    lines = out.read_text().strip().splitlines()
     assert lines[0] == TAG
-    header_at = next(i for i, ln in enumerate(lines) if ln == "T,K,K_err,slope_window")
-    rows = [ln.split(",") for ln in lines[header_at + 1:]]
-    assert len(rows) == 2
-    # fitted slope is repeated on every row
-    assert rows[0][3] == rows[1][3]
-    assert float(rows[0][3]) == pytest.approx(1.0, abs=0.05)
+    header_at = lines.index("T,K,K_err,slope_window")
+    rows = [tuple(map(float, ln.split(","))) for ln in lines[header_at + 1:]]
+    cfg = QuadratureConfig(**BATTERY_CFG_KW, rel_tol=1e-4)
+    specs = [integrate_iqfi(make_trotterized_gx(T, m=2 * int(T),
+                                                g=math.pi / 2.0),
+                            SignalParams(B=0.01, omega=0.0), cfg)
+             for T in (2.0, 4.0)]
+    slope = fit_loglog_slope([2.0, 4.0], [s.integral for s in specs],
+                             (2.0, 4.0))
+    # repr-formatted floats read back bit-exact
+    assert rows == [(T, s.integral, s.error_estimate, slope)
+                    for T, s in zip((2.0, 4.0), specs)]
+    assert slope == pytest.approx(1.0, abs=0.05)
 
 
 def test_fig1_multiple_fields_write_suffixed_files(tmp_path, capsys):
@@ -392,7 +407,6 @@ def test_bounds_check_passes(capsys):
 @pytest.mark.parametrize("argv", [
     ("bounds-check", "--draws", "0"),
     ("bounds-check", "--draws", "-3"),
-    ("fig1", "--T-list", "2", "--B", "0.01", "--jobs", "0"),
     ("bounds-check", "--seed", "-1"),
 ])
 def test_counts_below_one_exit_2(argv, capsys, tmp_path, monkeypatch):
@@ -415,7 +429,7 @@ def test_each_command_accepts_exactly_its_flags(capsys):
                                 re.M))
         assert listed == {"--config", "--out", *flags}, command
         total += len(listed)
-    assert total == 83 and len(REJECTED) == 65
+    assert total == 82 and len(REJECTED) == 66
 
 
 @pytest.mark.parametrize("command, flag", REJECTED)
@@ -456,7 +470,7 @@ def test_one_config_file_serves_every_command(tmp_path, monkeypatch, capsys):
     keys = {flag.lstrip("-").replace("-", "_").lower()
             for flags in ACCEPTED.values() for flag in flags + ("--out",)}
     assert set(build_parser().parse_args(["haar"]).config_types) == keys
-    assert len(keys) == 27
+    assert len(keys) == 26
 
 
 def test_cli_imports_no_private_names():
@@ -469,6 +483,23 @@ def test_cli_imports_no_private_names():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_sweep_runs_on_threads_only():
+    """One sweep path: no process pool in the package, and the thread pool
+    is imported only when a sweep runs, so the CLI's start-up is unchanged."""
+    src = Path(iqfi_lab.cli.__file__).parent
+    found = [(path.name, word) for path in sorted(src.rglob("*.py"))
+             for word in ("multiprocessing", "ProcessPoolExecutor")
+             if word in path.read_text()]
+    assert found == []
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src.parent), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, iqfi_lab.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_import_leaves_scipy_out():

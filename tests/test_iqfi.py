@@ -448,6 +448,30 @@ def test_sweep_linear_scaling_and_failures():
     assert math.isnan(broken.slope)
 
 
+def test_sweep_points_equal_serial_integrals_in_order():
+    # at B = 3 and this budget the T = 1 and 2 trains converge, T = 4 runs
+    # out of panels while refining (a partial estimate) and T = 8 before its
+    # first panels; the Ts are out of order, so that the pool's order shows
+    family = lambda T: make_pi2_train(T / 2.0, T)
+    Ts = [4.0, 1.0, 8.0, 2.0]
+    sig = SignalParams(B=3.0, omega=0.0)
+    cfg = QuadratureConfig(max_panels=200, rel_tol=1e-12)
+    sweep = sweep_iqfi_vs_T(family, Ts, sig, cfg=cfg)
+    assert [p.T for p in sweep.points] == Ts
+    assert [p.failed for p in sweep.points] == [True, False, True, False]
+    for p in sweep.points:
+        try:
+            spec = integrate_iqfi(family(p.T), sig, cfg)
+        except QuadratureNonConvergence as exc:
+            spec = exc.partial
+        if spec is None:
+            assert p.T == 8.0 and math.isnan(p.K) and math.isnan(p.K_err)
+        else:
+            assert (p.K, p.K_err) == (spec.integral, spec.error_estimate)
+    assert sweep.slope == fit_loglog_slope(
+        [1.0, 2.0], [sweep.points[1].K, sweep.points[3].K])
+
+
 def test_fit_loglog_slope_exact_power_law():
     Ts = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
     Ks = 7.0 * Ts ** 3

@@ -244,6 +244,14 @@ INVALID = {
     "ghz_flip_not_0_or_1": (lambda: GhzProtocol(
         n=2, times=(0.0, 1.0, 2.0), flips=(0.5,)),
         "flips must be 0 or 1, got (0.5,)"),
+    "ghz_n_zero": (lambda: GhzProtocol(n=0, times=(0.0, 1.0)),
+                   "n must be a whole number >= 1, got 0"),
+    "ghz_n_nan": (lambda: GhzProtocol(n=math.nan, times=(0.0, 2.0)),
+                  "n must be a whole number >= 1, got nan"),
+    "ghz_n_inf": (lambda: GhzProtocol(n=math.inf, times=(0.0, 2.0)),
+                  "n must be a whole number >= 1, got inf"),
+    "ghz_n_fractional": (lambda: GhzProtocol(n=2.5, times=(0.0, 2.0)),
+                         "n must be a whole number >= 1, got 2.5"),
 }
 
 
@@ -281,6 +289,26 @@ def test_a_built_protocol_keeps_its_own_arrays():
     assert seq.initial_state == (0.3, 0.2)
     flips = GhzProtocol(n=2, times=(0.0, 1.0, 2.0, 3.0), flips=(1, 0.0)).flips
     assert flips == (True, False) and all(type(f) is bool for f in flips)
+    n = GhzProtocol(n=3.0, times=(0.0, 1.0)).n
+    assert n == 3 and type(n) is int
+
+
+def test_protocol_arrays_are_read_only():
+    # zeroing the matrix of a built pulse would make its sequence invalid
+    # behind the constructor's back (K = 25.13 for a 32-pulse SU(2) train)
+    seq = random_pulse_sequence(np.random.default_rng(3), 2.0, max_pulses=4)
+    rotation = Pulse(time=1.0, axis="y", angle=0.3)
+    ctrl = PiecewiseGenerator(((0.0, 1.0, SX),), 1.0)
+    arrays = {"matrix": seq.pulses[0].matrix,
+              "unitary of a matrix": seq.pulses[0].unitary,
+              "unitary of a rotation": rotation.unitary,
+              "generator": ctrl.pieces[0][2],
+              **{name: getattr(iqfi_lab.protocol, name) for name in
+                 ("SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY")}}
+    for name, a in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
+        assert not a.flags.writeable, name
 
 
 def test_no_module_but_protocol_checks_a_protocol():
