@@ -408,6 +408,7 @@ def test_bounds_check_passes(capsys):
     ("bounds-check", "--draws", "0"),
     ("bounds-check", "--draws", "-3"),
     ("bounds-check", "--seed", "-1"),
+    ("bounds-check", "--draws", "1", "--seed", "-2"),
 ])
 def test_counts_below_one_exit_2(argv, capsys, tmp_path, monkeypatch):
     # --draws 0 used to end in an AttributeError traceback: the
