@@ -10,8 +10,8 @@ Output files are written to a temporary name and atomically renamed, so a
 failed run never leaves a truncated file, and identical inputs produce
 byte-identical outputs.
 
-Exit codes: 0 ok, 2 bad flags or config, 3 integration failure, 4 bound
-violation (bounds-check only).
+Exit codes: 0 ok, 2 bad flags or config or a number out of range, 3
+integration failure, 4 bound violation (bounds-check only).
 """
 
 from __future__ import annotations
@@ -273,6 +273,11 @@ def _build_protocol(args, name=None, T=None):
             flips = tuple(_float_list(flips_raw)) if flips_raw is not None \
                 else None
             protocol = GhzProtocol(n=n, times=times, flips=flips)
+            # --times fix a register's duration; a --T besides must agree
+            given = _resolve(args, "T", None) is not None
+            if times_raw is not None and given and protocol.total_time != T:
+                raise ValueError(f"--times end at {protocol.total_time}, "
+                                 f"not at --T {T}")
     except ValueError as exc:
         raise ConfigError(f"bad protocol parameters: {exc}")
     return protocol
@@ -288,6 +293,15 @@ def _quad_cfg(args, **base) -> QuadratureConfig:
             base[field] = val
     try:
         return QuadratureConfig(**base)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
+def _spectrum(protocol, signal, omegas, ode_tol) -> np.ndarray:
+    """J on the grid; a grid that qfi_vs_omega refuses (omega*T beyond the
+    floats) is bad input."""
+    try:
+        return qfi_vs_omega(protocol, signal, omegas=omegas, ode_tol=ode_tol)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -315,8 +329,7 @@ def cmd_spectrum(args) -> int:
     signal = _build_signal(args)
     protocol = _build_protocol(args)
     omegas = _grid(args, protocol, signal)
-    values = qfi_vs_omega(protocol, signal, omegas=omegas,
-                          ode_tol=_ode_tol(args))
+    values = _spectrum(protocol, signal, omegas, _ode_tol(args))
     _write(args, "csv", {"schema": SCHEMA_TAG.lstrip("# "),
                          "omega": [float(w) for w in omegas],
                          "J": [float(v) for v in values]},
@@ -426,7 +439,7 @@ def cmd_fig2(args) -> int:
     hi = _resolve(args, "omega_max", max(4.0 * g, 8.0 * math.pi / T), float)
     omegas = _omega_grid(lo, hi, _resolve(args, "points", 601, int))
     for tag, protocol in protocols:
-        values = qfi_vs_omega(protocol, signal, omegas=omegas, ode_tol=ode_tol)
+        values = _spectrum(protocol, signal, omegas, ode_tol)
         text = _csv_text("omega,J", zip(omegas.tolist(), values.tolist()),
                          comments=[f"protocol={tag} T={_fmt(T)} "
                                    f"zeta_B={_fmt(signal.zeta * signal.B)}"])
@@ -659,6 +672,9 @@ def main(argv=None) -> int:
     except (QuadratureNonConvergence, IntegrationError) as exc:
         print(f"iqfi-lab: integration failed: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
+    except OverflowError as exc:  # math on a number beyond the floats
+        print(f"iqfi-lab: a number is out of range: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -180,10 +180,12 @@ def _rotate(x, y, u, s1, s2):
 # Level m of the splitting takes _FIRST_STEPS_PER_RATE * rate * tol^(-1/4)
 # steps per unit time, as the error estimate falls as h^4; rate is the
 # largest of 1/T, zeta*|B| and the generator norms.  A finest level above
-# _MAX_STEPS_PER_RATE * rate steps per unit time is refused before it is
-# computed, so a tolerance out of reach fails at once instead of grinding.
+# _MAX_STEPS_PER_RATE * rate steps per unit time, or above _MAX_STEPS steps
+# in all, is refused before it is computed, so a tolerance or a rate out of
+# reach fails at once instead of grinding or exhausting memory.
 _FIRST_STEPS_PER_RATE = 0.25
 _MAX_STEPS_PER_RATE = 4096
+_MAX_STEPS = 1 << 20
 _PLUS = np.array([[1.0, 1.0]], dtype=complex) / math.sqrt(2.0)  # |+>
 ODE_TOL = 1e-9  # default error target of a drive's state and derivative
 
@@ -247,7 +249,7 @@ def _continuous_batch(control, signal: SignalParams, omegas, tol: float):
     tol alone, so each frequency's result does not depend on which
     frequencies share its batch.  Raises IntegrationError, before
     computing it, for a finest level above _MAX_STEPS_PER_RATE steps per
-    unit of rate*time.
+    unit of rate*time or above _MAX_STEPS steps.
     """
     _check_ode_tol(tol)
     pieces = control.pieces
@@ -256,7 +258,6 @@ def _continuous_batch(control, signal: SignalParams, omegas, tol: float):
     rate = max([1.0 / T, signal.zeta * abs(signal.B)]
                + [float(np.linalg.norm(h, 2)) for _, _, h in pieces])
     density = _FIRST_STEPS_PER_RATE * rate * tol ** -0.25
-    counts = np.array([math.ceil((e - s) * density) for s, e, _ in pieces])
     out = np.empty((4, om.size), dtype=complex)
     todo = np.arange(om.size)
     s1 = s2 = None
@@ -266,7 +267,13 @@ def _continuous_batch(control, signal: SignalParams, omegas, tol: float):
                 f"ode_tol={tol:.3g} is out of reach: the splitting would "
                 f"need {4.0 * density:.4g} steps per unit time, above "
                 f"{_MAX_STEPS_PER_RATE} times the rate {rate:.4g}")
+        if 4.0 * density * T > _MAX_STEPS:  # an infinite count too
+            raise IntegrationError(
+                f"the splitting would need {4.0 * density * T:.4g} steps, "
+                f"above {_MAX_STEPS}; the rate {rate:.4g} is out of reach")
         if s1 is None:
+            counts = np.array([math.ceil((e - s) * density)
+                               for s, e, _ in pieces])
             s1, s2 = (_split_level(pieces, k * counts, signal, om)
                       for k in (1, 2))
         s4 = _split_level(pieces, 4 * counts, signal, om[todo])
@@ -312,9 +319,10 @@ def qfi_vs_omega(protocol, signal: SignalParams, omegas=None,
     """J(B | omega) at the signal's field B over a frequency grid.
 
     Without omegas, J at the signal's own frequency.  Every omega must be
-    finite and >= 0.  ode_tol, which must be positive and finite, bounds
-    the estimated error of a continuous drive's final state and field
-    derivative.  For initial_state None, J is averaged over Haar states.
+    finite and >= 0, and omega*T finite.  ode_tol, which must be positive
+    and finite, bounds the estimated error of a continuous drive's final
+    state and field derivative.  For initial_state None, J is averaged
+    over Haar states.
     """
     _check_ode_tol(ode_tol)
     protocol, signal = _reduced(protocol, signal)
@@ -323,6 +331,9 @@ def qfi_vs_omega(protocol, signal: SignalParams, omegas=None,
     bad = ~((om >= 0.0) & (om < math.inf))  # NaN fails both comparisons
     if bad.any():
         raise ValueError(f"omegas must be finite and >= 0, got {om[bad][0]}")
+    top, T = float(om.max(initial=0.0)), float(protocol.total_time)
+    if not math.isfinite(top * T):
+        raise ValueError(f"omega*T must be finite, got omega {top} at T = {T}")
     if isinstance(protocol, PulseSequence) and protocol.initial_state is None:
         return _mean_j(*discrete_propagators(protocol, signal, omegas=om))
     psi, dpsi = _states(protocol, signal, om, ode_tol)

@@ -20,7 +20,6 @@ states, and K takes the same paths.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -38,10 +37,12 @@ ABS_TOL = 1e-12  # absolute floor of the summed panel error
 # as a pulse time k*(T/m) can leave before T, not a segment: it does not
 # raise a protocol's feature scale
 _ULP_SEGMENT = 16.0 * np.finfo(float).eps
-# rounding bound of the zero-field closed form, per unit of the sum of its
-# terms' magnitudes (see _zero_field_k)
+# rounding bound of the zero-field closed form's terms, per unit of their
+# magnitudes (see _zero_field_k)
 _FORM_ROUNDING = 16.0 * np.finfo(float).eps
 _PAIR_BLOCK = 1 << 16  # pulse pairs formed at a time, in blocks of rows
+# pair terms that numpy sums at a time (see _pair_sum)
+_PAIR_CHUNK = 64
 
 __all__ = [
     "QuadratureConfig",
@@ -74,8 +75,12 @@ class QuadratureConfig:
             if not (math.isfinite(val) and val > 0.0):
                 raise ValueError(
                     f"{name} must be positive and finite, got {val}")
-        if self.max_panels < 1:
-            raise ValueError("max_panels must be >= 1")
+        # a NaN fails the first test; an infinity would never stop the
+        # doubling of _integrate_adaptive
+        m = self.max_panels
+        if not (1 <= m < math.inf and m == math.floor(m)):
+            raise ValueError(
+                f"max_panels must be a whole number >= 1, got {m}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,31 +316,51 @@ def _jumps(protocol):
     raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
 
 
-def _covariance_rows(Q, n):
-    """(rows, D[rows]) of the jumps' covariance D (see _jumps) by blocks."""
+def _pair_sum(jumps, kernel):
+    """(sum, magnitude) over the pairs of jumps (see _jumps) of D_jl
+    kernel(a_j, a_l), formed a block of rows at a time, _PAIR_BLOCK pairs
+    at most.  The magnitude is sum_jl (|Q_j| + 1)(|Q_l| + 1) |kernel|, at
+    least the sum of the terms' magnitudes.  numpy sums the terms
+    _PAIR_CHUNK at a time, in any order, with an error of at most
+    (_PAIR_CHUNK - 1)/2 eps times their magnitudes (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 4); math.fsum rounds each
+    block's chunk sums and the block sums once each.  So the sum is within
+    _PAIR_CHUNK eps times the magnitude of the exact sum of the terms."""
+    a, Q, _, n, _ = jumps
+    q = np.linalg.norm(Q, axis=1) + 1.0
     qn = None if n is None else Q @ n
     step = max(1, _PAIR_BLOCK // len(Q))
-    for rows in (slice(i, i + step) for i in range(0, len(Q), step)):
-        yield rows, ((2.0 / 3.0) * Q[rows] @ Q.T if n is None
-                     else Q[rows] @ Q.T - np.outer(qn[rows], qn))
+    sums, size = [], 0.0
+    for i in range(0, len(Q), step):
+        rows = slice(i, i + step)
+        cov = ((2.0 / 3.0) * Q[rows] @ Q.T if n is None
+               else Q[rows] @ Q.T - np.outer(qn[rows], qn))
+        k = kernel(a[rows, None], a)
+        terms = (cov * k).ravel()
+        sums.append(math.fsum(np.add.reduceat(
+            terms, np.arange(0, terms.size, _PAIR_CHUNK)).tolist()))
+        size += float(q[rows] @ (np.abs(k) @ q))
+    return math.fsum(sums), size
 
 
 def _tail(jumps, signal: SignalParams, omega_max: float):
     """(tail, bound): the boundary-form integral of J beyond Omega (see
-    _jumps), half the sum over pairs, by row blocks, of D_jl times the cosine
-    tail at a_j - a_l less that at a_j + a_l with phase 2 phi.  The error
-    bound is (2 zeta |Q|_1)^2/Omega, which bounds the tail, times
-    zeta|B|/Omega, plus for a drive (rate/Omega)^2."""
-    a, Q, _, n, rate = jumps
-    zeta, parts = signal.zeta, []
-    for rows, cov in _covariance_rows(Q, n):
-        g = _cos_tail(np.stack([a[rows, None] - a, a[rows, None] + a]),
-                      np.array([0.0, 2.0 * signal.phi])[:, None, None],
+    _jumps), half the _pair_sum with the cosine tail at a_j - a_l less that
+    at a_j + a_l with phase 2 phi as its kernel.  The error bound is
+    (2 zeta |Q|_1)^2/Omega, which bounds the tail, times zeta|B|/Omega,
+    plus for a drive (rate/Omega)^2."""
+    _, Q, _, _, rate = jumps
+    zeta, phases = signal.zeta, np.array([0.0, 2.0 * signal.phi])
+
+    def kernel(aj, al):
+        g = _cos_tail(np.stack([aj - al, aj + al]), phases[:, None, None],
                       omega_max)
-        parts.append(float(np.sum(cov * (g[0] - g[1]))))
+        return g[0] - g[1]
+
+    total, _ = _pair_sum(jumps, kernel)
     field = zeta * abs(signal.B) / omega_max + (rate / omega_max) ** 2
     size = (2.0 * zeta * np.linalg.norm(Q, axis=1).sum()) ** 2 / omega_max
-    return 4.0 * zeta ** 2 * (0.5 * math.fsum(parts)), float(field * size)
+    return 4.0 * zeta ** 2 * (0.5 * total), float(field * size)
 
 
 def _zero_field_k(jumps, signal: SignalParams, cfg: QuadratureConfig):
@@ -348,11 +373,12 @@ def _zero_field_k(jumps, signal: SignalParams, cfg: QuadratureConfig):
     - sin(2 phi)(a_j + a_l) ln(a_j + a_l)] (0 ln 0 = 0; rows of D sum to
     zero, so a is taken in units of T).  As Theta_k Theta_l integrates to
     (pi/2) len_k delta_kl at phi = 0, the first part is 2 pi zeta^2 sum_k
-    len_k C_kk, C_kk = 1 - (r_k.n)^2 (2/3 for n None); only the second
-    forms pairs, where sin(2 phi) != 0, _PAIR_BLOCK at a time.  One fsum
-    takes every term: the sum is exact.  Its rounding bound is
-    _FORM_ROUNDING times the terms' magnitude bounds, with |Q_j| + 1 for a
-    jump, as a small jump's rounding is not small next to it.
+    len_k C_kk, C_kk = 1 - (r_k.n)^2 (2/3 for n None), summed by fsum in
+    O(N); only the second forms pairs, where sin(2 phi) != 0, as the
+    _pair_sum with the log kernel.  The rounding bound is _FORM_ROUNDING
+    times the magnitude of the O(N) part, sum_k len_k (|r_k| + 1)^2, plus
+    _FORM_ROUNDING + _PAIR_CHUNK eps times the pairs' magnitude: |Q_j| + 1
+    stands for a jump, as a small jump's rounding is not small next to it.
 
     In a field J = 4 zeta^2 Var(G_B) in psi0, G_B = sum_k Theta_k A_k^dag
     r_k.sigma A_k, A_k = V_(k-1)...V_0, V_k = exp(-i zeta B Theta_k
@@ -377,23 +403,21 @@ def _zero_field_k(jumps, signal: SignalParams, cfg: QuadratureConfig):
     if dev > max(ABS_TOL, cfg.rel_tol * k_max):
         return None
     length = math.pi * (np.diff(a) / T)
-    sizes = [(length * (np.linalg.norm(r, axis=1) + 1.0) ** 2).sum()]
-    s = math.sin(2.0 * signal.phi)
-
-    def terms():
-        yield length * (2.0 / 3.0 if n is None else 1.0 - (r @ n) ** 2)
-        if s == 0.0:
-            return
-        q = np.linalg.norm(Q, axis=1) + 1.0
-        for rows, cov in _covariance_rows(Q, n):
-            total = (a[rows, None] + a) / T
-            log = s * total * np.log(np.where(total > 0.0, total, 1.0))
-            sizes.append((np.outer(q[rows], q) * np.abs(log)).sum())
-            yield (-(cov * log)).ravel().tolist()
-
     scale = 2.0 * zeta ** 2 * T
-    k = scale * math.fsum(itertools.chain.from_iterable(terms()))
-    err = float(_FORM_ROUNDING * scale * math.fsum(sizes))
+    k = math.fsum(length * (2.0 / 3.0 if n is None else 1.0 - (r @ n) ** 2))
+    err = float(_FORM_ROUNDING * scale
+                * (length * (np.linalg.norm(r, axis=1) + 1.0) ** 2).sum())
+    s = math.sin(2.0 * signal.phi)
+    if s != 0.0:
+        def log_kernel(aj, al):
+            total = (aj + al) / T
+            return -s * total * np.log(np.where(total > 0.0, total, 1.0))
+
+        pairs, size = _pair_sum(jumps, log_kernel)
+        k += pairs
+        err += float((_FORM_ROUNDING + _PAIR_CHUNK * np.finfo(float).eps)
+                     * scale * size)
+    k *= scale
     if signal.B != 0.0 and dev + err > max(ABS_TOL, cfg.rel_tol * abs(k)):
         return None
     return k, err + dev
@@ -406,11 +430,12 @@ def feature_scale(protocol, signal: SignalParams) -> float:
     """Highest intrinsic frequency of a protocol at the signal's field B.
 
     The largest of 1/T, zeta*|B| (n*zeta for a GHZ register) and the
-    protocol's own rates: segments/T for trains and registers (a segment
-    of at most 16 ulps of T does not count), 2|g| for the drive, twice the
-    largest generator norm for a piecewise generator.  The closed-form
-    tail starts at tail_start_factor times this; the CLI's default
-    spectrum grid ends at 8 times it.
+    protocol's own rates: segments/T for trains and registers and pieces/T
+    for a piecewise generator (a segment or piece of at most 16 ulps of T
+    does not count), 2|g| for the drive, and twice the largest generator
+    norm for a continuous control.  The closed-form tail starts at
+    tail_start_factor times this; the CLI's default spectrum grid ends at
+    8 times it.
     """
     protocol, signal = _reduced(protocol, signal)
     T = float(protocol.total_time)
@@ -420,7 +445,9 @@ def feature_scale(protocol, signal: SignalParams) -> float:
     elif isinstance(protocol, ContinuousControl):
         gen = max((float(np.linalg.norm(h, 2)) for _, _, h in protocol.pieces),
                   default=0.0)
-        scale = max(scale, 2.0 * gen, len(protocol.pieces) / T)
+        pieces = sum(end - start > _ULP_SEGMENT * T
+                     for start, end, _ in protocol.pieces)
+        scale = max(scale, 2.0 * gen, pieces / T)
     return scale
 
 

@@ -41,7 +41,7 @@ class SignalParams:
         Signal phase offset, rad.
     zeta : float
         Coupling (gyromagnetic) factor converting field to angular
-        frequency, rad/s per field unit.  Must be > 0.
+        frequency, rad/s per field unit.  Must be > 0, and zeta*B finite.
     """
 
     B: float
@@ -58,6 +58,9 @@ class SignalParams:
             raise ValueError(f"omega must be >= 0, got {self.omega}")
         if self.zeta <= 0.0:
             raise ValueError(f"zeta must be > 0, got {self.zeta}")
+        if not math.isfinite(self.zeta * self.B):
+            raise ValueError(f"zeta*B must be finite, got zeta {self.zeta} "
+                             f"and B {self.B}")
         if not 0.0 <= self.phi < 2.0 * np.pi:
             raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
 

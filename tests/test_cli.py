@@ -282,6 +282,45 @@ def test_bad_sequence_at_zero_field_exits_2(capsys, flags):
     assert err.startswith("iqfi-lab: bad protocol parameters")
 
 
+def test_register_times_must_end_at_the_given_duration(tmp_path, capsys):
+    # --T used to be ignored: K came out for T = 2
+    code, out, err = run(capsys, "iqfi", "--protocol", "ghz", "--times",
+                         "0,1,2", "--T", "4", "--B", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("iqfi-lab: bad protocol parameters: --times end")
+    config = tmp_path / "c.ini"
+    config.write_text("T = 4\n")
+    code, out, err = run(capsys, "iqfi", "--config", str(config),
+                         "--protocol", "ghz", "--times", "0,1,2")
+    assert code == 2 and out == ""
+    assert err.startswith("iqfi-lab: bad protocol parameters")
+    # without --T, or with a --T that agrees, the times fix the duration
+    for extra in ((), ("--T", "2")):
+        code, out, _ = run(capsys, "iqfi", "--protocol", "ghz", "--times",
+                           "0,1,2", "--B", "0", *extra)
+        assert code == 0
+        assert json.loads(out)["K"] == pytest.approx(
+            2.0 * math.pi * 4.0 * 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, code", [
+    # wrote nan and exited 0
+    (("spectrum", "--protocol", "ramsey", "--T", "4", "--omega-max", "1e308",
+      "--points", "3"), 2),
+    # OverflowError tracebacks, exit 1
+    (("iqfi", "--protocol", "pi2-train", "--T", "4", "--B", "1e200",
+      "--zeta", "1e200"), 2),
+    (("iqfi", "--protocol", "ramsey", "--T", "1e300", "--B", "0"), 2),
+    # a ValueError from np.arange, exit 1: the splitting's step count
+    (("spectrum", "--protocol", "gx", "--T", "4", "--B", "1e300",
+      "--points", "3"), 3),
+])
+def test_out_of_range_numbers_exit_with_one_line(argv, code, capsys):
+    got, out, err = run(capsys, *argv)
+    assert got == code and out == ""
+    assert err.startswith("iqfi-lab: ") and err.count("\n") == 1
+
+
 def test_output_files_are_byte_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["spectrum", "--protocol", "pi-train", "--times", "1,3", "--T", "4",

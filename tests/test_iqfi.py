@@ -24,9 +24,17 @@ from iqfi_lab.iqfi import (
     integrate_qfi_band,
     sweep_iqfi_vs_T,
 )
-from iqfi_lab.iqfi import _FORM_ROUNDING, _cos_tail, _jumps, _sici_tail, _tail
+from iqfi_lab.iqfi import (
+    _FORM_ROUNDING,
+    _PAIR_CHUNK,
+    _cos_tail,
+    _jumps,
+    _sici_tail,
+    _tail,
+)
 from iqfi_lab.protocol import (
     GhzProtocol,
+    PiecewiseGenerator,
     Pulse,
     PulseSequence,
     TransverseDrive,
@@ -734,36 +742,65 @@ def test_closed_form_memory_is_linear_at_phase_zero():
     assert peak < 10 * 2 ** 20
 
 
+def _closed_form_from_full_arrays(seq, phi):
+    """(K, K_err) of the zero-field closed form at zeta = 1 from the full
+    pair arrays: K by one exact fsum of every term, K_err by the rounding
+    bound of _zero_field_k, _FORM_ROUNDING times the O(N) part's magnitude
+    plus _FORM_ROUNDING + _PAIR_CHUNK eps times the pairs'."""
+    a, Q, r, n, _ = _jumps(seq)
+    T = float(a[-1])
+    length = math.pi * (np.diff(a) / T)
+    total = (a[:, None] + a) / T
+    log = -math.sin(2.0 * phi) * total * np.log(
+        np.where(total > 0.0, total, 1.0))
+    if n is None:
+        same, cov = np.full(len(length), 2.0 / 3.0), (2.0 / 3.0) * Q @ Q.T
+    else:
+        qn = Q @ n
+        same, cov = 1.0 - (r @ n) ** 2, Q @ Q.T - np.outer(qn, qn)
+    q = np.linalg.norm(Q, axis=1) + 1.0
+    k = 2.0 * T * math.fsum(np.concatenate([length * same,
+                                            (cov * log).ravel()]))
+    segments = (length * (np.linalg.norm(r, axis=1) + 1.0) ** 2).sum()
+    pairs = (np.outer(q, q) * np.abs(log)).sum()
+    err = 2.0 * T * (_FORM_ROUNDING * segments + (
+        _FORM_ROUNDING + _PAIR_CHUNK * np.finfo(float).eps) * pairs)
+    return k, err
+
+
+def _check_closed_form_pairs(spec, seq, phi):
+    assert spec.method == "closed_form"
+    k, err = _closed_form_from_full_arrays(seq, phi)
+    assert abs(spec.integral - k) <= spec.error_estimate
+    assert spec.error_estimate == pytest.approx(err, rel=1e-12, abs=0.0)
+
+
 def test_closed_form_pairs_are_summed_in_row_blocks():
     # at phi != 0 the pairs of 2048 pulses are formed a block of rows at a
-    # time: the traced peak stays far below the 160 MB of the full arrays,
-    # and one fsum of every term gives K bit for bit
+    # time: the traced peak stays far below the 160 MB of the full arrays;
+    # K lies within its K_err of one exact fsum of the full arrays' terms
     seq = make_trotterized_gx(4.0, m=2048, g=0.3, initial_state=(1.1, 0.3))
-    s = math.sin(1.4)
     tracemalloc.start()
     try:
         spec = integrate_iqfi(seq, SignalParams(B=0.0, omega=0.0, phi=0.7))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert spec.method == "closed_form"
     assert peak < 16 * 2 ** 20
-    # the same terms from the full 2050 x 2050 arrays
-    a, Q, r, n, _ = _jumps(seq)
-    T = float(a[-1])
-    length = math.pi * (np.diff(a) / T)
-    total = (a[:, None] + a) / T
-    log = s * total * np.log(np.where(total > 0.0, total, 1.0))
-    qn = Q @ n
-    q = np.linalg.norm(Q, axis=1) + 1.0
-    terms = np.concatenate([length * (1.0 - (r @ n) ** 2),
-                            -((Q @ Q.T - np.outer(qn, qn)) * log).ravel()])
-    sizes = np.concatenate([
-        length * (np.linalg.norm(r, axis=1) + 1.0) ** 2,
-        (np.outer(q, q) * np.abs(log)).ravel()])
-    assert spec.integral == 2.0 * T * math.fsum(terms)
-    assert spec.error_estimate == pytest.approx(
-        float(_FORM_ROUNDING * 2.0 * T * sizes.sum()), rel=1e-12, abs=0.0)
+    _check_closed_form_pairs(spec, seq, 0.7)
+    # seeded SU(2) trains up to 300 pulses, with a definite initial state
+    # and with none (the Haar average)
+    rng = np.random.default_rng(1921)
+    for count in (1, 7, 40, 300):
+        times = np.sort(rng.uniform(0.0, 3.0, count))
+        pulses = tuple(Pulse(time=float(t), matrix=_haar_su2(rng))
+                       for t in times)
+        phi = float(rng.uniform(0.1, 3.0))
+        for state in ((float(rng.uniform(0.0, math.pi)),
+                       float(rng.uniform(0.0, 6.2))), None):
+            seq = PulseSequence(pulses, 3.0, initial_state=state)
+            spec = integrate_iqfi(seq, SignalParams(B=0.0, omega=0.0, phi=phi))
+            _check_closed_form_pairs(spec, seq, phi)
 
 
 def test_tail_pairs_are_formed_in_row_blocks():
@@ -894,3 +931,33 @@ def test_ulp_segment_does_not_raise_the_tail_start():
         0.9)
     assert spec.integral == pytest.approx(integrate_iqfi(exact, sig).integral,
                                           rel=1e-13)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("rel_tol", 0.0), ("rel_tol", -1.0), ("rel_tol", math.nan),
+    ("rel_tol", math.inf), ("tail_start_factor", 0.0),
+    ("tail_start_factor", math.nan), ("tail_start_factor", math.inf),
+    ("max_panels", 0), ("max_panels", -3), ("max_panels", math.nan),
+    ("max_panels", math.inf), ("max_panels", 2.5)])
+def test_quadrature_config_rejects_bad_fields(field, bad):
+    # an infinite panel budget would never stop the doubling of the panels
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        QuadratureConfig(**{field: bad})
+
+
+def test_quadrature_config_takes_whole_panel_budgets():
+    assert QuadratureConfig(max_panels=1).max_panels == 1
+    assert QuadratureConfig(max_panels=64.0).max_panels == 64.0
+
+
+def test_empty_pieces_do_not_raise_the_feature_scale():
+    # 2 pieces of T = 2 give 1/T per piece, 1.0; 20 empty pieces at t = 1
+    # used to count too, 11.0, and made Omega and the panels 11 times more
+    h = 0.25 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    sig = SignalParams(B=0.0, omega=0.0)
+    two = PiecewiseGenerator(((0.0, 1.0, h), (1.0, 2.0, -h)), 2.0)
+    padded = PiecewiseGenerator(((0.0, 1.0, h),) + ((1.0, 1.0, h),) * 20
+                                + ((1.0, 2.0, -h),), 2.0)
+    assert feature_scale(two, sig) == 1.0
+    assert feature_scale(padded, sig) == 1.0
+    assert feature_scale(TransverseDrive(g=0.1, total_time=2.0), sig) == 0.5

@@ -117,6 +117,9 @@ def test_signal_params_validation():
             SignalParams(B=1.0, omega=bad)
         with pytest.raises(ValueError, match="finite"):
             SignalParams(B=1.0, omega=1.0, zeta=bad)
+    # each finite, their product not: the phase rate zeta*B must be
+    with pytest.raises(ValueError, match="zeta\\*B must be finite"):
+        SignalParams(B=1e200, omega=1.0, zeta=1e200)
 
 
 def _recurrence(edges, omega, phi, widths=None):
