@@ -11,7 +11,10 @@ failed run never leaves a truncated file, and identical inputs produce
 byte-identical outputs.
 
 Exit codes: 0 ok, 2 bad flags or config or a number out of range, 3
-integration failure, 4 bound violation (bounds-check only).
+integration failure, 4 bound violation (bounds-check only).  Every layer
+signals a failure by its exception type alone: ValueError (bad input) and
+OverflowError give 2, IntegrationError (QuadratureNonConvergence among
+them) 3; main is the one place that maps them to exit codes.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .bounds import (
 from .evolution import ODE_TOL, IntegrationError, qfi_vs_omega
 from .iqfi import (
     QuadratureConfig,
-    QuadratureNonConvergence,
     feature_scale,
     haar_average_iqfi,
     integrate_iqfi,
@@ -80,10 +82,6 @@ PAULI_STATES = ((0.0, 0.0), (math.pi, 0.0), (math.pi / 2.0, 0.0),
                 (math.pi / 2.0, 1.5 * math.pi))
 
 
-class ConfigError(Exception):
-    pass
-
-
 # -- config file ---------------------------------------------------------------
 
 def _load_config(path: str, types: dict) -> dict:
@@ -92,28 +90,30 @@ def _load_config(path: str, types: dict) -> dict:
         with open(path, "r") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        raise ValueError(f"cannot read config {path}: {exc}")
     cp = configparser.ConfigParser()
+    # keys before the first section header go to a section of their own;
+    # configparser reads the first line neither blank nor a comment as one
+    lines = (ln.strip() for ln in text.split("\n"))
+    if not cp.SECTCRE.match(next((ln for ln in lines
+                                  if ln and ln[0] not in "#;"), "")):
+        text = "[iqfi-lab]\n" + text
     try:
         cp.read_string(text)
-    except configparser.MissingSectionHeaderError:
-        try:
-            cp.read_string("[iqfi-lab]\n" + text)
-        except configparser.Error as exc:
-            raise ConfigError(f"config parse error in {path}: {exc}")
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse error in {path}: {exc}")
+    except configparser.Error as exc:  # its text spans lines; ours does not
+        raise ValueError(f"config parse error in {path}: "
+                         f"{' '.join(str(exc).split())}")
 
     out = {}
     for sec in cp.sections():
         for key, raw in cp.items(sec):
             norm = key.strip().lower().replace("-", "_")
             if norm not in types:
-                raise ConfigError(f"unknown config key {key!r} in {path}")
+                raise ValueError(f"unknown config key {key!r} in {path}")
             try:
                 out[norm] = types[norm](raw.strip())
             except ValueError:
-                raise ConfigError(
+                raise ValueError(
                     f"bad value for {key!r} in {path}: {raw.strip()!r}")
     return out
 
@@ -136,7 +136,7 @@ def _float_list(text) -> list:
     try:
         return [float(p) for p in parts]
     except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}")
+        raise ValueError(f"expected comma-separated numbers, got {text!r}")
 
 
 # -- output --------------------------------------------------------------------
@@ -160,20 +160,24 @@ def _csv_text(header: str, rows, comments=()) -> str:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    # a NaN or infinity is a ValueError, not a token JSON lacks
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:
     path = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".iqfi-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".iqfi-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}")
 
 
 def _emit(text: str, out) -> None:
@@ -192,7 +196,7 @@ def _write(args, default_format: str, payload, header: str, rows) -> None:
     elif fmt == "csv":
         text = _csv_text(header, rows)
     else:
-        raise ConfigError(f"unknown format {fmt!r}")
+        raise ValueError(f"unknown format {fmt!r}")
     _emit(text, _resolve(args, "out", None, str))
 
 
@@ -202,16 +206,13 @@ def _write(args, default_format: str, payload, header: str, rows) -> None:
 def _build_signal(args, default_b: float = 0.0) -> SignalParams:
     b_list = _float_list(_resolve(args, "B", repr(default_b)))
     if len(b_list) != 1:
-        raise ConfigError("this command takes a single --B value")
-    try:
-        return SignalParams(
-            B=b_list[0],
-            omega=0.0,
-            phi=_resolve(args, "phi", 0.0, float),
-            zeta=_resolve(args, "zeta", 1.0, float),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        raise ValueError("this command takes a single --B value")
+    return SignalParams(
+        B=b_list[0],
+        omega=0.0,
+        phi=_resolve(args, "phi", 0.0, float),
+        zeta=_resolve(args, "zeta", 1.0, float),
+    )
 
 
 def _default_pi_times(T: float) -> list:
@@ -224,14 +225,14 @@ def _duration(args, default: float) -> float:
     """--T, checked before the pulse-time and segment defaults derive from it."""
     T = _resolve(args, "T", default, float)
     if not (math.isfinite(T) and T > 0.0):
-        raise ConfigError(f"--T must be positive and finite, got {T}")
+        raise ValueError(f"--T must be positive and finite, got {T}")
     return T
 
 
 def _ode_tol(args) -> float:
     tol = _resolve(args, "ode_tol", ODE_TOL, float)
     if not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"--ode-tol must be positive and finite, got {tol}")
+        raise ValueError(f"--ode-tol must be positive and finite, got {tol}")
     return tol
 
 
@@ -240,7 +241,7 @@ def _build_protocol(args, name=None, T=None):
     --protocol and --T.  Flags the command lacks take their defaults."""
     name = name or _resolve(args, "protocol", "ramsey", str)
     if name not in PROTOCOL_NAMES:
-        raise ConfigError(
+        raise ValueError(
             f"unknown protocol {name!r}; choose from {', '.join(PROTOCOL_NAMES)}")
     T = _duration(args, 4.0) if T is None else T
     alpha = _resolve(args, "alpha", math.pi / 2.0, float)
@@ -279,7 +280,7 @@ def _build_protocol(args, name=None, T=None):
                 raise ValueError(f"--times end at {protocol.total_time}, "
                                  f"not at --T {T}")
     except ValueError as exc:
-        raise ConfigError(f"bad protocol parameters: {exc}")
+        raise ValueError(f"bad protocol parameters: {exc}")
     return protocol
 
 
@@ -291,19 +292,7 @@ def _quad_cfg(args, **base) -> QuadratureConfig:
         val = _resolve(args, key, None)
         if val is not None:
             base[field] = val
-    try:
-        return QuadratureConfig(**base)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _spectrum(protocol, signal, omegas, ode_tol) -> np.ndarray:
-    """J on the grid; a grid that qfi_vs_omega refuses (omega*T beyond the
-    floats) is bad input."""
-    try:
-        return qfi_vs_omega(protocol, signal, omegas=omegas, ode_tol=ode_tol)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return QuadratureConfig(**base)
 
 
 def _grid(args, protocol, signal) -> np.ndarray:
@@ -317,8 +306,8 @@ def _grid(args, protocol, signal) -> np.ndarray:
 def _omega_grid(lo: float, hi: float, points: int) -> np.ndarray:
     # one chained comparison, so that a NaN edge fails it too
     if points < 2 or not 0.0 <= lo < hi < math.inf:
-        raise ConfigError("need finite 0 <= omega-min < omega-max and "
-                          "points >= 2")
+        raise ValueError("need finite 0 <= omega-min < omega-max and "
+                         "points >= 2")
     return np.linspace(lo, hi, points)
 
 
@@ -329,7 +318,8 @@ def cmd_spectrum(args) -> int:
     signal = _build_signal(args)
     protocol = _build_protocol(args)
     omegas = _grid(args, protocol, signal)
-    values = _spectrum(protocol, signal, omegas, _ode_tol(args))
+    values = qfi_vs_omega(protocol, signal, omegas=omegas,
+                          ode_tol=_ode_tol(args))
     _write(args, "csv", {"schema": SCHEMA_TAG.lstrip("# "),
                          "omega": [float(w) for w in omegas],
                          "J": [float(v) for v in values]},
@@ -388,19 +378,19 @@ def cmd_fig1(args) -> int:
     b_list = _float_list(_resolve(args, "B", "1.0,0.01"))
     # an empty list (",") would write files without rows, or no file
     if not t_list or not all(math.isfinite(T) and T > 0.0 for T in t_list):
-        raise ConfigError(f"--T-list entries must be positive and finite, "
-                          f"got {t_list}")
+        raise ValueError(f"--T-list entries must be positive and finite, "
+                         f"got {t_list}")
     if not b_list or not all(math.isfinite(b) for b in b_list):
-        raise ConfigError(f"--B values must be finite, got {b_list}")
+        raise ValueError(f"--B values must be finite, got {b_list}")
     g = _resolve(args, "g", math.pi / 2.0, float)
     if not math.isfinite(g):
-        raise ConfigError(f"--g must be finite, got {g}")
+        raise ValueError(f"--g must be finite, got {g}")
     cfg = _quad_cfg(args, **BATTERY_CFG_KW)
     window = _float_list(_resolve(args, "slope_window", "8,32"))
     # one chained comparison, so that a NaN edge fails it too
     if len(window) != 2 or not -math.inf < window[0] < window[1] < math.inf:
-        raise ConfigError(f"--slope-window needs two finite numbers lo < hi, "
-                          f"got {window}")
+        raise ValueError(f"--slope-window needs two finite numbers lo < hi, "
+                         f"got {window}")
     out = _resolve(args, "out", "fig1.csv", str)
 
     def family(T):
@@ -439,7 +429,8 @@ def cmd_fig2(args) -> int:
     hi = _resolve(args, "omega_max", max(4.0 * g, 8.0 * math.pi / T), float)
     omegas = _omega_grid(lo, hi, _resolve(args, "points", 601, int))
     for tag, protocol in protocols:
-        values = _spectrum(protocol, signal, omegas, ode_tol)
+        values = qfi_vs_omega(protocol, signal, omegas=omegas,
+                              ode_tol=ode_tol)
         text = _csv_text("omega,J", zip(omegas.tolist(), values.tolist()),
                          comments=[f"protocol={tag} T={_fmt(T)} "
                                    f"zeta_B={_fmt(signal.zeta * signal.B)}"])
@@ -461,9 +452,9 @@ def run_bound_battery(seed: int = BATTERY_SEED, draws: int = 10,
                       cfg: QuadratureConfig = None) -> list:
     """Randomized regression battery over every closed form and cap."""
     if draws < 1:  # each worst-of-draws item needs a draw
-        raise ConfigError(f"--draws must be >= 1, got {draws}")
+        raise ValueError(f"--draws must be >= 1, got {draws}")
     if seed < 0:  # numpy's generators take no negative seed
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     cfg = cfg or QuadratureConfig(**BATTERY_CFG_KW)
     rng = np.random.default_rng(seed)
     reports = []
@@ -552,7 +543,7 @@ def cmd_haar(args) -> int:
     signal = _build_signal(args)
     protocol = _build_protocol(args)
     if not isinstance(protocol, PulseSequence):
-        raise ConfigError("haar requires a pulse-sequence protocol")
+        raise ValueError("haar requires a pulse-sequence protocol")
     r = haar_average_iqfi(protocol, signal, cfg=_quad_cfg(args))
     values = {"K_avg": r.value, "stderr": r.stderr, "method": r.method,
               "samples": r.samples}
@@ -666,15 +657,15 @@ def main(argv=None) -> int:
         args._config = (_load_config(args.config, args.config_types)
                         if args.config else {})
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # bad input, from any layer
         print(f"iqfi-lab: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureNonConvergence, IntegrationError) as exc:
-        print(f"iqfi-lab: integration failed: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
     except OverflowError as exc:  # math on a number beyond the floats
         print(f"iqfi-lab: a number is out of range: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except IntegrationError as exc:  # QuadratureNonConvergence too
+        print(f"iqfi-lab: integration failed: {exc}", file=sys.stderr)
+        return EXIT_INTEGRATION
 
 
 if __name__ == "__main__":

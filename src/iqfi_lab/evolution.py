@@ -63,7 +63,11 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """Continuous evolution failed to meet its error target."""
+    """An integration failed to meet its error target: continuous evolution
+    here, the panel budget (QuadratureNonConvergence) in iqfi.  .partial is
+    the best estimate so far, None where there is none."""
+
+    partial = None
 
 
 def _reduced(protocol, signal: SignalParams):

@@ -110,7 +110,7 @@ class QfiSpectrum:
     method: str = "quadrature"
 
 
-class QuadratureNonConvergence(RuntimeError):
+class QuadratureNonConvergence(IntegrationError):
     """Panel budget exhausted; .partial carries the best estimate so far."""
 
     def __init__(self, message: str, partial: Optional[QfiSpectrum] = None):
@@ -199,12 +199,18 @@ def _integrate_adaptive(f, lo, hi, width, cfg: QuadratureConfig,
     While their summed error misses max(ABS_TOL, rel_tol*|value|), n
     doubles and every panel is evaluated again.  Past max_panels it raises
     QuadratureNonConvergence with the last spectrum as its partial, None
-    if even the base panels are too many.  tail is (value, error bound) of
-    the integral of f over [hi, inf), added to the integral and to the
-    error estimate; without one, tail_start is inf.
+    if even the base panels are too many; then it raises before the tail
+    or any panel is formed.  tail() is (value, error bound) of the
+    integral of f over [hi, inf), added to the integral and to the error
+    estimate; without one, tail_start is inf.
     """
-    tail_value, tail_err = tail or (0.0, 0.0)
-    n = max(1, int(math.ceil((hi - lo) / width)))
+    count = (hi - lo) / width
+    if not count <= cfg.max_panels:  # an infinite or NaN count too
+        raise QuadratureNonConvergence(
+            f"[{lo:.3g}, {hi:.3g}] needs {count:.3g} panels of width "
+            f"{width:.3g}, above max_panels={cfg.max_panels}")
+    tail_value, tail_err = tail() if tail else (0.0, 0.0)
+    n = max(1, math.ceil(count))
     spec = None
     while n <= cfg.max_panels:
         edges = np.linspace(lo, hi, n + 1)
@@ -399,7 +405,9 @@ def _zero_field_k(jumps, signal: SignalParams, cfg: QuadratureConfig):
     T, zeta = float(a[-1]), signal.zeta
     k_max = 4.0 * math.pi * zeta ** 2 * len(r) * T
     delta = float(np.hypot(r[:, 0], r[:, 1]).max())
-    dev = 8.0 * zeta * abs(signal.B) * delta * T * k_max
+    # 0, not 0 * inf, where k_max is beyond the floats
+    dev = (8.0 * zeta * abs(signal.B) * delta * T * k_max
+           if delta != 0.0 and signal.B != 0.0 else 0.0)
     if dev > max(ABS_TOL, cfg.rel_tol * k_max):
         return None
     length = math.pi * (np.diff(a) / T)
@@ -462,25 +470,37 @@ def integrate_iqfi(protocol, signal: SignalParams,
     pi/T cover [0, Omega] and the closed-form tail the rest; an exhausted
     panel budget raises QuadratureNonConvergence with a partial result.
     ode_tol, for continuous drives, is checked on every path.  A sequence
-    with initial_state None gives the Haar average.
+    with initial_state None gives the Haar average.  A tail start Omega,
+    K or error estimate beyond the floats is a ValueError.
     """
     cfg = cfg or QuadratureConfig()
     protocol, signal = _reduced(protocol, signal)
     _check_ode_tol(ode_tol)
     jumps = _jumps(protocol)
-    omega_max = cfg.tail_start_factor * feature_scale(protocol, signal)
+    scale = feature_scale(protocol, signal)
+    omega_max = cfg.tail_start_factor * scale
+    if not math.isfinite(omega_max):
+        raise ValueError(f"the tail start {cfg.tail_start_factor:g} * "
+                         f"{scale:.3g} (feature scale) is beyond the floats")
     closed = _zero_field_k(jumps, signal, cfg)
     if closed is not None:
         k, err = closed
         empty = np.empty(0)
-        return QfiSpectrum(omegas=empty, values=empty, weights=empty,
+        spec = QfiSpectrum(omegas=empty, values=empty, weights=empty,
                            integral=k, error_estimate=err,
                            tail_coefficient=k * omega_max,
                            tail_start=omega_max, method="closed_form")
-    return _integrate_adaptive(
-        lambda om: qfi_vs_omega(protocol, signal, omegas=om, ode_tol=ode_tol),
-        0.0, omega_max, math.pi / float(protocol.total_time), cfg,
-        _tail(jumps, signal, omega_max))
+    else:
+        spec = _integrate_adaptive(
+            lambda om: qfi_vs_omega(protocol, signal, omegas=om,
+                                    ode_tol=ode_tol),
+            0.0, omega_max, math.pi / float(protocol.total_time), cfg,
+            lambda: _tail(jumps, signal, omega_max))
+    if not (math.isfinite(spec.integral)
+            and math.isfinite(spec.error_estimate)):
+        raise ValueError(f"K = {spec.integral:.3g} with error "
+                         f"{spec.error_estimate:.3g} is beyond the floats")
+    return spec
 
 
 def integrate_qfi_band(protocol, signal: SignalParams, lo: float, hi: float,
@@ -515,12 +535,15 @@ def cross_spectral_integral(t1: float, t0: float, mode: str = "analytic",
     cfg = cfg or QuadratureConfig()
     # the tail is exact, so Omega need not wait for the spectrum to settle
     omega_max = cfg.tail_start_factor / min(t1, t0)
-    g = _cos_tail(np.array([t1 - t0, t1 + t0]), 0.0, omega_max)
+
+    def tail():
+        g = _cos_tail(np.array([t1 - t0, t1 + t0]), 0.0, omega_max)
+        return 0.5 * float(g[0] - g[1]), 0.0
+
     return _integrate_adaptive(
         lambda om: t1 * t0 * np.sinc(om * t1 / math.pi) * np.sinc(
             om * t0 / math.pi),
-        0.0, omega_max, math.pi / max(t1, t0), cfg,
-        (0.5 * float(g[0] - g[1]), 0.0)).integral
+        0.0, omega_max, math.pi / max(t1, t0), cfg, tail).integral
 
 
 # -- Haar averaging -----------------------------------------------------------
@@ -576,10 +599,8 @@ def sweep_iqfi_vs_T(family: Callable, Ts: Sequence[float],
         try:
             spec = integrate_iqfi(protocol, signal, cfg)
             return SweepPoint(T=T, K=spec.integral, K_err=spec.error_estimate)
-        except QuadratureNonConvergence as exc:
+        except IntegrationError as exc:  # QuadratureNonConvergence too
             spec = exc.partial
-        except IntegrationError:
-            spec = None
         nan = float("nan")
         return SweepPoint(T=T, K=spec.integral if spec is not None else nan,
                           K_err=spec.error_estimate if spec is not None else nan,

@@ -153,6 +153,17 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("text", ["# keys\nT = 4\nT = 5\n", "x\n",
+                                  "[a]\nT = 1\n[a]\n", "[]\nT = 1\n"])
+def test_config_parse_error_exits_2_with_one_line(text, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "iqfi", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("iqfi-lab: config parse error") and \
+        err.count("\n") == 1
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "iqfi", "--config", str(tmp_path / "nope.ini"))
     assert code == 2 and "nope.ini" in err
@@ -314,11 +325,39 @@ def test_register_times_must_end_at_the_given_duration(tmp_path, capsys):
     # a ValueError from np.arange, exit 1: the splitting's step count
     (("spectrum", "--protocol", "gx", "--T", "4", "--B", "1e300",
       "--points", "3"), 3),
+    # n*zeta*B of the register overflows inside the library: ValueError
+    # tracebacks, exit 1
+    (("iqfi", "--protocol", "ghz", "--n", "1000", "--B", "1e306", "--times",
+      "0,4"), 2),
+    (("spectrum", "--protocol", "ghz", "--n", "1000", "--B", "1e306",
+      "--times", "0,4"), 2),
+    # printed "K": Infinity and "K_err": NaN, exit 0
+    (("iqfi", "--protocol", "ghz", "--n", "3", "--times", "0,1e307", "--B",
+      "0"), 2),
+    # a tail start Omega beyond the floats: RuntimeWarnings, then exit 2
+    # through int(ceil(inf)); for ramsey "tail_start": Infinity, exit 0
+    (("iqfi", "--protocol", "gx", "--T", "4", "--B", "1e307"), 2),
+    (("haar", "--protocol", "pi-train", "--B", "1e307"), 2),
+    (("iqfi", "--protocol", "ramsey", "--T", "4", "--B", "1e307"), 2),
+    # more base panels than the budget: a 300-digit count, RuntimeWarnings
+    (("iqfi", "--protocol", "trotter-gx", "--T", "4", "--B", "1e300"), 3),
+    (("iqfi", "--protocol", "pi-train", "--B", "1e306"), 3),
+    # an --out that cannot be written: OSError tracebacks, exit 1
+    (("iqfi", "--out", "{tmp}/missing/k.json"), 2),
+    (("iqfi", "--out", "{tmp}/dir"), 2),
 ])
-def test_out_of_range_numbers_exit_with_one_line(argv, code, capsys):
-    got, out, err = run(capsys, *argv)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_out_of_range_numbers_exit_with_one_line(argv, code, capsys, tmp_path,
+                                                 monkeypatch):
+    (tmp_path / "dir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    got, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert got == code and out == ""
     assert err.startswith("iqfi-lab: ") and err.count("\n") == 1
+    # no output file, and no temp file left behind
+    assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
+    assert [p.name for p in tmp_path.parent.iterdir()
+            if p.name.startswith(".iqfi-")] == []
 
 
 def test_output_files_are_byte_deterministic(tmp_path, capsys):
@@ -523,6 +562,24 @@ def test_cli_imports_no_private_names():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_only_main_maps_exceptions_to_exit_codes():
+    """Bad input is a ValueError in every layer: the CLI has no exception
+    type of its own, and a handler outside main only re-raises."""
+    tree = ast.parse(Path(iqfi_lab.cli.__file__).read_text())
+    assert not [node.name for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and "Error" in node.name]
+    main_fn = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main_fn)}
+    outside = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ExceptHandler)
+               and id(node) not in in_main]
+    assert outside  # _load_config, _atomic_write, ... re-raise with context
+    assert [node.lineno for node in outside
+            if not any(isinstance(n, ast.Raise) for n in node.body)] == []
+    assert "ConfigError" not in vars(iqfi_lab.cli)
 
 
 def test_sweep_runs_on_threads_only():

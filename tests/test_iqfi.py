@@ -11,7 +11,7 @@ import iqfi_lab.evolution
 import iqfi_lab.iqfi
 from iqfi_lab.bounds import pi_train_closed_form, ramsey_closed_form
 from iqfi_lab.cli import BATTERY_CFG_KW, PAULI_STATES
-from iqfi_lab.evolution import _reduced
+from iqfi_lab.evolution import IntegrationError, _reduced
 from iqfi_lab.iqfi import (
     ABS_TOL,
     QuadratureConfig,
@@ -546,6 +546,49 @@ def test_budget_exhausted_partial_carries_weights():
     assert partial.omegas.size == 191 * 33
     _check_engine_contract(partial)
     assert partial.integral == integrate_iqfi(_su2_train(), sig).integral
+
+
+def test_a_base_panel_count_past_the_budget_raises_before_any_work(
+        monkeypatch):
+    # 4e300 base panels: raised with a short count before the tail or any
+    # panel is formed (the count once printed with 300 digits)
+    def no_work(*args, **kwargs):
+        raise AssertionError("formed a panel or the tail")
+
+    monkeypatch.setattr(iqfi_lab.iqfi, "_panels", no_work)
+    monkeypatch.setattr(iqfi_lab.iqfi, "_tail", no_work)
+    sig = SignalParams(B=0.3, omega=0.0)
+    with pytest.raises(QuadratureNonConvergence) as exc:
+        integrate_qfi_band(_su2_train(), sig, 0.0, 1e300)
+    assert exc.value.partial is None and len(str(exc.value)) < 200
+    assert isinstance(exc.value, IntegrationError)
+    with pytest.raises(QuadratureNonConvergence):
+        integrate_iqfi(make_pi_train([1.0, 2.0, 3.0], 4.0),
+                       SignalParams(B=1e306, omega=0.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_tail_start_beyond_the_floats_is_bad_input():
+    # Omega = 40 * 1e307: before the closed form (ramsey) and the tail
+    for protocol in (make_ramsey(4.0), make_pi_train([1.0, 2.0], 4.0),
+                     TransverseDrive(g=1.0, total_time=4.0)):
+        with pytest.raises(ValueError, match="tail start"):
+            integrate_iqfi(protocol, SignalParams(B=1e307, omega=0.0))
+
+
+def test_k_and_its_error_are_finite_or_raise():
+    # k_max = 4 pi zeta^2 N T overflows where K = 2 pi zeta^2 T does not:
+    # the field deviation is 0 at B = 0, not 0 * inf = NaN
+    sig = SignalParams(B=0.0, omega=0.0)
+    spec = integrate_iqfi(GhzProtocol(n=2, times=(0.0, 4e306)), sig)
+    assert spec.method == "closed_form"
+    assert spec.integral == pytest.approx(2.0 * math.pi * 4.0 * 4e306,
+                                          rel=1e-12)
+    assert math.isfinite(spec.error_estimate)
+    assert spec.error_estimate <= 1e-12 * spec.integral
+    # K itself beyond the floats
+    with pytest.raises(ValueError, match="beyond the floats"):
+        integrate_iqfi(GhzProtocol(n=3, times=(0.0, 1e307)), sig)
 
 
 def test_panel_count_doubles_until_the_tolerance_fits():
