@@ -6,9 +6,13 @@ its settings in the same order: explicit flags win, then values from
 --config (flat INI-style key = value, dashes or underscores), then built-in
 defaults.  A config file may hold the keys of every command's flags, so one
 file serves them all; a command reads only the keys of its own flags.
-Output files are written to a temporary name and atomically renamed, so a
-failed run never leaves a truncated file, and identical inputs produce
-byte-identical outputs.
+Every command builds all of its output texts before one writer, _write,
+puts them out: one text goes to --out, or to stdout when --out is '-' or
+absent (fig1 writes fig1.csv then); several go to <stem>-<tag><ext>, and
+--out - with several is an error.  Files are written to a temporary name
+and atomically renamed, so a run that fails writes no file (but for the
+files renamed before a later one of several that cannot be written), and
+identical inputs produce byte-identical outputs.
 
 Exit codes: 0 ok, 2 bad flags or config or a number out of range, 3
 integration failure, 4 bound violation (bounds-check only).  Every layer
@@ -180,16 +184,26 @@ def _atomic_write(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc}")
 
 
-def _emit(text: str, out) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        _atomic_write(out, text)
+def _write(args, texts: list, default=None) -> None:
+    """The one writer, called once with all (tag, text) pairs of a command:
+    one text goes to --out, else default, or to stdout if that is '-' or
+    None; several go to <stem>-<tag><ext>, ext .csv if it has none."""
+    out = _resolve(args, "out", default, str)
+    if len(texts) > 1 and out in (None, "-"):
+        raise ValueError(f"--out - takes one output, not {len(texts)}; "
+                         f"give a file stem")
+    stem, ext = os.path.splitext(out or "")
+    for tag, text in texts:
+        path = out if len(texts) == 1 else f"{stem}-{tag}{ext or '.csv'}"
+        if path is None or path == "-":
+            sys.stdout.write(text)
+        else:
+            _atomic_write(path, text)
 
 
-def _write(args, default_format: str, payload, header: str, rows) -> None:
-    """Emit payload as JSON or header and rows as CSV, as --format says,
-    to --out or stdout."""
+def _write_formatted(args, default_format: str, payload, header: str,
+                     rows) -> None:
+    """Write payload as JSON or header and rows as CSV, as --format says."""
     fmt = _resolve(args, "format", default_format, str)
     if fmt == "json":
         text = _json_text(payload)
@@ -197,7 +211,7 @@ def _write(args, default_format: str, payload, header: str, rows) -> None:
         text = _csv_text(header, rows)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    _emit(text, _resolve(args, "out", None, str))
+    _write(args, [("", text)])
 
 
 # -- protocol construction -----------------------------------------------------
@@ -320,10 +334,10 @@ def cmd_spectrum(args) -> int:
     omegas = _grid(args, protocol, signal)
     values = qfi_vs_omega(protocol, signal, omegas=omegas,
                           ode_tol=_ode_tol(args))
-    _write(args, "csv", {"schema": SCHEMA_TAG.lstrip("# "),
-                         "omega": [float(w) for w in omegas],
-                         "J": [float(v) for v in values]},
-           "omega,J", zip(omegas.tolist(), values.tolist()))
+    _write_formatted(args, "csv", {"schema": SCHEMA_TAG.lstrip("# "),
+                                   "omega": [float(w) for w in omegas],
+                                   "J": [float(v) for v in values]},
+                     "omega,J", zip(omegas.tolist(), values.tolist()))
     return EXIT_OK
 
 
@@ -366,10 +380,12 @@ def cmd_iqfi(args) -> int:
                                  spectrum.error_estimate)
     values = {"K": spectrum.integral, "K_err": spectrum.error_estimate,
               "tail_start": spectrum.tail_start, "method": spectrum.method}
-    _write(args, "json", {"schema": SCHEMA_TAG.lstrip("# "), **values,
-                          "bounds": [r.to_dict() for r in reports]},
-           "key,value", [*values.items(),
-                         *((f"margin[{r.name}]", r.margin) for r in reports)])
+    _write_formatted(args, "json", {"schema": SCHEMA_TAG.lstrip("# "),
+                                    **values,
+                                    "bounds": [r.to_dict() for r in reports]},
+                     "key,value",
+                     [*values.items(),
+                      *((f"margin[{r.name}]", r.margin) for r in reports)])
     return EXIT_OK
 
 
@@ -391,29 +407,23 @@ def cmd_fig1(args) -> int:
     if len(window) != 2 or not -math.inf < window[0] < window[1] < math.inf:
         raise ValueError(f"--slope-window needs two finite numbers lo < hi, "
                          f"got {window}")
-    out = _resolve(args, "out", "fig1.csv", str)
 
     def family(T):
         return _build_protocol(args, "trotter-gx", T)
 
+    texts = []
     for b in b_list:
         sweep = sweep_iqfi_vs_T(family, t_list, SignalParams(B=b, omega=0.0),
                                 cfg=cfg, slope_window=tuple(window))
         nan = float("nan")
         rows = [(p.T, nan if p.failed else p.K, nan if p.failed else p.K_err,
                  sweep.slope) for p in sweep.points]
-        text = _csv_text("T,K,K_err,slope_window", rows,
-                         comments=[f"B={_fmt(b)} g={_fmt(g)} m=2T "
-                                   f"slope fitted on [{_fmt(window[0])},"
-                                   f"{_fmt(window[1])}]"])
-        path = out if len(b_list) == 1 else _suffixed(out, f"B{_fmt(b)}")
-        _emit(text, path)
+        texts.append((f"B{_fmt(b)}", _csv_text(
+            "T,K,K_err,slope_window", rows,
+            comments=[f"B={_fmt(b)} g={_fmt(g)} m=2T slope fitted on "
+                      f"[{_fmt(window[0])},{_fmt(window[1])}]"])))
+    _write(args, texts, default="fig1.csv")
     return EXIT_OK
-
-
-def _suffixed(path: str, tag: str) -> str:
-    stem, ext = os.path.splitext(path)
-    return f"{stem}-{tag}{ext or '.csv'}"
 
 
 def cmd_fig2(args) -> int:
@@ -421,20 +431,20 @@ def cmd_fig2(args) -> int:
     g = _resolve(args, "g", math.pi / 2.0, float)
     signal = _build_signal(args, default_b=1.0)
     ode_tol = _ode_tol(args)
-    out = _resolve(args, "out", "fig2", str)
-
     protocols = [(tag, _build_protocol(args, tag, T))
                  for tag in ("ramsey", "pi-train", "pi2-train", "gx")]
     lo = _resolve(args, "omega_min", 0.0, float)
     hi = _resolve(args, "omega_max", max(4.0 * g, 8.0 * math.pi / T), float)
     omegas = _omega_grid(lo, hi, _resolve(args, "points", 601, int))
+    texts = []
     for tag, protocol in protocols:
         values = qfi_vs_omega(protocol, signal, omegas=omegas,
                               ode_tol=ode_tol)
-        text = _csv_text("omega,J", zip(omegas.tolist(), values.tolist()),
-                         comments=[f"protocol={tag} T={_fmt(T)} "
-                                   f"zeta_B={_fmt(signal.zeta * signal.B)}"])
-        _emit(text, _suffixed(out, tag))
+        texts.append((tag, _csv_text(
+            "omega,J", zip(omegas.tolist(), values.tolist()),
+            comments=[f"protocol={tag} T={_fmt(T)} "
+                      f"zeta_B={_fmt(signal.zeta * signal.B)}"])))
+    _write(args, texts, default="fig2")
     return EXIT_OK
 
 
@@ -532,8 +542,8 @@ def cmd_bounds_check(args) -> int:
     seed = _resolve(args, "seed", BATTERY_SEED, int)
     draws = _resolve(args, "draws", 10, int)
     reports = [r.to_dict() for r in run_bound_battery(seed, draws=draws)]
-    _write(args, "json", reports, ",".join(reports[0]),
-           [r.values() for r in reports])
+    _write_formatted(args, "json", reports, ",".join(reports[0]),
+                     [r.values() for r in reports])
     if not all(r["satisfied"] for r in reports):
         return EXIT_BOUND
     return EXIT_OK
@@ -547,8 +557,9 @@ def cmd_haar(args) -> int:
     r = haar_average_iqfi(protocol, signal, cfg=_quad_cfg(args))
     values = {"K_avg": r.value, "stderr": r.stderr, "method": r.method,
               "samples": r.samples}
-    _write(args, "json", {"schema": SCHEMA_TAG.lstrip("# "), **values},
-           "key,value", values.items())
+    _write_formatted(args, "json",
+                     {"schema": SCHEMA_TAG.lstrip("# "), **values},
+                     "key,value", values.items())
     return EXIT_OK
 
 
@@ -599,8 +610,10 @@ _FLAGS = {
     "--out": dict(help="output path ('-' = stdout)"),
 }
 _SIGNAL = ("--B", "--zeta", "--phi")
-_PROTOCOL = ("--protocol", "--T", "--g", "--m", "--times", "--spacing", "--n",
-             "--alpha", "--beta", "--flips")
+_PULSES = ("--protocol", "--T", "--g", "--m", "--times", "--spacing")
+# haar reads neither the initial state, which the average replaces, nor a
+# register's qubits and flips, as it takes pulse sequences only
+_PROTOCOL = _PULSES + ("--n", "--alpha", "--beta", "--flips")
 _GRID = ("--omega-min", "--omega-max", "--points")
 _QUADRATURE = ("--rel-tol", "--tail-factor", "--max-panels")
 # name, function, help, the flags it reads besides --config and --out, and
@@ -625,7 +638,7 @@ _COMMANDS = (
     ("bounds-check", cmd_bounds_check, "randomized bound battery",
      ("--draws", "--seed", "--format"), {}),
     ("haar", cmd_haar, "initial-state averaged integrated QFI",
-     _SIGNAL + _PROTOCOL + _QUADRATURE + ("--format",), {}),
+     _SIGNAL + _PULSES + _QUADRATURE + ("--format",), {}),
 )
 
 

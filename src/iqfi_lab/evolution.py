@@ -326,7 +326,7 @@ def qfi_vs_omega(protocol, signal: SignalParams, omegas=None,
     finite and >= 0, and omega*T finite.  ode_tol, which must be positive
     and finite, bounds the estimated error of a continuous drive's final
     state and field derivative.  For initial_state None, J is averaged
-    over Haar states.
+    over Haar states.  A J beyond the floats is a ValueError.
     """
     _check_ode_tol(ode_tol)
     protocol, signal = _reduced(protocol, signal)
@@ -339,8 +339,21 @@ def qfi_vs_omega(protocol, signal: SignalParams, omegas=None,
     if not math.isfinite(top * T):
         raise ValueError(f"omega*T must be finite, got omega {top} at T = {T}")
     if isinstance(protocol, PulseSequence) and protocol.initial_state is None:
-        return _mean_j(*discrete_propagators(protocol, signal, omegas=om))
-    psi, dpsi = _states(protocol, signal, om, ode_tol)
+        j_of = _mean_j
+        states = discrete_propagators(protocol, signal, omegas=om)
+    else:
+        j_of, states = _pure_j, _states(protocol, signal, om, ode_tol)
+    # a J beyond the floats is a ValueError, not a RuntimeWarning and a NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        j = j_of(*states)
+    finite = np.isfinite(j)
+    if not finite.all():
+        raise ValueError(f"J at omega = {om[~finite][0]} is beyond the floats")
+    return j
+
+
+def _pure_j(psi, dpsi):
+    """J = 4*(<dpsi|dpsi> + Re <dpsi|psi>^2) of each row of psi, dpsi."""
     (a, b), (da, db) = psi.T, dpsi.T
     ov = da.conj() * a + db.conj() * b
     dd = (da.conj() * da + db.conj() * db).real
@@ -361,14 +374,14 @@ def _mean_j(P, W):
 
 
 def qfi_fd_oracle(protocol, signal: SignalParams,
-                  step: Optional[float] = None, richardson: bool = False,
+                  step: Optional[float] = None,
                   ode_tol: float = 1e-11) -> float:
     """QFI with dpsi replaced by a central finite difference of psi over B.
 
     Verification-only reference path: it never touches the analytic
-    derivative propagation.  With richardson=True the h and h/2 difference
-    quotients are extrapolated, and a relative disagreement above 1e-4
-    between the two raises, flagging a too-large step.
+    derivative propagation.  The difference quotients at h and h/2 are
+    Richardson-extrapolated; a relative disagreement above 1e-4 between
+    the two raises RuntimeError, flagging a too-large step.
 
     Default steps: 1e-6*max(1,|B|) for exact (pulse) evolutions,
     1e-4*max(1,|B|) for continuous ones, whose states carry an error of up
@@ -383,34 +396,25 @@ def qfi_fd_oracle(protocol, signal: SignalParams,
         step = (1e-4 if rough else 1e-6) * max(1.0, abs(signal.B))
     haar = (isinstance(protocol, PulseSequence)
             and protocol.initial_state is None)
+    j_of = _mean_j if haar else _pure_j
 
-    def state(b):
+    def state(b):  # psi, or P, at the signal's omega: one row
         shifted = replace(signal, B=b)
         if haar:
             return discrete_propagators(protocol, shifted,
                                         omegas=[signal.omega])[0]
-        return _states(protocol, shifted, [signal.omega], ode_tol)[0][0]
+        return _states(protocol, shifted, [signal.omega], ode_tol)[0]
 
     def fd(h):
         return (state(signal.B + h) - state(signal.B - h)) / (2.0 * h)
 
     psi = state(signal.B)
-
-    def j_of(dpsi):
-        if haar:
-            return float(_mean_j(psi, dpsi)[0])
-        ov = np.vdot(dpsi, psi)
-        return float(4.0 * (np.vdot(dpsi, dpsi).real + (ov * ov).real))
-
-    d1 = fd(step)
-    if not richardson:
-        return j_of(d1)
-    d2 = fd(0.5 * step)
-    j1, j2 = j_of(d1), j_of(d2)
+    d1, d2 = fd(step), fd(0.5 * step)
+    j1, j2 = float(j_of(psi, d1)[0]), float(j_of(psi, d2)[0])
     scale = max(abs(j1), abs(j2), 1e-12)
     if abs(j1 - j2) / scale > 1e-4:
         raise RuntimeError(
             f"finite-difference step {step} too large: "
             f"h vs h/2 estimates differ by {abs(j1 - j2) / scale:.2e}"
         )
-    return j_of((4.0 * d2 - d1) / 3.0)
+    return float(j_of(psi, (4.0 * d2 - d1) / 3.0)[0])

@@ -556,13 +556,16 @@ def haar_average_iqfi(seq: PulseSequence, signal: SignalParams,
 
     K of the sequence with initial_state None, by integrate_iqfi; at B = 0
     and signal phase 0 it is (2/3)*2*pi*zeta^2*T for every pulse sequence.
-    samples is ignored and stderr 0, for callers of the earlier Monte Carlo.
+    Either way a K beyond the floats is a ValueError.  samples is ignored
+    and stderr 0, for callers of the earlier Monte Carlo.
     """
     if not isinstance(seq, PulseSequence):
         raise TypeError(f"haar_average_iqfi needs a PulseSequence, got "
                         f"{type(seq).__name__}")
     if signal.B == 0.0 and signal.phi == 0.0:
         k = (2.0 / 3.0) * 2.0 * math.pi * signal.zeta ** 2 * seq.total_time
+        if not math.isfinite(k):
+            raise ValueError(f"K = {k} is beyond the floats")
         return HaarResult(value=k, stderr=0.0, method="closed_form", samples=0)
     spec = integrate_iqfi(replace(seq, initial_state=None), signal, cfg)
     return HaarResult(value=spec.integral, stderr=0.0, samples=0, method=(

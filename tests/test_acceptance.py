@@ -112,8 +112,7 @@ def test_acceptance_05_derivative_oracle_equivalence():
         sig = SignalParams(B=B, omega=0.0, phi=phi)
         j = qfi_vs_omega(seq, sig, omegas=om)
         ref = np.array([
-            qfi_fd_oracle(seq, SignalParams(B=B, omega=float(w), phi=phi),
-                          richardson=True)
+            qfi_fd_oracle(seq, SignalParams(B=B, omega=float(w), phi=phi))
             for w in om])
         scale = max(np.max(np.abs(ref)), 1e-12)
         worst = max(worst, float(np.max(np.abs(j - ref))) / scale)

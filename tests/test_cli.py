@@ -22,15 +22,17 @@ from iqfi_lab.signal_core import SignalParams
 TAG = SCHEMA_TAG  # "# iqfi-lab v1"
 
 SIGNAL = ("--B", "--zeta", "--phi")
-PROTOCOL = ("--protocol", "--T", "--g", "--m", "--times", "--spacing", "--n",
-            "--alpha", "--beta", "--flips")
+PULSES = ("--protocol", "--T", "--g", "--m", "--times", "--spacing")
+PROTOCOL = PULSES + ("--n", "--alpha", "--beta", "--flips")
 GRID = ("--omega-min", "--omega-max", "--points")
 QUADRATURE = ("--rel-tol", "--tail-factor", "--max-panels")
 # the flags each command reads, besides --config and --out
 ACCEPTED = {
     "spectrum": SIGNAL + PROTOCOL + GRID + ("--ode-tol", "--format"),
     "iqfi": SIGNAL + PROTOCOL + QUADRATURE + ("--ode-tol", "--format"),
-    "haar": SIGNAL + PROTOCOL + QUADRATURE + ("--format",),
+    # the average replaces the initial state, and a register is no pulse
+    # sequence: haar reads neither --alpha, --beta nor --n, --flips
+    "haar": SIGNAL + PULSES + QUADRATURE + ("--format",),
     "fig2": ("--T", "--g") + SIGNAL + GRID + ("--ode-tol",),
     "fig1": ("--B", "--g", "--rel-tol", "--T-list", "--slope-window"),
     "bounds-check": ("--draws", "--seed", "--format"),
@@ -345,6 +347,19 @@ def test_register_times_must_end_at_the_given_duration(tmp_path, capsys):
     # an --out that cannot be written: OSError tracebacks, exit 1
     (("iqfi", "--out", "{tmp}/missing/k.json"), 2),
     (("iqfi", "--out", "{tmp}/dir"), 2),
+    # the files of the fields, or protocols, before the one that failed
+    # were left behind: fig1-B1.0.csv; fig2-ramsey.csv and two more
+    (("fig1", "--B", "1,1e307", "--T-list", "2", "--slope-window", "1,3"), 2),
+    (("fig2", "--ode-tol", "1e-30"), 3),
+    # several outputs to stdout: files named --ramsey.csv, --B1.0.csv, ...
+    (("fig2", "--out", "-"), 2),
+    (("fig1", "--out", "-", "--T-list", "2,4", "--slope-window", "2,4"), 2),
+    # printed K_avg,inf and exited 0
+    (("haar", "--protocol", "pi-train", "--zeta", "1e154", "--B", "0",
+      "--format", "csv"), 2),
+    # RuntimeWarnings and a CSV of nan, exit 0
+    (("spectrum", "--protocol", "ramsey", "--T", "1e200", "--B", "0",
+      "--points", "3"), 2),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_range_numbers_exit_with_one_line(argv, code, capsys, tmp_path,
@@ -393,6 +408,17 @@ def test_fig1_rows_match_serial_integrals(tmp_path, capsys):
     assert rows == [(T, s.integral, s.error_estimate, slope)
                     for T, s in zip((2.0, 4.0), specs)]
     assert slope == pytest.approx(1.0, abs=0.05)
+
+
+def test_fig1_single_field_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ("fig1", "--B", "1", "--T-list", "2,4", "--slope-window", "2,4",
+            "--rel-tol", "1e-4")
+    code, out, err = run(capsys, *argv, "--out", "-")
+    assert code == 0 and err == "" and not list(tmp_path.iterdir())
+    assert out.startswith(TAG) and "T,K,K_err,slope_window" in out
+    code, _, _ = run(capsys, *argv, "--out", "one.csv")
+    assert code == 0 and (tmp_path / "one.csv").read_text() == out
 
 
 def test_fig1_multiple_fields_write_suffixed_files(tmp_path, capsys):
@@ -508,7 +534,7 @@ def test_each_command_accepts_exactly_its_flags(capsys):
                                 re.M))
         assert listed == {"--config", "--out", *flags}, command
         total += len(listed)
-    assert total == 82 and len(REJECTED) == 66
+    assert total == 78 and len(REJECTED) == 70
 
 
 @pytest.mark.parametrize("command, flag", REJECTED)

@@ -214,7 +214,7 @@ def test_fd_oracle_matches_engine_discrete():
                            omega=float(rng.uniform(0.0, 20.0 / T)),
                            phi=float(rng.uniform(0.0, 2.0 * math.pi)))
         j = float(qfi_vs_omega(seq, sig)[0])
-        ref = qfi_fd_oracle(seq, sig, richardson=True)
+        ref = qfi_fd_oracle(seq, sig)
         assert j == pytest.approx(ref, rel=1e-6, abs=1e-9)
 
 
@@ -229,11 +229,10 @@ def test_fd_oracle_of_a_haar_sequence():
         sig = SignalParams(B=float(rng.uniform(-2.0, 2.0)),
                            omega=float(rng.uniform(0.0, 20.0 / T)),
                            phi=float(rng.uniform(0.0, 2.0 * math.pi)))
-        ref = qfi_fd_oracle(seq, sig, richardson=True)
+        ref = qfi_fd_oracle(seq, sig)
         assert float(qfi_vs_omega(seq, sig)[0]) == pytest.approx(
             ref, rel=1e-6, abs=1e-9)
-        six = np.mean([qfi_fd_oracle(replace(seq, initial_state=state), sig,
-                                     richardson=True)
+        six = np.mean([qfi_fd_oracle(replace(seq, initial_state=state), sig)
                        for state in PAULI_STATES])
         assert ref == pytest.approx(six, rel=1e-6, abs=1e-9)
 
@@ -241,7 +240,7 @@ def test_fd_oracle_of_a_haar_sequence():
 def test_fd_oracle_rejects_too_large_step():
     sig = SignalParams(B=0.0, omega=0.0)
     with pytest.raises(RuntimeError):
-        qfi_fd_oracle(make_ramsey(4.0), sig, step=0.3, richardson=True)
+        qfi_fd_oracle(make_ramsey(4.0), sig, step=0.3)
 
 
 def test_continuous_zero_field_is_x_rotation():
@@ -317,7 +316,7 @@ def test_continuous_matches_fd_oracle():
                            omega=float(rng.uniform(0.0, 5.0)),
                            phi=float(rng.uniform(0.0, 2.0 * math.pi)))
         j = float(qfi_vs_omega(drive, sig, ode_tol=1e-11)[0])
-        ref = qfi_fd_oracle(drive, sig, richardson=True, ode_tol=1e-11)
+        ref = qfi_fd_oracle(drive, sig, ode_tol=1e-11)
         assert j == pytest.approx(ref, rel=1e-5, abs=1e-8)
 
 
@@ -553,7 +552,7 @@ def test_fd_oracle_matches_engine_on_registers():
                                phi=float(rng.uniform(0.0, 6.2)))
             ghz = GhzProtocol(n=n, times=times, flips=flips)
             j = float(qfi_vs_omega(ghz, sig)[0])
-            ref = qfi_fd_oracle(ghz, sig, richardson=True)
+            ref = qfi_fd_oracle(ghz, sig)
             assert j == pytest.approx(ref, rel=1e-6, abs=1e-9)
 
 
