@@ -1,24 +1,24 @@
 """Command line front end: spectra, integrals, figure data, bound battery.
 
 Each command accepts --config, --out and only the flags it reads (see
-build_parser); any other flag is an argparse error.  Every command resolves
-its settings in the same order: explicit flags win, then values from
---config (flat INI-style key = value, dashes or underscores), then built-in
-defaults.  A config file may hold the keys of every command's flags, so one
-file serves them all; a command reads only the keys of its own flags.
-Every command builds all of its output texts before one writer, _write,
-puts them out: one text goes to --out, or to stdout when --out is '-' or
-absent (fig1 writes fig1.csv then); several go to <stem>-<tag><ext>, and
---out - with several is an error.  Files are written to a temporary name
-and atomically renamed, so a run that fails writes no file (but for the
-files renamed before a later one of several that cannot be written), and
-identical inputs produce byte-identical outputs.
+build_parser); any other flag is an argparse error.  Every default is
+written once, in the parser; one that follows from other settings is None
+there and worked out in code.  A --config file (flat INI-style key =
+value, dashes or underscores) is read as flags: each key that names one
+of the command's flags becomes --flag=value, placed before the command
+line's own words, so an explicit flag wins.  One file may hold the keys
+of every command's flags.  A command works out its output targets before
+it computes: one text goes to --out, or to stdout when --out is '-' or
+absent; several go to <stem>-<tag><ext>, and --out - with several is an
+error.  One writer, _write, writes every file to a temporary name before
+it renames any, so a run that fails writes no file.
 
-Exit codes: 0 ok, 2 bad flags or config or a number out of range, 3
-integration failure, 4 bound violation (bounds-check only).  Every layer
-signals a failure by its exception type alone: ValueError (bad input) and
-OverflowError give 2, IntegrationError (QuadratureNonConvergence among
-them) 3; main is the one place that maps them to exit codes.
+Exit codes: 0 ok, 2 bad flags or config, a number out of range or too
+little memory, 3 integration failure, 4 bound violation (bounds-check
+only).  Every layer signals a failure by its exception type alone:
+ValueError (bad input), OverflowError and MemoryError give 2,
+IntegrationError (QuadratureNonConvergence among them) 3; main alone maps
+them to exit codes.
 """
 
 from __future__ import annotations
@@ -88,8 +88,10 @@ PAULI_STATES = ((0.0, 0.0), (math.pi, 0.0), (math.pi / 2.0, 0.0),
 
 # -- config file ---------------------------------------------------------------
 
-def _load_config(path: str, types: dict) -> dict:
-    """Config values by normalized key, converted by types[key]."""
+def _config_words(path: str, flags) -> list:
+    """The --flag=value words of the config file's keys that name one of
+    flags.  Every key must name some command's flag, and its value must
+    pass that flag's type."""
     try:
         with open(path, "r") as fh:
             text = fh.read()
@@ -104,35 +106,26 @@ def _load_config(path: str, types: dict) -> dict:
         text = "[iqfi-lab]\n" + text
     try:
         cp.read_string(text)
+        # items() interpolates: a lone '%' in a value is an error too
+        items = [item for sec in cp.sections() for item in cp.items(sec)]
     except configparser.Error as exc:  # its text spans lines; ours does not
         raise ValueError(f"config parse error in {path}: "
                          f"{' '.join(str(exc).split())}")
 
-    out = {}
-    for sec in cp.sections():
-        for key, raw in cp.items(sec):
-            norm = key.strip().lower().replace("-", "_")
-            if norm not in types:
-                raise ValueError(f"unknown config key {key!r} in {path}")
-            try:
-                out[norm] = types[norm](raw.strip())
-            except ValueError:
-                raise ValueError(
-                    f"bad value for {key!r} in {path}: {raw.strip()!r}")
-    return out
-
-
-def _resolve(args, key: str, default, conv=None):
-    """Flag value if given, else config value, else default.  A key that is
-    not one of the command's flags is not read from the config either."""
-    if not hasattr(args, key):
-        return default
-    val = getattr(args, key)
-    if val is None:
-        val = args._config.get(key.lower())
-    if val is None:
-        return default
-    return conv(val) if conv is not None else val
+    words = []
+    for key, raw in items:
+        flag = _CONFIG_KEYS.get(key.strip().lower().replace("-", "_"))
+        if flag is None:
+            raise ValueError(f"unknown config key {key!r} in {path}")
+        value = raw.strip()
+        try:
+            _FLAGS[flag].get("type", str)(value)
+        except ValueError:
+            raise ValueError(f"bad value for {key!r} in {path}: {value!r}")
+        if flag in flags:
+            # one word, so that a value such as -0.5 is no option
+            words.append(f"{flag}={value}")
+    return words
 
 
 def _float_list(text) -> list:
@@ -168,65 +161,63 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    path = os.path.abspath(path)
+def _targets(args, tags=("",)) -> list:
+    """Where each tagged output goes, None for stdout: one goes to --out, or
+    to stdout if that is '-' or absent; several go to <stem>-<tag><ext>,
+    ext .csv if it has none."""
+    out = args.out
+    if len(tags) == 1:
+        return [None if out in (None, "-") else out]
+    if out in (None, "-"):
+        raise ValueError(f"--out - takes one output, not {len(tags)}; "
+                         f"give a file stem")
+    stem, ext = os.path.splitext(out)
+    return [f"{stem}-{tag}{ext or '.csv'}" for tag in tags]
+
+
+def _write(targets: list, texts: list) -> None:
+    """The one writer, called once with all texts of a command and their
+    _targets.  Files are written all or nothing: every temp file is written
+    before any is renamed, and a failure removes them all."""
+    if targets == [None]:
+        sys.stdout.write(texts[0])
+        return
+    temps = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".iqfi-")
-        try:
+        for path, text in zip(targets, texts):
+            path = os.path.abspath(path)
+            if os.path.isdir(path):
+                raise ValueError(f"cannot write {path}: it is a directory")
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                                       prefix=".iqfi-")
+            temps.append((tmp, path))
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
+        for tmp, path in temps:
             os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}")
+    finally:
+        for tmp, _ in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
-def _write(args, texts: list, default=None) -> None:
-    """The one writer, called once with all (tag, text) pairs of a command:
-    one text goes to --out, else default, or to stdout if that is '-' or
-    None; several go to <stem>-<tag><ext>, ext .csv if it has none."""
-    out = _resolve(args, "out", default, str)
-    if len(texts) > 1 and out in (None, "-"):
-        raise ValueError(f"--out - takes one output, not {len(texts)}; "
-                         f"give a file stem")
-    stem, ext = os.path.splitext(out or "")
-    for tag, text in texts:
-        path = out if len(texts) == 1 else f"{stem}-{tag}{ext or '.csv'}"
-        if path is None or path == "-":
-            sys.stdout.write(text)
-        else:
-            _atomic_write(path, text)
-
-
-def _write_formatted(args, default_format: str, payload, header: str,
-                     rows) -> None:
+def _write_formatted(args, payload, header: str, rows) -> None:
     """Write payload as JSON or header and rows as CSV, as --format says."""
-    fmt = _resolve(args, "format", default_format, str)
-    if fmt == "json":
-        text = _json_text(payload)
-    elif fmt == "csv":
-        text = _csv_text(header, rows)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    _write(args, [("", text)])
+    text = _json_text(payload) if args.format == "json" \
+        else _csv_text(header, rows)
+    _write(_targets(args), [text])
 
 
 # -- protocol construction -----------------------------------------------------
 
 
-def _build_signal(args, default_b: float = 0.0) -> SignalParams:
-    b_list = _float_list(_resolve(args, "B", repr(default_b)))
+def _build_signal(args) -> SignalParams:
+    b_list = _float_list(args.B)
     if len(b_list) != 1:
         raise ValueError("this command takes a single --B value")
-    return SignalParams(
-        B=b_list[0],
-        omega=0.0,
-        phi=_resolve(args, "phi", 0.0, float),
-        zeta=_resolve(args, "zeta", 1.0, float),
-    )
+    return SignalParams(B=b_list[0], omega=0.0, phi=args.phi, zeta=args.zeta)
 
 
 def _default_pi_times(T: float) -> list:
@@ -235,62 +226,43 @@ def _default_pi_times(T: float) -> list:
     return ts if ts else [T / 2.0]
 
 
-def _duration(args, default: float) -> float:
-    """--T, checked before the pulse-time and segment defaults derive from it."""
-    T = _resolve(args, "T", default, float)
-    if not (math.isfinite(T) and T > 0.0):
-        raise ValueError(f"--T must be positive and finite, got {T}")
-    return T
-
-
-def _ode_tol(args) -> float:
-    tol = _resolve(args, "ode_tol", ODE_TOL, float)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"--ode-tol must be positive and finite, got {tol}")
-    return tol
+def _positive(flag: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{flag} must be positive and finite, got {value}")
+    return value
 
 
 def _build_protocol(args, name=None, T=None):
     """The protocol of the command's flags; name and T, if given, stand for
-    --protocol and --T.  Flags the command lacks take their defaults."""
-    name = name or _resolve(args, "protocol", "ramsey", str)
-    if name not in PROTOCOL_NAMES:
-        raise ValueError(
-            f"unknown protocol {name!r}; choose from {', '.join(PROTOCOL_NAMES)}")
-    T = _duration(args, 4.0) if T is None else T
-    alpha = _resolve(args, "alpha", math.pi / 2.0, float)
-    beta = _resolve(args, "beta", 0.0, float)
-    state = (alpha, beta)
+    --protocol and --T.  Flags the command lacks are at their defaults."""
+    name = name or args.protocol
+    if T is None:  # checked before the pulse-time and segment defaults
+        T = _positive("--T", 4.0 if args.T is None else args.T)
+    state = (args.alpha, args.beta)
     try:
         if name == "ramsey":
             protocol = make_ramsey(T, initial_state=state)
         elif name == "pi-train":
-            times_raw = _resolve(args, "times", None)
-            times = _float_list(times_raw) if times_raw is not None \
-                else _default_pi_times(T)
+            times = _default_pi_times(T) if args.times is None \
+                else _float_list(args.times)
             protocol = make_pi_train(times, T, initial_state=state)
         elif name == "pi2-train":
-            spacing = _resolve(args, "spacing", 0.5, float)
-            protocol = make_pi2_train(spacing, T, initial_state=state)
+            protocol = make_pi2_train(args.spacing, T, initial_state=state)
         elif name == "trotter-gx":
-            g = _resolve(args, "g", math.pi / 2.0, float)
-            m = _resolve(args, "m", max(1, int(round(2 * T))), int)
-            protocol = make_trotterized_gx(T, m=m, g=g, initial_state=state)
+            m = max(1, int(round(2 * T))) if args.m is None else args.m
+            protocol = make_trotterized_gx(T, m=m, g=args.g,
+                                           initial_state=state)
         elif name == "gx":
-            g = _resolve(args, "g", math.pi / 2.0, float)
-            protocol = TransverseDrive(g=g, total_time=T)
+            protocol = TransverseDrive(g=args.g, total_time=T)
         else:  # ghz
-            n = _resolve(args, "n", 2, int)
-            times_raw = _resolve(args, "times", None)
-            times = tuple(_float_list(times_raw)) if times_raw is not None \
-                else (0.0, T)
-            flips_raw = _resolve(args, "flips", None)
-            flips = tuple(_float_list(flips_raw)) if flips_raw is not None \
-                else None
-            protocol = GhzProtocol(n=n, times=times, flips=flips)
+            times = (0.0, T) if args.times is None \
+                else tuple(_float_list(args.times))
+            flips = None if args.flips is None \
+                else tuple(_float_list(args.flips))
+            protocol = GhzProtocol(n=args.n, times=times, flips=flips)
             # --times fix a register's duration; a --T besides must agree
-            given = _resolve(args, "T", None) is not None
-            if times_raw is not None and given and protocol.total_time != T:
+            if args.times is not None and args.T is not None \
+                    and protocol.total_time != T:
                 raise ValueError(f"--times end at {protocol.total_time}, "
                                  f"not at --T {T}")
     except ValueError as exc:
@@ -298,31 +270,22 @@ def _build_protocol(args, name=None, T=None):
     return protocol
 
 
-def _quad_cfg(args, **base) -> QuadratureConfig:
-    """base, overridden by the quadrature settings the user gave; the rest
-    keep QuadratureConfig's defaults."""
-    for key, field in (("rel_tol", "rel_tol"), ("max_panels", "max_panels"),
-                       ("tail_factor", "tail_start_factor")):
-        val = _resolve(args, key, None)
-        if val is not None:
-            base[field] = val
-    return QuadratureConfig(**base)
+def _quad_cfg(args) -> QuadratureConfig:
+    return QuadratureConfig(rel_tol=args.rel_tol,
+                            tail_start_factor=args.tail_factor,
+                            max_panels=args.max_panels)
 
 
-def _grid(args, protocol, signal) -> np.ndarray:
-    lo = _resolve(args, "omega_min", 0.0, float)
-    hi = _resolve(args, "omega_max", None, float)
-    if hi is None:
-        hi = 8.0 * feature_scale(protocol, signal)
-    return _omega_grid(lo, hi, _resolve(args, "points", 513, int))
-
-
-def _omega_grid(lo: float, hi: float, points: int) -> np.ndarray:
+def _grid(args, default_hi) -> np.ndarray:
+    """--points frequencies from --omega-min to --omega-max, whose absence
+    default_hi() stands for."""
+    lo, hi = args.omega_min, args.omega_max
+    hi = default_hi() if hi is None else hi
     # one chained comparison, so that a NaN edge fails it too
-    if points < 2 or not 0.0 <= lo < hi < math.inf:
+    if args.points < 2 or not 0.0 <= lo < hi < math.inf:
         raise ValueError("need finite 0 <= omega-min < omega-max and "
                          "points >= 2")
-    return np.linspace(lo, hi, points)
+    return np.linspace(lo, hi, args.points)
 
 
 # -- commands ------------------------------------------------------------------
@@ -331,12 +294,12 @@ def _omega_grid(lo: float, hi: float, points: int) -> np.ndarray:
 def cmd_spectrum(args) -> int:
     signal = _build_signal(args)
     protocol = _build_protocol(args)
-    omegas = _grid(args, protocol, signal)
+    omegas = _grid(args, lambda: 8.0 * feature_scale(protocol, signal))
     values = qfi_vs_omega(protocol, signal, omegas=omegas,
-                          ode_tol=_ode_tol(args))
-    _write_formatted(args, "csv", {"schema": SCHEMA_TAG.lstrip("# "),
-                                   "omega": [float(w) for w in omegas],
-                                   "J": [float(v) for v in values]},
+                          ode_tol=_positive("--ode-tol", args.ode_tol))
+    _write_formatted(args, {"schema": SCHEMA_TAG.lstrip("# "),
+                            "omega": [float(w) for w in omegas],
+                            "J": [float(v) for v in values]},
                      "omega,J", zip(omegas.tolist(), values.tolist()))
     return EXIT_OK
 
@@ -375,14 +338,13 @@ def cmd_iqfi(args) -> int:
     signal = _build_signal(args)
     protocol = _build_protocol(args)
     spectrum = integrate_iqfi(protocol, signal, cfg=_quad_cfg(args),
-                              ode_tol=_ode_tol(args))
+                              ode_tol=_positive("--ode-tol", args.ode_tol))
     reports = _applicable_bounds(protocol, signal, spectrum.integral,
                                  spectrum.error_estimate)
     values = {"K": spectrum.integral, "K_err": spectrum.error_estimate,
               "tail_start": spectrum.tail_start, "method": spectrum.method}
-    _write_formatted(args, "json", {"schema": SCHEMA_TAG.lstrip("# "),
-                                    **values,
-                                    "bounds": [r.to_dict() for r in reports]},
+    _write_formatted(args, {"schema": SCHEMA_TAG.lstrip("# "), **values,
+                            "bounds": [r.to_dict() for r in reports]},
                      "key,value",
                      [*values.items(),
                       *((f"margin[{r.name}]", r.margin) for r in reports)])
@@ -390,23 +352,23 @@ def cmd_iqfi(args) -> int:
 
 
 def cmd_fig1(args) -> int:
-    t_list = _float_list(_resolve(args, "T_list", "2,3,4,6,8,11,16,23,32"))
-    b_list = _float_list(_resolve(args, "B", "1.0,0.01"))
+    t_list = _float_list(args.T_list)
+    b_list = _float_list(args.B)
     # an empty list (",") would write files without rows, or no file
     if not t_list or not all(math.isfinite(T) and T > 0.0 for T in t_list):
         raise ValueError(f"--T-list entries must be positive and finite, "
                          f"got {t_list}")
     if not b_list or not all(math.isfinite(b) for b in b_list):
         raise ValueError(f"--B values must be finite, got {b_list}")
-    g = _resolve(args, "g", math.pi / 2.0, float)
-    if not math.isfinite(g):
-        raise ValueError(f"--g must be finite, got {g}")
-    cfg = _quad_cfg(args, **BATTERY_CFG_KW)
-    window = _float_list(_resolve(args, "slope_window", "8,32"))
+    if not math.isfinite(args.g):
+        raise ValueError(f"--g must be finite, got {args.g}")
+    cfg = QuadratureConfig(**BATTERY_CFG_KW, rel_tol=args.rel_tol)
+    window = _float_list(args.slope_window)
     # one chained comparison, so that a NaN edge fails it too
     if len(window) != 2 or not -math.inf < window[0] < window[1] < math.inf:
         raise ValueError(f"--slope-window needs two finite numbers lo < hi, "
                          f"got {window}")
+    targets = _targets(args, [f"B{_fmt(b)}" for b in b_list])
 
     def family(T):
         return _build_protocol(args, "trotter-gx", T)
@@ -418,33 +380,31 @@ def cmd_fig1(args) -> int:
         nan = float("nan")
         rows = [(p.T, nan if p.failed else p.K, nan if p.failed else p.K_err,
                  sweep.slope) for p in sweep.points]
-        texts.append((f"B{_fmt(b)}", _csv_text(
+        texts.append(_csv_text(
             "T,K,K_err,slope_window", rows,
-            comments=[f"B={_fmt(b)} g={_fmt(g)} m=2T slope fitted on "
-                      f"[{_fmt(window[0])},{_fmt(window[1])}]"])))
-    _write(args, texts, default="fig1.csv")
+            comments=[f"B={_fmt(b)} g={_fmt(args.g)} m=2T slope fitted on "
+                      f"[{_fmt(window[0])},{_fmt(window[1])}]"]))
+    _write(targets, texts)
     return EXIT_OK
 
 
 def cmd_fig2(args) -> int:
-    T = _duration(args, 8.0)
-    g = _resolve(args, "g", math.pi / 2.0, float)
-    signal = _build_signal(args, default_b=1.0)
-    ode_tol = _ode_tol(args)
-    protocols = [(tag, _build_protocol(args, tag, T))
-                 for tag in ("ramsey", "pi-train", "pi2-train", "gx")]
-    lo = _resolve(args, "omega_min", 0.0, float)
-    hi = _resolve(args, "omega_max", max(4.0 * g, 8.0 * math.pi / T), float)
-    omegas = _omega_grid(lo, hi, _resolve(args, "points", 601, int))
+    tags = ("ramsey", "pi-train", "pi2-train", "gx")
+    targets = _targets(args, tags)
+    T = _positive("--T", args.T)
+    signal = _build_signal(args)
+    ode_tol = _positive("--ode-tol", args.ode_tol)
+    protocols = [_build_protocol(args, tag, T) for tag in tags]
+    omegas = _grid(args, lambda: max(4.0 * args.g, 8.0 * math.pi / T))
     texts = []
-    for tag, protocol in protocols:
+    for tag, protocol in zip(tags, protocols):
         values = qfi_vs_omega(protocol, signal, omegas=omegas,
                               ode_tol=ode_tol)
-        texts.append((tag, _csv_text(
+        texts.append(_csv_text(
             "omega,J", zip(omegas.tolist(), values.tolist()),
             comments=[f"protocol={tag} T={_fmt(T)} "
-                      f"zeta_B={_fmt(signal.zeta * signal.B)}"])))
-    _write(args, texts, default="fig2")
+                      f"zeta_B={_fmt(signal.zeta * signal.B)}"]))
+    _write(targets, texts)
     return EXIT_OK
 
 
@@ -539,10 +499,9 @@ def run_bound_battery(seed: int = BATTERY_SEED, draws: int = 10,
 
 
 def cmd_bounds_check(args) -> int:
-    seed = _resolve(args, "seed", BATTERY_SEED, int)
-    draws = _resolve(args, "draws", 10, int)
-    reports = [r.to_dict() for r in run_bound_battery(seed, draws=draws)]
-    _write_formatted(args, "json", reports, ",".join(reports[0]),
+    reports = [r.to_dict() for r in run_bound_battery(args.seed,
+                                                      draws=args.draws)]
+    _write_formatted(args, reports, ",".join(reports[0]),
                      [r.values() for r in reports])
     if not all(r["satisfied"] for r in reports):
         return EXIT_BOUND
@@ -557,8 +516,7 @@ def cmd_haar(args) -> int:
     r = haar_average_iqfi(protocol, signal, cfg=_quad_cfg(args))
     values = {"K_avg": r.value, "stderr": r.stderr, "method": r.method,
               "samples": r.samples}
-    _write_formatted(args, "json",
-                     {"schema": SCHEMA_TAG.lstrip("# "), **values},
+    _write_formatted(args, {"schema": SCHEMA_TAG.lstrip("# "), **values},
                      "key,value", values.items())
     return EXIT_OK
 
@@ -566,49 +524,59 @@ def cmd_haar(args) -> int:
 # -- argument plumbing ---------------------------------------------------------
 
 
-# add_argument keywords of every flag but --config
+# add_argument keywords of every flag but --config; a default of None is
+# worked out in code
 _FLAGS = {
-    "--protocol": dict(choices=PROTOCOL_NAMES,
-                       help="protocol family (default ramsey)"),
-    "--T": dict(type=float, help="total duration (default 4)"),
-    "--B": dict(help="field value (default 0)"),
-    "--zeta": dict(type=float, help="field-to-frequency factor (default 1)"),
-    "--phi": dict(type=float, help="signal phase offset (default 0)"),
-    "--g": dict(type=float, help="drive rate (default pi/2)"),
+    "--protocol": dict(choices=PROTOCOL_NAMES, default="ramsey",
+                       help="protocol family"),
+    "--T": dict(type=float, help="total duration (default 4, or the end of "
+                                 "a ghz --times list)"),
+    "--B": dict(default="0", help="field value"),
+    "--zeta": dict(type=float, default=1.0, help="field-to-frequency factor"),
+    "--phi": dict(type=float, default=0.0, help="signal phase offset"),
+    "--g": dict(type=float, default=math.pi / 2.0, help="drive rate"),
     "--m": dict(type=int, help="trotter segment count (default 2T)"),
     "--times": dict(help="comma list: pulse times / ghz boundaries"),
-    "--spacing": dict(type=float, help="pi/2-train spacing (default 0.5)"),
-    "--n": dict(type=int, help="ghz qubit count (default 2)"),
-    "--alpha": dict(type=float, help="initial polar angle (default pi/2)"),
-    "--beta": dict(type=float, help="initial azimuth (default 0)"),
+    "--spacing": dict(type=float, default=0.5, help="pi/2-train spacing"),
+    "--n": dict(type=int, default=2, help="ghz qubit count"),
+    "--alpha": dict(type=float, default=math.pi / 2.0,
+                    help="initial polar angle"),
+    "--beta": dict(type=float, default=0.0, help="initial azimuth"),
     "--flips": dict(help="ghz collective flips per interior boundary, "
                          "0/1 list"),
-    "--omega-min": dict(type=float, help="grid start (default 0)"),
+    "--omega-min": dict(type=float, default=0.0, help="grid start"),
     "--omega-max": dict(type=float, help="grid end (default 8 times the "
                                          "protocol's highest frequency)"),
-    "--points": dict(type=int, help="grid size (default 513)"),
-    "--rel-tol": dict(type=float,
-                      help="integration relative tolerance (default "
-                           f"{QuadratureConfig.rel_tol:g})"),
+    "--points": dict(type=int, default=513, help="grid size"),
+    "--rel-tol": dict(type=float, default=QuadratureConfig.rel_tol,
+                      help="integration relative tolerance"),
     "--tail-factor": dict(type=float,
+                          default=QuadratureConfig.tail_start_factor,
                           help="where the closed-form tail starts, in units "
                                "of the protocol's highest intrinsic "
-                               "frequency (default "
-                               f"{QuadratureConfig.tail_start_factor:g})"),
-    "--max-panels": dict(type=int,
-                         help="integration panel budget (default "
-                              f"{QuadratureConfig.max_panels})"),
-    "--ode-tol": dict(type=float,
+                               "frequency"),
+    "--max-panels": dict(type=int, default=QuadratureConfig.max_panels,
+                         help="integration panel budget"),
+    "--ode-tol": dict(type=float, default=ODE_TOL,
                       help="error target of a continuous drive's state and "
-                           f"field derivative (default {ODE_TOL:g})"),
-    "--T-list": dict(help="comma list of durations (default 2..32)"),
-    "--slope-window": dict(help="T window for the log-log fit (default 8,32)"),
-    "--draws": dict(type=int,
-                    help="random draws per battery item (default 10)"),
-    "--seed": dict(type=int, help="battery rng seed (default 1905)"),
-    "--format": dict(choices=("csv", "json"), help="output format"),
+                           "field derivative"),
+    "--T-list": dict(default="2,3,4,6,8,11,16,23,32",
+                     help="comma list of durations"),
+    "--slope-window": dict(default="8,32",
+                           help="T window for the log-log fit"),
+    "--draws": dict(type=int, default=10,
+                    help="random draws per battery item"),
+    "--seed": dict(type=int, default=BATTERY_SEED, help="battery rng seed"),
+    "--format": dict(choices=("csv", "json"), default="json",
+                     help="output format"),
     "--out": dict(help="output path ('-' = stdout)"),
 }
+# config keys: the flags' names without dashes, in lower case
+_CONFIG_KEYS = {flag.lstrip("-").replace("-", "_").lower(): flag
+                for flag in _FLAGS}
+# the top parser's defaults, by the flags' dest
+_DEFAULTS = {flag[2:].replace("-", "_"): kw.get("default")
+             for flag, kw in _FLAGS.items()}
 _SIGNAL = ("--B", "--zeta", "--phi")
 _PULSES = ("--protocol", "--T", "--g", "--m", "--times", "--spacing")
 # haar reads neither the initial state, which the average replaces, nor a
@@ -616,65 +584,89 @@ _PULSES = ("--protocol", "--T", "--g", "--m", "--times", "--spacing")
 _PROTOCOL = _PULSES + ("--n", "--alpha", "--beta", "--flips")
 _GRID = ("--omega-min", "--omega-max", "--points")
 _QUADRATURE = ("--rel-tol", "--tail-factor", "--max-panels")
-# name, function, help, the flags it reads besides --config and --out, and
-# the help texts that differ from _FLAGS'
-_COMMANDS = (
-    ("spectrum", cmd_spectrum, "J(B|omega) on a frequency grid",
-     _SIGNAL + _PROTOCOL + _GRID + ("--ode-tol", "--format"), {}),
-    ("iqfi", cmd_iqfi, "integrated QFI with error estimate and bounds",
-     _SIGNAL + _PROTOCOL + _QUADRATURE + ("--ode-tol", "--format"), {}),
-    ("fig1", cmd_fig1, "K vs T sweep for the trotterized drive",
-     ("--B", "--g", "--rel-tol", "--T-list", "--slope-window"),
-     {"--B": "comma list of field values, one output file each "
-             "(default 1.0,0.01)",
-      "--out": "output path; with several fields, one file per field "
-               "(default fig1.csv)"}),
-    ("fig2", cmd_fig2, "spectra of the four standard protocols",
-     ("--T", "--g") + _SIGNAL + _GRID + ("--ode-tol",),
-     {"--B": "field value (default 1)", "--T": "total duration (default 8)",
-      "--omega-max": "grid end (default max(4g, 8 pi/T))",
-      "--points": "grid size (default 601)",
-      "--out": "output stem; one file per protocol (default fig2)"}),
-    ("bounds-check", cmd_bounds_check, "randomized bound battery",
-     ("--draws", "--seed", "--format"), {}),
-    ("haar", cmd_haar, "initial-state averaged integrated QFI",
-     _SIGNAL + _PULSES + _QUADRATURE + ("--format",), {}),
-)
+# name: function, help, the flags it reads besides --config and --out, and
+# the add_argument keywords of those whose keywords differ from _FLAGS'
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, "J(B|omega) on a frequency grid",
+                 _SIGNAL + _PROTOCOL + _GRID + ("--ode-tol", "--format"),
+                 {"--format": dict(_FLAGS["--format"], default="csv")}),
+    "iqfi": (cmd_iqfi, "integrated QFI with error estimate and bounds",
+             _SIGNAL + _PROTOCOL + _QUADRATURE + ("--ode-tol", "--format"),
+             {}),
+    "fig1": (cmd_fig1, "K vs T sweep for the trotterized drive",
+             ("--B", "--g", "--rel-tol", "--T-list", "--slope-window"),
+             {"--B": dict(_FLAGS["--B"], default="1.0,0.01",
+                          help="comma list of field values, one output "
+                               "each"),
+              "--out": dict(_FLAGS["--out"], default="fig1.csv",
+                            help="output path; with several fields, one "
+                                 "file per field")}),
+    "fig2": (cmd_fig2, "spectra of the four standard protocols",
+             ("--T", "--g") + _SIGNAL + _GRID + ("--ode-tol",),
+             {"--B": dict(_FLAGS["--B"], default="1"),
+              "--T": dict(_FLAGS["--T"], default=8.0, help="total duration"),
+              "--omega-max": dict(_FLAGS["--omega-max"],
+                                  help="grid end (default max(4g, 8 pi/T))"),
+              "--points": dict(_FLAGS["--points"], default=601),
+              "--out": dict(_FLAGS["--out"], default="fig2",
+                            help="output stem; one file per protocol")}),
+    "bounds-check": (cmd_bounds_check, "randomized bound battery",
+                     ("--draws", "--seed", "--format"), {}),
+    "haar": (cmd_haar, "initial-state averaged integrated QFI",
+             _SIGNAL + _PULSES + _QUADRATURE + ("--format",), {}),
+}
+
+
+class _Help(argparse.HelpFormatter):
+    """Ends the help of a flag with its default, unless that is None."""
+
+    def _get_help_string(self, action):
+        if action.default is None or action.default == argparse.SUPPRESS:
+            return action.help
+        return action.help + " (default %(default)s)"
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Subcommands with the flags each reads; the parser's defaults carry
-    config_types, the converter of every command's config key."""
+    """Subcommands with the flags each reads.  The top parser's defaults
+    hold every flag's, so a command reads the flags it lacks at them."""
     ap = argparse.ArgumentParser(
         prog="iqfi-lab",
         description="Broadband sensing toolkit: QFI spectra, integrated "
                     "sensitivity, figure data, and bound checks.")
     sub = ap.add_subparsers(dest="command", required=True)
-    types = {}
-    for name, fn, help_text, flags, helps in _COMMANDS:
+    for name, (fn, help_text, flags, overrides) in _COMMANDS.items():
         # exact names only: a prefix would let fig1's --T mean --T-list
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.add_argument("--config", help="INI-style config file; flags override")
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False,
+                           formatter_class=_Help)
+        p.add_argument("--config", help="INI-style config file, read as "
+                                        "flags before the given ones")
         for flag in flags + ("--out",):
-            action = p.add_argument(flag, **_FLAGS[flag])
-            action.help = helps.get(flag, action.help)
-            types[action.dest.lower()] = action.type or str
+            p.add_argument(flag, **overrides.get(flag, _FLAGS[flag]))
         p.set_defaults(func=fn)
-    ap.set_defaults(config_types=types)
+    ap.set_defaults(**_DEFAULTS)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        args._config = (_load_config(args.config, args.config_types)
-                        if args.config else {})
+        if args.config:
+            # the file's words go first, so that the given flags win
+            at = argv.index(args.command) + 1
+            flags = _COMMANDS[args.command][2] + ("--out",)
+            args = parser.parse_args(
+                argv[:at] + _config_words(args.config, flags) + argv[at:])
         return args.func(args)
     except ValueError as exc:  # bad input, from any layer
         print(f"iqfi-lab: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OverflowError as exc:  # math on a number beyond the floats
         print(f"iqfi-lab: a number is out of range: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # an array larger than the memory
+        print(f"iqfi-lab: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationError as exc:  # QuadratureNonConvergence too
         print(f"iqfi-lab: integration failed: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Command-line surface: formats, config precedence, exit codes, outputs."""
+"""Command-line surface: formats, config files, defaults, exit codes, outputs."""
 
 import ast
 import json
@@ -156,7 +156,9 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["# keys\nT = 4\nT = 5\n", "x\n",
-                                  "[a]\nT = 1\n[a]\n", "[]\nT = 1\n"])
+                                  "[a]\nT = 1\n[a]\n", "[]\nT = 1\n",
+                                  # an interpolation traceback, exit 1
+                                  "out = a%b.json\n"])
 def test_config_parse_error_exits_2_with_one_line(text, tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text)
@@ -169,6 +171,52 @@ def test_config_parse_error_exits_2_with_one_line(text, tmp_path, capsys):
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "iqfi", "--config", str(tmp_path / "nope.ini"))
     assert code == 2 and "nope.ini" in err
+
+
+def test_config_values_keep_their_checks(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    # iqfi has no --points, but the key's value is still checked
+    cfg.write_text("points = x\n")
+    code, out, err = run(capsys, "iqfi", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"iqfi-lab: bad value for 'points' in {cfg}: 'x'\n"
+
+
+@pytest.mark.parametrize("text", ["protocol = foo\n", "format = xml\n"])
+def test_config_value_outside_the_choices_exits_2(text, tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["iqfi", "--config", str(cfg)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice" in captured.err
+
+
+def test_config_value_is_read_as_one_word(tmp_path, capsys):
+    # a value that starts with '-' is no option
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("b = -0.5\nprotocol = pi-train\n")
+    got = run(capsys, "iqfi", "--config", str(cfg))
+    assert got[0] == 0
+    assert got == run(capsys, "iqfi", "--protocol", "pi-train", "--B=-0.5")
+    cfg.write_text("b = -inf\n")
+    code, out, err = run(capsys, "iqfi", "--config", str(cfg))
+    assert code == 2 and out == "" and "finite" in err
+
+
+def test_module_entry_reads_sys_argv(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("protocol = ramsey\nt = 2\nb = 0\n")
+    argv = ["iqfi", "--config", str(cfg), "--T", "8"]
+    code, out, _ = run(capsys, *argv)
+    src = str(Path(iqfi_lab.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "iqfi_lab.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+    assert json.loads(out)["K"] == pytest.approx(16.0 * math.pi, rel=1e-3)
 
 
 def test_bad_phase_exits_2(capsys):
@@ -375,6 +423,54 @@ def test_out_of_range_numbers_exit_with_one_line(argv, code, capsys, tmp_path,
             if p.name.startswith(".iqfi-")] == []
 
 
+def test_several_files_are_written_all_or_nothing(tmp_path, capsys):
+    # p-ramsey.csv and p-pi-train.csv were renamed before the directory
+    # that has the third file's name stopped the run
+    (tmp_path / "p-pi2-train.csv").mkdir()
+    code, out, err = run(capsys, "fig2", "--T", "4", "--points", "5",
+                         "--out", str(tmp_path / "p"))
+    assert code == 2 and out == "" and "is a directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["p-pi2-train.csv"]
+
+
+@pytest.mark.parametrize("command, outputs", [("fig1", 2), ("fig2", 4)])
+def test_several_outputs_to_stdout_are_refused_before_any_work(
+        command, outputs, tmp_path, monkeypatch, capsys):
+    def compute(*args, **kwargs):
+        raise AssertionError("computed before --out - was refused")
+    monkeypatch.setattr(iqfi_lab.cli, "sweep_iqfi_vs_T", compute)
+    monkeypatch.setattr(iqfi_lab.cli, "qfi_vs_omega", compute)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, "--out", "-")
+    assert code == 2 and out == "" and not list(tmp_path.iterdir())
+    assert err == (f"iqfi-lab: --out - takes one output, not {outputs}; "
+                   f"give a file stem\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--points", "100000000000"),
+    ("iqfi", "--protocol", "trotter-gx", "--T", "4", "--B", "1",
+     "--max-panels", "100000000000", "--tail-factor", "1e9"),
+])
+def test_allocation_beyond_memory_exits_2(argv, tmp_path):
+    # _ArrayMemoryError tracebacks, exit 1.  An address-space limit fails
+    # the allocation whatever the host's overcommit policy, before any page
+    # of it is touched
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from iqfi_lab.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(iqfi_lab.cli.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("iqfi-lab: out of memory: ")
+    assert proc.stderr.count("\n") == 1 and not list(tmp_path.iterdir())
+
+
 def test_output_files_are_byte_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["spectrum", "--protocol", "pi-train", "--times", "1,3", "--T", "4",
@@ -444,6 +540,16 @@ def test_fig2_writes_four_spectra(tmp_path, capsys):
         lines = path.read_text().strip().splitlines()
         assert lines[0] == TAG
         assert any(ln == "omega,J" for ln in lines[1:3])
+
+
+def test_fig2_help_shows_the_parser_defaults(capsys):
+    args = build_parser().parse_args(["fig2"])
+    assert (args.T, args.points) == (8.0, 601)
+    with pytest.raises(SystemExit):
+        main(["fig2", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "total duration (default 8.0)" in help_text
+    assert "grid size (default 601)" in help_text
 
 
 def test_fig2_bad_duration_exits_2(tmp_path, monkeypatch, capsys):
@@ -574,7 +680,7 @@ def test_one_config_file_serves_every_command(tmp_path, monkeypatch, capsys):
     # the accepted keys are the union of every command's flags
     keys = {flag.lstrip("-").replace("-", "_").lower()
             for flags in ACCEPTED.values() for flag in flags + ("--out",)}
-    assert set(build_parser().parse_args(["haar"]).config_types) == keys
+    assert set(iqfi_lab.cli._CONFIG_KEYS) == keys
     assert len(keys) == 26
 
 
@@ -602,7 +708,7 @@ def test_only_main_maps_exceptions_to_exit_codes():
     outside = [node for node in ast.walk(tree)
                if isinstance(node, ast.ExceptHandler)
                and id(node) not in in_main]
-    assert outside  # _load_config, _atomic_write, ... re-raise with context
+    assert outside  # _config_words, _write, ... re-raise with context
     assert [node.lineno for node in outside
             if not any(isinstance(n, ast.Raise) for n in node.body)] == []
     assert "ConfigError" not in vars(iqfi_lab.cli)
