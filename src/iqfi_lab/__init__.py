@@ -36,6 +36,7 @@ from .iqfi import (
 )
 from .bounds import (
     BoundReport,
+    applicable,
     b0_linear_bound,
     ghz_scaling,
     n_pulse_bound,

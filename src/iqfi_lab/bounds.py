@@ -2,7 +2,9 @@
 
 Everything here is an independent analytic expression: no function in this
 module calls the evolution or quadrature code, so that measured numbers and
-reference numbers come from separate routes.
+reference numbers come from separate routes.  It reads the protocol types
+only to decide, in `applicable`, which bound holds where.  Each function
+says whether its statement is proved, and how, or only checked.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
+
+from .protocol import GhzProtocol, PulseSequence, TransverseDrive
 
 __all__ = [
     "BoundReport",
@@ -26,6 +30,7 @@ __all__ = [
     "rwa_qfi",
     "rwa_state",
     "rwa_iqfi_lower_bound",
+    "applicable",
 ]
 
 
@@ -140,18 +145,27 @@ def pi_train_qfi(omega, times, alpha: float = math.pi / 2.0,
 
 
 def b0_linear_bound(T: float, B: float, zeta: float = 1.0) -> float:
-    """Small-field cap on K for arbitrary pulse protocols:
+    """Small-field cap on K for arbitrary pulse protocols at phi = 0:
 
         K <= 2*pi*zeta^2*T + 40*pi*zeta^4*B^2*T^3
 
     Exact at B = 0; the cubic term is the perturbative allowance, valid for
-    zeta*B*T well below 1.
+    zeta*B*T well below 1.  Checked, not proved: acceptance check 06 and
+    the bound battery hold it on random sequences at zeta*B*T <= 0.1.
     """
     return 2.0 * math.pi * zeta ** 2 * T + 40.0 * math.pi * zeta ** 4 * B ** 2 * T ** 3
 
 
 def n_pulse_bound(N: int, T: float, zeta: float = 1.0) -> float:
-    """K <= 2*pi*N*zeta^2*T for protocols with N free-evolution segments."""
+    """K <= 2*pi*N*zeta^2*T for protocols with N free-evolution segments.
+
+    Proved at phi = 0, for any B.  In segment k the field commutes with Z,
+    so the toggling-frame axis r_k of Z is constant there, and
+    J <= 4 zeta^2 |sum_k Theta_k r_k|^2 <= 4 zeta^2 N sum_k Theta_k^2 by
+    Cauchy-Schwarz.  At phi = 0, Theta_k = (sin(omega b_k) -
+    sin(omega a_k))/omega, whose square integrates over omega to
+    (pi/2)*len_k; the lengths sum to T.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     return 2.0 * math.pi * N * zeta ** 2 * T
@@ -161,7 +175,10 @@ def ghz_scaling(n: int, T: float, zeta: float = 1.0):
     """(entangled, separable) = (2*pi*n^2*zeta^2*T, 2*pi*n*zeta^2*T).
 
     The first is the n-qubit GHZ value, the second the cap for n unentangled
-    qubits measured in parallel.
+    qubits measured in parallel.  The entangled value is exact, proved at
+    B = phi = 0: in the {|0...0>, |1...1>} plane the register is one qubit
+    from |+> with coupling n*zeta, and its collective flips are pi pulses
+    about x, so K is a pi train's 2*pi*(n*zeta)^2*T (pi_train_closed_form).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -240,7 +257,9 @@ def rwa_iqfi_lower_bound(T: float, B: float, g: float,
 
     obtained by integrating the squared-Lorentzian envelope of the
     rotating-frame spectrum over [g, 3g].  Requires zeta*|B|*T well above
-    1 for the envelope to hold.  J is even in B (conjugating by X flips the
+    1 for the envelope to hold.  Checked, not proved: the envelope is the
+    model's, and the bound battery checks the floor against the band
+    integral of the drive itself.  J is even in B (conjugating by X flips the
     field and leaves |+> alone), so the floor takes |B|.
     """
     u = zeta * abs(B)
@@ -249,3 +268,49 @@ def rwa_iqfi_lower_bound(T: float, B: float, g: float,
     return zeta ** 2 * T ** 2 * (
         g / (1.0 + g * g / (u * u)) + u * math.atan2(g, u)
     )
+
+
+# -- which bound holds where ---------------------------------------------------
+
+
+def applicable(protocol, signal, k: float, k_err: float) -> list[BoundReport]:
+    """The report of every bound above that holds for protocol under
+    signal, checked against a measured K of k with error k_err, in this
+    order and on these domains:
+
+    - segment_count_cap, n_pulse_bound of the segment count, with slack
+      k_err: a PulseSequence at phi = 0, any B.
+    - small_field_cap, b0_linear_bound, with slack k_err: a PulseSequence
+      at phi = 0 with zeta*|B|*T <= 0.5.
+    - ghz_entangled_value, ghz_scaling's entangled value to 1 %: a
+      GhzProtocol at B = phi = 0.
+    - resonance_band_floor, rwa_iqfi_lower_bound: a TransverseDrive where
+      the floor is positive, so B != 0; a floor of 0 bounds nothing.
+
+    Both caps hold at phi = 0 only: a single tilted-phase segment already
+    reaches 2 zeta^2 T (pi + ln 4), above the flat cap.  Any other
+    protocol, a PiecewiseGenerator among them, gets no report.
+    """
+    reports = []
+    T = float(protocol.total_time)
+    z = signal.zeta
+    if isinstance(protocol, PulseSequence) and signal.phi == 0.0:
+        n_seg = protocol.segment_count()
+        reports.append(report_bound(
+            "segment_count_cap", k, n_pulse_bound(n_seg, T, zeta=z),
+            slack=k_err))
+        if z * abs(signal.B) * T <= 0.5:
+            reports.append(report_bound(
+                "small_field_cap", k, b0_linear_bound(T, signal.B, zeta=z),
+                slack=k_err))
+    elif isinstance(protocol, GhzProtocol) and signal.B == 0.0 \
+            and signal.phi == 0.0:
+        reports.append(report_equality(
+            "ghz_entangled_value", k, ghz_scaling(protocol.n, T, zeta=z)[0],
+            tolerance=0.01))
+    elif isinstance(protocol, TransverseDrive):
+        floor = rwa_iqfi_lower_bound(T=T, B=signal.B, g=protocol.g, zeta=z)
+        if floor > 0.0:
+            reports.append(report_lower_bound("resonance_band_floor", k,
+                                              floor))
+    return reports

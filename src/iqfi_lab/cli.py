@@ -1,5 +1,8 @@
 """Command line front end: spectra, integrals, figure data, bound battery.
 
+Which bound holds where is bounds.applicable's, and the battery is
+battery.run_bound_battery's; here they are only called.
+
 Each command accepts --config, --out and only the flags it reads (see
 build_parser); any other flag is an argparse error.  Every default is
 written once, in the parser; one that follows from other settings is None
@@ -30,28 +33,17 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 
-from .bounds import (
-    BoundReport,
-    b0_linear_bound,
-    ghz_scaling,
-    n_pulse_bound,
-    ramsey_closed_form,
-    report_bound,
-    report_equality,
-    report_lower_bound,
-    rwa_iqfi_lower_bound,
-)
+from .battery import BATTERY_CFG_KW, BATTERY_SEED, run_bound_battery
+from .bounds import applicable
 from .evolution import ODE_TOL, IntegrationError, qfi_vs_omega
 from .iqfi import (
     QuadratureConfig,
     feature_scale,
     haar_average_iqfi,
     integrate_iqfi,
-    integrate_qfi_band,
     sweep_iqfi_vs_T,
 )
 from .protocol import (
@@ -62,7 +54,6 @@ from .protocol import (
     make_pi_train,
     make_ramsey,
     make_trotterized_gx,
-    random_pulse_sequence,
 )
 from .signal_core import SignalParams
 
@@ -73,17 +64,6 @@ EXIT_INTEGRATION = 3
 EXIT_BOUND = 4
 
 PROTOCOL_NAMES = ("ramsey", "pi-train", "pi2-train", "trotter-gx", "gx", "ghz")
-
-# battery and acceptance checks start the closed-form tail further out than
-# the default factor of 40: it is exact for pulse trains at B = 0, but at
-# B != 0 its error bound falls as 1/factor^2
-BATTERY_CFG_KW = dict(tail_start_factor=240.0, max_panels=40000)
-BATTERY_SEED = 1905
-# Bloch angles (alpha, beta) of the six Pauli eigenstates; the mean of K
-# over them is the exact Haar average, since J has degree 2 in psi0, psi0*
-PAULI_STATES = ((0.0, 0.0), (math.pi, 0.0), (math.pi / 2.0, 0.0),
-                (math.pi / 2.0, math.pi), (math.pi / 2.0, math.pi / 2.0),
-                (math.pi / 2.0, 1.5 * math.pi))
 
 
 # -- config file ---------------------------------------------------------------
@@ -166,6 +146,8 @@ def _targets(args, tags=("",)) -> list:
     to stdout if that is '-' or absent; several go to <stem>-<tag><ext>,
     ext .csv if it has none."""
     out = args.out
+    if out == "":  # an empty stem made files named -ramsey.csv, ...
+        raise ValueError("--out is empty; give a path, or - for stdout")
     if len(tags) == 1:
         return [None if out in (None, "-") else out]
     if out in (None, "-"):
@@ -304,43 +286,13 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _applicable_bounds(protocol, signal, k: float, k_err: float) -> list:
-    reports = []
-    T = float(protocol.total_time)
-    z = signal.zeta
-    if isinstance(protocol, PulseSequence):
-        # both caps hold at signal phase 0 only: a single tilted-phase
-        # segment already reaches 2 zeta^2 T (pi + ln 4), above the flat cap
-        if signal.phi == 0.0:
-            n_seg = protocol.segment_count()
-            reports.append(report_bound(
-                "segment_count_cap", k, n_pulse_bound(n_seg, T, zeta=z),
-                slack=k_err))
-            if z * abs(signal.B) * T <= 0.5:
-                reports.append(report_bound(
-                    "small_field_cap", k, b0_linear_bound(T, signal.B, zeta=z),
-                    slack=k_err))
-    elif isinstance(protocol, GhzProtocol):
-        if signal.B == 0.0 and signal.phi == 0.0:
-            ent, _ = ghz_scaling(protocol.n, T, zeta=z)
-            reports.append(report_equality(
-                "ghz_entangled_value", k, ent, tolerance=0.01))
-    elif isinstance(protocol, TransverseDrive):
-        # a floor of 0 (at B = 0) or below bounds nothing
-        floor = rwa_iqfi_lower_bound(T=T, B=signal.B, g=protocol.g, zeta=z)
-        if floor > 0.0:
-            reports.append(report_lower_bound("resonance_band_floor", k,
-                                              floor))
-    return reports
-
-
 def cmd_iqfi(args) -> int:
     signal = _build_signal(args)
     protocol = _build_protocol(args)
     spectrum = integrate_iqfi(protocol, signal, cfg=_quad_cfg(args),
                               ode_tol=_positive("--ode-tol", args.ode_tol))
-    reports = _applicable_bounds(protocol, signal, spectrum.integral,
-                                 spectrum.error_estimate)
+    reports = applicable(protocol, signal, spectrum.integral,
+                         spectrum.error_estimate)
     values = {"K": spectrum.integral, "K_err": spectrum.error_estimate,
               "tail_start": spectrum.tail_start, "method": spectrum.method}
     _write_formatted(args, {"schema": SCHEMA_TAG.lstrip("# "), **values,
@@ -408,104 +360,12 @@ def cmd_fig2(args) -> int:
     return EXIT_OK
 
 
-# -- bound battery -------------------------------------------------------------
-
-
-def _worst_of(draws: int, draw) -> BoundReport:
-    """The report of least margin over `draws` calls of draw(), in order,
-    the first on ties; its name gains the suffix _worst_of_<draws>."""
-    worst = min((draw() for _ in range(draws)), key=lambda r: r.margin)
-    return replace(worst, name=f"{worst.name}_worst_of_{draws}")
-
-
-def run_bound_battery(seed: int = BATTERY_SEED, draws: int = 10,
-                      cfg: QuadratureConfig = None) -> list:
-    """Randomized regression battery over every closed form and cap."""
-    if draws < 1:  # each worst-of-draws item needs a draw
-        raise ValueError(f"--draws must be >= 1, got {draws}")
-    if seed < 0:  # numpy's generators take no negative seed
-        raise ValueError(f"--seed must be >= 0, got {seed}")
-    cfg = cfg or QuadratureConfig(**BATTERY_CFG_KW)
-    rng = np.random.default_rng(seed)
-    reports = []
-    z2pi = 2.0 * math.pi
-
-    T = 4.0
-    sig = SignalParams(B=0.1, omega=0.0)
-    k = integrate_iqfi(make_ramsey(T), sig, cfg=cfg).integral
-    reports.append(report_equality(
-        "ramsey_flat_phase", k, ramsey_closed_form(T), tolerance=0.005))
-    sig_phi = SignalParams(B=0.1, omega=0.0, phi=0.75 * math.pi)
-    k = integrate_iqfi(make_ramsey(T), sig_phi, cfg=cfg).integral
-    reports.append(report_equality(
-        "ramsey_tilted_phase", k, ramsey_closed_form(T, phi=0.75 * math.pi),
-        tolerance=0.005))
-
-    def pi_train():
-        seq = random_pulse_sequence(rng, T, max_pulses=16, kind="pi_xy",
-                                    equator=True)
-        return report_equality("pi_train_invariance",
-                               integrate_iqfi(seq, sig, cfg=cfg).integral,
-                               z2pi * T, tolerance=0.01)
-    reports.append(_worst_of(draws, pi_train))
-
-    r = haar_average_iqfi(make_pi_train([1.0, 2.0, 3.0], T), sig, cfg=cfg)
-    reports.append(report_equality(
-        "haar_pi_train", r.value, (2.0 / 3.0) * z2pi * T, tolerance=0.01))
-
-    seq = random_pulse_sequence(rng, T, max_pulses=6)
-    sig_tilted = SignalParams(B=0.5, omega=0.0, phi=0.3)
-    exact = haar_average_iqfi(seq, sig_tilted, cfg=cfg).value
-    six = math.fsum(integrate_iqfi(PulseSequence(seq.pulses, T, state),
-                                   sig_tilted, cfg=cfg).integral
-                    for state in PAULI_STATES) / len(PAULI_STATES)
-    reports.append(report_equality(
-        "haar_exact_vs_six_states", exact, six, tolerance=1e-9))
-
-    def small_field():
-        Td = float(rng.uniform(0.5, 4.0))
-        b = float(rng.uniform(0.0, 0.1 / Td))
-        seq = random_pulse_sequence(rng, Td, max_pulses=8)
-        spec = integrate_iqfi(seq, SignalParams(B=b, omega=0.0), cfg=cfg)
-        return report_bound("small_field_cap", spec.integral,
-                            b0_linear_bound(Td, b), slack=spec.error_estimate)
-    reports.append(_worst_of(draws, small_field))
-
-    def segment_count():
-        Td = float(rng.uniform(0.5, 4.0))
-        seq = random_pulse_sequence(rng, Td, max_pulses=8)
-        spec = integrate_iqfi(seq, SignalParams(B=1.0, omega=0.0), cfg=cfg)
-        return report_bound("segment_count_cap", spec.integral,
-                            n_pulse_bound(seq.segment_count(), Td),
-                            slack=spec.error_estimate)
-    reports.append(_worst_of(draws, segment_count))
-
-    for n in (2, 3):
-        proto = GhzProtocol(n=n, times=(0.0, T))
-        k = integrate_iqfi(proto, SignalParams(B=0.0, omega=0.0),
-                           cfg=cfg).integral
-        ent, _ = ghz_scaling(n, T)
-        reports.append(report_equality(
-            f"ghz_n{n}_entangled_value", k, ent, tolerance=0.01))
-
-    g = math.pi / 2.0
-    drive = TransverseDrive(g=g, total_time=8.0)
-    band = integrate_qfi_band(drive, SignalParams(B=1.0, omega=0.0),
-                              g, 3.0 * g)
-    reports.append(report_lower_bound(
-        "resonance_band_floor", band.integral,
-        rwa_iqfi_lower_bound(T=8.0, B=1.0, g=g)))
-    return reports
-
-
 def cmd_bounds_check(args) -> int:
     reports = [r.to_dict() for r in run_bound_battery(args.seed,
                                                       draws=args.draws)]
     _write_formatted(args, reports, ",".join(reports[0]),
                      [r.values() for r in reports])
-    if not all(r["satisfied"] for r in reports):
-        return EXIT_BOUND
-    return EXIT_OK
+    return EXIT_OK if all(r["satisfied"] for r in reports) else EXIT_BOUND
 
 
 def cmd_haar(args) -> int:

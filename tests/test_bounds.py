@@ -1,12 +1,16 @@
 """Closed forms, caps, and the driven-protocol reference model."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import iqfi_lab.bounds
 from iqfi_lab.bounds import (
+    applicable,
     b0_linear_bound,
     ghz_scaling,
     n_pulse_bound,
@@ -19,7 +23,9 @@ from iqfi_lab.bounds import (
     rwa_qfi,
     rwa_state,
 )
-from iqfi_lab.signal_core import theta
+from iqfi_lab.protocol import (GhzProtocol, PiecewiseGenerator,
+                               TransverseDrive, make_pi_train, make_ramsey)
+from iqfi_lab.signal_core import SignalParams, theta
 
 
 def test_ramsey_closed_form_values():
@@ -207,3 +213,73 @@ def test_report_equality_semantics():
     assert not bad.satisfied
     zero = report_equality("zero", 0.0, 0.0, tolerance=1e-12)
     assert zero.satisfied
+
+
+def names(protocol, B=0.0, phi=0.0, zeta=1.0, k=1.0, k_err=0.0):
+    return [r.name for r in applicable(
+        protocol, SignalParams(B=B, omega=0.0, phi=phi, zeta=zeta), k, k_err)]
+
+
+def test_applicable_caps_hold_at_phase_zero_only():
+    train = make_pi_train([1.0, 3.0], 4.0)
+    assert names(train) == ["segment_count_cap", "small_field_cap"]
+    assert names(train, phi=1e-9) == []
+    assert names(make_ramsey(4.0), phi=0.75 * math.pi) == []
+
+
+def test_applicable_small_field_cap_ends_at_half():
+    ramsey = make_ramsey(2.0)
+    # zeta*|B|*T = 0.5 exactly, then one ulp above it
+    for B in (0.25, -0.25):
+        assert names(ramsey, B=B) == ["segment_count_cap", "small_field_cap"]
+    assert names(ramsey, B=0.125, zeta=2.0)[1:] == ["small_field_cap"]
+    above = math.nextafter(0.25, 1.0)
+    assert names(ramsey, B=above) == names(ramsey, B=-above) \
+        == ["segment_count_cap"]
+
+
+def test_applicable_rows_carry_the_caps_and_the_slack():
+    train = make_pi_train([1.0, 3.0], 4.0)
+    sig = SignalParams(B=0.05, omega=0.0, zeta=1.5)
+    seg, small = applicable(train, sig, 30.0, 0.2)
+    assert (seg.reference, small.reference) == (
+        n_pulse_bound(3, 4.0, zeta=1.5), b0_linear_bound(4.0, 0.05, zeta=1.5))
+    assert seg.measured == small.measured == 30.0
+    assert seg.tolerance == 0.2 / seg.reference
+    assert small.tolerance == 0.2 / small.reference
+
+
+def test_applicable_ghz_value_only_at_zero_field_and_phase():
+    ghz = GhzProtocol(n=3, times=(0.0, 2.0))
+    (rep,) = applicable(ghz, SignalParams(B=0.0, omega=0.0), 1.0, 0.0)
+    assert (rep.name, rep.kind, rep.tolerance) == \
+        ("ghz_entangled_value", "equality", 0.01)
+    assert rep.reference == ghz_scaling(3, 2.0)[0]
+    assert names(ghz, B=1e-9) == names(ghz, phi=1e-9) == []
+
+
+def test_applicable_drive_has_no_floor_at_zero_field():
+    drive = TransverseDrive(g=0.5 * math.pi, total_time=8.0)
+    assert names(drive) == []
+    for B in (1.0, -1.0):
+        (rep,) = applicable(drive, SignalParams(B=B, omega=0.0), 100.0, 1.0)
+        assert (rep.name, rep.kind) == ("resonance_band_floor", "lower_bound")
+        assert rep.reference == rwa_iqfi_lower_bound(8.0, 1.0, 0.5 * math.pi)
+
+
+def test_applicable_piecewise_generator_gets_no_row():
+    h = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    ctrl = PiecewiseGenerator(pieces=((0.0, 2.0, h),), total_time=2.0)
+    for B in (0.0, 1.0):
+        assert names(ctrl, B=B) == []
+
+
+def test_bounds_module_calls_no_evolution_or_quadrature():
+    """Reference numbers come from a route apart from the measured ones."""
+    tree = ast.parse(Path(iqfi_lab.bounds.__file__).read_text())
+    modules = [node.module or "" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    assert [m for m in modules
+            if m.split(".")[-1] in ("evolution", "iqfi", "battery")] == []

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import iqfi_lab.cli
-from iqfi_lab.cli import BATTERY_CFG_KW, SCHEMA_TAG, build_parser, main
+from iqfi_lab.battery import BATTERY_CFG_KW
+from iqfi_lab.cli import SCHEMA_TAG, build_parser, main
 from iqfi_lab.evolution import ODE_TOL
 from iqfi_lab.iqfi import QuadratureConfig, fit_loglog_slope, integrate_iqfi
 from iqfi_lab.protocol import make_trotterized_gx
@@ -402,6 +403,11 @@ def test_register_times_must_end_at_the_given_duration(tmp_path, capsys):
     # several outputs to stdout: files named --ramsey.csv, --B1.0.csv, ...
     (("fig2", "--out", "-"), 2),
     (("fig1", "--out", "-", "--T-list", "2,4", "--slope-window", "2,4"), 2),
+    # an empty --out: fig2 wrote -ramsey.csv and three more files, exit 0
+    (("fig2", "--out", ""), 2),
+    (("fig2", "--out="), 2),
+    (("fig1", "--out", "", "--T-list", "2"), 2),
+    (("iqfi", "--out", ""), 2),
     # printed K_avg,inf and exited 0
     (("haar", "--protocol", "pi-train", "--zeta", "1e154", "--B", "0",
       "--format", "csv"), 2),
@@ -421,6 +427,16 @@ def test_out_of_range_numbers_exit_with_one_line(argv, code, capsys, tmp_path,
     assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
     assert [p.name for p in tmp_path.parent.iterdir()
             if p.name.startswith(".iqfi-")] == []
+
+
+def test_empty_out_in_a_config_exits_2(tmp_path, monkeypatch, capsys):
+    # the config line "out =" is the word --out=, an empty stem
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text("out =\n")
+    code, out, err = run(capsys, "fig2", "--config", "c.ini")
+    assert code == 2 and out == ""
+    assert err == "iqfi-lab: --out is empty; give a path, or - for stdout\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["c.ini"]
 
 
 def test_several_files_are_written_all_or_nothing(tmp_path, capsys):
@@ -694,6 +710,32 @@ def test_cli_imports_no_private_names():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_cli_holds_no_bound_logic():
+    """Which bound holds where is bounds.applicable's, and the battery is
+    battery.py's; the CLI only calls them."""
+    tree = ast.parse(Path(iqfi_lab.cli.__file__).read_text())
+    imported = {node.module: sorted(alias.name for alias in node.names)
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported["bounds"] == ["applicable"]
+    assert imported["battery"] == ["BATTERY_CFG_KW", "BATTERY_SEED",
+                                   "run_bound_battery"]
+    called = [node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert [name for name in called if name.startswith("report_")] == []
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert defined.isdisjoint({"run_bound_battery", "_worst_of",
+                               "_applicable_bounds"})
+    assert "PAULI_STATES" not in {node.id for node in ast.walk(tree)
+                                  if isinstance(node, ast.Name)}
+    items = ("ramsey_", "pi_train_invariance", "haar_pi_train",
+             "haar_exact", "small_field", "segment_count", "ghz_",
+             "resonance_band")
+    strings = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert [s for s in strings if any(item in s for item in items)] == []
 
 
 def test_only_main_maps_exceptions_to_exit_codes():

@@ -15,8 +15,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from iqfi_lab.battery import PAULI_STATES
 from iqfi_lab.bounds import pi_train_qfi
-from iqfi_lab.cli import PAULI_STATES
 import iqfi_lab.evolution
 from iqfi_lab.evolution import (
     ODE_TOL,

@@ -1,0 +1,58 @@
+"""The command line's output contract: each case of make_golden.CASES,
+run in-process, gives the stdout, files, exit code and last stderr line
+committed in tests/golden/.  Bytes must match under the Python and numpy
+named in the manifest; elsewhere numbers may move in their last bits."""
+
+import json
+
+import pytest
+
+from make_golden import (CASES, GOLDEN, environment, run_case,
+                         same_numbers)
+
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+BYTES = environment() == {k: MANIFEST[k] for k in ("python", "numpy")}
+
+
+def test_manifest_holds_every_case():
+    assert list(MANIFEST["cases"]) == list(CASES)
+    for name, (argv, config) in CASES.items():
+        assert MANIFEST["cases"][name]["argv"] == argv
+        assert MANIFEST["cases"][name]["config"] == config
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_cli_output_matches_golden(name, tmp_path):
+    want = MANIFEST["cases"][name]
+    got = run_case(*CASES[name], tmp_path)
+    assert (got["exit"], got["stderr"]) == (want["exit"], want["stderr"])
+    folder = GOLDEN / name
+    names = sorted(p.name for p in folder.iterdir()) if folder.is_dir() \
+        else []
+    assert sorted(got["outputs"]) == names
+    for output in names:
+        data = (folder / output).read_bytes()
+        if BYTES:
+            assert got["outputs"][output] == data, output
+        else:
+            assert same_numbers(got["outputs"][output], data) is None, output
+
+
+def test_numbers_may_move_only_in_their_last_bits():
+    want = (GOLDEN / "bounds-check-csv" / "stdout").read_bytes()
+    row = want.decode().split("\n")[2].split(",")
+    assert row[0] == "ramsey_flat_phase"  # measured, reference, margin
+    measured = float(row[2])
+
+    def moved(value):
+        return want.replace(row[2].encode(), repr(value).encode(), 1)
+    assert same_numbers(want, want) is None
+    assert same_numbers(moved(measured * (1.0 + 1e-14)), want) is None
+    assert same_numbers(moved(measured * (1.0 + 1e-9)), want) is not None
+    assert same_numbers(want.replace(b"true", b"false", 1), want) is not None
+    # an error estimate is measured against the K beside it
+    k_file = (GOLDEN / "iqfi-ramsey-B0" / "stdout").read_bytes()
+    err = next(ln for ln in k_file.decode().split("\n")
+               if ln.startswith("K_err,")).split(",")[1]
+    assert same_numbers(k_file.replace(err.encode(), repr(
+        float(err) * 1.001).encode()), k_file) is None

@@ -10,7 +10,7 @@ import pytest
 import iqfi_lab.evolution
 import iqfi_lab.iqfi
 from iqfi_lab.bounds import pi_train_closed_form, ramsey_closed_form
-from iqfi_lab.cli import BATTERY_CFG_KW, PAULI_STATES
+from iqfi_lab.battery import BATTERY_CFG_KW, PAULI_STATES
 from iqfi_lab.evolution import IntegrationError, _reduced
 from iqfi_lab.iqfi import (
     ABS_TOL,
