@@ -49,6 +49,13 @@ CASES = {
     "fig2-empty-out": (["fig2", "--points", "9", "--out", ""], None),
     "iqfi-empty-out": (["iqfi", "--out", ""], None),
     "fig2-config-empty-out": (["fig2", "--config", CONFIG], "out =\n"),
+    # a config file is read as flags: a section header, keys with a dash
+    # and with an underscore, and a command-line flag that wins (--T)
+    "iqfi-config": (["iqfi", "--config", CONFIG, "--T", "2", "--format",
+                     "csv"], "[run]\nprotocol = pi2-train\nrel-tol = 1e-5\n"
+                             "b = 0.7\nt = 4\n"),
+    "spectrum-config": (["spectrum", "--config", CONFIG],
+                        "points = 5\nomega_max = 3\n"),
 }
 
 
