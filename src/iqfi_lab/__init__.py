@@ -18,7 +18,8 @@ from .protocol import (
     sequence_from_json,
     sequence_to_json,
 )
-from .evolution import IntegrationError, qfi_fd_oracle, qfi_vs_omega
+from .evolution import (IntegrationError, feature_scale, qfi_fd_oracle,
+                        qfi_vs_omega)
 from .iqfi import (
     HaarResult,
     QfiSpectrum,
@@ -27,7 +28,6 @@ from .iqfi import (
     SweepPoint,
     SweepResult,
     cross_spectral_integral,
-    feature_scale,
     fit_loglog_slope,
     haar_average_iqfi,
     integrate_iqfi,

@@ -38,10 +38,9 @@ import numpy as np
 
 from .battery import BATTERY_CFG_KW, BATTERY_SEED, run_bound_battery
 from .bounds import applicable
-from .evolution import ODE_TOL, IntegrationError, qfi_vs_omega
+from .evolution import ODE_TOL, IntegrationError, feature_scale, qfi_vs_omega
 from .iqfi import (
     QuadratureConfig,
-    feature_scale,
     haar_average_iqfi,
     integrate_iqfi,
     sweep_iqfi_vs_T,

@@ -35,10 +35,19 @@ misses the tolerance are refined by doubling m;
 the starting m depends only on T, the generator norm, zeta*|B| and the
 tolerance, so a frequency's result does not depend on its batch.
 
-qfi_vs_omega is the one way to J, the formula above on the batched
-states, or its Haar average for a sequence with initial_state None.
-Every public entry point, here and in iqfi, first replaces a GHZ
-register by the pulse sequence it is in the {|0...0>, |1...1>} plane.
+The toggling frame of a protocol is here too, so that one module reads
+pulse unitaries, generators and protocol kinds: _jumps gives the times
+a_j at which Z~ = U0^dag Z U0 of the control alone jumps, the jumps and
+the initial Bloch vector, and feature_scale the protocol's highest
+intrinsic frequency.  iqfi integrates the frame over omega (the tail and
+the zero-field K) and reads none of these itself.
+
+_states is the one way to the states at T and the J rule that goes with
+them: the formula above, or its Haar average for a sequence with
+initial_state None.  qfi_vs_omega applies the rule; qfi_fd_oracle
+differences the same states over B.  Every public entry point, here and
+in iqfi, first replaces a GHZ register by the pulse sequence it is in
+the {|0...0>, |1...1>} plane.
 """
 
 from __future__ import annotations
@@ -56,10 +65,16 @@ from .signal_core import SignalParams, _segment_thetas
 __all__ = [
     "ODE_TOL",
     "IntegrationError",
+    "feature_scale",
     "qfi_vs_omega",
     "qfi_fd_oracle",
     "discrete_propagators",
 ]
+
+# a free segment no longer than this fraction of T (16 ulps) is rounding,
+# as a pulse time k*(T/m) can leave before T, not a segment: it does not
+# raise a protocol's feature scale
+_ULP_SEGMENT = 16.0 * np.finfo(float).eps
 
 
 class IntegrationError(RuntimeError):
@@ -108,20 +123,16 @@ def discrete_propagators(seq: PulseSequence, signal: SignalParams,
         # above the heap hole the work arrays leave when they are freed
         P = np.empty((om.size, 2, 2), dtype=complex)
         W = np.empty_like(P)
-    a, b, da, db = _propagate(cols, _pulse_steps(seq, om, signal.phi),
-                              signal, om.size)
+    # (Theta, u) per pulse and a last (Theta, None) to total_time
+    steps = zip(_segment_thetas(seq.boundaries(), om, signal.phi),
+                [p.unitary for p in seq.pulses] + [None])
+    a, b, da, db = _propagate(cols, steps, signal, om.size)
     if psi0 is not None:
         return (np.stack((a[0], b[0]), axis=1),
                 np.stack((da[0], db[0]), axis=1))
     P[:, 0, :], P[:, 1, :] = a.T, b.T
     W[:, 0, :], W[:, 1, :] = da.T, db.T
     return P, W
-
-
-def _pulse_steps(seq: PulseSequence, om, phi):
-    """(Theta, u) per pulse of seq and a last (Theta, None) to total_time."""
-    return zip(_segment_thetas(seq.boundaries(), om, phi),
-               [p.unitary for p in seq.pulses] + [None])
 
 
 def _propagate(cols, steps, signal: SignalParams, n_omega: int):
@@ -210,6 +221,12 @@ def _su2_exp(h, tau):
                                      - 1j * s * (h - h0 * np.eye(2)))
 
 
+def _generator_norm(control) -> float:
+    """The largest spectral norm of a control's piece generators."""
+    return max((float(np.linalg.norm(h, 2)) for _, _, h in control.pieces),
+               default=0.0)
+
+
 def _split_steps(pieces, counts, om, phi):
     """(Theta, u) of the splitting with counts[k] steps on piece k."""
     used = [(start, end, h, n, (end - start) / n)
@@ -232,13 +249,6 @@ def _split_steps(pieces, counts, om, phi):
     yield None, carry
 
 
-def _split_level(pieces, counts, signal, om):
-    """(a, b, da, db) at T from |+> under the splitting with counts[k]
-    steps on piece k, as rows of a (4, n_omega) array."""
-    return np.concatenate(_propagate(
-        _PLUS, _split_steps(pieces, counts, om, signal.phi), signal, om.size))
-
-
 def _continuous_batch(control, signal: SignalParams, omegas, tol: float):
     """(psi, dpsi) at T for every frequency, as columns (a, b, da, db) of
     an (n_omega, 4) array.
@@ -253,14 +263,13 @@ def _continuous_batch(control, signal: SignalParams, omegas, tol: float):
     tol alone, so each frequency's result does not depend on which
     frequencies share its batch.  Raises IntegrationError, before
     computing it, for a finest level above _MAX_STEPS_PER_RATE steps per
-    unit of rate*time or above _MAX_STEPS steps.
+    unit of rate*time or above _MAX_STEPS steps.  tol is _states's to
+    check.
     """
-    _check_ode_tol(tol)
     pieces = control.pieces
     om = np.atleast_1d(np.asarray(omegas, dtype=float))
     T = float(control.total_time)
-    rate = max([1.0 / T, signal.zeta * abs(signal.B)]
-               + [float(np.linalg.norm(h, 2)) for _, _, h in pieces])
+    rate = max(1.0 / T, signal.zeta * abs(signal.B), _generator_norm(control))
     density = _FIRST_STEPS_PER_RATE * rate * tol ** -0.25
     out = np.empty((4, om.size), dtype=complex)
     todo = np.arange(om.size)
@@ -278,9 +287,13 @@ def _continuous_batch(control, signal: SignalParams, omegas, tol: float):
         if s1 is None:
             counts = np.array([math.ceil((e - s) * density)
                                for s, e, _ in pieces])
-            s1, s2 = (_split_level(pieces, k * counts, signal, om)
-                      for k in (1, 2))
-        s4 = _split_level(pieces, 4 * counts, signal, om[todo])
+        # (a, b, da, db) at T from |+> as rows, with k*counts[i] steps on
+        # piece i: k = 1, 2 and 4 at first, then only the new finest level
+        *coarse, s4 = (np.concatenate(_propagate(
+            _PLUS, _split_steps(pieces, k * counts, om[todo], signal.phi),
+            signal, todo.size)) for k in ((1, 2, 4) if s1 is None else (4,)))
+        if coarse:
+            s1, s2 = coarse
         r1 = (4.0 * s2 - s1) / 3.0
         r2 = (4.0 * s4 - s2) / 3.0
         best = (16.0 * r2 - r1) / 15.0
@@ -292,19 +305,100 @@ def _continuous_batch(control, signal: SignalParams, omegas, tol: float):
         counts, density = 2 * counts, 2.0 * density
 
 
+# -- the toggling frame -------------------------------------------------------
+
+
+def _bloch_z(u):
+    """Bloch vector r of u^dag Z u = r.sigma."""
+    m = u.conj().T @ np.diag([1.0, -1.0]) @ u
+    return np.array([m[0, 1].real, -m[0, 1].imag, m[0, 0].real])
+
+
+def _jumps(protocol):
+    """(a, Q, r, n, rate): the boundary form of a protocol.
+
+    Q_j is the jump (r before minus r after; r = 0 outside [0, T]) of the
+    control's toggling-frame Bloch vector r at a_j: a sequence's pulses,
+    or 0 and T for a continuous control.  r is r on each segment (None for
+    a control); n is the initial Bloch vector (None for a sequence with no
+    definite initial state), rate twice a control's largest generator norm.
+    The jumps' covariance in the initial state is D = Q Q^T - (Q n)(Q n)^T,
+    and (2/3) Q Q^T, its Haar average, for n None; its rows sum to zero.
+    """
+    z = np.array([0.0, 0.0, 1.0])
+    if isinstance(protocol, PulseSequence):
+        u, r = np.eye(2), [z]
+        for p in protocol.pulses:
+            u = p.unitary @ u
+            r.append(_bloch_z(u))
+        r, n = np.array(r), None
+        if protocol.initial_state is not None:
+            alpha, beta = protocol.initial_state
+            n = np.array([math.sin(alpha) * math.cos(beta),
+                          math.sin(alpha) * math.sin(beta), math.cos(alpha)])
+        Q = -np.diff(np.vstack([0.0 * z, r, 0.0 * z]), axis=0)
+        return protocol.boundaries(), Q, r, n, 0.0
+    if isinstance(protocol, ContinuousControl):
+        u = np.eye(2)
+        for start, end, h in protocol.pieces:
+            u = _su2_exp(h, end - start) @ u
+        return (np.array([0.0, float(protocol.total_time)]),
+                np.array([-z, _bloch_z(u)]), None,
+                np.array([1.0, 0.0, 0.0]), 2.0 * _generator_norm(protocol))
+    raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
+
+
+def feature_scale(protocol, signal: SignalParams) -> float:
+    """Highest intrinsic frequency of a protocol at the signal's field B.
+
+    The largest of 1/T, zeta*|B| (n*zeta for a GHZ register) and the
+    protocol's own rates: segments/T for trains and registers and pieces/T
+    for a piecewise generator (a segment or piece of at most 16 ulps of T
+    does not count), 2|g| for the drive, and twice the largest generator
+    norm for a continuous control.  The closed-form tail starts at
+    tail_start_factor times this; the CLI's default spectrum grid ends at
+    8 times it.
+    """
+    protocol, signal = _reduced(protocol, signal)
+    T = float(protocol.total_time)
+    scale = max(1.0 / T, signal.zeta * abs(signal.B))
+    if isinstance(protocol, PulseSequence):
+        scale = max(scale, protocol.segment_count(_ULP_SEGMENT * T) / T)
+    elif isinstance(protocol, ContinuousControl):
+        pieces = sum(end - start > _ULP_SEGMENT * T
+                     for start, end, _ in protocol.pieces)
+        scale = max(scale, 2.0 * _generator_norm(protocol), pieces / T)
+    return scale
+
+
 # -- states, J and the finite-difference oracle -------------------------------
 
 
 def _states(protocol, signal: SignalParams, om, ode_tol: float):
-    """(psi, dpsi) at T for every frequency in om, each of shape (n, 2).
+    """(J rule, states) at T for every frequency in om.
 
-    A continuous control's states are renormalized and dpsi projected onto
-    the normalized path; a norm drift above 10*ode_tol raises
-    IntegrationError, since it signals a failed error control.
+    The rule is _pure_j and the states (psi, dpsi), each of shape (n, 2),
+    for a pulse sequence or a continuous control; for a sequence with
+    initial_state None it is _mean_j and the states (P, W), each of shape
+    (n, 2, 2).  Raises ValueError first unless ode_tol is positive and
+    finite, every omega finite and >= 0, and omega*T finite.  A continuous
+    control's states are renormalized and dpsi projected onto the
+    normalized path; a norm drift above 10*ode_tol raises IntegrationError,
+    since it signals a failed error control.
     """
+    _check_ode_tol(ode_tol)
+    om = np.atleast_1d(np.asarray(om, dtype=float))
+    bad = ~((om >= 0.0) & (om < math.inf))  # NaN fails both comparisons
+    if bad.any():
+        raise ValueError(f"omegas must be finite and >= 0, got {om[bad][0]}")
+    top, T = float(om.max(initial=0.0)), float(protocol.total_time)
+    if not math.isfinite(top * T):
+        raise ValueError(f"omega*T must be finite, got omega {top} at T = {T}")
     if isinstance(protocol, PulseSequence):
-        return discrete_propagators(protocol, signal, omegas=om,
-                                    psi0=protocol.initial_vector())
+        if protocol.initial_state is None:
+            return _mean_j, discrete_propagators(protocol, signal, omegas=om)
+        return _pure_j, discrete_propagators(protocol, signal, omegas=om,
+                                             psi0=protocol.initial_vector())
     if isinstance(protocol, ContinuousControl):
         y = _continuous_batch(protocol, signal, om, tol=ode_tol)
         psi, dpsi = y[:, 0:2], y[:, 2:4]
@@ -314,8 +408,20 @@ def _states(protocol, signal: SignalParams, om, ode_tol: float):
             raise IntegrationError(f"norm drift {drift:.3e} > 10*ode_tol")
         psi = psi / norms
         proj = np.einsum("ni,ni->n", psi.conj(), dpsi).real
-        return psi, dpsi - proj[:, None] * psi
+        return _pure_j, (psi, dpsi - proj[:, None] * psi)
     raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
+
+
+def _finite_j(j_of, states, om) -> np.ndarray:
+    """j_of(*states), J at the frequencies om: a J beyond the floats is a
+    ValueError, not a RuntimeWarning and a NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        j = j_of(*states)
+    finite = np.isfinite(j)
+    if not finite.all():
+        raise ValueError(f"J at omega = {np.atleast_1d(om)[~finite][0]} "
+                         "is beyond the floats")
+    return j
 
 
 def qfi_vs_omega(protocol, signal: SignalParams, omegas=None,
@@ -328,28 +434,9 @@ def qfi_vs_omega(protocol, signal: SignalParams, omegas=None,
     state and field derivative.  For initial_state None, J is averaged
     over Haar states.  A J beyond the floats is a ValueError.
     """
-    _check_ode_tol(ode_tol)
     protocol, signal = _reduced(protocol, signal)
-    om = np.atleast_1d(np.asarray(
-        signal.omega if omegas is None else omegas, dtype=float))
-    bad = ~((om >= 0.0) & (om < math.inf))  # NaN fails both comparisons
-    if bad.any():
-        raise ValueError(f"omegas must be finite and >= 0, got {om[bad][0]}")
-    top, T = float(om.max(initial=0.0)), float(protocol.total_time)
-    if not math.isfinite(top * T):
-        raise ValueError(f"omega*T must be finite, got omega {top} at T = {T}")
-    if isinstance(protocol, PulseSequence) and protocol.initial_state is None:
-        j_of = _mean_j
-        states = discrete_propagators(protocol, signal, omegas=om)
-    else:
-        j_of, states = _pure_j, _states(protocol, signal, om, ode_tol)
-    # a J beyond the floats is a ValueError, not a RuntimeWarning and a NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        j = j_of(*states)
-    finite = np.isfinite(j)
-    if not finite.all():
-        raise ValueError(f"J at omega = {om[~finite][0]} is beyond the floats")
-    return j
+    om = signal.omega if omegas is None else omegas
+    return _finite_j(*_states(protocol, signal, om, ode_tol), om)
 
 
 def _pure_j(psi, dpsi):
@@ -379,42 +466,41 @@ def qfi_fd_oracle(protocol, signal: SignalParams,
     """QFI with dpsi replaced by a central finite difference of psi over B.
 
     Verification-only reference path: it never touches the analytic
-    derivative propagation.  The difference quotients at h and h/2 are
-    Richardson-extrapolated; a relative disagreement above 1e-4 between
-    the two raises RuntimeError, flagging a too-large step.
+    derivative.  It differences the states of _states at B +- h (the
+    propagator P for a sequence with initial_state None) and applies the
+    same J rule and checks as qfi_vs_omega, at the signal's omega.  The
+    difference quotients at h and h/2 are Richardson-extrapolated; a
+    relative disagreement above 1e-4 between the two raises RuntimeError,
+    flagging a too-large step.  A step that is not positive and finite is
+    a ValueError.
 
     Default steps: 1e-6*max(1,|B|) for exact (pulse) evolutions,
     1e-4*max(1,|B|) for continuous ones, whose states carry an error of up
     to ode_tol into the difference quotient; it divides that error by the
     step, hence a default ode_tol below ODE_TOL.  A GHZ register is
-    differenced as its pulse sequence.  For a sequence with initial_state
-    None the propagator P is differenced, and J averaged by _mean_j.
+    differenced as its pulse sequence.
     """
     protocol, signal = _reduced(protocol, signal)
     if step is None:
         rough = isinstance(protocol, ContinuousControl)
         step = (1e-4 if rough else 1e-6) * max(1.0, abs(signal.B))
-    haar = (isinstance(protocol, PulseSequence)
-            and protocol.initial_state is None)
-    j_of = _mean_j if haar else _pure_j
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    om = [signal.omega]
 
-    def state(b):  # psi, or P, at the signal's omega: one row
-        shifted = replace(signal, B=b)
-        if haar:
-            return discrete_propagators(protocol, shifted,
-                                        omegas=[signal.omega])[0]
-        return _states(protocol, shifted, [signal.omega], ode_tol)[0]
+    def state(b):  # psi, or P, at omega: one row
+        return _states(protocol, replace(signal, B=b), om, ode_tol)[1][0]
 
     def fd(h):
         return (state(signal.B + h) - state(signal.B - h)) / (2.0 * h)
 
-    psi = state(signal.B)
+    j_of, (psi, _) = _states(protocol, signal, om, ode_tol)
     d1, d2 = fd(step), fd(0.5 * step)
-    j1, j2 = float(j_of(psi, d1)[0]), float(j_of(psi, d2)[0])
+    j1, j2 = (float(_finite_j(j_of, (psi, d), om)[0]) for d in (d1, d2))
     scale = max(abs(j1), abs(j2), 1e-12)
     if abs(j1 - j2) / scale > 1e-4:
         raise RuntimeError(
             f"finite-difference step {step} too large: "
             f"h vs h/2 estimates differ by {abs(j1 - j2) / scale:.2e}"
         )
-    return float(j_of(psi, (4.0 * d2 - d1) / 3.0)[0])
+    return float(_finite_j(j_of, (psi, (4.0 * d2 - d1) / 3.0), om)[0])

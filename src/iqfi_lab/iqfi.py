@@ -16,6 +16,12 @@ integrals, is the tail.  At B = 0, or where pulses keep Z~ on +-z, the
 form is J at every omega, and K its closed-form integral.  For a sequence
 with initial_state None, J and D are averaged over Haar-random initial
 states, and K takes the same paths.
+
+The frame (evolution._jumps), the feature scale that sets Omega
+(evolution.feature_scale) and J (evolution.qfi_vs_omega) come from
+evolution: this module only integrates over omega.  It reads no pulse,
+generator or protocol kind, apart from haar_average_iqfi's check that it
+is given a pulse sequence.
 """
 
 from __future__ import annotations
@@ -27,16 +33,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .evolution import ODE_TOL, IntegrationError, qfi_vs_omega
-from .evolution import _check_ode_tol, _reduced, _su2_exp
-from .protocol import ContinuousControl, PulseSequence
+from .evolution import ODE_TOL, IntegrationError, feature_scale, qfi_vs_omega
+from .evolution import _check_ode_tol, _jumps, _reduced
+from .protocol import PulseSequence
 from .signal_core import SignalParams
 
 ABS_TOL = 1e-12  # absolute floor of the summed panel error
-# a free segment no longer than this fraction of T (16 ulps) is rounding,
-# as a pulse time k*(T/m) can leave before T, not a segment: it does not
-# raise a protocol's feature scale
-_ULP_SEGMENT = 16.0 * np.finfo(float).eps
 # rounding bound of the zero-field closed form's terms, per unit of their
 # magnitudes (see _zero_field_k)
 _FORM_ROUNDING = 16.0 * np.finfo(float).eps
@@ -47,7 +49,6 @@ _PAIR_CHUNK = 64
 __all__ = [
     "QuadratureConfig",
     "QfiSpectrum",
-    "feature_scale",
     "QuadratureNonConvergence",
     "HaarResult",
     "SweepPoint",
@@ -281,47 +282,6 @@ def _cos_tail(c, psi, omega_max):
             - c * (np.cos(psi) * si_c - np.sin(psi) * ci))
 
 
-def _bloch_z(u):
-    """Bloch vector r of u^dag Z u = r.sigma."""
-    m = u.conj().T @ np.diag([1.0, -1.0]) @ u
-    return np.array([m[0, 1].real, -m[0, 1].imag, m[0, 0].real])
-
-
-def _jumps(protocol):
-    """(a, Q, r, n, rate): the boundary form of a protocol.
-
-    Q_j is the jump (r before minus r after; r = 0 outside [0, T]) of the
-    control's toggling-frame Bloch vector r at a_j: a sequence's pulses,
-    or 0 and T for a continuous control.  r is r on each segment (None for
-    a control); n is the initial Bloch vector (None for a sequence with no
-    definite initial state), rate twice a control's largest generator norm.
-    The jumps' covariance in the initial state is D = Q Q^T - (Q n)(Q n)^T,
-    and (2/3) Q Q^T, its Haar average, for n None; its rows sum to zero.
-    """
-    z = np.array([0.0, 0.0, 1.0])
-    if isinstance(protocol, PulseSequence):
-        u, r = np.eye(2), [z]
-        for p in protocol.pulses:
-            u = p.unitary @ u
-            r.append(_bloch_z(u))
-        r, n = np.array(r), None
-        if protocol.initial_state is not None:
-            alpha, beta = protocol.initial_state
-            n = np.array([math.sin(alpha) * math.cos(beta),
-                          math.sin(alpha) * math.sin(beta), math.cos(alpha)])
-        Q = -np.diff(np.vstack([0.0 * z, r, 0.0 * z]), axis=0)
-        return protocol.boundaries(), Q, r, n, 0.0
-    if isinstance(protocol, ContinuousControl):
-        u, rate = np.eye(2), 0.0
-        for start, end, h in protocol.pieces:
-            u = _su2_exp(h, end - start) @ u
-            rate = max(rate, 2.0 * float(np.linalg.norm(h, 2)))
-        return (np.array([0.0, float(protocol.total_time)]),
-                np.array([-z, _bloch_z(u)]), None,
-                np.array([1.0, 0.0, 0.0]), rate)
-    raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
-
-
 def _pair_sum(jumps, kernel):
     """(sum, magnitude) over the pairs of jumps (see _jumps) of D_jl
     kernel(a_j, a_l), formed a block of rows at a time, _PAIR_BLOCK pairs
@@ -431,32 +391,7 @@ def _zero_field_k(jumps, signal: SignalParams, cfg: QuadratureConfig):
     return k, err + dev
 
 
-# -- protocol plumbing --------------------------------------------------------
-
-
-def feature_scale(protocol, signal: SignalParams) -> float:
-    """Highest intrinsic frequency of a protocol at the signal's field B.
-
-    The largest of 1/T, zeta*|B| (n*zeta for a GHZ register) and the
-    protocol's own rates: segments/T for trains and registers and pieces/T
-    for a piecewise generator (a segment or piece of at most 16 ulps of T
-    does not count), 2|g| for the drive, and twice the largest generator
-    norm for a continuous control.  The closed-form tail starts at
-    tail_start_factor times this; the CLI's default spectrum grid ends at
-    8 times it.
-    """
-    protocol, signal = _reduced(protocol, signal)
-    T = float(protocol.total_time)
-    scale = max(1.0 / T, signal.zeta * abs(signal.B))
-    if isinstance(protocol, PulseSequence):
-        scale = max(scale, protocol.segment_count(_ULP_SEGMENT * T) / T)
-    elif isinstance(protocol, ContinuousControl):
-        gen = max((float(np.linalg.norm(h, 2)) for _, _, h in protocol.pieces),
-                  default=0.0)
-        pieces = sum(end - start > _ULP_SEGMENT * T
-                     for start, end, _ in protocol.pieces)
-        scale = max(scale, 2.0 * gen, pieces / T)
-    return scale
+# -- K and band integrals -----------------------------------------------------
 
 
 def integrate_iqfi(protocol, signal: SignalParams,
@@ -509,6 +444,8 @@ def integrate_qfi_band(protocol, signal: SignalParams, lo: float, hi: float,
     """Integral of J over a finite band [lo, hi]; no tail term."""
     if not 0.0 <= lo < hi < math.inf:
         raise ValueError(f"need 0 <= lo < hi < inf, got [{lo}, {hi}]")
+    # before the panel budget, which a NaN ode_tol would not reach
+    _check_ode_tol(ode_tol)
     protocol, signal = _reduced(protocol, signal)
     return _integrate_adaptive(
         lambda om: qfi_vs_omega(protocol, signal, omegas=om, ode_tol=ode_tol),

@@ -426,13 +426,18 @@ def sequence_to_json(seq: PulseSequence) -> str:
 
 
 def sequence_from_json(text: str) -> PulseSequence:
+    """The sequence of a JSON document; ValueError for a document of
+    another type, a missing key or an invalid sequence."""
     doc = json.loads(text)
     if doc.get("type") != "pulse_sequence":
         raise ValueError(f"unsupported protocol type {doc.get('type')!r}")
     init = doc.get("initial_state", {"alpha": math.pi / 2.0, "beta": 0.0})
-    return PulseSequence(
-        pulses=tuple(_pulse_from_dict(d) for d in doc.get("pulses", [])),
-        total_time=float(doc["T"]),
-        initial_state=None if init is None else (float(init["alpha"]),
-                                                 float(init["beta"])),
-    )
+    try:
+        return PulseSequence(
+            pulses=tuple(_pulse_from_dict(d) for d in doc.get("pulses", [])),
+            total_time=float(doc["T"]),
+            initial_state=None if init is None else (float(init["alpha"]),
+                                                     float(init["beta"])),
+        )
+    except KeyError as exc:
+        raise ValueError(f"pulse_sequence JSON lacks the key {exc}") from None

@@ -74,6 +74,11 @@ def test_pi_train_qfi_signed_kernel():
         assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
     # symmetric echo cancels the DC response completely
     assert pi_train_qfi(np.array([0.0]), [0.0, 2.0, 4.0])[0] == 0.0
+    # a scalar omega gives a float
+    one = pi_train_qfi(0.8, times, alpha=alpha, zeta=zeta)
+    assert type(one) is float
+    assert one == pi_train_qfi(np.array([0.8]), times, alpha=alpha,
+                               zeta=zeta)[0]
 
 
 def test_small_field_cap_value():
@@ -86,6 +91,8 @@ def test_small_field_cap_value():
 def test_segment_cap_value():
     assert n_pulse_bound(8, 4.0) == pytest.approx(64.0 * math.pi, rel=1e-14)
     assert n_pulse_bound(1, 4.0) == pytest.approx(8.0 * math.pi, rel=1e-14)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        n_pulse_bound(0, 4.0)
 
 
 def test_ghz_scaling_pair():
@@ -94,6 +101,8 @@ def test_ghz_scaling_pair():
     assert sep == pytest.approx(12.0 * math.pi, rel=1e-14)
     e1, s1 = ghz_scaling(1, 2.0)
     assert e1 == s1 == pytest.approx(4.0 * math.pi, rel=1e-14)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        ghz_scaling(0, 2.0)
 
 
 def test_rwa_state_is_normalized():

@@ -250,6 +250,16 @@ def test_non_finite_input_exits_2(tmp_path, monkeypatch, capsys, flags):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags", [("iqfi", "--B", "abc"),
+                                   ("fig1", "--T-list", "2,x")])
+def test_list_flag_with_a_word_that_is_no_number_exits_2(tmp_path, monkeypatch,
+                                                         capsys, flags):
+    monkeypatch.chdir(tmp_path)  # fig1 writes to the working directory
+    code, out, err = run(capsys, *flags)
+    assert code == 2 and out == "" and "comma-separated numbers" in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("protocol", ["trotter-gx", "gx"])
 def test_spectrum_nan_drive_rate_exits_2(capsys, protocol):
     # a NaN angle passes every sign test; the checks at construction must

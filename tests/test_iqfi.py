@@ -282,6 +282,10 @@ def test_cross_spectral_closed_form_and_numeric():
     # equal durations: the overlap saturates at (pi/2) t
     assert cross_spectral_integral(4.0, 4.0, mode="numeric") == pytest.approx(
         2.0 * math.pi, rel=1e-5)
+    # a zero time has no overlap in either mode
+    assert cross_spectral_integral(3.0, 0.0, mode="numeric") == 0.0
+    with pytest.raises(ValueError, match="unknown mode 'exact'"):
+        cross_spectral_integral(3.0, 5.0, mode="exact")
 
 
 def test_nonconvergence_raises_with_partial():
@@ -489,6 +493,8 @@ def test_fit_loglog_slope_exact_power_law():
     Ks_bent[0] = 1e6
     assert fit_loglog_slope(Ts, Ks_bent, window=(2.0, 16.0)) == pytest.approx(
         3.0, abs=1e-12)
+    # fewer than two points in the window fit no line
+    assert math.isnan(fit_loglog_slope(Ts, Ks, window=(3.0, 7.0)))
 
 
 def test_equator_average_of_train():
@@ -647,6 +653,9 @@ def test_integrals_reject_bad_ode_tol(protocol, tol):
         integrate_iqfi(protocol, sig, ode_tol=tol)
     with pytest.raises(ValueError, match="ode_tol"):
         integrate_qfi_band(protocol, sig, 0.0, 1.0, ode_tol=tol)
+    # checked before the panel budget, which a band this wide exceeds
+    with pytest.raises(ValueError, match="ode_tol"):
+        integrate_qfi_band(protocol, sig, 0.0, 1e9, ode_tol=tol)
 
 
 # -- the zero-field closed form ----------------------------------------------

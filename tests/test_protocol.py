@@ -14,8 +14,7 @@ import iqfi_lab
 import iqfi_lab.cli
 import iqfi_lab.evolution
 import iqfi_lab.iqfi
-from iqfi_lab.evolution import _reduced
-from iqfi_lab.iqfi import _jumps
+from iqfi_lab.evolution import _jumps, _reduced
 from iqfi_lab.protocol import (
     GhzProtocol,
     PiecewiseGenerator,
@@ -241,6 +240,21 @@ INVALID = {
     "axis_zero": (lambda: Pulse(time=1.0, axis=(0.0, 0.0, 0.0), angle=1.0),
                   "rotation axis must be a nonzero 3-vector, got "
                   "(0.0, 0.0, 0.0)"),
+    "pulse_axis_and_matrix": (lambda: Pulse(time=1.0, axis="x", angle=1.0,
+                                            matrix=SX),
+                              "give exactly one of (axis, angle) or matrix"),
+    "pulse_neither": (lambda: Pulse(time=1.0),
+                      "give exactly one of (axis, angle) or matrix"),
+    "pulse_matrix_3x3": (lambda: Pulse(time=1.0, matrix=np.eye(3)),
+                         "pulse matrix must be 2x2"),
+    "random_kind_unknown": (lambda: random_pulse_sequence(
+        np.random.default_rng(0), 2.0, max_pulses=3, kind="gauss"),
+        "unknown kind 'gauss'"),
+    "ghz_times_decreasing": (lambda: GhzProtocol(n=2, times=(0.0, 2.0, 1.0)),
+                             "times must be non-decreasing"),
+    "ghz_flips_wrong_length": (lambda: GhzProtocol(
+        n=2, times=(0.0, 1.0, 2.0), flips=(1, 0)),
+        "flips must have one entry per interior boundary"),
     "ghz_flip_not_0_or_1": (lambda: GhzProtocol(
         n=2, times=(0.0, 1.0, 2.0), flips=(0.5,)),
         "flips must be 0 or 1, got (0.5,)"),
@@ -269,6 +283,30 @@ def test_invalid_json_document_raises_when_it_loads():
     doc = json.loads(sequence_to_json(make_pi_train([1.0, 2.0], 4.0)))
     doc["pulses"][1]["t"] = 5.0
     with pytest.raises(ValueError, match="pulse 1: time 5.0 outside"):
+        sequence_from_json(json.dumps(doc))
+
+
+def test_json_of_another_type_raises():
+    with pytest.raises(ValueError, match="unsupported protocol type 'ghz'"):
+        sequence_from_json('{"type": "ghz", "T": 2.0}')
+
+
+@pytest.mark.parametrize("path, key", [
+    ((), "T"), (("pulses", 0), "t"), (("pulses", 0), "axis"),
+    (("pulses", 0), "angle"), (("pulses", 1), "matrix"),
+    (("initial_state",), "alpha"), (("initial_state",), "beta")])
+def test_json_missing_key_raises_value_error(path, key):
+    # a missing key was a bare KeyError
+    seq = PulseSequence((Pulse(time=1.0, axis="x", angle=1.0),
+                         Pulse(time=2.0, matrix=SX)), 4.0)
+    doc = json.loads(sequence_to_json(seq))
+    node = doc
+    for step in path:
+        node = node[step]
+    del node[key]
+    # a pulse without its matrix is read as a rotation, and lacks an axis
+    missing = "axis" if key == "matrix" else key
+    with pytest.raises(ValueError, match=f"lacks the key '{missing}'"):
         sequence_from_json(json.dumps(doc))
 
 
@@ -406,6 +444,17 @@ def test_json_round_trip_bit_exact():
         for a, b in zip(seq.pulses, back.pulses):
             assert a.time == b.time
             np.testing.assert_array_equal(a.unitary, b.unitary)
+
+
+def test_json_round_trip_of_a_vector_axis():
+    seq = PulseSequence((Pulse(time=1.0, axis=(0.0, 0.6, 0.8), angle=1.2),),
+                        2.0)
+    doc = json.loads(sequence_to_json(seq))
+    assert doc["pulses"][0]["axis"] == [0.0, 0.6, 0.8]
+    back = sequence_from_json(json.dumps(doc))
+    assert back.pulses[0].axis == (0.0, 0.6, 0.8)
+    np.testing.assert_array_equal(back.pulses[0].unitary,
+                                  seq.pulses[0].unitary)
 
 
 def test_json_fields():
