@@ -56,6 +56,10 @@ CASES = {
                              "b = 0.7\nt = 4\n"),
     "spectrum-config": (["spectrum", "--config", CONFIG],
                         "points = 5\nomega_max = 3\n"),
+    # commands at their defaults: every number comes from the parser
+    "iqfi-defaults": (["iqfi"], None),
+    "spectrum-defaults": (["spectrum"], None),
+    "fig2-defaults": (["fig2"], None),
 }
 
 
