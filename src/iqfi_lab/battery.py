@@ -46,14 +46,14 @@ def _applicable(name: str, protocol, signal, spectrum) -> BoundReport:
                                           spectrum.error_estimate)}[name]
 
 
-def run_bound_battery(seed: int = BATTERY_SEED, draws: int = 10,
-                      cfg: QuadratureConfig = None) -> list:
-    """Randomized regression battery over every closed form and cap."""
+def run_bound_battery(seed: int = BATTERY_SEED, draws: int = 10) -> list:
+    """Randomized regression battery over every closed form and cap, at
+    the quadrature config BATTERY_CFG_KW."""
     if draws < 1:  # each worst-of-draws item needs a draw
         raise ValueError(f"--draws must be >= 1, got {draws}")
     if seed < 0:  # numpy's generators take no negative seed
         raise ValueError(f"--seed must be >= 0, got {seed}")
-    cfg = cfg or QuadratureConfig(**BATTERY_CFG_KW)
+    cfg = QuadratureConfig(**BATTERY_CFG_KW)
     rng = np.random.default_rng(seed)
     reports = []
     z2pi = 2.0 * math.pi

@@ -201,12 +201,6 @@ def _build_signal(args) -> SignalParams:
     return SignalParams(B=b_list[0], omega=0.0, phi=args.phi, zeta=args.zeta)
 
 
-def _default_pi_times(T: float) -> list:
-    n = int(math.floor(T))
-    ts = [float(k) for k in range(1, n + 1) if k < T]
-    return ts if ts else [T / 2.0]
-
-
 def _positive(flag: str, value: float) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{flag} must be positive and finite, got {value}")
@@ -224,8 +218,7 @@ def _build_protocol(args, name=None, T=None):
         if name == "ramsey":
             protocol = make_ramsey(T, initial_state=state)
         elif name == "pi-train":
-            times = _default_pi_times(T) if args.times is None \
-                else _float_list(args.times)
+            times = None if args.times is None else _float_list(args.times)
             protocol = make_pi_train(times, T, initial_state=state)
         elif name == "pi2-train":
             protocol = make_pi2_train(args.spacing, T, initial_state=state)

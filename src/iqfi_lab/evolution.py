@@ -58,8 +58,8 @@ from typing import Optional
 
 import numpy as np
 
-from .protocol import (IDENTITY, SIGMA_X, ContinuousControl, GhzProtocol,
-                       Pulse, PulseSequence)
+from .protocol import (_MAX_STEPS, IDENTITY, SIGMA_X, ContinuousControl,
+                       GhzProtocol, Pulse, PulseSequence)
 from .signal_core import SignalParams, _segment_thetas
 
 __all__ = [
@@ -196,11 +196,11 @@ def _rotate(x, y, u, s1, s2):
 # steps per unit time, as the error estimate falls as h^4; rate is the
 # largest of 1/T, zeta*|B| and the generator norms.  A finest level above
 # _MAX_STEPS_PER_RATE * rate steps per unit time, or above _MAX_STEPS steps
-# in all, is refused before it is computed, so a tolerance or a rate out of
-# reach fails at once instead of grinding or exhausting memory.
+# in all (protocol's cap on a train's pulses too), is refused before it is
+# computed, so a tolerance or a rate out of reach fails at once instead of
+# grinding or exhausting memory.
 _FIRST_STEPS_PER_RATE = 0.25
 _MAX_STEPS_PER_RATE = 4096
-_MAX_STEPS = 1 << 20
 _PLUS = np.array([[1.0, 1.0]], dtype=complex) / math.sqrt(2.0)  # |+>
 ODE_TOL = 1e-9  # default error target of a drive's state and derivative
 
@@ -365,8 +365,9 @@ def feature_scale(protocol, signal: SignalParams) -> float:
     if isinstance(protocol, PulseSequence):
         scale = max(scale, protocol.segment_count(_ULP_SEGMENT * T) / T)
     elif isinstance(protocol, ContinuousControl):
-        pieces = sum(end - start > _ULP_SEGMENT * T
-                     for start, end, _ in protocol.pieces)
+        # a Python int: a numpy one overflows with a warning at T = 1e-320
+        pieces = int(sum(end - start > _ULP_SEGMENT * T
+                         for start, end, _ in protocol.pieces))
         scale = max(scale, 2.0 * _generator_norm(protocol), pieces / T)
     return scale
 
@@ -460,19 +461,22 @@ def _mean_j(P, W):
     return 4.0 * (tr_a / 2.0 + ((m00 + m11) ** 2 + tr_m2).real / 6.0)
 
 
-def qfi_fd_oracle(protocol, signal: SignalParams,
+def qfi_fd_oracle(protocol, signal: SignalParams, omegas=None,
                   step: Optional[float] = None,
-                  ode_tol: float = 1e-11) -> float:
-    """QFI with dpsi replaced by a central finite difference of psi over B.
+                  ode_tol: float = 1e-11) -> np.ndarray:
+    """J(B | omega) over a frequency grid, with dpsi replaced by a central
+    finite difference of psi over B.
 
     Verification-only reference path: it never touches the analytic
-    derivative.  It differences the states of _states at B +- h (the
-    propagator P for a sequence with initial_state None) and applies the
-    same J rule and checks as qfi_vs_omega, at the signal's omega.  The
-    difference quotients at h and h/2 are Richardson-extrapolated; a
-    relative disagreement above 1e-4 between the two raises RuntimeError,
-    flagging a too-large step.  A step that is not positive and finite is
-    a ValueError.
+    derivative.  It takes the grid of qfi_vs_omega (without omegas, the
+    signal's own omega) and returns J in the same shape.  It differences
+    the states of _states at B +- h (the propagator P for a sequence with
+    initial_state None) over the whole grid, and applies the same J rule
+    and checks as qfi_vs_omega.  The difference quotients at h and h/2 are
+    Richardson-extrapolated; a relative disagreement above 1e-4 between
+    the two at any frequency raises RuntimeError, which names the worst
+    one, flagging a too-large step.  A step that is not positive and
+    finite is a ValueError.
 
     Default steps: 1e-6*max(1,|B|) for exact (pulse) evolutions,
     1e-4*max(1,|B|) for continuous ones, whose states carry an error of up
@@ -486,21 +490,19 @@ def qfi_fd_oracle(protocol, signal: SignalParams,
         step = (1e-4 if rough else 1e-6) * max(1.0, abs(signal.B))
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
-    om = [signal.omega]
-
-    def state(b):  # psi, or P, at omega: one row
-        return _states(protocol, replace(signal, B=b), om, ode_tol)[1][0]
-
-    def fd(h):
-        return (state(signal.B + h) - state(signal.B - h)) / (2.0 * h)
-
+    om = np.atleast_1d(np.asarray(
+        signal.omega if omegas is None else omegas, dtype=float))
     j_of, (psi, _) = _states(protocol, signal, om, ode_tol)
-    d1, d2 = fd(step), fd(0.5 * step)
-    j1, j2 = (float(_finite_j(j_of, (psi, d), om)[0]) for d in (d1, d2))
-    scale = max(abs(j1), abs(j2), 1e-12)
-    if abs(j1 - j2) / scale > 1e-4:
+    # psi, or P, at B + h, B - h, B + h/2 and B - h/2
+    p1, m1, p2, m2 = (_states(protocol, replace(signal, B=signal.B + s), om,
+                              ode_tol)[1][0]
+                      for s in (step, -step, 0.5 * step, -0.5 * step))
+    d1, d2 = (p1 - m1) / (2.0 * step), (p2 - m2) / step
+    j1, j2 = (_finite_j(j_of, (psi, d), om) for d in (d1, d2))
+    gap = np.abs(j1 - j2) / np.maximum(np.abs(j1), np.abs(j2)).clip(1e-12)
+    worst = int(np.argmax(gap))
+    if gap[worst] > 1e-4:
         raise RuntimeError(
-            f"finite-difference step {step} too large: "
-            f"h vs h/2 estimates differ by {abs(j1 - j2) / scale:.2e}"
-        )
-    return float(_finite_j(j_of, (psi, (4.0 * d2 - d1) / 3.0), om)[0])
+            f"finite-difference step {step} too large: h vs h/2 estimates "
+            f"differ by {gap[worst]:.2e} at omega = {om[worst]}")
+    return _finite_j(j_of, (psi, (4.0 * d2 - d1) / 3.0), om)

@@ -453,13 +453,14 @@ def integrate_qfi_band(protocol, signal: SignalParams, lo: float, hi: float,
         cfg or QuadratureConfig())
 
 
-def cross_spectral_integral(t1: float, t0: float, mode: str = "analytic",
-                            cfg: Optional[QuadratureConfig] = None) -> float:
+def cross_spectral_integral(t1: float, t0: float,
+                            mode: str = "analytic") -> float:
     """Integral of sin(omega*t1)*sin(omega*t0)/omega^2 over [0, inf).
 
     Closed form (pi/2)*min(t1, t0); mode="numeric" runs the generic panel
-    engine on the raw kernel instead, with its exact tail (cosine tails at
-    t1 -+ t0), as an end-to-end check of the quadrature itself.
+    engine on the raw kernel instead, at the default QuadratureConfig and
+    with its exact tail (cosine tails at t1 -+ t0), as an end-to-end check
+    of the quadrature itself.
     """
     if not (0.0 <= t1 < math.inf and 0.0 <= t0 < math.inf):
         raise ValueError(f"times must be finite and >= 0, got {t1}, {t0}")
@@ -469,7 +470,7 @@ def cross_spectral_integral(t1: float, t0: float, mode: str = "analytic",
         raise ValueError(f"unknown mode {mode!r}")
     if t1 == 0.0 or t0 == 0.0:
         return 0.0
-    cfg = cfg or QuadratureConfig()
+    cfg = QuadratureConfig()
     # the tail is exact, so Omega need not wait for the spectrum to settle
     omega_max = cfg.tail_start_factor / min(t1, t0)
 

@@ -36,6 +36,10 @@ SIGMA_Z = _frozen(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
 IDENTITY = _frozen(np.eye(2, dtype=complex))
 
 _AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
+# the most steps of the propagation kernel a protocol's maker builds: the
+# pulses of a train here, the steps of a drive's splitting in evolution.
+# 2^20 pulses take about 30 s and 0.4 GB to build; beyond, memory runs out
+_MAX_STEPS = 1 << 20
 
 __all__ = [
     "SIGMA_X",
@@ -290,11 +294,40 @@ def make_ramsey(total_time: float, initial_state=(math.pi / 2.0, 0.0)) -> PulseS
     return PulseSequence(pulses=(), total_time=total_time, initial_state=initial_state)
 
 
+def _check_count(count) -> None:
+    """ValueError for a train of more than _MAX_STEPS pulses, before any
+    is built."""
+    if not count <= _MAX_STEPS:
+        raise ValueError(f"{count:.7g} pulses are more than the "
+                         f"{_MAX_STEPS} a train may hold")
+
+
 def make_pi_train(times, total_time: float, axis="x",
                   initial_state=(math.pi / 2.0, 0.0)) -> PulseSequence:
-    """pi rotations about `axis` at the given times (t = total_time allowed)."""
+    """pi rotations about `axis` at the given times (t = total_time allowed).
+
+    times None stands for the whole numbers inside (0, T), or T/2 if there
+    is none; more than _MAX_STEPS of them is a ValueError.
+    """
+    if times is None:
+        _check_total_time(total_time)
+        _check_count(math.ceil(total_time) - 1)
+        times = range(1, math.ceil(total_time)) or [total_time / 2.0]
     pulses = tuple(Pulse(time=float(t), axis=axis, angle=math.pi)
                    for t in times)
+    return PulseSequence(pulses=pulses, total_time=total_time,
+                         initial_state=initial_state)
+
+
+def _even_train(count: int, step: float, total_time: float, axis, angle,
+                initial_state) -> PulseSequence:
+    """angle rotations about axis at k*step for k = 1 .. count; more than
+    _MAX_STEPS of them is a ValueError."""
+    _check_count(count)
+    # count*step can land an ulp past total_time, which PulseSequence
+    # rejects
+    pulses = tuple(Pulse(time=min(k * step, total_time), axis=axis,
+                         angle=angle) for k in range(1, count + 1))
     return PulseSequence(pulses=pulses, total_time=total_time,
                          initial_state=initial_state)
 
@@ -303,24 +336,18 @@ def make_pi2_train(spacing: float, total_time: float, axis="x",
                    initial_state=(math.pi / 2.0, 0.0)) -> PulseSequence:
     """pi/2 rotations at k*spacing for k = 1 .. T/spacing.
 
-    spacing must divide total_time to within 1e-9.
+    spacing must divide total_time to within 1e-9, into at most _MAX_STEPS
+    pulses.
     """
     _check_total_time(total_time)
     if not (math.isfinite(spacing) and spacing > 0.0):
         raise ValueError(f"spacing must be positive and finite, got {spacing}")
     count = total_time / spacing
+    _check_count(count)
     if abs(count - round(count)) > 1e-9:
         raise ValueError("spacing must divide total_time")
-    count = int(round(count))
-    # count*spacing can land an ulp past total_time, which PulseSequence
-    # rejects
-    pulses = tuple(
-        Pulse(time=min(k * spacing, total_time), axis=axis,
-              angle=math.pi / 2.0)
-        for k in range(1, count + 1)
-    )
-    return PulseSequence(pulses=pulses, total_time=total_time,
-                         initial_state=initial_state)
+    return _even_train(int(round(count)), spacing, total_time, axis,
+                       math.pi / 2.0, initial_state)
 
 
 def make_trotterized_gx(total_time: float, m: int, g: float,
@@ -330,18 +357,14 @@ def make_trotterized_gx(total_time: float, m: int, g: float,
     Each segment of width T/m is free evolution under the signal followed by
     an X rotation of angle 2*g*(T/m), the angle accumulated by g*X over the
     segment.  m = T (g = pi/2) gives a pi-train at integer times; m = 2T a
-    pi/2-train every half second.
+    pi/2-train every half second.  m above _MAX_STEPS is a ValueError.
     """
     _check_total_time(total_time)
     if m < 1 or m != int(m):
         raise ValueError("m must be a positive integer")
     dt = total_time / m
-    angle = 2.0 * g * dt
-    # m*dt can land an ulp past total_time, which PulseSequence rejects
-    pulses = tuple(Pulse(time=min(k * dt, total_time), axis="x", angle=angle)
-                   for k in range(1, m + 1))
-    return PulseSequence(pulses=pulses, total_time=total_time,
-                         initial_state=initial_state)
+    return _even_train(int(m), dt, total_time, "x", 2.0 * g * dt,
+                       initial_state)
 
 
 def random_pulse_sequence(rng: np.random.Generator, total_time: float,
@@ -400,17 +423,29 @@ def _pulse_to_dict(p: Pulse) -> dict:
     return {"t": p.time, "axis": axis, "angle": p.angle}
 
 
-def _pulse_from_dict(d: dict) -> Pulse:
+def _read(node, key: str, convert):
+    """convert(node[key]) of a JSON object node; a node that is no object,
+    a missing key or a value that convert refuses is a ValueError."""
+    if not isinstance(node, dict):
+        raise ValueError(f"expected a JSON object, got {json.dumps(node)}")
+    if key not in node:
+        raise ValueError(f"pulse_sequence JSON lacks the key '{key}'")
+    try:
+        return convert(node[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"bad value of '{key}': "
+                         f"{json.dumps(node[key])}") from None
+
+
+def _pulse_from_dict(d) -> Pulse:
+    t = _read(d, "t", float)
     if "matrix" in d:
-        m = np.array(
-            [[complex(re, im) for re, im in row] for row in d["matrix"]],
-            dtype=complex,
-        )
-        return Pulse(time=float(d["t"]), matrix=m)
-    axis = d["axis"]
-    if not isinstance(axis, str):
-        axis = tuple(float(a) for a in axis)
-    return Pulse(time=float(d["t"]), axis=axis, angle=float(d["angle"]))
+        return Pulse(time=t, matrix=_read(d, "matrix", lambda m: np.array(
+            [[complex(re, im) for re, im in row] for row in m],
+            dtype=complex)))
+    axis = _read(d, "axis", lambda a: a if isinstance(a, str)
+                 else tuple(float(x) for x in a))
+    return Pulse(time=t, axis=axis, angle=_read(d, "angle", float))
 
 
 def sequence_to_json(seq: PulseSequence) -> str:
@@ -427,17 +462,18 @@ def sequence_to_json(seq: PulseSequence) -> str:
 
 def sequence_from_json(text: str) -> PulseSequence:
     """The sequence of a JSON document; ValueError for a document of
-    another type, a missing key or an invalid sequence."""
+    another type, a missing key, a value of the wrong kind or an invalid
+    sequence."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {json.dumps(doc)}")
     if doc.get("type") != "pulse_sequence":
         raise ValueError(f"unsupported protocol type {doc.get('type')!r}")
     init = doc.get("initial_state", {"alpha": math.pi / 2.0, "beta": 0.0})
-    try:
-        return PulseSequence(
-            pulses=tuple(_pulse_from_dict(d) for d in doc.get("pulses", [])),
-            total_time=float(doc["T"]),
-            initial_state=None if init is None else (float(init["alpha"]),
-                                                     float(init["beta"])),
-        )
-    except KeyError as exc:
-        raise ValueError(f"pulse_sequence JSON lacks the key {exc}") from None
+    return PulseSequence(
+        pulses=tuple(map(_pulse_from_dict, _read(doc, "pulses", list)
+                         if "pulses" in doc else [])),
+        total_time=_read(doc, "T", float),
+        initial_state=None if init is None else (_read(init, "alpha", float),
+                                                 _read(init, "beta", float)),
+    )

@@ -60,6 +60,14 @@ CASES = {
     "iqfi-defaults": (["iqfi"], None),
     "spectrum-defaults": (["spectrum"], None),
     "fig2-defaults": (["fig2"], None),
+    # a train of more pulses than the cap is refused before any is built
+    "iqfi-pi2-train-too-many-pulses": (["iqfi", "--protocol", "pi2-train",
+                                        "--spacing", "1e-300", "--T", "1"],
+                                       None),
+    "iqfi-trotter-gx-too-many-pulses": (["iqfi", "--protocol", "trotter-gx",
+                                         "--T", "1e12"], None),
+    "iqfi-pi-train-too-many-pulses": (["iqfi", "--protocol", "pi-train",
+                                       "--T", "1e12"], None),
 }
 
 

@@ -424,6 +424,9 @@ def test_register_times_must_end_at_the_given_duration(tmp_path, capsys):
     # RuntimeWarnings and a CSV of nan, exit 0
     (("spectrum", "--protocol", "ramsey", "--T", "1e200", "--B", "0",
       "--points", "3"), 2),
+    # a subnormal duration: "overflow encountered in divide", then exit 2
+    (("iqfi", "--protocol", "gx", "--T", "1e-320", "--B", "1"), 2),
+    (("spectrum", "--protocol", "gx", "--T", "1e-320", "--B", "1"), 2),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_range_numbers_exit_with_one_line(argv, code, capsys, tmp_path,

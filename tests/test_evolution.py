@@ -213,9 +213,8 @@ def test_fd_oracle_matches_engine_discrete():
         sig = SignalParams(B=float(rng.uniform(-2.0, 2.0)),
                            omega=float(rng.uniform(0.0, 20.0 / T)),
                            phi=float(rng.uniform(0.0, 2.0 * math.pi)))
-        j = float(qfi_vs_omega(seq, sig)[0])
-        ref = qfi_fd_oracle(seq, sig)
-        assert j == pytest.approx(ref, rel=1e-6, abs=1e-9)
+        assert qfi_vs_omega(seq, sig) == pytest.approx(
+            qfi_fd_oracle(seq, sig), rel=1e-6, abs=1e-9)
 
 
 def test_fd_oracle_of_a_haar_sequence():
@@ -230,10 +229,10 @@ def test_fd_oracle_of_a_haar_sequence():
                            omega=float(rng.uniform(0.0, 20.0 / T)),
                            phi=float(rng.uniform(0.0, 2.0 * math.pi)))
         ref = qfi_fd_oracle(seq, sig)
-        assert float(qfi_vs_omega(seq, sig)[0]) == pytest.approx(
-            ref, rel=1e-6, abs=1e-9)
+        assert qfi_vs_omega(seq, sig) == pytest.approx(ref, rel=1e-6,
+                                                       abs=1e-9)
         six = np.mean([qfi_fd_oracle(replace(seq, initial_state=state), sig)
-                       for state in PAULI_STATES])
+                       for state in PAULI_STATES], axis=0)
         assert ref == pytest.approx(six, rel=1e-6, abs=1e-9)
 
 
@@ -241,6 +240,19 @@ def test_fd_oracle_rejects_too_large_step():
     sig = SignalParams(B=0.0, omega=0.0)
     with pytest.raises(RuntimeError):
         qfi_fd_oracle(make_ramsey(4.0), sig, step=0.3)
+
+
+def test_fd_oracle_checks_its_step_at_every_frequency():
+    # Theta falls as 1/omega, so h = 0.3 is too large at omega = 0 alone
+    sig, ramsey = SignalParams(B=0.0, omega=0.0), make_ramsey(4.0)
+    with pytest.raises(RuntimeError, match="at omega = 0.0$"):
+        qfi_fd_oracle(ramsey, sig, omegas=[50.0, 0.0, 60.0], step=0.3)
+    j = qfi_fd_oracle(ramsey, sig, omegas=[50.0, 60.0], step=0.3)
+    assert j.shape == (2,)
+    assert j == pytest.approx(qfi_vs_omega(ramsey, sig, omegas=[50.0, 60.0]),
+                              rel=1e-4)
+    # without omegas, J at the signal's own omega, as from qfi_vs_omega
+    assert qfi_fd_oracle(ramsey, sig).shape == (1,)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-6, math.nan, math.inf])
@@ -355,9 +367,8 @@ def test_continuous_matches_fd_oracle():
         sig = SignalParams(B=float(rng.uniform(-1.0, 1.0)),
                            omega=float(rng.uniform(0.0, 5.0)),
                            phi=float(rng.uniform(0.0, 2.0 * math.pi)))
-        j = float(qfi_vs_omega(drive, sig, ode_tol=1e-11)[0])
-        ref = qfi_fd_oracle(drive, sig, ode_tol=1e-11)
-        assert j == pytest.approx(ref, rel=1e-5, abs=1e-8)
+        assert qfi_vs_omega(drive, sig, ode_tol=1e-11) == pytest.approx(
+            qfi_fd_oracle(drive, sig, ode_tol=1e-11), rel=1e-5, abs=1e-8)
 
 
 def test_piecewise_matches_trotter_limit():
@@ -592,9 +603,8 @@ def test_fd_oracle_matches_engine_on_registers():
                                omega=float(rng.uniform(0.0, 4.0)),
                                phi=float(rng.uniform(0.0, 6.2)))
             ghz = GhzProtocol(n=n, times=times, flips=flips)
-            j = float(qfi_vs_omega(ghz, sig)[0])
-            ref = qfi_fd_oracle(ghz, sig)
-            assert j == pytest.approx(ref, rel=1e-6, abs=1e-9)
+            assert qfi_vs_omega(ghz, sig) == pytest.approx(
+                qfi_fd_oracle(ghz, sig), rel=1e-6, abs=1e-9)
 
 
 def test_ghz_protocol_spectrum_path():

@@ -56,6 +56,10 @@ def test_pi_train_constructor():
         make_pi_train([3.0, 1.0], 4.0)
     with pytest.raises(ValueError):
         make_pi_train([5.0], 4.0)
+    # None stands for the whole numbers inside (0, T), or T/2 if none
+    for T, times in [(4.0, [1.0, 2.0, 3.0]), (3.5, [1.0, 2.0, 3.0]),
+                     (1.0, [0.5]), (0.4, [0.2])]:
+        assert make_pi_train(None, T).times.tolist() == times
 
 
 def test_pi2_train_constructor():
@@ -82,10 +86,24 @@ def test_trotter_m_equals_T_is_a_pi_train():
         np.testing.assert_allclose(pa.unitary, pb.unitary, atol=1e-15)
 
 
+@pytest.mark.parametrize("count", [2 ** 20 + 1, 1e300])
+def test_train_makers_refuse_too_many_pulses(count):
+    # such a train was built until the process ran out of memory; the
+    # refusal comes before any pulse is built
+    message = f"^{re.escape(f'{count:.7g}')} pulses are more than the " \
+              f"1048576 a train may hold$"
+    for build in (lambda: make_pi2_train(1.0, count),
+                  lambda: make_trotterized_gx(1.0, m=count, g=1.0),
+                  lambda: make_pi_train(None, count + 1)):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
 def test_constructors_reject_bad_durations(bad):
     for build in (make_ramsey,
                   lambda T: make_pi_train([], T),
+                  lambda T: make_pi_train(None, T),
                   lambda T: make_pi2_train(0.5, T),
                   lambda T: make_trotterized_gx(T, m=4, g=1.0),
                   lambda T: TransverseDrive(g=1.0, total_time=T)):
@@ -284,11 +302,37 @@ def test_invalid_json_document_raises_when_it_loads():
     doc["pulses"][1]["t"] = 5.0
     with pytest.raises(ValueError, match="pulse 1: time 5.0 outside"):
         sequence_from_json(json.dumps(doc))
+    # a value of the wrong kind raised AttributeError or TypeError
+    seq = PulseSequence((Pulse(time=1.0, axis="x", angle=1.0),
+                         Pulse(time=2.0, matrix=SX)), 4.0)
+    for path, key, value, message in [
+            ((), "T", None, "bad value of 'T': null"),
+            ((), "pulses", None, "bad value of 'pulses': null"),
+            ((), "pulses", [1], "expected a JSON object, got 1"),
+            (("pulses", 1), "matrix", [[1, 2]],
+             "bad value of 'matrix': [[1, 2]]"),
+            (("pulses", 1), "matrix", 5, "bad value of 'matrix': 5"),
+            (("initial_state",), "alpha", None,
+             "bad value of 'alpha': null"),
+            ((), "initial_state", 3, "expected a JSON object, got 3"),
+            (("pulses", 0), "axis", 5, "bad value of 'axis': 5")]:
+        doc = json.loads(sequence_to_json(seq))
+        node = doc
+        for step in path:
+            node = node[step]
+        node[key] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sequence_from_json(json.dumps(doc))
 
 
 def test_json_of_another_type_raises():
     with pytest.raises(ValueError, match="unsupported protocol type 'ghz'"):
         sequence_from_json('{"type": "ghz", "T": 2.0}')
+    # a document that is no object raised AttributeError
+    for text in ("[]", "1", "null"):
+        with pytest.raises(ValueError, match="^expected a JSON object, "
+                                             f"got {re.escape(text)}$"):
+            sequence_from_json(text)
 
 
 @pytest.mark.parametrize("path, key", [
