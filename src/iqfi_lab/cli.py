@@ -47,7 +47,6 @@ from .iqfi import (
 )
 from .protocol import (
     GhzProtocol,
-    PulseSequence,
     TransverseDrive,
     make_pi2_train,
     make_pi_train,
@@ -362,10 +361,7 @@ def cmd_bounds_check(args) -> int:
 
 def cmd_haar(args) -> int:
     signal = _build_signal(args)
-    protocol = _build_protocol(args)
-    if not isinstance(protocol, PulseSequence):
-        raise ValueError("haar requires a pulse-sequence protocol")
-    r = haar_average_iqfi(protocol, signal, cfg=_quad_cfg(args))
+    r = haar_average_iqfi(_build_protocol(args), signal, cfg=_quad_cfg(args))
     values = {"K_avg": r.value, "stderr": r.stderr, "method": r.method,
               "samples": r.samples}
     _write_formatted(args, {"schema": SCHEMA_TAG.lstrip("# "), **values},

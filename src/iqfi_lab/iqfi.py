@@ -498,8 +498,8 @@ def haar_average_iqfi(seq: PulseSequence, signal: SignalParams,
     and stderr 0, for callers of the earlier Monte Carlo.
     """
     if not isinstance(seq, PulseSequence):
-        raise TypeError(f"haar_average_iqfi needs a PulseSequence, got "
-                        f"{type(seq).__name__}")
+        raise ValueError(f"the Haar average needs a pulse-sequence protocol "
+                         f"(a PulseSequence), got a {type(seq).__name__}")
     if signal.B == 0.0 and signal.phi == 0.0:
         k = (2.0 / 3.0) * 2.0 * math.pi * signal.zeta ** 2 * seq.total_time
         if not math.isfinite(k):

@@ -276,6 +276,7 @@ class GhzProtocol:
             raise ValueError("times must be finite")
         if any(b < a for a, b in zip(t, t[1:])):
             raise ValueError("times must be non-decreasing")
+        _check_total_time(self.total_time)
         if self.flips is None:
             return
         if len(self.flips) != len(t) - 2:
@@ -336,8 +337,8 @@ def make_pi2_train(spacing: float, total_time: float, axis="x",
                    initial_state=(math.pi / 2.0, 0.0)) -> PulseSequence:
     """pi/2 rotations at k*spacing for k = 1 .. T/spacing.
 
-    spacing must divide total_time to within 1e-9, into at most _MAX_STEPS
-    pulses.
+    spacing must divide total_time to within 1e-9, into at least one and
+    at most _MAX_STEPS pulses.
     """
     _check_total_time(total_time)
     if not (math.isfinite(spacing) and spacing > 0.0):
@@ -346,6 +347,9 @@ def make_pi2_train(spacing: float, total_time: float, axis="x",
     _check_count(count)
     if abs(count - round(count)) > 1e-9:
         raise ValueError("spacing must divide total_time")
+    if round(count) == 0:
+        raise ValueError(f"spacing {spacing} leaves no pulse in "
+                         f"total_time {total_time}")
     return _even_train(int(round(count)), spacing, total_time, axis,
                        math.pi / 2.0, initial_state)
 

@@ -2,6 +2,7 @@
 the script that regenerates tests/golden/.
 
     PYTHONPATH=src python tests/make_golden.py
+    PYTHONPATH=src python tests/make_golden.py --drift
 
 Each case runs cli.main in-process, in an empty working directory.  What
 it prints on stdout and every file it writes go to
@@ -11,6 +12,11 @@ the Python and numpy that made them.  tests/test_golden.py runs the cases
 again and compares: bytes under that Python and numpy, numbers to
 1e-12 of their record elsewhere (see same_numbers).  Regenerate only for
 a change that moves a number on purpose, and say so in CHANGES.md.
+
+--drift writes nothing: it runs every case against its committed record
+and prints the table of K moves (see drift), for such a change to show
+that each K moved by less than its old plus its new K_err.  It exits 1
+if one did not, or if an exit code or a last stderr line changed.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ CASES = {
     "iqfi-defaults": (["iqfi"], None),
     "spectrum-defaults": (["spectrum"], None),
     "fig2-defaults": (["fig2"], None),
+    "bounds-check-defaults": (["bounds-check"], None),
     # a train of more pulses than the cap is refused before any is built
     "iqfi-pi2-train-too-many-pulses": (["iqfi", "--protocol", "pi2-train",
                                         "--spacing", "1e-300", "--T", "1"],
@@ -68,6 +75,13 @@ CASES = {
                                          "--T", "1e12"], None),
     "iqfi-pi-train-too-many-pulses": (["iqfi", "--protocol", "pi-train",
                                        "--T", "1e12"], None),
+    # a train with no pulse, a register with no duration and a Haar
+    # average of a drive are refused
+    "iqfi-pi2-train-no-pulse": (["iqfi", "--protocol", "pi2-train", "--T",
+                                 "1e-10"], None),
+    "iqfi-ghz-no-duration": (["iqfi", "--protocol", "ghz", "--times", "0,0"],
+                             None),
+    "haar-gx": (["haar", "--protocol", "gx"], None),
 }
 
 
@@ -165,6 +179,91 @@ def same_numbers(got: bytes, want: bytes, rel: float = 1e-12):
     return None
 
 
+def committed(name: str) -> dict:
+    """The record of case name in tests/golden/, in run_case's form."""
+    record = json.loads((GOLDEN / "manifest.json").read_text())["cases"][name]
+    folder = GOLDEN / name
+    outputs = {p.name: p.read_bytes() for p in sorted(folder.iterdir())} \
+        if folder.is_dir() else {}
+    return {"exit": record["exit"], "stderr": record["stderr"],
+            "outputs": outputs}
+
+
+def k_values(outputs: dict) -> dict:
+    """{row: (K, K_err)} of a case's outputs: the K and K_err of a JSON
+    object or of a key,value CSV (row: the output's name), and each row of
+    a T,K,K_err CSV (row: the output's name and T)."""
+    found = {}
+    for output, data in outputs.items():
+        text = data.decode()
+        if text.startswith("{"):
+            doc = json.loads(text)
+            if "K" in doc:
+                found[output] = (doc["K"], doc["K_err"])
+            continue
+        rows = [line.split(",") for line in text.split("\n")
+                if line and not line.startswith("#")]
+        if rows and rows[0] == ["key", "value"]:
+            kv = dict(rows[1:])
+            if "K" in kv:
+                found[output] = (float(kv["K"]), float(kv["K_err"]))
+        elif rows and rows[0][:3] == ["T", "K", "K_err"]:
+            found.update((f"{output} T={r[0]}", (float(r[1]), float(r[2])))
+                         for r in rows[1:])
+    return found
+
+
+def drift(name: str, got: dict, want: dict) -> tuple:
+    """(lines, failed): case name's rows of the K-drift table, got against
+    its record want (both in run_case's form).  A row is case, row, old K,
+    new K, |new - old| and the bound old K_err + new K_err.  It fails when
+    a K moved beyond its bound or is missing from either side, or when
+    the exit code or the last stderr line changed; any other changed
+    output is listed after a '#' without failing."""
+    lines, failed = [], False
+    for key in ("exit", "stderr"):
+        if got[key] != want[key]:
+            lines.append(f"# {name}: {key} {want[key]!r} -> {got[key]!r}")
+            failed = True
+    old, new = k_values(want["outputs"]), k_values(got["outputs"])
+    for row in {**old, **new}:
+        if row not in old or row not in new:
+            lines.append(f"# {name}: {row}: K only in the "
+                         f"{'new' if row in new else 'old'} output")
+            failed = True
+            continue
+        (k0, e0), (k1, e1) = old[row], new[row]
+        moved, bound = abs(k1 - k0), e0 + e1
+        lines.append(f"{name},{row},{k0!r},{k1!r},{moved:.3g},{bound:.3g}")
+        failed |= not moved <= bound
+    for output in sorted(want["outputs"].keys() | got["outputs"].keys()):
+        if want["outputs"].get(output) != got["outputs"].get(output):
+            lines.append(f"# {name}: {output} changed")
+    return lines, failed
+
+
+def drift_table() -> int:
+    """Print the K-drift table of every case against tests/golden/; 1 if
+    it fails, else 0."""
+    print("case,row,K_old,K_new,moved,bound")
+    failed = False
+    for name, (argv, config) in CASES.items():
+        try:
+            want = committed(name)
+        except KeyError:
+            print(f"# {name}: a new case, with no record")
+            continue
+        with tempfile.TemporaryDirectory() as tmp:
+            got = run_case(argv, config, Path(tmp))
+        lines, bad = drift(name, got, want)
+        for line in lines:
+            print(line)
+        failed |= bad
+    print("# K moved beyond old + new K_err, or an exit code or last stderr "
+          "line changed" if failed else "# every K within its bound")
+    return int(failed)
+
+
 def regenerate() -> None:
     shutil.rmtree(GOLDEN, ignore_errors=True)
     GOLDEN.mkdir()
@@ -185,4 +284,6 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    if sys.argv[1:] not in ([], ["--drift"]):
+        sys.exit("usage: make_golden.py [--drift]")
+    sys.exit(drift_table() if sys.argv[1:] else regenerate())

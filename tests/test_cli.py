@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -723,6 +724,22 @@ def test_cli_imports_no_private_names():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_package_publishes_its_modules_all():
+    """Each public name is declared once, in its module's __all__, and
+    iqfi_lab publishes exactly the union of those lists."""
+    modules = (iqfi_lab.signal_core, iqfi_lab.protocol, iqfi_lab.evolution,
+               iqfi_lab.iqfi, iqfi_lab.bounds)
+    declared = [name for module in modules for name in module.__all__]
+    assert len(declared) == len(set(declared))
+    public = {name for name, value in vars(iqfi_lab).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert public == set(declared)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(iqfi_lab, name) is getattr(module, name)
 
 
 def test_cli_holds_no_bound_logic():

@@ -7,8 +7,8 @@ import json
 
 import pytest
 
-from make_golden import (CASES, GOLDEN, environment, run_case,
-                         same_numbers)
+from make_golden import (CASES, GOLDEN, committed, drift, environment,
+                         k_values, run_case, same_numbers)
 
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 BYTES = environment() == {k: MANIFEST[k] for k in ("python", "numpy")}
@@ -23,15 +23,11 @@ def test_manifest_holds_every_case():
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_cli_output_matches_golden(name, tmp_path):
-    want = MANIFEST["cases"][name]
+    want = committed(name)
     got = run_case(*CASES[name], tmp_path)
     assert (got["exit"], got["stderr"]) == (want["exit"], want["stderr"])
-    folder = GOLDEN / name
-    names = sorted(p.name for p in folder.iterdir()) if folder.is_dir() \
-        else []
-    assert sorted(got["outputs"]) == names
-    for output in names:
-        data = (folder / output).read_bytes()
+    assert sorted(got["outputs"]) == sorted(want["outputs"])
+    for output, data in want["outputs"].items():
         if BYTES:
             assert got["outputs"][output] == data, output
         else:
@@ -56,3 +52,30 @@ def test_numbers_may_move_only_in_their_last_bits():
                if ln.startswith("K_err,")).split(",")[1]
     assert same_numbers(k_file.replace(err.encode(), repr(
         float(err) * 1.001).encode()), k_file) is None
+
+
+@pytest.mark.parametrize("name, rows", [("iqfi-gx-B0.7", 1), ("fig1", 4)])
+def test_k_may_drift_only_within_its_error_bars(name, rows):
+    want = committed(name)
+    ks = k_values(want["outputs"])
+    assert len(ks) == rows
+    k, k_err = next(iter(ks.values()))
+    text = repr(k).encode()
+    assert sum(data.count(text) for data in want["outputs"].values()) == 1
+
+    def moved(by, **record):
+        outputs = {output: data.replace(text, repr(k + by).encode())
+                   for output, data in want["outputs"].items()}
+        return drift(name, {**want, "outputs": outputs, **record}, want)
+    lines, failed = moved(0.0)
+    assert len(lines) == rows and not failed
+    # the bound is the old plus the new K_err
+    lines, failed = moved(0.99 * 2 * k_err)
+    assert len(lines) == rows + 1 and not failed
+    assert lines[-1].endswith(" changed")
+    assert moved(1.01 * 2 * k_err)[1]
+    assert moved(-1.01 * 2 * k_err)[1]
+    assert moved(0.0, exit=3)[1]
+    assert moved(0.0, stderr="iqfi-lab: a new last line")[1]
+    # a K that is gone fails too
+    assert drift(name, {**want, "outputs": {}}, want)[1]

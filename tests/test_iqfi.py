@@ -441,7 +441,7 @@ def test_haar_rejects_non_pulse_protocols():
     # register at B = 0 must not silently receive it
     for proto in (GhzProtocol(n=3, times=(0.0, 2.0)),
                   TransverseDrive(g=1.0, total_time=2.0)):
-        with pytest.raises(TypeError, match="PulseSequence"):
+        with pytest.raises(ValueError, match="PulseSequence"):
             haar_average_iqfi(proto, FLAT)
 
 

@@ -284,6 +284,11 @@ INVALID = {
                   "n must be a whole number >= 1, got inf"),
     "ghz_n_fractional": (lambda: GhzProtocol(n=2.5, times=(0.0, 2.0)),
                          "n must be a whole number >= 1, got 2.5"),
+    "ghz_no_duration": (lambda: GhzProtocol(n=2, times=(0.0, 0.0)),
+                        "total_time must be positive and finite, got 0.0"),
+    # a count within 1e-9 of 0 passes the divisibility check
+    "pi2_train_no_pulse": (lambda: make_pi2_train(0.5, 1e-10),
+                           "spacing 0.5 leaves no pulse in total_time 1e-10"),
 }
 
 
