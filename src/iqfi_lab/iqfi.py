@@ -2,12 +2,13 @@
 
 K(T) = integral of J(B | omega) over omega in [0, inf).  The integrand
 oscillates on the scale pi/T, so the finite range [0, Omega] is cut into
-panels of that width.  All base panels are laid out as arrays, one row per
-panel, and evaluated in one batched call at the 33 nodes of the Gauss-
+panels of width 2 pi/T.  All base panels are laid out as arrays, one row
+per panel, and evaluated in one batched call at the 33 nodes of the Gauss-
 Kronrod rule: its value is the panel's, and its distance from the 16-point
 Gauss rule on 16 of the same nodes the panel's error.  Only if the summed
-error misses the tolerance does the panel count double, every panel
-evaluated again in one batch, until it fits or the panel budget runs out.
+error misses the tolerance are panels halved: those whose error misses
+their share of it, in proportion to their width, each round's halves
+evaluated in one batch, until the sum fits or the panel budget runs out.
 Beyond Omega, J tends to the toggling-frame (filter-function) form
 (4 zeta^2/omega^2) sum_jl D_jl sin(omega a_j + phi) sin(omega a_l + phi):
 a_j are the times where Z~ = U0^dag Z U0 of the control alone jumps, D the
@@ -77,7 +78,7 @@ class QuadratureConfig:
                 raise ValueError(
                     f"{name} must be positive and finite, got {val}")
         # a NaN fails the first test; an infinity would never stop the
-        # doubling of _integrate_adaptive
+        # halving of _integrate_adaptive
         m = self.max_panels
         if not (1 <= m < math.inf and m == math.floor(m)):
             raise ValueError(
@@ -88,10 +89,10 @@ class QuadratureConfig:
 class QfiSpectrum:
     """Sampled spectrum plus its integral.
 
-    omegas/values are every evaluated node in increasing omega, 33 per
-    panel, and weights their Gauss-Kronrod weights, so values @ weights is
-    the integral over the panels.  integral adds the closed-form tail,
-    tail_coefficient/tail_start; a band integral has no tail and
+    omegas/values are the nodes of every final panel in increasing omega,
+    33 per panel, and weights their Gauss-Kronrod weights, so values @
+    weights is the integral over the panels.  integral adds the closed-form
+    tail, tail_coefficient/tail_start; a band integral has no tail and
     tail_start is inf.  error_estimate sums the panels' |K33 - G16|, a
     bound on the tail's error (0 where the tail is exact; see _tail) and
     1e-14 of |integral| for rounding.
@@ -196,14 +197,20 @@ def _integrate_adaptive(f, lo, hi, width, cfg: QuadratureConfig,
                         tail=None) -> QfiSpectrum:
     """Shared core: panel-refined integral of f over [lo, hi].
 
-    n = ceil((hi - lo)/width) equal panels are evaluated in one batch.
-    While their summed error misses max(ABS_TOL, rel_tol*|value|), n
-    doubles and every panel is evaluated again.  Past max_panels it raises
-    QuadratureNonConvergence with the last spectrum as its partial, None
-    if even the base panels are too many; then it raises before the tail
-    or any panel is formed.  tail() is (value, error bound) of the
-    integral of f over [hi, inf), added to the integral and to the error
-    estimate; without one, tail_start is inf.
+    ceil((hi - lo)/width) equal panels are evaluated in one batch, and the
+    first round's value sets the budget max(ABS_TOL, rel_tol*|value|).
+    Each round, if the summed error of the final and the open panels fits
+    the budget, every open panel is final.  Otherwise an open panel whose
+    error fits its share, budget*(its width)/(hi - lo), is final, and the
+    others are halved and evaluated in the next round's one batch; once
+    every panel fits its share, the sum fits too.  max_panels counts final
+    panels: where halving would pass it, the loop raises
+    QuadratureNonConvergence with the spectrum of the final and open
+    panels as its partial, None if even the base panels are too many;
+    then it raises before the tail or any panel is formed.  tail() is
+    (value, error bound) of the integral of f over [hi, inf), added to
+    the integral and to the error estimate; without one, tail_start is
+    inf.
     """
     count = (hi - lo) / width
     if not count <= cfg.max_panels:  # an infinite or NaN count too
@@ -211,27 +218,49 @@ def _integrate_adaptive(f, lo, hi, width, cfg: QuadratureConfig,
             f"[{lo:.3g}, {hi:.3g}] needs {count:.3g} panels of width "
             f"{width:.3g}, above max_panels={cfg.max_panels}")
     tail_value, tail_err = tail() if tail else (0.0, 0.0)
-    n = max(1, math.ceil(count))
-    spec = None
-    while n <= cfg.max_panels:
-        edges = np.linspace(lo, hi, n + 1)
-        nodes, values, weights, pv, pe = _panels(f, edges[:-1], edges[1:])
-        # exact sums, so that results are bit-stable
-        value, err = math.fsum(pv), math.fsum(pe)
-        k = float(value + tail_value)
-        spec = QfiSpectrum(omegas=nodes.ravel(), values=values.ravel(),
-                           weights=weights.ravel(), integral=k,
-                           error_estimate=float(err + tail_err
+
+    def spectrum(rows):
+        # panels in increasing omega: one batch already is, and is not
+        # copied; exact sums, so that results are bit-stable whatever the
+        # round a panel became final in
+        if len(rows) == 1:
+            a, nodes, values, weights, pv, pe = rows[0]
+            order = slice(None)
+        else:
+            a, nodes, values, weights, pv, pe = map(np.concatenate, zip(*rows))
+            order = np.argsort(a)
+        k = float(math.fsum(pv) + tail_value)
+        return QfiSpectrum(omegas=nodes[order].ravel(),
+                           values=values[order].ravel(),
+                           weights=weights[order].ravel(), integral=k,
+                           error_estimate=float(math.fsum(pe) + tail_err
                                                 + 1e-14 * abs(k)),
                            tail_coefficient=tail_value * hi,
                            tail_start=hi if tail else math.inf)
+
+    edges = np.linspace(lo, hi, max(1, math.ceil(count)) + 1)
+    a, b = edges[:-1], edges[1:]
+    final, budget = [], None
+    while a.size:
+        rows = (a,) + _panels(f, a, b)
+        pv, pe = rows[-2:]
+        if budget is None:
+            budget = max(ABS_TOL, cfg.rel_tol * abs(math.fsum(pv)))
+        err = math.fsum(np.concatenate([r[-1] for r in final] + [pe]))
         # a NaN error stops here too: more panels cannot cure it
-        if not err > max(ABS_TOL, cfg.rel_tol * abs(value)):
-            return spec
-        n *= 2
-    raise QuadratureNonConvergence(
-        f"{n} panels exceed max_panels={cfg.max_panels}; raise max_panels "
-        "or rel_tol", partial=spec)
+        if not err > budget:
+            return spectrum(final + [rows])
+        fits = pe <= budget * (b - a) / (hi - lo)
+        final.append(tuple(r[fits] for r in rows))
+        a, b = a[~fits], b[~fits]
+        if sum(len(r[0]) for r in final) + 2 * a.size > cfg.max_panels:
+            raise QuadratureNonConvergence(
+                f"halving {a.size} panels would pass max_panels="
+                f"{cfg.max_panels}; raise max_panels or rel_tol",
+                partial=spectrum(final + [tuple(r[~fits] for r in rows)]))
+        mid = 0.5 * (a + b)
+        a, b = np.stack([a, mid], 1).ravel(), np.stack([mid, b], 1).ravel()
+    return spectrum(final)
 
 
 # -- the analytic tail --------------------------------------------------------
@@ -402,8 +431,10 @@ def integrate_iqfi(protocol, signal: SignalParams,
     Where _zero_field_k admits it (a pulse sequence or GHZ register at
     B = 0, or one whose axis stays on +-z), K is a closed form (method
     "closed_form"): no propagation, no panels.  Otherwise panels of width
-    pi/T cover [0, Omega] and the closed-form tail the rest; an exhausted
-    panel budget raises QuadratureNonConvergence with a partial result.
+    2 pi/T, halved where their error misses its share (see
+    _integrate_adaptive), cover [0, Omega] and the closed-form tail the
+    rest; an exhausted panel budget raises QuadratureNonConvergence with a
+    partial result.
     ode_tol, for continuous drives, is checked on every path.  A sequence
     with initial_state None gives the Haar average.  A tail start Omega,
     K or error estimate beyond the floats is a ValueError.
@@ -429,7 +460,7 @@ def integrate_iqfi(protocol, signal: SignalParams,
         spec = _integrate_adaptive(
             lambda om: qfi_vs_omega(protocol, signal, omegas=om,
                                     ode_tol=ode_tol),
-            0.0, omega_max, math.pi / float(protocol.total_time), cfg,
+            0.0, omega_max, 2.0 * math.pi / float(protocol.total_time), cfg,
             lambda: _tail(jumps, signal, omega_max))
     if not (math.isfinite(spec.integral)
             and math.isfinite(spec.error_estimate)):
@@ -449,7 +480,7 @@ def integrate_qfi_band(protocol, signal: SignalParams, lo: float, hi: float,
     protocol, signal = _reduced(protocol, signal)
     return _integrate_adaptive(
         lambda om: qfi_vs_omega(protocol, signal, omegas=om, ode_tol=ode_tol),
-        lo, hi, math.pi / float(protocol.total_time),
+        lo, hi, 2.0 * math.pi / float(protocol.total_time),
         cfg or QuadratureConfig())
 
 
@@ -481,7 +512,7 @@ def cross_spectral_integral(t1: float, t0: float,
     return _integrate_adaptive(
         lambda om: t1 * t0 * np.sinc(om * t1 / math.pi) * np.sinc(
             om * t0 / math.pi),
-        0.0, omega_max, math.pi / max(t1, t0), cfg, tail).integral
+        0.0, omega_max, 2.0 * math.pi / max(t1, t0), cfg, tail).integral
 
 
 # -- Haar averaging -----------------------------------------------------------

@@ -461,13 +461,15 @@ def test_sweep_linear_scaling_and_failures():
 
 
 def test_sweep_points_equal_serial_integrals_in_order():
-    # at B = 3 and this budget the T = 1 and 2 trains converge, T = 4 runs
-    # out of panels while refining (a partial estimate) and T = 8 before its
-    # first panels; the Ts are out of order, so that the pool's order shows
+    # at B = 3 and this budget the T = 1 and 2 trains converge (20 base
+    # panels; 39, 2 of them halved), T = 4 runs out of panels while
+    # refining (73 final and 4 halved into 8 would make 81, a partial
+    # estimate) and T = 8 before its first panels (153); the Ts are out of
+    # order, so that the pool's order shows
     family = lambda T: make_pi2_train(T / 2.0, T)
     Ts = [4.0, 1.0, 8.0, 2.0]
     sig = SignalParams(B=3.0, omega=0.0)
-    cfg = QuadratureConfig(max_panels=200, rel_tol=1e-12)
+    cfg = QuadratureConfig(max_panels=80, rel_tol=1e-12)
     sweep = sweep_iqfi_vs_T(family, Ts, sig, cfg=cfg)
     assert [p.T for p in sweep.points] == Ts
     assert [p.failed for p in sweep.points] == [True, False, True, False]
@@ -541,17 +543,39 @@ def _su2_train():
                                  max_pulses=16, kind="su2")
 
 
-def test_budget_exhausted_partial_carries_weights():
-    # the 191 base panels miss rel_tol = 1e-10 and 382 would exceed the
-    # budget, so the partial is the base-panel spectrum
+def _record_rounds(monkeypatch):
+    """The (a, b, value, error) arrays of each batched _panels call."""
+    rounds = []
+    panels = iqfi_lab.iqfi._panels
+
+    def recorded(f, a, b):
+        out = panels(f, a, b)
+        rounds.append((a, b, out[3], out[4]))
+        return out
+
+    monkeypatch.setattr(iqfi_lab.iqfi, "_panels", recorded)
+    return rounds
+
+
+def test_budget_exhausted_partial_carries_weights(monkeypatch):
+    # at rel_tol = 1e-10, 19 of the 96 base panels miss their share, and 8
+    # of their 38 halves miss theirs: 107 final and 16 halves would pass
+    # the budget, so the partial holds the 77 + 30 final panels and the 8
+    # open ones, of two widths
+    rounds = _record_rounds(monkeypatch)
     sig = SignalParams(B=2.3, omega=0.0)
-    cfg = QuadratureConfig(rel_tol=1e-10, max_panels=300)
-    with pytest.raises(QuadratureNonConvergence) as exc:
+    cfg = QuadratureConfig(rel_tol=1e-10, max_panels=120)
+    with pytest.raises(QuadratureNonConvergence, match="max_panels=120") \
+            as exc:
         integrate_iqfi(_su2_train(), sig, cfg=cfg)
+    assert [r[0].size for r in rounds] == [96, 38]
     partial = exc.value.partial
-    assert partial.omegas.size == 191 * 33
+    assert partial.omegas.size == 115 * 33
     _check_engine_contract(partial)
-    assert partial.integral == integrate_iqfi(_su2_train(), sig).integral
+    converged = integrate_iqfi(_su2_train(), sig, cfg=replace(
+        cfg, max_panels=8192))
+    assert abs(partial.integral - converged.integral) \
+        <= partial.error_estimate
 
 
 def test_a_base_panel_count_past_the_budget_raises_before_any_work(
@@ -597,16 +621,84 @@ def test_k_and_its_error_are_finite_or_raise():
         integrate_iqfi(GhzProtocol(n=3, times=(0.0, 1e307)), sig)
 
 
-def test_panel_count_doubles_until_the_tolerance_fits():
-    sig = SignalParams(B=10.0, omega=0.0)
-    n_base = math.ceil(20.0 / (math.pi / 4.0))  # panels of width pi/T
-    spec = integrate_qfi_band(_su2_train(), sig, 0.0, 20.0,
-                              cfg=QuadratureConfig(rel_tol=1e-9))
-    ref = integrate_qfi_band(_su2_train(), sig, 0.0, 20.0,
-                             cfg=QuadratureConfig(rel_tol=1e-12))
-    assert spec.omegas.size == 33 * n_base * 2 ** 2
-    assert ref.omegas.size == 33 * n_base * 2 ** 3
-    assert abs(spec.integral - ref.integral) <= spec.error_estimate
+def _bisected(case):
+    """(protocol, signal) of a K whose panels are halved at the default
+    config: the SU(2) train at B = 2.3, or at B = 2.5 and phi = 0.3, or
+    the 64 pulses of trotter-gx at T = 32 and B = 1."""
+    if case == "trotter_gx":
+        return (make_trotterized_gx(32.0, m=64, g=math.pi / 2.0),
+                SignalParams(B=1.0, omega=0.0))
+    if case == "su2_phase":
+        return _su2_train(), SignalParams(B=2.5, omega=0.0, phi=0.3)
+    return _su2_train(), SignalParams(B=2.3, omega=0.0)
+
+
+def test_only_the_panels_that_miss_their_share_are_halved(monkeypatch):
+    # panels of width 2 pi/T; the first round's K sets the budget, and a
+    # panel's share of it is budget * width/Omega.  Each round that
+    # misses the budget halves just the panels that miss their share
+    cfg = QuadratureConfig()
+    recorded = _record_rounds(monkeypatch)
+    for case, sizes in (("su2_train", [96, 14]), ("trotter_gx", [408, 10])):
+        proto, sig = _bisected(case)
+        recorded.clear()
+        spec = integrate_iqfi(proto, sig, cfg=cfg)
+        rounds = list(recorded)
+        omega = spec.tail_start
+        assert [r[0].size for r in rounds] == sizes
+        assert sizes[0] == math.ceil(
+            omega / (2.0 * math.pi / proto.total_time))
+        budget = max(ABS_TOL, cfg.rel_tol * abs(math.fsum(rounds[0][2])))
+        final = []  # errors of the final panels
+        for (a, b, _, err), nxt in zip(rounds, rounds[1:]):
+            assert math.fsum(np.concatenate(final + [err])) > budget
+            miss = err > budget * (b - a) / omega
+            final.append(err[~miss])
+            mid = 0.5 * (a[miss] + b[miss])
+            assert nxt[0].size == 2 * np.count_nonzero(miss)
+            np.testing.assert_array_equal(
+                np.sort(nxt[0]), np.sort(np.concatenate([a[miss], mid])))
+            np.testing.assert_array_equal(
+                np.sort(nxt[1]), np.sort(np.concatenate([mid, b[miss]])))
+        final.append(rounds[-1][3])
+        assert math.fsum(np.concatenate(final)) <= budget
+        assert spec.omegas.size == 33 * sum(e.size for e in final)
+        _check_engine_contract(spec)
+        ref = integrate_iqfi(proto, sig, cfg=replace(cfg, rel_tol=1e-12))
+        assert abs(spec.integral - ref.integral) <= spec.error_estimate
+
+
+@pytest.mark.parametrize("case", ["trotter_gx", "su2_phase"])
+def test_error_estimate_covers_the_bisected_panels(monkeypatch, case):
+    """Where panels are halved, the panels' part of the estimate, less the
+    tail bound and the 1e-14 |K| rounding term, covers K's distance from
+    panels at rel_tol 1e-12 under the same Omega and tail."""
+    proto, sig = _bisected(case)
+    rounds = _record_rounds(monkeypatch)
+    spec = integrate_iqfi(proto, sig)
+    assert len(rounds) > 1
+    ref = integrate_iqfi(proto, sig, cfg=QuadratureConfig(rel_tol=1e-12))
+    assert ref.tail_start == spec.tail_start
+    _, bound = _tail(_jumps(proto), sig, spec.tail_start)
+    panels = spec.error_estimate - bound - 1e-14 * abs(spec.integral)
+    assert abs(spec.integral - ref.integral) <= panels
+
+
+def test_a_nan_panel_error_is_beyond_the_floats(monkeypatch):
+    # a NaN error ends the first round: no panel is halved for it, and K
+    # is refused
+    rounds = _record_rounds(monkeypatch)
+    spectrum = iqfi_lab.iqfi.qfi_vs_omega
+
+    def poisoned(protocol, signal, omegas, **kwargs):
+        j = np.array(spectrum(protocol, signal, omegas=omegas, **kwargs))
+        j[j.size // 2] = math.nan
+        return j
+
+    monkeypatch.setattr(iqfi_lab.iqfi, "qfi_vs_omega", poisoned)
+    with pytest.raises(ValueError, match="beyond the floats"):
+        integrate_iqfi(*_bisected("trotter_gx"))
+    assert len(rounds) == 1
 
 
 def test_gauss_kronrod_rule():
@@ -636,10 +728,15 @@ def test_every_evaluated_frequency_is_kept(monkeypatch):
         return spectrum(protocol, signal, omegas=omegas, **kwargs)
 
     monkeypatch.setattr(iqfi_lab.iqfi, "qfi_vs_omega", recorded)
-    spec = integrate_iqfi(_su2_train(), SignalParams(B=2.3, omega=0.0))
+    rounds = _record_rounds(monkeypatch)
+    spec = integrate_iqfi(*_bisected("su2_train"))
     assert spec.method == "quadrature"
-    assert sum(om.size for om in evaluated) == spec.omegas.size
-    assert np.isin(np.concatenate(evaluated), spec.omegas).all()
+    # a halved panel's nodes are the only ones not kept: 7 of the 96
+    # base panels, into the 14 of the second round
+    halved = sum(r[0].size for r in rounds[1:]) // 2
+    assert halved == 7
+    assert sum(om.size for om in evaluated) == spec.omegas.size + 33 * halved
+    assert np.isin(spec.omegas, np.concatenate(evaluated)).all()
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
@@ -992,7 +1089,7 @@ def test_ulp_segment_does_not_raise_the_tail_start():
     ("max_panels", 0), ("max_panels", -3), ("max_panels", math.nan),
     ("max_panels", math.inf), ("max_panels", 2.5)])
 def test_quadrature_config_rejects_bad_fields(field, bad):
-    # an infinite panel budget would never stop the doubling of the panels
+    # an infinite panel budget would never stop the halving of the panels
     with pytest.raises(ValueError, match=f"^{field} must be"):
         QuadratureConfig(**{field: bad})
 
