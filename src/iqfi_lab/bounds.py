@@ -153,7 +153,9 @@ def b0_linear_bound(T: float, B: float, zeta: float = 1.0) -> float:
     zeta*B*T well below 1.  Checked, not proved: acceptance check 06 and
     the bound battery hold it on random sequences at zeta*B*T <= 0.1.
     """
-    return 2.0 * math.pi * zeta ** 2 * T + 40.0 * math.pi * zeta ** 4 * B ** 2 * T ** 3
+    # zeta*B, finite by SignalParams, keeps zeta^4 from overflowing first
+    return (2.0 * math.pi * zeta ** 2 * T
+            + 40.0 * math.pi * (zeta * (zeta * B)) ** 2 * T ** 3)
 
 
 def n_pulse_bound(N: int, T: float, zeta: float = 1.0) -> float:
@@ -265,8 +267,10 @@ def rwa_iqfi_lower_bound(T: float, B: float, g: float,
     u = zeta * abs(B)
     if u == 0.0:
         return 0.0
+    # u*u underflows to 0 below u ~ 1.5e-162, where g^2/u^2 is infinite
+    ratio = g * g / (u * u) if u * u else math.inf
     return zeta ** 2 * T ** 2 * (
-        g / (1.0 + g * g / (u * u)) + u * math.atan2(g, u)
+        g / (1.0 + ratio) + u * math.atan2(g, u)
     )
 
 

@@ -202,7 +202,9 @@ def _rotate(x, y, u, s1, s2):
 _FIRST_STEPS_PER_RATE = 0.25
 _MAX_STEPS_PER_RATE = 4096
 _PLUS = np.array([[1.0, 1.0]], dtype=complex) / math.sqrt(2.0)  # |+>
-ODE_TOL = 1e-9  # default error target of a drive's state and derivative
+# default error target of a drive's state, and of its derivative per unit
+# of zeta
+ODE_TOL = 1e-9
 
 
 def _check_ode_tol(tol) -> None:
@@ -257,7 +259,8 @@ def _continuous_batch(control, signal: SignalParams, omegas, tol: float):
     Its difference from the O(h^4) result of the two finer levels is the
     error estimate; that difference is the error of the O(h^4) result, not
     of the O(h^6) one, so the estimate overstates the returned error,
-    usually by orders of magnitude.  A frequency whose estimate exceeds
+    usually by orders of magnitude.  It is taken per unit of zeta in the
+    rows of dpsi, which grow with zeta.  A frequency whose estimate exceeds
     tol gets another level: m doubles and only the new finest level is
     computed.  m starts from T, the largest generator norm, zeta*|B| and
     tol alone, so each frequency's result does not depend on which
@@ -297,7 +300,11 @@ def _continuous_batch(control, signal: SignalParams, omegas, tol: float):
         r1 = (4.0 * s2 - s1) / 3.0
         r2 = (4.0 * s4 - s2) / 3.0
         best = (16.0 * r2 - r1) / 15.0
-        ok = np.abs(best - r2).max(axis=0) <= tol
+        # per unit of zeta in the rows of dpsi; a subnormal zeta leaves dpsi
+        # no relative precision to meet tol
+        err = np.abs(best - r2)
+        err[2:] /= max(signal.zeta, np.finfo(float).tiny)
+        ok = err.max(axis=0) <= tol
         out[:, todo[ok]] = best[:, ok]
         if ok.all():
             return out.T
@@ -432,8 +439,9 @@ def qfi_vs_omega(protocol, signal: SignalParams, omegas=None,
     Without omegas, J at the signal's own frequency.  Every omega must be
     finite and >= 0, and omega*T finite.  ode_tol, which must be positive
     and finite, bounds the estimated error of a continuous drive's final
-    state and field derivative.  For initial_state None, J is averaged
-    over Haar states.  A J beyond the floats is a ValueError.
+    state, and of its field derivative per unit of zeta.  For
+    initial_state None, J is averaged over Haar states.  A J beyond the
+    floats is a ValueError.
     """
     protocol, signal = _reduced(protocol, signal)
     om = signal.omega if omegas is None else omegas

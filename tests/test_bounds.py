@@ -86,6 +86,9 @@ def test_small_field_cap_value():
         2.0 * math.pi * 1.2, rel=1e-14)
     assert b0_linear_bound(2.0, 0.0) == pytest.approx(
         4.0 * math.pi, rel=1e-14)
+    # zeta^4 = 1e400 overflowed, although the cap itself is finite
+    assert b0_linear_bound(4.0, 1e-101, zeta=1e100) == pytest.approx(
+        2.0 * math.pi * 1e200 * 4.0 * (1.0 + 20.0 * 1e-2 * 16.0), rel=1e-14)
 
 
 def test_segment_cap_value():
@@ -184,6 +187,11 @@ def test_rwa_lower_bound_limits():
     # J is even in B, and so is the floor
     assert rwa_iqfi_lower_bound(8.0, -1.0, 0.5 * math.pi) \
         == rwa_iqfi_lower_bound(8.0, 1.0, 0.5 * math.pi)
+    # (zeta B)^2 underflows to 0 (a ZeroDivisionError); the weak-field
+    # limit holds on either side of the underflow
+    for zb in (1e-170, 1e-150):
+        assert rwa_iqfi_lower_bound(T, zb, 0.5 * math.pi) == pytest.approx(
+            zb * 0.5 * math.pi * T * T, rel=1e-14)
 
 
 @pytest.mark.parametrize("g,zb,T", [

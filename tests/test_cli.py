@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import iqfi_lab.cli
+import iqfi_lab.evolution
 from iqfi_lab.battery import BATTERY_CFG_KW
 from iqfi_lab.cli import SCHEMA_TAG, build_parser, main
 from iqfi_lab.evolution import ODE_TOL
@@ -89,6 +90,52 @@ def test_iqfi_json_with_bounds(capsys):
     names = {b["name"] for b in doc["bounds"]}
     assert {"segment_count_cap", "small_field_cap"} <= names
     assert all(b["satisfied"] for b in doc["bounds"])
+
+
+@pytest.mark.parametrize("zeta", ["1e-170", "1e-320"])
+def test_iqfi_drive_at_a_tiny_coupling(zeta, capsys):
+    # (zeta B)^2 underflowed in the resonance floor: a ZeroDivisionError
+    # traceback, exit 1.  K underflows too, and a floor of 0 is no row.  A
+    # subnormal zeta must not put the drive's error target out of reach
+    code, out, _ = run(capsys, "iqfi", "--protocol", "gx", "--T", "4",
+                       "--B", "1", "--zeta", zeta)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["K"] == 0.0 and doc["bounds"] == []
+
+
+def test_iqfi_small_field_cap_at_a_huge_coupling(capsys):
+    # zeta^4 overflowed in the cap: "a number is out of range", exit 2
+    code, out, _ = run(capsys, "iqfi", "--protocol", "ramsey", "--T", "4",
+                       "--B", "1e-101", "--zeta", "1e100", "--format", "csv")
+    assert code == 0
+    kv = dict(ln.split(",", 1) for ln in out.strip().splitlines()[2:])
+    assert float(kv["K"]) == pytest.approx(8.0 * math.pi * 1e200, rel=1e-3)
+    assert float(kv["margin[small_field_cap]"]) == pytest.approx(
+        16.0 / 21.0, rel=1e-12)
+
+
+def test_iqfi_drive_in_another_unit_of_zeta(capsys, monkeypatch):
+    # the drive's error target was absolute in dpsi/dB, which grows with
+    # zeta, and out of reach at zeta = 1e5: exit 3.  Per unit of zeta, the
+    # splitting takes the same steps at zeta*B = 1 whatever zeta is
+    node_steps = []
+    split = iqfi_lab.evolution._split_steps
+
+    def counted(pieces, counts, om, phi):
+        node_steps[-1] += len(om) * int(counts.sum())
+        return split(pieces, counts, om, phi)
+
+    monkeypatch.setattr(iqfi_lab.evolution, "_split_steps", counted)
+    ks = []
+    for zeta, B in (("1", "1"), ("1e5", "1e-5")):
+        node_steps.append(0)
+        code, out, _ = run(capsys, "iqfi", "--protocol", "gx", "--T", "4",
+                           "--zeta", zeta, "--B", B)
+        assert code == 0
+        ks.append(json.loads(out))
+    assert abs(ks[1]["K"] / 1e10 - ks[0]["K"]) <= ks[0]["K_err"]
+    assert node_steps[0] == node_steps[1] > 0
 
 
 def test_iqfi_caps_not_reported_off_phase(capsys):
@@ -428,8 +475,12 @@ def test_register_times_must_end_at_the_given_duration(tmp_path, capsys):
     # a subnormal duration: "overflow encountered in divide", then exit 2
     (("iqfi", "--protocol", "gx", "--T", "1e-320", "--B", "1"), 2),
     (("spectrum", "--protocol", "gx", "--T", "1e-320", "--B", "1"), 2),
+    # the tail's error bound beyond the floats: a RuntimeWarning, then exit 2
+    (("iqfi", "--protocol", "pi2-train", "--B", "0.5", "--tail-factor",
+      "1e-200"), 2),
+    (("haar", "--protocol", "pi2-train", "--B", "0.5", "--tail-factor",
+      "1e-200"), 2),
 ])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_range_numbers_exit_with_one_line(argv, code, capsys, tmp_path,
                                                  monkeypatch):
     (tmp_path / "dir").mkdir()
