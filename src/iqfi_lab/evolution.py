@@ -11,9 +11,9 @@ with each pulse unitary applied to both.  The two components of psi and of
 dpsi are held as separate contiguous arrays: a free segment is an
 elementwise phase, and a pulse is 2x2 arithmetic with four scalars written
 out by hand.  The segment kernels Theta_k of pulse segments and drive
-steps alike come from one generator, signal_core._segment_thetas: a
-segment as long as the one before it costs no transcendental, as the
-phase exp(i*(omega*t + phi)) is carried across it by multiplication.
+steps alike come from one phase recurrence in signal_core: a segment as
+long as the one before it costs no transcendental, as the phase
+exp(i*(omega*t + phi)) is carried across it by multiplication.
 Propagating the two basis columns instead of one state gives the full
 propagator P and W = dP/dB.  No time stepping is involved.  The
 pure-state Fisher information is
@@ -31,9 +31,21 @@ is even in h, so Richardson extrapolation over m, 2m and 4m steps gives an
 O(h^6) result, which is returned.  The error estimate is its difference
 from the O(h^4) one: that is the error of the O(h^4) result, so the O(h^6)
 result usually sits far inside the tolerance.  Frequencies whose estimate
-misses the tolerance are refined by doubling m;
-the starting m depends only on T, the generator norm, zeta*|B| and the
-tolerance, so a frequency's result does not depend on its batch.
+misses the tolerance are refined by doubling m; the starting m depends only
+on T, the generator norm, zeta*|B| and the tolerance, so a frequency's
+result does not depend on its batch beyond rounding.
+
+A batch of up to _TREE_NODES = 256 frequencies takes a piece's steps in
+blocks of L = _BLOCK_NODE_STEPS // (batch size) steps, _BLOCK_NODE_STEPS
+being 2^14.  Theta of a block comes from one vectorized call
+(signal_core._run_thetas); each step u*exp(-i*zeta*B*Theta_k*Z) is an SU(2)
+matrix with a B-derivative of the same form (a generator's trace makes the
+full step u a scalar phase c times SU(2), and a block of L steps carries
+c^L); a pairwise product tree reduces the block in log2(L) levels
+(_compose), and psi and dpsi advance once per block.  The block
+boundaries, and so the rounding, depend on the batch size.  A wider batch,
+and every pulse sequence, steps one segment at a time: there the loop's
+calls per step cost less than the tree's extra arithmetic.
 
 The toggling frame of a protocol is here too, so that one module reads
 pulse unitaries, generators and protocol kinds: _jumps gives the times
@@ -60,7 +72,7 @@ import numpy as np
 
 from .protocol import (_MAX_STEPS, IDENTITY, SIGMA_X, ContinuousControl,
                        GhzProtocol, Pulse, PulseSequence)
-from .signal_core import SignalParams, _segment_thetas
+from .signal_core import SignalParams, _run_thetas, _segment_thetas
 
 __all__ = [
     "ODE_TOL",
@@ -139,9 +151,11 @@ def _propagate(cols, steps, signal: SignalParams, n_omega: int):
     """The kernel: carry initial columns and their field derivatives
     through steps, a sequence of (Theta, u): a free segment with kernel
     Theta (an array over frequencies, or None for no segment), then the
-    2x2 unitary u (None for none).  cols holds one initial column per row;
-    returns the component arrays (a, b, da, db), each of shape
-    (columns, n_omega)."""
+    2x2 unitary u (None for none).  A Theta of shape (L, n_omega) is a
+    block of L such steps, each followed by the unitary u, composed by
+    _compose and applied once.  cols holds one initial column per row;
+    returns the component arrays (a, b, da, db), each of shape (columns,
+    n_omega)."""
     shape = (cols.shape[0], n_omega)
     a = np.broadcast_to(cols[:, 0:1], shape).copy()
     b = np.broadcast_to(cols[:, 1:2], shape).copy()
@@ -154,6 +168,15 @@ def _propagate(cols, steps, signal: SignalParams, n_omega: int):
     zb = signal.zeta * signal.B
     dz = -1j * signal.zeta
     for th, u in steps:
+        if th is not None and th.ndim == 2:
+            # u = c v with v in SU(2) and the scalar c = sqrt(det u) of
+            # unit modulus, which the block's L steps raise to c^L
+            arg = 0.5 * np.angle(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
+            block = _compose(th, u * np.exp(-1j * arg), zb, dz)
+            turn = np.exp(1j * arg * th.shape[0])
+            a, b, da, db = (turn * y for y in
+                            _su2_product(block, (a, b, da, db)))
+            continue
         if th is not None:
             # free segment: psi <- F psi and dpsi <- F dpsi - i zeta Theta Z F psi
             # with F = exp(-i zeta B Theta Z); e = exp(-i zeta B Theta) comes
@@ -189,6 +212,92 @@ def _rotate(x, y, u, s1, s2):
     y += s1
 
 
+def _su2_product(m2, m1):
+    """The first column (a, b) of M2 M1 and its field derivative (da, db),
+    for M2 = [[a2, -b2*], [b2, a2*]] given as (a2, b2, da2, db2) with
+    dM2/dB of the same form, and M1 given by its first column and its
+    derivative (a1, b1, da1, db1): a product of two such matrices, or M2
+    applied to a state and its derivative."""
+    a2, b2, da2, db2 = m2
+    a1, b1, da1, db1 = m1
+    # the terms go through one scratch array t: the tree's lower levels
+    # are large, and a fresh array per term costs about as much as its
+    # arithmetic
+    ca2, cb2 = a2.conj(), b2.conj()
+    a = a2 * a1
+    t = cb2 * b1
+    a -= t
+    b = b2 * a1
+    np.multiply(ca2, b1, out=t)
+    b += t
+    da = da2 * a1
+    np.conjugate(db2, out=t)
+    t *= b1
+    da -= t
+    np.multiply(a2, da1, out=t)
+    da += t
+    np.multiply(cb2, db1, out=t)
+    da -= t
+    db = db2 * a1
+    np.conjugate(da2, out=t)
+    t *= b1
+    db += t
+    np.multiply(b2, da1, out=t)
+    db += t
+    np.multiply(ca2, db1, out=t)
+    db += t
+    return a, b, da, db
+
+
+def _tree_order(n):
+    """The order in which _compose holds the n steps of a block: at every
+    level the earlier factors of its pairs form the first half and the
+    later ones the second, in the order of the level above, and the
+    latest step of an odd count comes last."""
+    if n == 1:
+        return np.zeros(1, dtype=np.intp)
+    half = _tree_order(n // 2)
+    order = np.concatenate((2 * half, 2 * half + 1))
+    return np.append(order, n - 1) if n % 2 else order
+
+
+def _compose(th, v, zb, dz):
+    """The product S_{L-1} ... S_0 of a block's steps S_k = v exp(-i zb
+    Theta_k Z), v in SU(2), and its field derivative, per frequency, as
+    (a, b, da, db) of _su2_product.  th holds Theta_k in its rows.
+
+    For real B each S_k and dS_k/dB has the form [[a, -b*], [b, a*]],
+    which products keep, so a matrix is its first column.  The factors
+    are multiplied in adjacent pairs, later times earlier, halving their
+    number at each of log2(L) levels; at an odd count the last is first
+    multiplied into the one before it.  They are held in _tree_order, so
+    that both halves of every level are contiguous.  The exact product is
+    in SU(2), so it is divided by its norm sqrt(|a|^2 + |b|^2), which drops
+    the rounding that the L factors of one v would accumulate in it.
+    """
+    th = th[_tree_order(th.shape[0])]
+    x = th * -zb
+    e = np.empty(th.shape, dtype=complex)
+    np.cos(x, out=e.real)
+    np.sin(x, out=e.imag)
+    de = e * th
+    de *= dz
+    p, q = v[0, 0], v[1, 0]
+    m = (p * e, q * e, p * de, q * de)
+    while (n := m[0].shape[0]) > 1:
+        if n % 2:
+            last = _su2_product(tuple(y[n - 1] for y in m),
+                                tuple(y[n - 2] for y in m))
+            for y, z in zip(m, last):
+                y[n - 2] = z
+        k = n // 2
+        m = _su2_product(tuple(y[k:2 * k] for y in m),
+                         tuple(y[:k] for y in m))
+    a, b, da, db = (y[0] for y in m)
+    r = np.sqrt(a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2)
+    return a / r, b / r, da / r, db / r
+
+
 # -- continuous protocols -----------------------------------------------------
 
 
@@ -201,6 +310,12 @@ def _rotate(x, y, u, s1, s2):
 # grinding or exhausting memory.
 _FIRST_STEPS_PER_RATE = 0.25
 _MAX_STEPS_PER_RATE = 4096
+# A batch of up to _TREE_NODES frequencies takes its steps in blocks of
+# _BLOCK_NODE_STEPS // (batch size) steps, each block composed by a
+# product tree (_compose); a wider batch steps one at a time, which is
+# faster there as the tree does more arithmetic per step than the loop.
+_TREE_NODES = 256
+_BLOCK_NODE_STEPS = 2 ** 14
 _PLUS = np.array([[1.0, 1.0]], dtype=complex) / math.sqrt(2.0)  # |+>
 # default error target of a drive's state, and of its derivative per unit
 # of zeta
@@ -230,23 +345,34 @@ def _generator_norm(control) -> float:
 
 
 def _split_steps(pieces, counts, om, phi):
-    """(Theta, u) of the splitting with counts[k] steps on piece k."""
+    """(Theta, u) of the splitting with counts[k] steps on piece k: one
+    step per item for a batch of more than _TREE_NODES frequencies, else
+    blocks of up to _BLOCK_NODE_STEPS // om.size steps, each with Theta
+    from one _run_thetas call."""
     used = [(start, end, h, n, (end - start) / n)
             for (start, end, h), n in zip(pieces, counts) if n]
     # each step is given the nominal width dt rather than the difference of
     # its rounded ends, so a piece's steps share one length, and one h and s
     # of the phase recurrence
-    thetas = _segment_thetas(
+    thetas = None if om.size <= _TREE_NODES else _segment_thetas(
         np.concatenate([start + np.arange(n) * dt
                         for start, _, _, n, dt in used] + [[used[-1][1]]]),
         om, phi, np.repeat([dt for *_, dt in used], [n for *_, n, _ in used]))
+    width = _BLOCK_NODE_STEPS // max(om.size, 1)
     carry = None  # the previous piece's closing half step
-    for _, _, h, n, dt in used:
+    for start, _, h, n, dt in used:
         half = _su2_exp(h, 0.5 * dt)
         full = _su2_exp(h, dt)
         yield None, half if carry is None else half @ carry
-        for k in range(n):
-            yield next(thetas), full if k < n - 1 else None
+        if thetas is not None:
+            for k in range(n):
+                yield next(thetas), full if k < n - 1 else None
+        else:
+            # every step but the last is followed by a full step of h
+            for k in range(0, n - 1, width):
+                yield _run_thetas(start, dt, k, min(k + width, n - 1), om,
+                                  phi), full
+            yield _run_thetas(start, dt, n - 1, n, om, phi)[0], None
         carry = half
     yield None, carry
 
@@ -264,9 +390,11 @@ def _continuous_batch(control, signal: SignalParams, omegas, tol: float):
     tol gets another level: m doubles and only the new finest level is
     computed.  m starts from T, the largest generator norm, zeta*|B| and
     tol alone, so each frequency's result does not depend on which
-    frequencies share its batch.  Raises IntegrationError, before
-    computing it, for a finest level above _MAX_STEPS_PER_RATE steps per
-    unit of rate*time or above _MAX_STEPS steps.  tol is _states's to
+    frequencies share its batch beyond rounding: a batch's size sets the
+    blocks that _split_steps composes its steps in.  Raises
+    IntegrationError, before computing it, for a finest level above
+    _MAX_STEPS_PER_RATE steps per unit of rate*time or above _MAX_STEPS
+    steps.  tol is _states's to
     check.
     """
     pieces = control.pieces

@@ -9,8 +9,9 @@ pulse sequences and continuous drives asks for Theta of consecutive
 segments over one frequency array; _segment_thetas yields those, carrying
 the phase exp(i*(omega*t + phi)) from segment to segment so that a segment
 as long as the one before it costs two complex multiplications and no
-transcendental.  Everything here uses angular frequencies (rad/s), times in
-seconds, and hbar = 1.
+transcendental.  _run_thetas gives a run of equal segments at once, by
+the same recurrence vectorized over the run.  Everything here uses angular
+frequencies (rad/s), times in seconds, and hbar = 1.
 """
 
 from __future__ import annotations
@@ -143,3 +144,27 @@ def _segment_thetas(edges, omega, phi, widths=None):
         z *= h
         run += 1
         yield buf
+
+
+def _run_thetas(start, d, k0, k1, omega, phi):
+    """Theta over the frequency array omega of the segments [start + k*d,
+    start + (k+1)*d] for k = k0, ..., k1 - 1, as an array of shape
+    (k1 - k0, omega.size).
+
+    The phase recurrence of _segment_thetas, vectorized over the run: z
+    is evaluated afresh at the start of every _RESEED_STRIDE-th segment,
+    and carried to the midpoints between by the powers h^1, h^3, ... of
+    h = exp(i*omega*d/2), one cumulative product per run.
+    """
+    om = np.asarray(omega, dtype=float)
+    stride = min(_RESEED_STRIDE, k1 - k0)
+    h = np.empty((2 * stride, om.size), dtype=complex)
+    s = np.empty(om.size)
+    _half_step(h[0], s, np.empty(om.size), om, d)
+    h[1:] = h[0]
+    np.cumprod(h, axis=0, out=h)
+    seeds = np.arange(k0, k1, _RESEED_STRIDE)[:, None] * d + start
+    z = np.empty((seeds.shape[0], om.size), dtype=complex)
+    _unit_phase(z, np.empty(z.shape), om, seeds, phi)
+    mid = z[:, None, :] * h[0::2]
+    return mid.reshape(-1, om.size)[:k1 - k0].real * s

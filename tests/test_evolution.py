@@ -468,6 +468,96 @@ def test_continuous_batch_independence(control):
                                atol=1e-10 * np.max(np.abs(single)))
 
 
+def _levels(monkeypatch, control, sig, omegas, tree):
+    """Every level _continuous_batch propagates, as (a, b, da, db) rows,
+    with the block composition forced on (tree) or off."""
+    ev = iqfi_lab.evolution
+    monkeypatch.setattr(ev, "_TREE_NODES", omegas.size if tree else 0)
+    levels = []
+    propagate = ev._propagate
+
+    def recorded(*args):
+        out = propagate(*args)
+        levels.append(np.concatenate(out))
+        return out
+
+    monkeypatch.setattr(ev, "_propagate", recorded)
+    _continuous_batch(control, sig, omegas, ODE_TOL)
+    monkeypatch.undo()
+    return levels
+
+
+@pytest.mark.parametrize("width", [1, 3, "below", "above"])
+@pytest.mark.parametrize("B, phi", [(0.0, 0.0), (0.0, 0.3), (0.7, 0.0),
+                                    (0.7, 0.3)])
+@pytest.mark.parametrize("control", [
+    TransverseDrive(g=0.5 * math.pi, total_time=4.0), TWO_PIECES],
+    ids=["drive", "two_pieces"])
+def test_block_composition_matches_step_loop(monkeypatch, control, B, phi,
+                                             width):
+    # the product tree reorders the splitting's products and nothing else,
+    # so every level agrees with the per-step loop to rounding, the traced
+    # piece of TWO_PIECES (+0.2 I) included, at widths on both sides of the
+    # crossover; and its norm drifts no further than the loop's
+    crossover = iqfi_lab.evolution._TREE_NODES
+    n = {"below": crossover, "above": crossover + 1}.get(width, width)
+    omegas = np.linspace(0.0, 40.0, n)
+    sig = SignalParams(B=B, omega=0.0, phi=phi)
+    tree = _levels(monkeypatch, control, sig, omegas, tree=True)
+    loop = _levels(monkeypatch, control, sig, omegas, tree=False)
+    assert len(tree) == len(loop) >= 3
+    for t, s in zip(tree, loop):
+        assert t.shape == s.shape
+        np.testing.assert_allclose(t, s, rtol=0.0, atol=1e-12)
+
+    def drift(levels):
+        return max(float(np.abs(np.hypot(np.abs(y[0]), np.abs(y[1])) - 1.0)
+                         .max()) for y in levels)
+
+    assert drift(tree) <= drift(loop)
+
+
+def test_narrow_batch_composes_blocks_and_wide_batch_steps(monkeypatch):
+    # a 3-node spectrum composes each level in ceil((n - 1)/L) blocks (a
+    # piece's last step has no full step after it and goes on its own),
+    # not one pass per step; a level wider than the crossover never
+    # reaches the tree
+    ev = iqfi_lab.evolution
+    blocks, levels, streams = [], [], []
+    compose, split, stream = ev._compose, ev._split_steps, ev._segment_thetas
+
+    def counted_compose(th, *args):
+        blocks.append(th.shape)
+        return compose(th, *args)
+
+    def counted_split(pieces, counts, om, phi):
+        levels.append((om.size, int(counts.sum())))
+        return split(pieces, counts, om, phi)
+
+    def counted_stream(edges, om, *args):
+        streams.append(om.size)
+        return stream(edges, om, *args)
+
+    monkeypatch.setattr(ev, "_compose", counted_compose)
+    monkeypatch.setattr(ev, "_split_steps", counted_split)
+    monkeypatch.setattr(ev, "_segment_thetas", counted_stream)
+    drive = TransverseDrive(g=0.5 * math.pi, total_time=4.0)
+    sig = SignalParams(B=1.0, omega=0.0)
+    qfi_vs_omega(drive, sig, omegas=[1.0, 2.0 * math.pi, 7.0])
+    width = ev._BLOCK_NODE_STEPS // 3
+    assert len(levels) >= 3
+    assert len(blocks) == sum(math.ceil((n - 1) / width) for _, n in levels)
+    assert sum(rows for rows, _ in blocks) == sum(n - 1 for _, n in levels)
+    assert streams == []
+    blocks.clear()
+    levels.clear()
+    qfi_vs_omega(drive, sig,
+                 omegas=np.linspace(0.0, 10.0, ev._TREE_NODES + 1))
+    wide = [size for size, _ in levels if size > ev._TREE_NODES]
+    assert len(wide) >= 3 and streams == wide
+    assert all(size <= ev._TREE_NODES for _, size in blocks)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
 def test_ode_tol_must_be_positive_and_finite(tol):
     drive = TransverseDrive(g=1.0, total_time=1.0)

@@ -232,11 +232,31 @@ def test_recurrence_with_nominal_widths():
     _assert_matches_theta(edges, OMEGAS, 0.4, widths=[dt] * n)
 
 
+@pytest.mark.parametrize("k0, k1", [(0, 37), (5, 6), (13, 50), (16, 48)])
+def test_run_matches_stream(k0, k1):
+    # a run of a drive's steps from _run_thetas is the recurrence of
+    # _segment_thetas vectorized, reseeded from the run's first step: it
+    # meets the same bound against theta
+    start, dt, phi = 0.3, 1.1 / 37, 0.4
+    t0 = start + np.arange(k0, k1) * dt
+    want = theta(t0[:, None], (t0 + dt)[:, None], OMEGAS[None, :], phi)
+    got = signal_core._run_thetas(start, dt, k0, k1, OMEGAS, phi)
+    assert got.shape == want.shape
+    scale = (1.0 + OMEGAS[None, :] * (t0 + dt)[:, None] + phi
+             + 2 * signal_core._RESEED_STRIDE)
+    err = np.abs(got - want)
+    assert (err <= 1e-15 * dt * scale).all(), (err / (dt * scale)).max()
+    stream = _recurrence(np.append(t0, t0[-1] + dt), OMEGAS, phi,
+                         [dt] * (k1 - k0))
+    np.testing.assert_array_equal(got[:, OMEGAS == 0.0],
+                                  stream[:, OMEGAS == 0.0])
+
+
 def test_uniform_train_evaluates_no_theta(monkeypatch):
     # 64 equal segments: no theta, and one exact phase per reseed stride
     # (so never more than ceil(64/stride), and never fewer: a chain that is
     # not reseeded drifts)
-    calls = {"theta": 0, "phase": 0, "h": 0, "level": 0}
+    calls = {"theta": 0, "phase": 0, "h": 0, "block": 0, "level": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -253,13 +273,19 @@ def test_uniform_train_evaluates_no_theta(monkeypatch):
     assert np.isfinite(j).all()
     assert calls["theta"] == 0
     assert calls["phase"] == math.ceil(64 / signal_core._RESEED_STRIDE)
-    # the drive's steps take the same path, all with one length per level
+    # the drive's steps take the same recurrence, a block at a time: in a
+    # 5-node batch each level is one block and its last step, each with
+    # one h and s and one call for the exact phases at its reseeds
     monkeypatch.setattr(signal_core, "_half_step",
                         counted("h", signal_core._half_step))
+    monkeypatch.setattr(evolution, "_run_thetas",
+                        counted("block", signal_core._run_thetas))
     monkeypatch.setattr(evolution, "_propagate",
                         counted("level", evolution._propagate))
+    calls["phase"] = 0
     evolution.qfi_vs_omega(TransverseDrive(g=1.0, total_time=0.5),
                            SignalParams(B=0.3, omega=0.0),
                            omegas=np.linspace(0.0, 20.0, 5))
     assert calls["theta"] == 0
-    assert calls["h"] == calls["level"] >= 3
+    assert calls["h"] == calls["phase"] == calls["block"] == 2 * calls["level"]
+    assert calls["level"] >= 3
