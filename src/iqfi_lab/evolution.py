@@ -30,22 +30,26 @@ boundaries merged into one closed-form SU(2) exponential.  The global error
 is even in h, so Richardson extrapolation over m, 2m and 4m steps gives an
 O(h^6) result, which is returned.  The error estimate is its difference
 from the O(h^4) one: that is the error of the O(h^4) result, so the O(h^6)
-result usually sits far inside the tolerance.  Frequencies whose estimate
-misses the tolerance are refined by doubling m; the starting m depends only
-on T, the generator norm, zeta*|B| and the tolerance, so a frequency's
-result does not depend on its batch beyond rounding.
+result usually sits far inside the tolerance.  That expansion in h^2 holds
+only once the steps resolve the signal, so a frequency is accepted only
+where the coarsest level's widest step h samples it above Nyquist,
+omega*h <= pi: below that the levels alias it, and near omega*h = 2 pi k
+(a step spanning whole signal periods) their gaps miss the error.
+Frequencies that miss either test are refined by doubling m; the starting
+m depends only on T, the generators' precession rates, zeta*|B| and the
+tolerance, so a frequency's result does not depend on its batch beyond
+rounding.
 
 A batch of up to _TREE_NODES = 256 frequencies takes a piece's steps in
 blocks of L = _BLOCK_NODE_STEPS // (batch size) steps, _BLOCK_NODE_STEPS
 being 2^14.  Theta of a block comes from one vectorized call
 (signal_core._run_thetas); each step u*exp(-i*zeta*B*Theta_k*Z) is an SU(2)
-matrix with a B-derivative of the same form (a generator's trace makes the
-full step u a scalar phase c times SU(2), and a block of L steps carries
-c^L); a pairwise product tree reduces the block in log2(L) levels
-(_compose), and psi and dpsi advance once per block.  The block
-boundaries, and so the rounding, depend on the batch size.  A wider batch,
-and every pulse sequence, steps one segment at a time: there the loop's
-calls per step cost less than the tree's extra arithmetic.
+matrix with a B-derivative of the same form (_su2_exp drops a generator's
+trace, a phase that J ignores); a pairwise product tree reduces the block
+in log2(L) levels (_compose), and psi and dpsi advance once per block.  The
+block boundaries, and so the rounding, depend on the batch size.  A wider
+batch, and every pulse sequence, steps one segment at a time: there the
+loop's calls per step cost less than the tree's extra arithmetic.
 
 The toggling frame of a protocol is here too, so that one module reads
 pulse unitaries, generators and protocol kinds: _jumps gives the times
@@ -169,13 +173,8 @@ def _propagate(cols, steps, signal: SignalParams, n_omega: int):
     dz = -1j * signal.zeta
     for th, u in steps:
         if th is not None and th.ndim == 2:
-            # u = c v with v in SU(2) and the scalar c = sqrt(det u) of
-            # unit modulus, which the block's L steps raise to c^L
-            arg = 0.5 * np.angle(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
-            block = _compose(th, u * np.exp(-1j * arg), zb, dz)
-            turn = np.exp(1j * arg * th.shape[0])
-            a, b, da, db = (turn * y for y in
-                            _su2_product(block, (a, b, da, db)))
+            a, b, da, db = _su2_product(_compose(th, u, zb, dz),
+                                        (a, b, da, db))
             continue
         if th is not None:
             # free segment: psi <- F psi and dpsi <- F dpsi - i zeta Theta Z F psi
@@ -303,11 +302,13 @@ def _compose(th, v, zb, dz):
 
 # Level m of the splitting takes _FIRST_STEPS_PER_RATE * rate * tol^(-1/4)
 # steps per unit time, as the error estimate falls as h^4; rate is the
-# largest of 1/T, zeta*|B| and the generator norms.  A finest level above
-# _MAX_STEPS_PER_RATE * rate steps per unit time, or above _MAX_STEPS steps
+# largest of 1/T, zeta*|B| and the generators' precession rates |n|.  A
+# finest level above _MAX_STEPS_PER_RATE steps per unit time times rate
+# (or above what the Nyquist rule of _continuous_batch needs for the
+# frequencies still refining, if that is more), or above _MAX_STEPS steps
 # in all (protocol's cap on a train's pulses too), is refused before it is
-# computed, so a tolerance or a rate out of reach fails at once instead of
-# grinding or exhausting memory.
+# computed, so a tolerance, a rate or a frequency out of reach fails at
+# once instead of grinding or exhausting memory.
 _FIRST_STEPS_PER_RATE = 0.25
 _MAX_STEPS_PER_RATE = 4096
 # A batch of up to _TREE_NODES frequencies takes its steps in blocks of
@@ -327,21 +328,28 @@ def _check_ode_tol(tol) -> None:
         raise ValueError(f"ode_tol must be positive and finite, got {tol}")
 
 
+def _precession(h) -> float:
+    """The precession rate |n| of a 2x2 Hermitian h = h0 + n.sigma (a
+    state's Bloch vector turns at 2|n|)."""
+    return math.hypot(h[1, 0].real, h[1, 0].imag,
+                      0.5 * (h[0, 0] - h[1, 1]).real)
+
+
 def _su2_exp(h, tau):
-    """exp(-i h tau) of a 2x2 Hermitian h, in closed form: with
-    h = h0 + n.sigma it is exp(-i h0 tau) (cos(|n| tau) - i sin(|n| tau)
-    n.sigma / |n|)."""
+    """exp(-i (h - h0) tau) of a 2x2 Hermitian h = h0 + n.sigma, in closed
+    form: cos(|n| tau) - i sin(|n| tau) n.sigma / |n|, in SU(2).  The trace
+    h0 would multiply psi and dpsi by a phase that does not depend on B,
+    which J ignores, so it is dropped here, where a generator is read."""
     h0 = 0.5 * (h[0, 0] + h[1, 1]).real
-    r = math.hypot(h[1, 0].real, h[1, 0].imag, 0.5 * (h[0, 0] - h[1, 1]).real)
+    r = _precession(h)
     s = tau * float(np.sinc(r * tau / math.pi))  # sin(r tau) / r
-    return np.exp(-1j * h0 * tau) * (math.cos(r * tau) * np.eye(2)
-                                     - 1j * s * (h - h0 * np.eye(2)))
+    return math.cos(r * tau) * np.eye(2) - 1j * s * (h - h0 * np.eye(2))
 
 
 def _generator_norm(control) -> float:
-    """The largest spectral norm of a control's piece generators."""
-    return max((float(np.linalg.norm(h, 2)) for _, _, h in control.pieces),
-               default=0.0)
+    """The largest precession rate |n| of a control's piece generators
+    h = h0 + n.sigma: the trace h0 rotates nothing."""
+    return max((_precession(h) for _, _, h in control.pieces), default=0.0)
 
 
 def _split_steps(pieces, counts, om, phi):
@@ -387,15 +395,18 @@ def _continuous_batch(control, signal: SignalParams, omegas, tol: float):
     of the O(h^6) one, so the estimate overstates the returned error,
     usually by orders of magnitude.  It is taken per unit of zeta in the
     rows of dpsi, which grow with zeta.  A frequency whose estimate exceeds
-    tol gets another level: m doubles and only the new finest level is
-    computed.  m starts from T, the largest generator norm, zeta*|B| and
-    tol alone, so each frequency's result does not depend on which
-    frequencies share its batch beyond rounding: a batch's size sets the
-    blocks that _split_steps composes its steps in.  Raises
+    tol, or whose coarsest level's widest step h leaves omega*h above pi,
+    gets another level: m doubles and only the new finest level is
+    computed.  m starts from T, the largest precession rate |n| of the
+    generators, zeta*|B| and tol alone, so each frequency's result does not
+    depend on which frequencies share its batch beyond rounding: a batch's
+    size sets the blocks that _split_steps composes its steps in.  Raises
     IntegrationError, before computing it, for a finest level above
-    _MAX_STEPS_PER_RATE steps per unit of rate*time or above _MAX_STEPS
-    steps.  tol is _states's to
-    check.
+    _MAX_STEPS_PER_RATE steps per unit of time times the rate (unless the
+    Nyquist rule needs that many for an omega still refining), or above
+    _MAX_STEPS steps, which an omega still refining needs where omega*T >
+    pi*_MAX_STEPS/4: such an omega fails before any level runs.  tol is
+    _states's to check.
     """
     pieces = control.pieces
     om = np.atleast_1d(np.asarray(omegas, dtype=float))
@@ -405,16 +416,20 @@ def _continuous_batch(control, signal: SignalParams, omegas, tol: float):
     out = np.empty((4, om.size), dtype=complex)
     todo = np.arange(om.size)
     s1 = s2 = None
-    while True:
-        if 4.0 * density > _MAX_STEPS_PER_RATE * rate:
+    while todo.size:
+        # a frequency still refining is resolved only by coarse steps of at
+        # most pi/omega, which doubling m reaches below 2*omega/pi steps per
+        # unit time: the cap per rate lets the levels reach that.  An
+        # infinite count fails too
+        top = float(om[todo].max())
+        per_time = 4.0 * max(density, top / math.pi)
+        cap = max(_MAX_STEPS_PER_RATE * rate, 8.0 * top / math.pi)
+        if per_time > cap or per_time * T > _MAX_STEPS:
             raise IntegrationError(
-                f"ode_tol={tol:.3g} is out of reach: the splitting would "
-                f"need {4.0 * density:.4g} steps per unit time, above "
-                f"{_MAX_STEPS_PER_RATE} times the rate {rate:.4g}")
-        if 4.0 * density * T > _MAX_STEPS:  # an infinite count too
-            raise IntegrationError(
-                f"the splitting would need {4.0 * density * T:.4g} steps, "
-                f"above {_MAX_STEPS}; the rate {rate:.4g} is out of reach")
+                f"ode_tol={tol:.3g} at the rate {rate:.4g} and omega = "
+                f"{top:.6g} is out of reach: the splitting would need "
+                f"{per_time:.4g} steps per unit time (at most {cap:.4g}) "
+                f"and {per_time * T:.4g} in all (at most {_MAX_STEPS})")
         if s1 is None:
             counts = np.array([math.ceil((e - s) * density)
                                for s, e, _ in pieces])
@@ -432,12 +447,16 @@ def _continuous_batch(control, signal: SignalParams, omegas, tol: float):
         # no relative precision to meet tol
         err = np.abs(best - r2)
         err[2:] /= max(signal.zeta, np.finfo(float).tiny)
-        ok = err.max(axis=0) <= tol
+        # a frequency is accepted where its error meets tol and the coarsest
+        # level's widest step h samples the signal above Nyquist, omega*h <=
+        # pi: below, the levels alias it, and near omega*h = 2 pi k their
+        # gaps miss the error
+        h = max((e - s) / n for (s, e, _), n in zip(pieces, counts) if n)
+        ok = (err.max(axis=0) <= tol) & (om[todo] * h <= math.pi)
         out[:, todo[ok]] = best[:, ok]
-        if ok.all():
-            return out.T
         todo, s1, s2 = todo[~ok], s2[:, ~ok], s4[:, ~ok]
         counts, density = 2 * counts, 2.0 * density
+    return out.T
 
 
 # -- the toggling frame -------------------------------------------------------
@@ -456,7 +475,8 @@ def _jumps(protocol):
     control's toggling-frame Bloch vector r at a_j: a sequence's pulses,
     or 0 and T for a continuous control.  r is r on each segment (None for
     a control); n is the initial Bloch vector (None for a sequence with no
-    definite initial state), rate twice a control's largest generator norm.
+    definite initial state), rate twice a control's largest precession rate
+    |n| of a generator h = h0 + n.sigma.
     The jumps' covariance in the initial state is D = Q Q^T - (Q n)(Q n)^T,
     and (2/3) Q Q^T, its Haar average, for n None; its rows sum to zero.
     """
@@ -489,10 +509,10 @@ def feature_scale(protocol, signal: SignalParams) -> float:
     The largest of 1/T, zeta*|B| (n*zeta for a GHZ register) and the
     protocol's own rates: segments/T for trains and registers and pieces/T
     for a piecewise generator (a segment or piece of at most 16 ulps of T
-    does not count), 2|g| for the drive, and twice the largest generator
-    norm for a continuous control.  The closed-form tail starts at
-    tail_start_factor times this; the CLI's default spectrum grid ends at
-    8 times it.
+    does not count), 2|g| for the drive, and twice the largest precession
+    rate |n| of a generator h = h0 + n.sigma for a continuous control.  The
+    closed-form tail starts at tail_start_factor times this; the CLI's
+    default spectrum grid ends at 8 times it.
     """
     protocol, signal = _reduced(protocol, signal)
     T = float(protocol.total_time)
@@ -539,7 +559,7 @@ def _states(protocol, signal: SignalParams, om, ode_tol: float):
         y = _continuous_batch(protocol, signal, om, tol=ode_tol)
         psi, dpsi = y[:, 0:2], y[:, 2:4]
         norms = np.linalg.norm(psi, axis=1, keepdims=True)
-        drift = float(np.abs(norms - 1.0).max())
+        drift = float(np.abs(norms - 1.0).max(initial=0.0))
         if drift > 10.0 * ode_tol:
             raise IntegrationError(f"norm drift {drift:.3e} > 10*ode_tol")
         psi = psi / norms
@@ -636,8 +656,8 @@ def qfi_fd_oracle(protocol, signal: SignalParams, omegas=None,
     d1, d2 = (p1 - m1) / (2.0 * step), (p2 - m2) / step
     j1, j2 = (_finite_j(j_of, (psi, d), om) for d in (d1, d2))
     gap = np.abs(j1 - j2) / np.maximum(np.abs(j1), np.abs(j2)).clip(1e-12)
-    worst = int(np.argmax(gap))
-    if gap[worst] > 1e-4:
+    if gap.max(initial=0.0) > 1e-4:
+        worst = int(np.argmax(gap))
         raise RuntimeError(
             f"finite-difference step {step} too large: h vs h/2 estimates "
             f"differ by {gap[worst]:.2e} at omega = {om[worst]}")

@@ -23,7 +23,9 @@ from iqfi_lab.evolution import (
     IntegrationError,
     _continuous_batch,
     _states,
+    _su2_exp,
     discrete_propagators,
+    feature_scale,
     qfi_fd_oracle,
     qfi_vs_omega,
 )
@@ -305,29 +307,21 @@ def _drive_zero_field_j(omegas, g, T, phi, zeta=1.0):
     return 4.0 * zeta ** 2 * np.abs(amp) ** 2
 
 
-# T = 0.5 and g = pi/2 at ode_tol 1e-9: the splitting's finest level has
-# 4m = 180 steps, and a step spans one signal period at 2 pi (4m)/T = 2262
+# T = 0.5 and g = pi/2 at ode_tol 1e-9: the splitting's first levels have
+# m = 45, 90 and 180 steps, and a step of the finest spans one signal period
+# at 2 pi (4m)/T = 2262; those levels alias every frequency above pi m/T =
+# 283, so such frequencies take finer levels
 _RESONANT_DRIVE = TransverseDrive(g=0.5 * math.pi, total_time=0.5)
+_OFF_RESONANCE = np.concatenate([np.linspace(0.0, 2000.0, 401),
+                                 np.linspace(2500.0, 3000.0, 101)])
 
 
-@pytest.mark.parametrize("phi", [0.0, 0.9])
-def test_drive_zero_field_spectrum_off_step_resonance(phi):
-    omegas = np.concatenate([np.linspace(0.0, 2000.0, 401),
-                             np.linspace(2500.0, 3000.0, 101)])
-    j = qfi_vs_omega(_RESONANT_DRIVE, SignalParams(B=0.0, omega=0.0, phi=phi),
-                     omegas=omegas, ode_tol=1e-9)
-    np.testing.assert_allclose(
-        j, _drive_zero_field_j(omegas, 0.5 * math.pi, 0.5, phi),
-        rtol=1e-6, atol=1e-12)
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the splitting's error estimate misses its own "
-                          "step resonances")
 @pytest.mark.parametrize("phi, omegas", [
+    (0.0, _OFF_RESONANCE), (0.9, _OFF_RESONANCE),
     (0.0, [2150.0, 2200.0, 2300.0, 4400.0, 4600.0, 9000.0]),
-    (0.9, [2262.0, 4524.0])])
-def test_drive_zero_field_spectrum_at_step_resonance(phi, omegas):
+    (0.9, [2262.0, 4524.0])],
+    ids=["off-phi0", "off-phi0.9", "at-phi0", "at-phi0.9"])
+def test_drive_zero_field_spectrum_across_step_resonance(phi, omegas):
     j = qfi_vs_omega(_RESONANT_DRIVE, SignalParams(B=0.0, omega=0.0, phi=phi),
                      omegas=omegas, ode_tol=1e-9)
     np.testing.assert_allclose(
@@ -335,28 +329,39 @@ def test_drive_zero_field_spectrum_at_step_resonance(phi, omegas):
         rtol=1e-6, atol=1e-12)
 
 
-def _resonant_drive_in_a_field(B, om):
-    """Asserts that J of _RESONANT_DRIVE at field B and omega meets the
-    DOP853 reference of test_continuous_matches_dop853."""
+def test_drive_zero_field_spectrum_on_a_dense_grid():
+    # frequencies up to 18 times the first levels' Nyquist limit of 220, on
+    # a grid that passes through step resonances of every level
+    drive = TransverseDrive(g=0.5 * math.pi, total_time=1.3)
+    omegas = np.linspace(0.0, 4000.0, 1001)
+    j = qfi_vs_omega(drive, SignalParams(B=0.0, omega=0.0, phi=0.9),
+                     omegas=omegas, ode_tol=1e-9)
+    np.testing.assert_allclose(
+        j, _drive_zero_field_j(omegas, 0.5 * math.pi, 1.3, 0.9),
+        rtol=1e-6, atol=1e-12)
+
+
+@pytest.mark.parametrize("B, om", [(1.0, 2400.0), (0.3, 2000.0),
+                                   (1.0, 2150.0), (1.0, 2262.0),
+                                   (1.0, 4524.0), (0.3, 2262.0)])
+def test_drive_spectrum_in_a_field_across_step_resonance(B, om):
+    # J of _RESONANT_DRIVE meets the DOP853 reference of
+    # test_continuous_matches_dop853, at step resonances as off them
     sig = SignalParams(B=B, omega=0.0)
     j = qfi_vs_omega(_RESONANT_DRIVE, sig, omegas=[om], ode_tol=1e-9)
     ref = _dop853_j([(0.0, 0.5, _RESONANT_DRIVE.g * SIGMA_X)], sig, [om])
     np.testing.assert_allclose(j, ref, rtol=1e-6, atol=1e-12)
 
 
-@pytest.mark.parametrize("B, om", [(1.0, 2400.0), (0.3, 2000.0)])
-def test_drive_spectrum_in_a_field_off_step_resonance(B, om):
-    _resonant_drive_in_a_field(B, om)
-
-
-# in a field as at B = 0: 10 to 17 % off the reference at B = 1
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the splitting's error estimate misses its own "
-                          "step resonances")
-@pytest.mark.parametrize("B, om", [(1.0, 2150.0), (1.0, 2262.0),
-                                   (1.0, 4524.0), (0.3, 2262.0)])
-def test_drive_spectrum_in_a_field_at_step_resonance(B, om):
-    _resonant_drive_in_a_field(B, om)
+def test_a_frequency_beyond_the_step_cap_fails_fast():
+    # resolving omega = 1.1e5 at T = 8 would take more than 2^20 steps:
+    # refused, by name, before any level runs
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError,
+                       match="omega = 110000 is out of reach"):
+        qfi_vs_omega(TransverseDrive(g=0.5 * math.pi, total_time=8.0),
+                     SignalParams(B=1.0, omega=0.0), omegas=[3.0, 1.1e5])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_continuous_matches_fd_oracle():
@@ -413,10 +418,16 @@ def _dop853_j(pieces, sig, omegas):
     return np.array(out)
 
 
-TWO_PIECES = PiecewiseGenerator(pieces=(
-    (0.0, 1.2, 0.9 * SIGMA_X + 0.4 * SIGMA_Y + 0.3 * SIGMA_Z),
-    (1.2, 3.0, -0.5 * SIGMA_X + 1.1 * SIGMA_Y - 0.7 * SIGMA_Z
-     + 0.2 * np.eye(2))), total_time=3.0)
+def _two_pieces(c0, c1):
+    """A two-piece control, its generators shifted by c0*I and c1*I."""
+    return PiecewiseGenerator(pieces=(
+        (0.0, 1.2, 0.9 * SIGMA_X + 0.4 * SIGMA_Y + 0.3 * SIGMA_Z
+         + c0 * np.eye(2)),
+        (1.2, 3.0, -0.5 * SIGMA_X + 1.1 * SIGMA_Y - 0.7 * SIGMA_Z
+         + c1 * np.eye(2))), total_time=3.0)
+
+
+TWO_PIECES = _two_pieces(0.0, 0.2)
 
 
 @pytest.mark.parametrize("control, sig", [
@@ -439,6 +450,23 @@ def test_continuous_matches_dop853(control, sig):
     j = qfi_vs_omega(control, sig, omegas=omegas)
     np.testing.assert_allclose(j, ref, rtol=0.0,
                                atol=1e-9 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n", [7, 300], ids=["tree", "loop"])
+def test_generator_trace_is_a_global_phase(n):
+    # h + c*I only multiplies the states by exp(-i c t), which no J sees:
+    # the splitting drops the trace where it reads a generator, so J is the
+    # same to the bit, and so are the step counts and the feature scale,
+    # which count precession rates only
+    sig = SignalParams(B=0.6, omega=0.0, phi=1.0)
+    omegas = np.linspace(0.0, 40.0, n)
+    plain, traced = _two_pieces(0.0, 0.0), _two_pieces(-0.3, 0.7)
+    assert np.array_equal(qfi_vs_omega(traced, sig, omegas=omegas),
+                          qfi_vs_omega(plain, sig, omegas=omegas))
+    assert feature_scale(traced, sig) == feature_scale(plain, sig)
+    for _, _, h in traced.pieces:
+        assert np.linalg.det(_su2_exp(h, 0.37)) == pytest.approx(1.0,
+                                                                abs=1e-15)
 
 
 @pytest.mark.parametrize("om", [200.0, 300.0])
@@ -496,9 +524,9 @@ def _levels(monkeypatch, control, sig, omegas, tree):
 def test_block_composition_matches_step_loop(monkeypatch, control, B, phi,
                                              width):
     # the product tree reorders the splitting's products and nothing else,
-    # so every level agrees with the per-step loop to rounding, the traced
-    # piece of TWO_PIECES (+0.2 I) included, at widths on both sides of the
-    # crossover; and its norm drifts no further than the loop's
+    # so every level agrees with the per-step loop to rounding, at widths
+    # on both sides of the crossover; and its norm drifts no further than
+    # the loop's
     crossover = iqfi_lab.evolution._TREE_NODES
     n = {"below": crossover, "above": crossover + 1}.get(width, width)
     omegas = np.linspace(0.0, 40.0, n)
@@ -580,6 +608,17 @@ def test_qfi_vs_omega_rejects_bad_frequencies(protocol, omegas):
         qfi_vs_omega(protocol, SignalParams(B=1.0, omega=0.0), omegas=omegas)
 
 
+@pytest.mark.parametrize("fn", [qfi_vs_omega, qfi_fd_oracle])
+@pytest.mark.parametrize("protocol", [
+    make_ramsey(2.0), make_pi_train([0.5, 1.5], 2.0, initial_state=None),
+    GhzProtocol(n=2, times=(0.0, 1.0, 2.0)),
+    TransverseDrive(g=1.0, total_time=2.0), TWO_PIECES],
+    ids=["ramsey", "haar", "ghz", "drive", "piecewise"])
+def test_empty_grid_gives_an_empty_spectrum(protocol, fn):
+    j = fn(protocol, SignalParams(B=0.5, omega=0.0), omegas=[])
+    assert j.shape == (0,) and j.dtype == float
+
+
 def test_drive_norm_drift_raises(monkeypatch):
     # states off the unit sphere by more than 10*ode_tol mean the error
     # control failed; J must not be formed from them
@@ -599,6 +638,18 @@ def test_unreachable_ode_tol_fails_fast():
                      SignalParams(B=1.0, omega=0.0),
                      omegas=[0.5, 3.0, 40.0], ode_tol=1e-16)
     assert time.perf_counter() - start < 5.0
+
+
+def test_unreachable_ode_tol_fails_fast_across_a_k_grid():
+    # frequencies up to 80 times the drive rate, as a K integral's panels
+    # reach: the levels the Nyquist rule allows them must not lift the cap
+    # per rate for a tolerance out of reach
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError, match="ode_tol=1e-16"):
+        qfi_vs_omega(TransverseDrive(g=0.5 * math.pi, total_time=4.0),
+                     SignalParams(B=1.0, omega=0.0),
+                     omegas=np.linspace(0.0, 126.0, 64), ode_tol=1e-16)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_piecewise_control_is_validated():
