@@ -1,14 +1,17 @@
 """Frequency integration of QFI spectra.
 
 K(T) = integral of J(B | omega) over omega in [0, inf).  The integrand
-oscillates on the scale pi/T, so the finite range [0, Omega] is cut into
-panels of width 2 pi/T.  All base panels are laid out as arrays, one row
-per panel, and evaluated in one batched call at the 33 nodes of the Gauss-
-Kronrod rule: its value is the panel's, and its distance from the 16-point
-Gauss rule on 16 of the same nodes the panel's error.  Only if the summed
-error misses the tolerance are panels halved: those whose error misses
-their share of it, in proportion to their width, each round's halves
-evaluated in one batch, until the sum fits or the panel budget runs out.
+oscillates on the scale pi/T: its fastest term, cos(omega (a_j + a_l) +
+2 phi) with a_j + a_l <= 2T, has a period of at least pi/T.  So the finite
+range [0, Omega] is cut into panels of width 4 pi/T (_PANEL_WIDTH), each
+at most four such periods at 8 Kronrod nodes per period.  All base panels
+are laid out as arrays, one row per panel, and evaluated in one batched
+call at the 33 nodes of the Gauss-Kronrod rule: its value is the panel's,
+and its distance from the 16-point Gauss rule on 16 of the same nodes the
+panel's error.  Only if the summed error misses the tolerance are panels
+halved: those whose error misses their share of it, in proportion to
+their width, each round's halves evaluated in one batch, until the sum
+fits or the panel budget runs out.
 Beyond Omega, J tends to the toggling-frame (filter-function) form
 (4 zeta^2/omega^2) sum_jl D_jl sin(omega a_j + phi) sin(omega a_l + phi):
 a_j are the times where Z~ = U0^dag Z U0 of the control alone jumps, D the
@@ -40,6 +43,10 @@ from .protocol import PulseSequence
 from .signal_core import SignalParams
 
 ABS_TOL = 1e-12  # absolute floor of the summed panel error
+# base panels' width times T, for K and band integrals alike (see the
+# module docstring); at 8 pi a quarter of the nodes went to panels that
+# were then halved, and the drive's integrals got slower
+_PANEL_WIDTH = 4.0 * math.pi
 # rounding bound of the zero-field closed form's terms, per unit of their
 # magnitudes (see _zero_field_k)
 _FORM_ROUNDING = 16.0 * np.finfo(float).eps
@@ -434,7 +441,8 @@ def integrate_iqfi(protocol, signal: SignalParams,
     Where _zero_field_k admits it (a pulse sequence or GHZ register at
     B = 0, or one whose axis stays on +-z), K is a closed form (method
     "closed_form"): no propagation, no panels.  Otherwise panels of width
-    2 pi/T, halved where their error misses its share (see
+    4 pi/T, each at most four periods of J's fastest term (whose period
+    is at least pi/T), halved where their error misses its share (see
     _integrate_adaptive), cover [0, Omega] and the closed-form tail the
     rest; an exhausted panel budget raises QuadratureNonConvergence with a
     partial result.
@@ -464,7 +472,7 @@ def integrate_iqfi(protocol, signal: SignalParams,
         spec = _integrate_adaptive(
             lambda om: qfi_vs_omega(protocol, signal, omegas=om,
                                     ode_tol=ode_tol),
-            0.0, omega_max, 2.0 * math.pi / float(protocol.total_time), cfg,
+            0.0, omega_max, _PANEL_WIDTH / float(protocol.total_time), cfg,
             lambda: _tail(jumps, signal, omega_max))
     if not (math.isfinite(spec.integral)
             and math.isfinite(spec.error_estimate)):
@@ -485,7 +493,7 @@ def integrate_qfi_band(protocol, signal: SignalParams, lo: float, hi: float,
     protocol, signal = _reduced(protocol, signal)
     return _integrate_adaptive(
         lambda om: qfi_vs_omega(protocol, signal, omegas=om, ode_tol=ode_tol),
-        lo, hi, 2.0 * math.pi / float(protocol.total_time),
+        lo, hi, _PANEL_WIDTH / float(protocol.total_time),
         cfg or QuadratureConfig())
 
 

@@ -469,15 +469,16 @@ def test_sweep_linear_scaling_and_failures():
 
 
 def test_sweep_points_equal_serial_integrals_in_order():
-    # at B = 3 and this budget the T = 1 and 2 trains converge (20 base
-    # panels; 39, 2 of them halved), T = 4 runs out of panels while
-    # refining (73 final and 4 halved into 8 would make 81, a partial
-    # estimate) and T = 8 before its first panels (153); the Ts are out of
-    # order, so that the pool's order shows
+    # at B = 3 and this budget the T = 1 and 2 trains converge (10 base
+    # panels, all halved; 20, 18 of them halved and 2 of those halves
+    # again), T = 4 runs out of panels while refining (2 final and 37
+    # halved into 74 would make 76, a partial estimate) and T = 8 before
+    # its first panels (77); the Ts are out of order, so that the pool's
+    # order shows
     family = lambda T: make_pi2_train(T / 2.0, T)
     Ts = [4.0, 1.0, 8.0, 2.0]
     sig = SignalParams(B=3.0, omega=0.0)
-    cfg = QuadratureConfig(max_panels=80, rel_tol=1e-12)
+    cfg = QuadratureConfig(max_panels=60, rel_tol=1e-12)
     sweep = sweep_iqfi_vs_T(family, Ts, sig, cfg=cfg)
     assert [p.T for p in sweep.points] == Ts
     assert [p.failed for p in sweep.points] == [True, False, True, False]
@@ -566,19 +567,19 @@ def _record_rounds(monkeypatch):
 
 
 def test_budget_exhausted_partial_carries_weights(monkeypatch):
-    # at rel_tol = 1e-10, 19 of the 96 base panels miss their share, and 8
-    # of their 38 halves miss theirs: 107 final and 16 halves would pass
-    # the budget, so the partial holds the 77 + 30 final panels and the 8
-    # open ones, of two widths
+    # at rel_tol = 1e-10, 47 of the 48 base panels miss their share, 19 of
+    # their 94 halves miss theirs, and 8 of those 38 quarters: 106 final
+    # and 16 halves would pass the budget, so the partial holds the
+    # 1 + 75 + 30 final panels and the 8 open ones, of three widths
     rounds = _record_rounds(monkeypatch)
     sig = SignalParams(B=2.3, omega=0.0)
     cfg = QuadratureConfig(rel_tol=1e-10, max_panels=120)
     with pytest.raises(QuadratureNonConvergence, match="max_panels=120") \
             as exc:
         integrate_iqfi(_su2_train(), sig, cfg=cfg)
-    assert [r[0].size for r in rounds] == [96, 38]
+    assert [r[0].size for r in rounds] == [48, 94, 38]
     partial = exc.value.partial
-    assert partial.omegas.size == 115 * 33
+    assert partial.omegas.size == 114 * 33
     _check_engine_contract(partial)
     converged = integrate_iqfi(_su2_train(), sig, cfg=replace(
         cfg, max_panels=8192))
@@ -641,12 +642,13 @@ def _bisected(case):
 
 
 def test_only_the_panels_that_miss_their_share_are_halved(monkeypatch):
-    # panels of width 2 pi/T; the first round's K sets the budget, and a
+    # panels of width 4 pi/T; the first round's K sets the budget, and a
     # panel's share of it is budget * width/Omega.  Each round that
     # misses the budget halves just the panels that miss their share
     cfg = QuadratureConfig()
     recorded = _record_rounds(monkeypatch)
-    for case, sizes in (("su2_train", [96, 14]), ("trotter_gx", [408, 10])):
+    for case, sizes in (("su2_train", [48, 26, 14]),
+                        ("trotter_gx", [204, 42, 10])):
         proto, sig = _bisected(case)
         recorded.clear()
         spec = integrate_iqfi(proto, sig, cfg=cfg)
@@ -654,7 +656,7 @@ def test_only_the_panels_that_miss_their_share_are_halved(monkeypatch):
         omega = spec.tail_start
         assert [r[0].size for r in rounds] == sizes
         assert sizes[0] == math.ceil(
-            omega / (2.0 * math.pi / proto.total_time))
+            omega / (iqfi_lab.iqfi._PANEL_WIDTH / proto.total_time))
         budget = max(ABS_TOL, cfg.rel_tol * abs(math.fsum(rounds[0][2])))
         final = []  # errors of the final panels
         for (a, b, _, err), nxt in zip(rounds, rounds[1:]):
@@ -686,6 +688,39 @@ def test_error_estimate_covers_the_bisected_panels(monkeypatch, case):
     assert len(rounds) > 1
     ref = integrate_iqfi(proto, sig, cfg=QuadratureConfig(rel_tol=1e-12))
     assert ref.tail_start == spec.tail_start
+    _, bound = _tail(_jumps(proto), sig, spec.tail_start)
+    panels = spec.error_estimate - bound - 1e-14 * abs(spec.integral)
+    assert abs(spec.integral - ref.integral) <= panels
+
+
+def _wide_start(case):
+    """A protocol whose K the 4 pi/T start integrates: a seeded SU(2)
+    train, trotter-gx at T = 16 or the drive at T = 4."""
+    if case == "su2_train":
+        return random_pulse_sequence(np.random.default_rng(3), 4.0,
+                                     max_pulses=16, kind="su2")
+    if case == "trotter_gx":
+        return make_trotterized_gx(16.0, m=32, g=math.pi / 2.0)
+    return TransverseDrive(g=math.pi / 2.0, total_time=4.0)
+
+
+@pytest.mark.parametrize("case, B, phi", [
+    ("su2_train", 1.0, 0.0), ("su2_train", 1.0, 0.7),
+    ("trotter_gx", 1.0, 0.0), ("trotter_gx", 0.01, 0.0),
+    ("drive", 1.0, 0.0)])
+def test_error_estimate_covers_the_wide_base_panels(monkeypatch, case, B,
+                                                    phi):
+    """Base panels of width 4 pi/T at the default config: the panels' part
+    of the estimate covers K's distance from panels of width pi/T at
+    rel_tol 1e-12 under the same Omega and tail."""
+    proto, sig = _wide_start(case), SignalParams(B=B, omega=0.0, phi=phi)
+    spec = integrate_iqfi(proto, sig)
+    assert spec.method == "quadrature"
+    monkeypatch.setattr(iqfi_lab.iqfi, "_PANEL_WIDTH", math.pi)
+    ref = integrate_iqfi(proto, sig, cfg=QuadratureConfig(rel_tol=1e-12))
+    assert ref.tail_start == spec.tail_start
+    assert ref.omegas.size >= 33 * math.ceil(
+        spec.tail_start / (math.pi / proto.total_time))
     _, bound = _tail(_jumps(proto), sig, spec.tail_start)
     panels = spec.error_estimate - bound - 1e-14 * abs(spec.integral)
     assert abs(spec.integral - ref.integral) <= panels
@@ -738,10 +773,11 @@ def test_every_evaluated_frequency_is_kept(monkeypatch):
     rounds = _record_rounds(monkeypatch)
     spec = integrate_iqfi(*_bisected("su2_train"))
     assert spec.method == "quadrature"
-    # a halved panel's nodes are the only ones not kept: 7 of the 96
-    # base panels, into the 14 of the second round
+    # a halved panel's nodes are the only ones not kept: 13 of the 48
+    # base panels, into the 26 of the second round, and 7 of those, into
+    # the 14 of the third
     halved = sum(r[0].size for r in rounds[1:]) // 2
-    assert halved == 7
+    assert halved == 20
     assert sum(om.size for om in evaluated) == spec.omegas.size + 33 * halved
     assert np.isin(spec.omegas, np.concatenate(evaluated)).all()
 
