@@ -13,15 +13,17 @@ elementwise phase, and a pulse is 2x2 arithmetic with four scalars written
 out by hand.  The segment kernels Theta_k of pulse segments and drive
 steps alike come from one phase recurrence in signal_core: a segment as
 long as the one before it costs no transcendental, as the phase
-exp(i*(omega*t + phi)) is carried across it by multiplication.
-Propagating the two basis columns instead of one state gives the full
-propagator P and W = dP/dB.  No time stepping is involved.  The
-pure-state Fisher information is
+exp(i*(omega*t + phi)) is carried across it by multiplication.  No time
+stepping is involved.  The pure-state Fisher information is
 
     J = 4 * (<dpsi|dpsi> + Re <dpsi|psi>^2)
 
 which for normalized states (where <dpsi|psi> is purely imaginary) equals
-the usual 4*(<dpsi|dpsi> - |<psi|dpsi>|^2).
+the usual 4*(<dpsi|dpsi> - |<psi|dpsi>|^2).  Averaged over Haar-random
+initial states it is (8/3)*<dpsi|dpsi> for the one column propagated from
+|0>: the free segments are in SU(2) and the pulses do not depend on B, so
+the propagator is a B-independent phase times V(B) in SU(2), and
+V^dag dV/dB is traceless and anti-Hermitian (_haar_j).
 
 Continuous drives run through the same kernel as symmetric (Strang)
 splittings: each step of width h is a half step of the drive generator,
@@ -59,11 +61,11 @@ intrinsic frequency.  iqfi integrates the frame over omega (the tail and
 the zero-field K) and reads none of these itself.
 
 _states is the one way to the states at T and the J rule that goes with
-them: the formula above, or its Haar average for a sequence with
-initial_state None.  qfi_vs_omega applies the rule; qfi_fd_oracle
-differences the same states over B.  Every public entry point, here and
-in iqfi, first replaces a GHZ register by the pulse sequence it is in
-the {|0...0>, |1...1>} plane.
+them: the formula above, or its Haar average (8/3)*<dpsi|dpsi> for a
+sequence with initial_state None.  qfi_vs_omega applies the rule;
+qfi_fd_oracle differences the same states over B.  Every public entry
+point, here and in iqfi, first replaces a GHZ register by the pulse
+sequence it is in the {|0...0>, |1...1>} plane.
 """
 
 from __future__ import annotations
@@ -118,55 +120,52 @@ def _reduced(protocol, signal: SignalParams):
 # -- discrete protocols -------------------------------------------------------
 
 
+_ZERO = np.array([1.0, 0.0], dtype=complex)  # |0>
+
+
 def discrete_propagators(seq: PulseSequence, signal: SignalParams,
                          omegas=None, psi0=None):
     """Propagate a pulse sequence over a frequency grid.
 
-    With an initial state psi0 (a 2-vector) returns (psi, dpsi), the final
-    state and its field derivative dpsi/dB, each of shape (n_omega, 2).
-    Without one, returns the propagator P(omega) and its derivative
-    W(omega) = dP/dB, each of shape (n_omega, 2, 2), so that one pass serves
-    any initial state (used by the Haar average, _mean_j).
+    Returns (psi, dpsi), the final state and its field derivative dpsi/dB,
+    each of shape (n_omega, 2), from the initial state psi0 (a 2-vector).
+    Without psi0 it starts from the sequence's own state, or from |0> for a
+    sequence with none (initial_state None), whose Haar-averaged J is
+    (8/3)|dpsi|^2 from there (_haar_j).
     """
-    om = np.atleast_1d(np.asarray(
-        signal.omega if omegas is None else omegas, dtype=float))
-    # one row per initial column (the state, or the two basis vectors) in
-    # each of the component arrays a, b and their derivatives da, db
-    cols = (np.eye(2, dtype=complex) if psi0 is None
-            else np.asarray(psi0, dtype=complex).reshape(1, 2))
+    om = _grid(signal.omega if omegas is None else omegas)
     if psi0 is None:
-        # allocated before the work arrays, so that the outputs do not sit
-        # above the heap hole the work arrays leave when they are freed
-        P = np.empty((om.size, 2, 2), dtype=complex)
-        W = np.empty_like(P)
+        psi0 = _ZERO if seq.initial_state is None else seq.initial_vector()
     # (Theta, u) per pulse and a last (Theta, None) to total_time
     steps = zip(_segment_thetas(seq.boundaries(), om, signal.phi),
                 [p.unitary for p in seq.pulses] + [None])
-    a, b, da, db = _propagate(cols, steps, signal, om.size)
-    if psi0 is not None:
-        return (np.stack((a[0], b[0]), axis=1),
-                np.stack((da[0], db[0]), axis=1))
-    P[:, 0, :], P[:, 1, :] = a.T, b.T
-    W[:, 0, :], W[:, 1, :] = da.T, db.T
-    return P, W
+    a, b, da, db = _propagate(psi0, steps, signal, om.size)
+    return np.stack((a, b), axis=1), np.stack((da, db), axis=1)
 
 
-def _propagate(cols, steps, signal: SignalParams, n_omega: int):
-    """The kernel: carry initial columns and their field derivatives
+def _grid(omegas) -> np.ndarray:
+    """omegas as a 1-D float array; more dimensions are a ValueError."""
+    om = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if om.ndim > 1:
+        raise ValueError(f"omegas must be a number or a 1-D grid, got shape "
+                         f"{om.shape}")
+    return om
+
+
+def _propagate(psi0, steps, signal: SignalParams, n_omega: int):
+    """The kernel: carry the initial column psi0 and its field derivative
     through steps, a sequence of (Theta, u): a free segment with kernel
     Theta (an array over frequencies, or None for no segment), then the
     2x2 unitary u (None for none).  A Theta of shape (L, n_omega) is a
     block of L such steps, each followed by the unitary u, composed by
-    _compose and applied once.  cols holds one initial column per row;
-    returns the component arrays (a, b, da, db), each of shape (columns,
-    n_omega)."""
-    shape = (cols.shape[0], n_omega)
-    a = np.broadcast_to(cols[:, 0:1], shape).copy()
-    b = np.broadcast_to(cols[:, 1:2], shape).copy()
-    da = np.zeros(shape, dtype=complex)
-    db = np.zeros(shape, dtype=complex)
-    s1 = np.empty(shape, dtype=complex)
-    s2 = np.empty(shape, dtype=complex)
+    _compose and applied once.  Returns the component arrays (a, b, da,
+    db), each of shape (n_omega,)."""
+    a = np.full(n_omega, psi0[0], dtype=complex)
+    b = np.full(n_omega, psi0[1], dtype=complex)
+    da = np.zeros(n_omega, dtype=complex)
+    db = np.zeros(n_omega, dtype=complex)
+    s1 = np.empty(n_omega, dtype=complex)
+    s2 = np.empty(n_omega, dtype=complex)
     x = np.empty(n_omega)
     e = np.empty(n_omega, dtype=complex)
     zb = signal.zeta * signal.B
@@ -317,7 +316,7 @@ _MAX_STEPS_PER_RATE = 4096
 # faster there as the tree does more arithmetic per step than the loop.
 _TREE_NODES = 256
 _BLOCK_NODE_STEPS = 2 ** 14
-_PLUS = np.array([[1.0, 1.0]], dtype=complex) / math.sqrt(2.0)  # |+>
+_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)  # |+>
 # default error target of a drive's state, and of its derivative per unit
 # of zeta
 ODE_TOL = 1e-9
@@ -435,7 +434,7 @@ def _continuous_batch(control, signal: SignalParams, omegas, tol: float):
                                for s, e, _ in pieces])
         # (a, b, da, db) at T from |+> as rows, with k*counts[i] steps on
         # piece i: k = 1, 2 and 4 at first, then only the new finest level
-        *coarse, s4 = (np.concatenate(_propagate(
+        *coarse, s4 = (np.stack(_propagate(
             _PLUS, _split_steps(pieces, k * counts, om[todo], signal.phi),
             signal, todo.size)) for k in ((1, 2, 4) if s1 is None else (4,)))
         if coarse:
@@ -531,19 +530,20 @@ def feature_scale(protocol, signal: SignalParams) -> float:
 
 
 def _states(protocol, signal: SignalParams, om, ode_tol: float):
-    """(J rule, states) at T for every frequency in om.
+    """(J rule, (psi, dpsi)) at T for every frequency in om, psi and dpsi
+    each of shape (n, 2).
 
-    The rule is _pure_j and the states (psi, dpsi), each of shape (n, 2),
-    for a pulse sequence or a continuous control; for a sequence with
-    initial_state None it is _mean_j and the states (P, W), each of shape
-    (n, 2, 2).  Raises ValueError first unless ode_tol is positive and
-    finite, every omega finite and >= 0, and omega*T finite.  A continuous
-    control's states are renormalized and dpsi projected onto the
-    normalized path; a norm drift above 10*ode_tol raises IntegrationError,
-    since it signals a failed error control.
+    The rule is _pure_j, or for a sequence with initial_state None _haar_j,
+    (8/3)|dpsi|^2 of the states from |0>: the propagator is a phase free of
+    B times an SU(2) matrix V, so |dV/dB e| is the same for every unit e.
+    Raises ValueError first unless ode_tol is positive and finite, om a
+    number or a 1-D grid, every omega finite and >= 0, and omega*T finite.
+    A continuous control's states are renormalized and dpsi projected onto
+    the normalized path; a norm drift above 10*ode_tol raises
+    IntegrationError, since it signals a failed error control.
     """
     _check_ode_tol(ode_tol)
-    om = np.atleast_1d(np.asarray(om, dtype=float))
+    om = _grid(om)
     bad = ~((om >= 0.0) & (om < math.inf))  # NaN fails both comparisons
     if bad.any():
         raise ValueError(f"omegas must be finite and >= 0, got {om[bad][0]}")
@@ -551,10 +551,8 @@ def _states(protocol, signal: SignalParams, om, ode_tol: float):
     if not math.isfinite(top * T):
         raise ValueError(f"omega*T must be finite, got omega {top} at T = {T}")
     if isinstance(protocol, PulseSequence):
-        if protocol.initial_state is None:
-            return _mean_j, discrete_propagators(protocol, signal, omegas=om)
-        return _pure_j, discrete_propagators(protocol, signal, omegas=om,
-                                             psi0=protocol.initial_vector())
+        return (_pure_j if protocol.initial_state is not None else _haar_j,
+                discrete_propagators(protocol, signal, omegas=om))
     if isinstance(protocol, ContinuousControl):
         y = _continuous_batch(protocol, signal, om, tol=ode_tol)
         psi, dpsi = y[:, 0:2], y[:, 2:4]
@@ -584,12 +582,12 @@ def qfi_vs_omega(protocol, signal: SignalParams, omegas=None,
                  ode_tol: float = ODE_TOL) -> np.ndarray:
     """J(B | omega) at the signal's field B over a frequency grid.
 
-    Without omegas, J at the signal's own frequency.  Every omega must be
-    finite and >= 0, and omega*T finite.  ode_tol, which must be positive
-    and finite, bounds the estimated error of a continuous drive's final
-    state, and of its field derivative per unit of zeta.  For
-    initial_state None, J is averaged over Haar states.  A J beyond the
-    floats is a ValueError.
+    Without omegas, J at the signal's own frequency.  omegas must be a
+    number or a 1-D grid, every omega finite and >= 0, and omega*T finite.
+    ode_tol, which must be positive and finite, bounds the estimated error
+    of a continuous drive's final state, and of its field derivative per
+    unit of zeta.  For initial_state None, J is averaged over Haar states.
+    A J beyond the floats is a ValueError.
     """
     protocol, signal = _reduced(protocol, signal)
     om = signal.omega if omegas is None else omegas
@@ -604,17 +602,15 @@ def _pure_j(psi, dpsi):
     return 4.0 * (dd + (ov * ov).real)
 
 
-def _mean_j(P, W):
-    """J averaged over Haar-random psi0, from P and W = dP/dB: exact, as J
-    has degree 2 in psi0 and psi0*.  It is 4*(Tr A/2 + Re(Tr(M)^2 +
-    Tr(M^2))/6), A = W^dag W, M = W^dag P written out elementwise."""
-    (p00, p01), (p10, p11) = P.transpose(1, 2, 0)
-    (w00, w01), (w10, w11) = W.conj().transpose(1, 2, 0)
-    m00, m01 = w00 * p00 + w10 * p10, w00 * p01 + w10 * p11
-    m10, m11 = w01 * p00 + w11 * p10, w01 * p01 + w11 * p11
-    tr_a = (W.real ** 2 + W.imag ** 2).sum(axis=(1, 2))
-    tr_m2 = m00 * m00 + m11 * m11 + 2.0 * m01 * m10
-    return 4.0 * (tr_a / 2.0 + ((m00 + m11) ** 2 + tr_m2).real / 6.0)
+def _haar_j(psi, dpsi):
+    """J averaged over Haar-random initial states, from psi and dpsi
+    propagated from |0>: (8/3)|dpsi|^2 of each row.  Exact, as J has degree
+    2 in psi0 and psi0*, the propagator P = c V with V in SU(2) and c a
+    phase free of B (the pulses are unitary), and G = V^dag dV/dB traceless
+    and anti-Hermitian, so W = dP/dB has W^dag W = |g|^2 I and Tr(W^dag P)
+    = 0: the trace formula 4 (Tr A/2 + Re(Tr(M)^2 + Tr M^2)/6), A = W^dag
+    W, M = W^dag P, reduces to (8/3)|g|^2 = (8/3)|W e_0|^2."""
+    return (8.0 / 3.0) * (dpsi.real ** 2 + dpsi.imag ** 2).sum(axis=1)
 
 
 def qfi_fd_oracle(protocol, signal: SignalParams, omegas=None,
@@ -626,13 +622,14 @@ def qfi_fd_oracle(protocol, signal: SignalParams, omegas=None,
     Verification-only reference path: it never touches the analytic
     derivative.  It takes the grid of qfi_vs_omega (without omegas, the
     signal's own omega) and returns J in the same shape.  It differences
-    the states of _states at B +- h (the propagator P for a sequence with
-    initial_state None) over the whole grid, and applies the same J rule
-    and checks as qfi_vs_omega.  The difference quotients at h and h/2 are
-    Richardson-extrapolated; a relative disagreement above 1e-4 between
-    the two at any frequency raises RuntimeError, which names the worst
-    one, flagging a too-large step.  A step that is not positive and
-    finite is a ValueError.
+    the states of _states at B +- h over the whole grid, and applies the
+    same J rule and checks as qfi_vs_omega: for a sequence with
+    initial_state None, (8/3)|dpsi|^2 of the column from |0>, which the
+    SU(2) structure of the propagator makes the Haar average.  The
+    difference quotients at h and h/2 are Richardson-extrapolated; a
+    relative disagreement above 1e-4 between the two at any frequency
+    raises RuntimeError, which names the worst one, flagging a too-large
+    step.  A step that is not positive and finite is a ValueError.
 
     Default steps: 1e-6*max(1,|B|) for exact (pulse) evolutions,
     1e-4*max(1,|B|) for continuous ones, whose states carry an error of up
@@ -646,10 +643,9 @@ def qfi_fd_oracle(protocol, signal: SignalParams, omegas=None,
         step = (1e-4 if rough else 1e-6) * max(1.0, abs(signal.B))
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
-    om = np.atleast_1d(np.asarray(
-        signal.omega if omegas is None else omegas, dtype=float))
+    om = _grid(signal.omega if omegas is None else omegas)
     j_of, (psi, _) = _states(protocol, signal, om, ode_tol)
-    # psi, or P, at B + h, B - h, B + h/2 and B - h/2
+    # psi at B + h, B - h, B + h/2 and B - h/2
     p1, m1, p2, m2 = (_states(protocol, replace(signal, B=signal.B + s), om,
                               ode_tol)[1][0]
                       for s in (step, -step, 0.5 * step, -0.5 * step))

@@ -130,7 +130,9 @@ class QuadratureNonConvergence(IntegrationError):
 class HaarResult:
     """Exact initial-state average of K.
 
-    method is "closed_form", or "trace_formula" where K took the panels.
+    method is "closed_form", or "trace_formula" where K took the panels,
+    whose J is (8/3)|dpsi/dB|^2 of the state propagated from |0>, the
+    trace formula (4/3) Tr(W^dag W) of the propagator's derivative W.
     stderr is 0.0 and samples 0: nothing samples, but the benchmark harness
     (perfbench/) still reads both, so they stay until it stops.
     """

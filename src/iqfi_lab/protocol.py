@@ -95,8 +95,9 @@ class Pulse:
 
     Either (axis, angle) for a rotation, or an explicit 2x2 matrix.  The
     axis is "x", "y", "z" or a nonzero 3-vector, kept as a tuple; the
-    matrix is copied, and it and the unitary are read-only.  The
-    PulseSequence that holds the pulse checks that its unitary is unitary.
+    matrix is copied, and it and the unitary are read-only.  An angle that
+    is not finite is a ValueError; the PulseSequence that holds the pulse
+    checks that its unitary is unitary.
     """
 
     time: float
@@ -124,6 +125,8 @@ class Pulse:
                 raise ValueError(
                     f"rotation axis must be a nonzero 3-vector, got {axis}")
             object.__setattr__(self, "axis", axis)
+        if has_rot and not math.isfinite(self.angle):
+            raise ValueError(f"pulse angle must be finite, got {self.angle}")
 
     @cached_property
     def unitary(self) -> np.ndarray:

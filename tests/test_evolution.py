@@ -178,14 +178,17 @@ def test_kernel_matches_explicit_matrix_product(kind, B, phi):
         err = np.abs(got - want).max()
         assert err <= 1e-13 * np.abs(want).max(), err
 
-    P, W = discrete_propagators(seq, sig, omegas=om)
-    close(P, P_ref)
-    close(W, W_ref)
+    # the columns from |0> and |1> are the whole propagator and its
+    # derivative; without psi0 the sequence's own state is propagated
     psi0 = seq.initial_vector()
-    psi, dpsi = discrete_propagators(seq, sig, omegas=om, psi0=psi0)
-    assert psi.shape == dpsi.shape == (om.size, 2)
-    close(psi, P_ref @ psi0)
-    close(dpsi, W_ref @ psi0)
+    for start, want, dwant in (
+            (np.array([1.0, 0.0]), P_ref[:, :, 0], W_ref[:, :, 0]),
+            (np.array([0.0, 1.0]), P_ref[:, :, 1], W_ref[:, :, 1]),
+            (None, P_ref @ psi0, W_ref @ psi0)):
+        psi, dpsi = discrete_propagators(seq, sig, omegas=om, psi0=start)
+        assert psi.shape == dpsi.shape == (om.size, 2)
+        close(psi, want)
+        close(dpsi, dwant)
 
     # J from the reference columns, and the single-frequency path
     psi_ref, dpsi_ref = P_ref @ psi0, W_ref @ psi0
@@ -506,7 +509,7 @@ def _levels(monkeypatch, control, sig, omegas, tree):
 
     def recorded(*args):
         out = propagate(*args)
-        levels.append(np.concatenate(out))
+        levels.append(np.stack(out))
         return out
 
     monkeypatch.setattr(ev, "_propagate", recorded)
@@ -597,15 +600,31 @@ def test_ode_tol_must_be_positive_and_finite(tol):
 
 
 @pytest.mark.parametrize("omegas", [[1.0, math.nan, -1.0], [math.inf],
-                                    [-1e-3, 2.0]])
+                                    [-1e-3, 2.0], np.ones((2, 3))])
 @pytest.mark.parametrize("protocol", [
     make_ramsey(2.0), GhzProtocol(n=2, times=(0.0, 2.0)),
     TransverseDrive(g=1.0, total_time=2.0)], ids=["pulse", "ghz", "drive"])
 def test_qfi_vs_omega_rejects_bad_frequencies(protocol, omegas):
     # checked before any work: the drive would otherwise refine a NaN
-    # frequency until its step budget runs out and blame ode_tol
-    with pytest.raises(ValueError, match="omegas must be finite and >= 0"):
+    # frequency until its step budget runs out and blame ode_tol, and
+    # index a 2-D grid out of its bounds
+    match = (r"omegas must be a number or a 1-D grid, got shape \(2, 3\)"
+             if np.ndim(omegas) > 1 else "omegas must be finite and >= 0")
+    with pytest.raises(ValueError, match=match):
         qfi_vs_omega(protocol, SignalParams(B=1.0, omega=0.0), omegas=omegas)
+
+
+def test_a_two_dimensional_grid_is_refused_on_every_path():
+    # a Haar sequence, the oracle and the kernel raised a numpy broadcast
+    # error instead
+    sig = SignalParams(B=1.0, omega=0.0)
+    haar = make_pi_train([0.5, 1.5], 2.0, initial_state=None)
+    match = r"omegas must be a number or a 1-D grid, got shape \(2, 3\)"
+    for fn, protocol in ((qfi_vs_omega, haar), (qfi_fd_oracle, haar),
+                         (qfi_fd_oracle, make_ramsey(2.0)),
+                         (discrete_propagators, haar)):
+        with pytest.raises(ValueError, match=match):
+            fn(protocol, sig, omegas=np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("fn", [qfi_vs_omega, qfi_fd_oracle])
@@ -767,9 +786,17 @@ def test_haar_spectrum_is_the_six_state_mean(B, phi):
     rng = np.random.default_rng(1923)
     sig = SignalParams(B=B, omega=0.0, phi=phi)
     om = np.linspace(0.0, 40.0, 81)
-    for _ in range(3):
-        seq = random_pulse_sequence(rng, float(rng.uniform(1.0, 4.0)),
-                                    max_pulses=6)
+    seqs = [random_pulse_sequence(rng, float(rng.uniform(1.0, 4.0)),
+                                  max_pulses=6) for _ in range(3)]
+    # the average rests on the pulses' phases cancelling: the last train
+    # again with a global phase on each pulse (det != 1) and an X flip
+    # (det -1) at T/2
+    T = seqs[-1].total_time
+    pulses = [Pulse(time=p.time, matrix=np.exp(0.7j * (k + 1)) * p.unitary)
+              for k, p in enumerate(seqs[-1].pulses)]
+    pulses.append(Pulse(time=0.5 * T, matrix=SIGMA_X))
+    seqs.append(PulseSequence(sorted(pulses, key=lambda p: p.time), T))
+    for seq in seqs:
         six = [qfi_vs_omega(PulseSequence(seq.pulses, seq.total_time, st),
                             sig, omegas=om) for st in PAULI_STATES]
         mean = np.array([math.fsum(col) for col in zip(*six)]) / 6.0

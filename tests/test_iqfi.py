@@ -427,13 +427,15 @@ def test_haar_within_its_error_of_the_six_states(B, phi):
 
 
 def test_haar_propagates_once(monkeypatch):
-    # no pilot integration of the sequence's own J: one propagator pass
+    # no pilot integration of the sequence's own J: one pass of one
+    # column, from |0> (psi0 None), per evaluation of the average
     calls = []
     propagate = iqfi_lab.evolution.discrete_propagators
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("psi0"))
-        return propagate(*args, **kwargs)
+        psi, dpsi = propagate(*args, **kwargs)
+        calls.append((kwargs.get("psi0"), psi.shape[1:], dpsi.shape[1:]))
+        return psi, dpsi
 
     monkeypatch.setattr(iqfi_lab.evolution, "discrete_propagators", counted)
     seq = random_pulse_sequence(np.random.default_rng(1931), 3.0,
@@ -441,7 +443,7 @@ def test_haar_propagates_once(monkeypatch):
     res = haar_average_iqfi(seq, SignalParams(B=0.4, omega=0.0, phi=0.3),
                             GATE)
     assert res.method == "trace_formula"
-    assert calls == [None]
+    assert calls == [(None, (2,), (2,))]
 
 
 def test_haar_rejects_non_pulse_protocols():
@@ -1090,15 +1092,16 @@ def test_closed_form_runs_no_propagation(monkeypatch):
         integrate_iqfi(make_pi2_train(1.0, 4.0), SignalParams(B=0.3, omega=0.0))
 
 
-@pytest.mark.parametrize("pulse", [Pulse(time=1.0, axis="x", angle=math.nan),
-                                   Pulse(time=5.0, axis="x", angle=math.pi)])
+@pytest.mark.parametrize("pulse", [dict(time=1.0, axis="x", angle=math.nan),
+                                   dict(time=5.0, axis="x", angle=math.pi)])
 def test_closed_form_rejects_what_the_quadrature_rejects(pulse):
-    # the sequence is refused where it is built, so neither the closed
-    # forms (the Haar average's at B = 0 included) nor the quadrature can
-    # be handed it
-    with pytest.raises(ValueError, match="^pulse 0: (not unitary|time 5.0 "
+    # the pulse or the sequence is refused where it is built, so neither
+    # the closed forms (the Haar average's at B = 0 included) nor the
+    # quadrature can be handed it
+    with pytest.raises(ValueError, match="^(pulse angle must be finite, "
+                                         "got nan|pulse 0: time 5.0 "
                                          "outside)"):
-        PulseSequence((pulse,), 4.0)
+        PulseSequence((Pulse(**pulse),), 4.0)
 
 
 def test_ulp_segment_does_not_raise_the_tail_start():

@@ -185,7 +185,7 @@ def test_validate_accepts_no_initial_state():
 
 
 def test_validate_rejects_nan_pulse_angle():
-    with pytest.raises(ValueError, match="unitary"):
+    with pytest.raises(ValueError, match="angle must be finite"):
         make_trotterized_gx(2.0, m=4, g=float("nan"))
 
 
@@ -209,7 +209,10 @@ INVALID = {
                  "pulse 1: time must be finite"),
     "angle_nan": (lambda: PulseSequence(
         (Pulse(time=1.0, axis="x", angle=math.nan),), 4.0),
-        "pulse 0: not unitary (defect nan)"),
+        "pulse angle must be finite, got nan"),
+    "angle_inf": (lambda: PulseSequence(
+        (Pulse(time=0.5, axis="x", angle=math.inf),), 4.0),
+        "pulse angle must be finite, got inf"),
     "matrix_not_unitary": (lambda: PulseSequence(
         (PI_X, Pulse(time=2.0, matrix=[[1.0, 1.0], [0.0, 1.0]])), 4.0),
         "pulse 1: not unitary (defect 1.00e+00)"),
