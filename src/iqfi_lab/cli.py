@@ -16,6 +16,10 @@ absent; several go to <stem>-<tag><ext>, and --out - with several is an
 error.  One writer, _write, writes every file to a temporary name before
 it renames any, so a run that fails writes no file.
 
+main builds the parser of the named command only, and that of every
+command for --help, no command or an unknown one; help and usage errors
+read the same either way.
+
 Exit codes: 0 ok, 2 bad flags or config, a number out of range or too
 little memory, 3 integration failure, 4 bound violation (bounds-check
 only).  Every layer signals a failure by its exception type alone:
@@ -474,15 +478,23 @@ class _Help(argparse.HelpFormatter):
         return action.help + " (default %(default)s)"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Subcommands with the flags each reads.  The top parser's defaults
-    hold every flag's, so a command reads the flags it lacks at them."""
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Subcommands with the flags each reads: every command's, or only
+    that of command, as main builds for the command it runs.  The top
+    parser's defaults hold every flag's, so a command reads the flags it
+    lacks at them."""
     ap = argparse.ArgumentParser(
         prog="iqfi-lab",
         description="Broadband sensing toolkit: QFI spectra, integrated "
                     "sensitivity, figure data, and bound checks.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text, flags, overrides) in _COMMANDS.items():
+    # one command's parser lists every command in the usage line all the
+    # same; the full parser keeps argparse's own, whose errors name the
+    # action "command"
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if command is None else (command,):
+        fn, help_text, flags, overrides = _COMMANDS[name]
         # exact names only: a prefix would let fig1's --T mean --T-list
         p = sub.add_parser(name, help=help_text, allow_abbrev=False,
                            formatter_class=_Help)
@@ -497,7 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    # only the named command's parser: building all six cost more than a
+    # haar run; --help, no words and an unknown command get them all
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         if args.config:

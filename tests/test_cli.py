@@ -1,5 +1,6 @@
 """Command-line surface: formats, config files, defaults, exit codes, outputs."""
 
+import argparse
 import ast
 import json
 import math
@@ -763,6 +764,103 @@ def test_one_config_file_serves_every_command(tmp_path, monkeypatch, capsys):
             for flags in ACCEPTED.values() for flag in flags + ("--out",)}
     assert set(iqfi_lab.cli._CONFIG_KEYS) == keys
     assert len(keys) == 26
+
+
+# words whose help or usage error main must print as the full parser does
+PARSER_EXITS = [["--help"], [], ["no-such-command"]] + [
+    [command, *words] for command, flags in ACCEPTED.items()
+    for words in (["--help"], ["-h"], ["--bogus"], ["--out"],
+                  ["--g" if "--g" in flags else "--draws", "abc"],
+                  *([["--protocol", "nope"]] if "--protocol" in flags else []),
+                  *([["--format", "xml"]] if "--format" in flags else []))]
+
+
+def _exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+def test_help_and_usage_errors_are_the_full_parsers(monkeypatch, capsys,
+                                                    columns, argv):
+    """main builds only the named command's parser, yet prints the help,
+    usage and error of the parser of every command, at any width."""
+    monkeypatch.setenv("COLUMNS", columns)  # argparse wraps to it
+    full = _exit(capsys, build_parser().parse_args, argv)
+    assert _exit(capsys, main, argv) == full
+    assert full[0] == (0 if {"--help", "-h"} & set(argv) else 2)
+
+
+def _main_namespace(monkeypatch, argv):
+    """The namespace that main runs its command on; the command itself is
+    not run."""
+    seen = []
+
+    def spy(command=None):
+        parser = build_parser(command)
+        parse = parser.parse_args
+
+        def record(words):
+            args = parse(words)
+            seen.append(dict(vars(args)))
+            return argparse.Namespace(**{**vars(args), "func": lambda a: 0})
+
+        parser.parse_args = record
+        return parser
+
+    monkeypatch.setattr(iqfi_lab.cli, "build_parser", spy)
+    assert main(argv) == 0
+    return seen[-1]
+
+
+@pytest.mark.parametrize("command", ACCEPTED)
+def test_main_parses_as_the_full_parser(tmp_path, monkeypatch, command):
+    """Every flag of a command away from its default, given on the command
+    line or in a --config file: main's namespace is the full parser's,
+    func and the flags the command does not read included."""
+    defaults = vars(build_parser().parse_args([command]))
+    dests = {flag: flag[2:].replace("-", "_")
+             for flag in ACCEPTED[command] + ("--out",)}
+    values = {}
+    for flag, dest in dests.items():
+        if flag in ("--protocol", "--format"):  # the flags with choices
+            values[flag] = {"ramsey": "pi-train", "csv": "json",
+                            "json": "csv"}[defaults[dest]]
+        elif isinstance(defaults[dest], (int, float)):
+            values[flag] = str(defaults[dest] + 3)
+        else:  # a string flag, or a number whose default is None
+            values[flag] = "7"
+    words = [f"{flag}={value}" for flag, value in values.items()]
+    full = vars(build_parser().parse_args([command, *words]))
+    assert all(full[dest] != defaults[dest] for dest in dests.values())
+    assert _main_namespace(monkeypatch, [command, *words]) == full
+    cfg = tmp_path / "all.ini"
+    cfg.write_text("".join(f"{flag[2:]} = {value}\n"
+                           for flag, value in values.items()))
+    argv = [command, "--config", str(cfg)]
+    assert _main_namespace(monkeypatch, argv) == {**full, "config": str(cfg)}
+
+
+def test_main_builds_only_the_named_command(monkeypatch, capsys):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    code, out, _ = run(capsys, "haar", "--protocol", "pi-train", "--T", "1",
+                       "--B", "0")
+    assert code == 0 and json.loads(out)["K_avg"] > 0.0
+    assert added == ["haar"]
+    added.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert sorted(added) == sorted(ACCEPTED)
 
 
 def test_cli_imports_no_private_names():

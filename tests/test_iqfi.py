@@ -728,6 +728,24 @@ def test_error_estimate_covers_the_wide_base_panels(monkeypatch, case, B,
     assert abs(spec.integral - ref.integral) <= panels
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: at zeta B T = 15 "
+                   "J varies faster than pi/T below a few zeta B, so the "
+                   "first 4 pi/T panel is unresolved and |K33 - G16| "
+                   "falls below its error")
+def test_error_estimate_covers_a_strong_field():
+    """An 11-pulse SU(2) train at B = 2.5, T = 6: K at rel_tol 1e-2 lies
+    within K_err of K at rel_tol 1e-6, where the halving resolves the
+    first panel (K 16.984977, K_err 0.0065)."""
+    proto = random_pulse_sequence(np.random.default_rng(5), 6.0,
+                                  max_pulses=16, kind="su2")
+    sig = SignalParams(B=2.5, omega=0.0, phi=0.3)
+    cfg = replace(GATE, rel_tol=1e-2)
+    spec = integrate_iqfi(proto, sig, cfg=cfg)
+    ref = integrate_iqfi(proto, sig, cfg=replace(cfg, rel_tol=1e-6))
+    assert ref.integral == pytest.approx(16.984977, abs=1e-6)
+    assert abs(spec.integral - ref.integral) <= spec.error_estimate
+
+
 def test_a_nan_panel_error_is_beyond_the_floats(monkeypatch):
     # a NaN error ends the first round: no panel is halved for it, and K
     # is refused
