@@ -316,6 +316,12 @@ def cmd_fig1(args) -> int:
         raise ValueError(f"--slope-window needs two finite numbers lo < hi, "
                          f"got {window}")
     targets = _targets(args, [f"B{_fmt(b)}" for b in b_list])
+    # after _targets, so that an empty --out reports itself first
+    inside = {T for T in t_list if window[0] <= T <= window[1]}
+    if len(inside) < 2:
+        raise ValueError(f"--slope-window [{_fmt(window[0])},"
+                         f"{_fmt(window[1])}] needs two distinct --T-list "
+                         f"durations, got {len(inside)}")
 
     def family(T):
         return _build_protocol(args, "trotter-gx", T)
@@ -324,9 +330,7 @@ def cmd_fig1(args) -> int:
     for b in b_list:
         sweep = sweep_iqfi_vs_T(family, t_list, SignalParams(B=b, omega=0.0),
                                 cfg=cfg, slope_window=tuple(window))
-        nan = float("nan")
-        rows = [(p.T, nan if p.failed else p.K, nan if p.failed else p.K_err,
-                 sweep.slope) for p in sweep.points]
+        rows = [(p.T, p.K, p.K_err, sweep.slope) for p in sweep.points]
         texts.append(_csv_text(
             "T,K,K_err,slope_window", rows,
             comments=[f"B={_fmt(b)} g={_fmt(args.g)} m=2T slope fitted on "

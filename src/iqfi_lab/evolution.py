@@ -65,7 +65,9 @@ them: the formula above, or its Haar average (8/3)*<dpsi|dpsi> for a
 sequence with initial_state None.  qfi_vs_omega applies the rule;
 qfi_fd_oracle differences the same states over B.  Every public entry
 point, here and in iqfi, first replaces a GHZ register by the pulse
-sequence it is in the {|0...0>, |1...1>} plane.
+sequence it is in the {|0...0>, |1...1>} plane, and refuses any type but
+a pulse sequence, a continuous control or a register with a TypeError
+(_reduced).
 """
 
 from __future__ import annotations
@@ -97,18 +99,21 @@ _ULP_SEGMENT = 16.0 * np.finfo(float).eps
 
 class IntegrationError(RuntimeError):
     """An integration failed to meet its error target: continuous evolution
-    here, the panel budget (QuadratureNonConvergence) in iqfi.  .partial is
-    the best estimate so far, None where there is none."""
-
-    partial = None
+    here, the panel budget (QuadratureNonConvergence) in iqfi.  It carries
+    only its message: no estimate is returned from a failed integration."""
 
 
 def _reduced(protocol, signal: SignalParams):
     """(protocol, signal), a GHZ register replaced by its pulse sequence:
     from |+>, the exact X at each flipped interior boundary and the
-    identity at the others, under the signal with zeta = n*zeta."""
-    if not isinstance(protocol, GhzProtocol):
+    identity at the others, under the signal with zeta = n*zeta.  Any type
+    but a pulse sequence, a continuous control or a GHZ register is a
+    TypeError; every public entry point calls this first, so the code
+    after it reads only the first two kinds."""
+    if isinstance(protocol, (PulseSequence, ContinuousControl)):
         return protocol, signal
+    if not isinstance(protocol, GhzProtocol):
+        raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
     t = protocol.times
     flips = protocol.flips or (False,) * (len(t) - 2)
     pulses = tuple(Pulse(time=x, matrix=SIGMA_X if f else IDENTITY)
@@ -468,7 +473,8 @@ def _bloch_z(u):
 
 
 def _jumps(protocol):
-    """(a, Q, r, n, rate): the boundary form of a protocol.
+    """(a, Q, r, n, rate): the boundary form of a pulse sequence or a
+    continuous control (a protocol as _reduced returns it).
 
     Q_j is the jump (r before minus r after; r = 0 outside [0, T]) of the
     control's toggling-frame Bloch vector r at a_j: a sequence's pulses,
@@ -492,14 +498,12 @@ def _jumps(protocol):
                           math.sin(alpha) * math.sin(beta), math.cos(alpha)])
         Q = -np.diff(np.vstack([0.0 * z, r, 0.0 * z]), axis=0)
         return protocol.boundaries(), Q, r, n, 0.0
-    if isinstance(protocol, ContinuousControl):
-        u = np.eye(2)
-        for start, end, h in protocol.pieces:
-            u = _su2_exp(h, end - start) @ u
-        return (np.array([0.0, float(protocol.total_time)]),
-                np.array([-z, _bloch_z(u)]), None,
-                np.array([1.0, 0.0, 0.0]), 2.0 * _generator_norm(protocol))
-    raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
+    u = np.eye(2)
+    for start, end, h in protocol.pieces:
+        u = _su2_exp(h, end - start) @ u
+    return (np.array([0.0, float(protocol.total_time)]),
+            np.array([-z, _bloch_z(u)]), None,
+            np.array([1.0, 0.0, 0.0]), 2.0 * _generator_norm(protocol))
 
 
 def feature_scale(protocol, signal: SignalParams) -> float:
@@ -531,7 +535,7 @@ def feature_scale(protocol, signal: SignalParams) -> float:
 
 def _states(protocol, signal: SignalParams, om, ode_tol: float):
     """(J rule, (psi, dpsi)) at T for every frequency in om, psi and dpsi
-    each of shape (n, 2).
+    each of shape (n, 2), for a protocol as _reduced returns it.
 
     The rule is _pure_j, or for a sequence with initial_state None _haar_j,
     (8/3)|dpsi|^2 of the states from |0>: the propagator is a phase free of
@@ -553,17 +557,15 @@ def _states(protocol, signal: SignalParams, om, ode_tol: float):
     if isinstance(protocol, PulseSequence):
         return (_pure_j if protocol.initial_state is not None else _haar_j,
                 discrete_propagators(protocol, signal, omegas=om))
-    if isinstance(protocol, ContinuousControl):
-        y = _continuous_batch(protocol, signal, om, tol=ode_tol)
-        psi, dpsi = y[:, 0:2], y[:, 2:4]
-        norms = np.linalg.norm(psi, axis=1, keepdims=True)
-        drift = float(np.abs(norms - 1.0).max(initial=0.0))
-        if drift > 10.0 * ode_tol:
-            raise IntegrationError(f"norm drift {drift:.3e} > 10*ode_tol")
-        psi = psi / norms
-        proj = np.einsum("ni,ni->n", psi.conj(), dpsi).real
-        return _pure_j, (psi, dpsi - proj[:, None] * psi)
-    raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
+    y = _continuous_batch(protocol, signal, om, tol=ode_tol)
+    psi, dpsi = y[:, 0:2], y[:, 2:4]
+    norms = np.linalg.norm(psi, axis=1, keepdims=True)
+    drift = float(np.abs(norms - 1.0).max(initial=0.0))
+    if drift > 10.0 * ode_tol:
+        raise IntegrationError(f"norm drift {drift:.3e} > 10*ode_tol")
+    psi = psi / norms
+    proj = np.einsum("ni,ni->n", psi.conj(), dpsi).real
+    return _pure_j, (psi, dpsi - proj[:, None] * psi)
 
 
 def _finite_j(j_of, states, om) -> np.ndarray:

@@ -119,11 +119,7 @@ class QfiSpectrum:
 
 
 class QuadratureNonConvergence(IntegrationError):
-    """Panel budget exhausted; .partial carries the best estimate so far."""
-
-    def __init__(self, message: str, partial: Optional[QfiSpectrum] = None):
-        super().__init__(message)
-        self.partial = partial
+    """Panel budget exhausted: the message says by how much."""
 
 
 @dataclass(frozen=True)
@@ -148,7 +144,6 @@ class SweepPoint:
     T: float
     K: float
     K_err: float
-    failed: bool = False
 
 
 @dataclass(frozen=True)
@@ -214,9 +209,8 @@ def _integrate_adaptive(f, lo, hi, width, cfg: QuadratureConfig,
     others are halved and evaluated in the next round's one batch; once
     every panel fits its share, the sum fits too.  max_panels counts final
     panels: where halving would pass it, the loop raises
-    QuadratureNonConvergence with the spectrum of the final and open
-    panels as its partial, None if even the base panels are too many;
-    then it raises before the tail or any panel is formed.  tail() is
+    QuadratureNonConvergence, and where even the base panels are too many
+    it raises before the tail or any panel is formed.  tail() is
     (value, error bound) of the integral of f over [hi, inf), added to
     the integral and to the error estimate; without one, tail_start is
     inf.
@@ -265,8 +259,7 @@ def _integrate_adaptive(f, lo, hi, width, cfg: QuadratureConfig,
         if sum(len(r[0]) for r in final) + 2 * a.size > cfg.max_panels:
             raise QuadratureNonConvergence(
                 f"halving {a.size} panels would pass max_panels="
-                f"{cfg.max_panels}; raise max_panels or rel_tol",
-                partial=spectrum(final + [tuple(r[~fits] for r in rows)]))
+                f"{cfg.max_panels}; raise max_panels or rel_tol")
         mid = 0.5 * (a + b)
         a, b = np.stack([a, mid], 1).ravel(), np.stack([mid, b], 1).ravel()
     return spectrum(final)
@@ -446,8 +439,8 @@ def integrate_iqfi(protocol, signal: SignalParams,
     4 pi/T, each at most four periods of J's fastest term (whose period
     is at least pi/T), halved where their error misses its share (see
     _integrate_adaptive), cover [0, Omega] and the closed-form tail the
-    rest; an exhausted panel budget raises QuadratureNonConvergence with a
-    partial result.
+    rest; an exhausted panel budget raises QuadratureNonConvergence, and a
+    protocol of no known type TypeError.
     ode_tol, the error target of a continuous drive's state and, per unit
     of zeta, of its field derivative, is checked on every path.  A
     sequence with initial_state None gives the Haar average.  A tail
@@ -542,10 +535,12 @@ def sweep_iqfi_vs_T(family: Callable, Ts: Sequence[float],
     releases the GIL on the node arrays where a point spends its time.  The
     points do not depend on the number of threads; narrow the process's CPU
     affinity (taskset) for fewer.
-    Per-point integration failures (panel budget or evolution) are recorded
-    with failed=True, carrying the partial estimate if there is one, and
-    the sweep continues.  The log-log slope is fitted over slope_window
-    (defaults to the full range of successful points).
+    A point that fails fails the sweep: its IntegrationError (the panel
+    budget or the evolution's) is raised again as the same type, its
+    message prefixed by "T = <T>: ", and any other error as it is.  The
+    log-log slope is fitted over slope_window, by default from the least
+    to the greatest T of the points with K > 0; fewer than two points in
+    the window give a NaN slope.
     """
     # imported on use, so that no other command loads the pool machinery
     from concurrent.futures import ThreadPoolExecutor
@@ -557,24 +552,19 @@ def sweep_iqfi_vs_T(family: Callable, Ts: Sequence[float],
     def point(T: float, protocol) -> SweepPoint:
         try:
             spec = integrate_iqfi(protocol, signal, cfg)
-            return SweepPoint(T=T, K=spec.integral, K_err=spec.error_estimate)
         except IntegrationError as exc:  # QuadratureNonConvergence too
-            spec = exc.partial
-        nan = float("nan")
-        return SweepPoint(T=T, K=spec.integral if spec is not None else nan,
-                          K_err=spec.error_estimate if spec is not None else nan,
-                          failed=True)
+            raise type(exc)(f"T = {T:.15g}: {exc}") from exc
+        return SweepPoint(T=T, K=spec.integral, K_err=spec.error_estimate)
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=max(1, min(cpus, len(Ts)))) as pool:
         points = list(pool.map(point, Ts, protocols))
-    good = [p for p in points if not p.failed and p.K > 0.0]
+    good = [p for p in points if p.K > 0.0]
+    ts, ks = [p.T for p in good], [p.K for p in good]
     if slope_window is None and good:
-        slope_window = (good[0].T, good[-1].T)
-    slope = fit_loglog_slope(
-        [p.T for p in good], [p.K for p in good], slope_window
-    ) if len(good) >= 2 else float("nan")
+        slope_window = (min(ts), max(ts))
+    slope = fit_loglog_slope(ts, ks, slope_window)
     return SweepResult(points=tuple(points), slope=slope,
                        slope_window=tuple(slope_window) if slope_window else ())
 

@@ -365,6 +365,23 @@ def test_fig1_non_finite_input_exits_2(tmp_path, capsys, flags):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("t_list", ["2", "2,2", "2,8"])
+def test_fig1_window_of_fewer_than_two_durations_exits_2(
+        t_list, tmp_path, monkeypatch, capsys):
+    # wrote a slope column of nan, exit 0
+    def compute(*args, **kwargs):
+        raise AssertionError("computed a sweep with no slope to fit")
+    monkeypatch.setattr(iqfi_lab.cli, "sweep_iqfi_vs_T", compute)
+    argv = ("fig1", "--B", "1", "--T-list", t_list, "--slope-window", "2,3")
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "f.csv"))
+    assert code == 2 and out == "" and not list(tmp_path.iterdir())
+    assert err == ("iqfi-lab: --slope-window [2.0,3.0] needs two distinct "
+                   "--T-list durations, got 1\n")
+    # an empty --out is reported first
+    code, _, err = run(capsys, *argv, "--out", "")
+    assert code == 2 and err.startswith("iqfi-lab: --out is empty")
+
+
 def test_bad_protocol_choice_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["iqfi", "--protocol", "spiral"])
@@ -457,7 +474,8 @@ def test_register_times_must_end_at_the_given_duration(tmp_path, capsys):
     (("iqfi", "--out", "{tmp}/dir"), 2),
     # the files of the fields, or protocols, before the one that failed
     # were left behind: fig1-B1.0.csv; fig2-ramsey.csv and two more
-    (("fig1", "--B", "1,1e307", "--T-list", "2", "--slope-window", "1,3"), 2),
+    (("fig1", "--B", "1,1e307", "--T-list", "2,3", "--slope-window", "1,3"),
+     2),
     (("fig2", "--ode-tol", "1e-30"), 3),
     # several outputs to stdout: files named --ramsey.csv, --B1.0.csv, ...
     (("fig2", "--out", "-"), 2),
@@ -481,6 +499,9 @@ def test_register_times_must_end_at_the_given_duration(tmp_path, capsys):
       "1e-200"), 2),
     (("haar", "--protocol", "pi2-train", "--B", "0.5", "--tail-factor",
       "1e-200"), 2),
+    # wrote a row of nan, exit 0
+    (("fig1", "--B", "1", "--T-list", "2,2000", "--slope-window", "2,2000"),
+     3),
 ])
 def test_out_of_range_numbers_exit_with_one_line(argv, code, capsys, tmp_path,
                                                  monkeypatch):
@@ -489,6 +510,8 @@ def test_out_of_range_numbers_exit_with_one_line(argv, code, capsys, tmp_path,
     got, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert got == code and out == ""
     assert err.startswith("iqfi-lab: ") and err.count("\n") == 1
+    if argv[0] == "fig1" and code == 3:
+        assert err.startswith("iqfi-lab: integration failed: T = 2000: ")
     # no output file, and no temp file left behind
     assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
     assert [p.name for p in tmp_path.parent.iterdir()

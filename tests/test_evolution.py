@@ -614,6 +614,19 @@ def test_qfi_vs_omega_rejects_bad_frequencies(protocol, omegas):
         qfi_vs_omega(protocol, SignalParams(B=1.0, omega=0.0), omegas=omegas)
 
 
+@pytest.mark.parametrize("fn", [
+    qfi_vs_omega, qfi_fd_oracle, feature_scale, integrate_iqfi,
+    lambda protocol, sig: integrate_qfi_band(protocol, sig, 0.0, 1.0)],
+    ids=["qfi_vs_omega", "qfi_fd_oracle", "feature_scale", "integrate_iqfi",
+         "integrate_qfi_band"])
+def test_an_unknown_protocol_type_is_a_type_error(fn):
+    # all but integrate_iqfi raised AttributeError: ... 'total_time'
+    for protocol in ("ramsey", object()):
+        with pytest.raises(TypeError, match="^unsupported protocol type "
+                                            f"{type(protocol).__name__}$"):
+            fn(protocol, SignalParams(B=0.5, omega=1.0))
+
+
 def test_a_two_dimensional_grid_is_refused_on_every_path():
     # a Haar sequence, the oracle and the kernel raised a numpy broadcast
     # error instead

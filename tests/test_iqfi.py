@@ -296,22 +296,21 @@ def test_cross_spectral_closed_form_and_numeric():
         2.0 * math.pi, rel=1e-5)
 
 
-def test_nonconvergence_raises_with_partial():
+def test_nonconvergence_raises():
     # a pi/2 train in a field: the closed form needs B = 0 or an axis on +-z
     sig = SignalParams(B=0.3, omega=0.0)
     with pytest.raises(QuadratureNonConvergence):
         integrate_iqfi(make_pi2_train(0.5, 4.0), sig,
                        cfg=QuadratureConfig(max_panels=10))
-    # a budget above the base panel count but below convergence should
-    # surface the best-so-far estimate
-    try:
+    # a budget above the base panel count but below convergence raises
+    # while halving, with its message and no estimate
+    with pytest.raises(QuadratureNonConvergence,
+                       match=r"^halving \d+ panels would pass max_panels=60;") \
+            as exc:
         integrate_iqfi(make_pi2_train(0.25, 4.0), sig,
                        cfg=QuadratureConfig(rel_tol=1e-13, max_panels=60))
-    except QuadratureNonConvergence as exc:
-        if exc.partial is not None:
-            assert math.isfinite(exc.partial.integral)
-    else:
-        pytest.fail("expected panel budget exhaustion")
+    assert exc.value.args == (str(exc.value),)
+    assert not hasattr(exc.value, "partial")
 
 
 def test_haar_closed_form_path():
@@ -461,40 +460,55 @@ def test_sweep_linear_scaling_and_failures():
     Ts = [2.0, 4.0, 8.0, 16.0]
     sweep = sweep_iqfi_vs_T(family, Ts, FLAT)
     assert [p.T for p in sweep.points] == Ts
-    assert not any(p.failed for p in sweep.points)
     assert sweep.slope == pytest.approx(1.0, abs=1e-3)
 
-    broken = sweep_iqfi_vs_T(family, Ts, SignalParams(B=0.3, omega=0.0),
-                             cfg=QuadratureConfig(max_panels=5))
-    assert all(p.failed for p in broken.points)
-    assert math.isnan(broken.slope)
+    # every point runs out of panels: the sweep raises the first one's
+    # error in the order given, named by its T
+    with pytest.raises(QuadratureNonConvergence,
+                       match=r"^T = 2: \[0, .*\] needs .* panels"):
+        sweep_iqfi_vs_T(family, Ts, SignalParams(B=0.3, omega=0.0),
+                        cfg=QuadratureConfig(max_panels=5))
+
+
+def test_sweep_default_window_spans_a_shuffled_list():
+    # the window was (first T, last T): (8, 4) held no point, a NaN slope
+    family = lambda T: make_pi2_train(T / 2.0, T)
+    shuffled = sweep_iqfi_vs_T(family, [8.0, 2.0, 4.0], FLAT)
+    ordered = sweep_iqfi_vs_T(family, [2.0, 4.0, 8.0], FLAT)
+    assert shuffled.slope_window == ordered.slope_window == (2.0, 8.0)
+    assert ordered.slope == pytest.approx(1.0, abs=1e-3)
+    assert shuffled.slope == pytest.approx(ordered.slope, rel=1e-12)
 
 
 def test_sweep_points_equal_serial_integrals_in_order():
     # at B = 3 and this budget the T = 1 and 2 trains converge (10 base
     # panels, all halved; 20, 18 of them halved and 2 of those halves
     # again), T = 4 runs out of panels while refining (2 final and 37
-    # halved into 74 would make 76, a partial estimate) and T = 8 before
-    # its first panels (77); the Ts are out of order, so that the pool's
-    # order shows
+    # halved into 74 would make 76) and T = 8 before its first panels
+    # (77); the Ts are out of order, so that the pool's order shows
     family = lambda T: make_pi2_train(T / 2.0, T)
-    Ts = [4.0, 1.0, 8.0, 2.0]
     sig = SignalParams(B=3.0, omega=0.0)
     cfg = QuadratureConfig(max_panels=60, rel_tol=1e-12)
-    sweep = sweep_iqfi_vs_T(family, Ts, sig, cfg=cfg)
-    assert [p.T for p in sweep.points] == Ts
-    assert [p.failed for p in sweep.points] == [True, False, True, False]
+    sweep = sweep_iqfi_vs_T(family, [2.0, 1.0], sig, cfg=cfg)
+    assert [p.T for p in sweep.points] == [2.0, 1.0]
     for p in sweep.points:
-        try:
-            spec = integrate_iqfi(family(p.T), sig, cfg)
-        except QuadratureNonConvergence as exc:
-            spec = exc.partial
-        if spec is None:
-            assert p.T == 8.0 and math.isnan(p.K) and math.isnan(p.K_err)
-        else:
-            assert (p.K, p.K_err) == (spec.integral, spec.error_estimate)
+        spec = integrate_iqfi(family(p.T), sig, cfg)
+        assert (p.K, p.K_err) == (spec.integral, spec.error_estimate)
     assert sweep.slope == fit_loglog_slope(
-        [1.0, 2.0], [sweep.points[1].K, sweep.points[3].K])
+        [2.0, 1.0], [p.K for p in sweep.points])
+    # a failed point fails the sweep with the error of the serial
+    # integral, named by its T; of two, the first in the order given
+    for T, Ts, message in (
+            (4.0, [4.0, 1.0, 8.0, 2.0], "halving 37 panels would pass "
+             "max_panels=60; raise max_panels or rel_tol"),
+            (8.0, [1.0, 8.0, 2.0, 4.0], "[0, 120] needs 76.4 panels of "
+             "width 1.57, above max_panels=60")):
+        with pytest.raises(QuadratureNonConvergence) as serial:
+            integrate_iqfi(family(T), sig, cfg)
+        assert str(serial.value) == message
+        with pytest.raises(QuadratureNonConvergence) as exc:
+            sweep_iqfi_vs_T(family, Ts, sig, cfg=cfg)
+        assert str(exc.value) == f"T = {T:g}: {message}"
 
 
 def test_fit_loglog_slope_exact_power_law():
@@ -568,25 +582,19 @@ def _record_rounds(monkeypatch):
     return rounds
 
 
-def test_budget_exhausted_partial_carries_weights(monkeypatch):
+def test_budget_exhausted_while_halving_raises_after_three_rounds(
+        monkeypatch):
     # at rel_tol = 1e-10, 47 of the 48 base panels miss their share, 19 of
     # their 94 halves miss theirs, and 8 of those 38 quarters: 106 final
-    # and 16 halves would pass the budget, so the partial holds the
-    # 1 + 75 + 30 final panels and the 8 open ones, of three widths
+    # and 16 halves would pass the budget, so the third round raises
     rounds = _record_rounds(monkeypatch)
     sig = SignalParams(B=2.3, omega=0.0)
     cfg = QuadratureConfig(rel_tol=1e-10, max_panels=120)
-    with pytest.raises(QuadratureNonConvergence, match="max_panels=120") \
-            as exc:
+    with pytest.raises(QuadratureNonConvergence) as exc:
         integrate_iqfi(_su2_train(), sig, cfg=cfg)
     assert [r[0].size for r in rounds] == [48, 94, 38]
-    partial = exc.value.partial
-    assert partial.omegas.size == 114 * 33
-    _check_engine_contract(partial)
-    converged = integrate_iqfi(_su2_train(), sig, cfg=replace(
-        cfg, max_panels=8192))
-    assert abs(partial.integral - converged.integral) \
-        <= partial.error_estimate
+    assert exc.value.args == ("halving 8 panels would pass max_panels=120; "
+                              "raise max_panels or rel_tol",)
 
 
 def test_a_base_panel_count_past_the_budget_raises_before_any_work(
@@ -601,7 +609,7 @@ def test_a_base_panel_count_past_the_budget_raises_before_any_work(
     sig = SignalParams(B=0.3, omega=0.0)
     with pytest.raises(QuadratureNonConvergence) as exc:
         integrate_qfi_band(_su2_train(), sig, 0.0, 1e300)
-    assert exc.value.partial is None and len(str(exc.value)) < 200
+    assert len(str(exc.value)) < 200
     assert isinstance(exc.value, IntegrationError)
     with pytest.raises(QuadratureNonConvergence):
         integrate_iqfi(make_pi_train([1.0, 2.0, 3.0], 4.0),
