@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -129,14 +129,15 @@ class HaarResult:
     method is "closed_form", or "trace_formula" where K took the panels,
     whose J is (8/3)|dpsi/dB|^2 of the state propagated from |0>, the
     trace formula (4/3) Tr(W^dag W) of the propagator's derivative W.
-    stderr is 0.0 and samples 0: nothing samples, but the benchmark harness
-    (perfbench/) still reads both, so they stay until it stops.
+    stderr is 0.0 and samples 0, class constants: nothing samples, but the
+    benchmark harness (perfbench/) still reads both, so they stay until it
+    stops.
     """
 
     value: float
-    stderr: float
     method: str
-    samples: int
+    stderr: ClassVar[float] = 0.0
+    samples: ClassVar[int] = 0
 
 
 @dataclass(frozen=True)
@@ -515,9 +516,9 @@ def haar_average_iqfi(seq: PulseSequence, signal: SignalParams,
         k = (2.0 / 3.0) * 2.0 * math.pi * signal.zeta ** 2 * seq.total_time
         if not math.isfinite(k):
             raise ValueError(f"K = {k} is beyond the floats")
-        return HaarResult(value=k, stderr=0.0, method="closed_form", samples=0)
+        return HaarResult(value=k, method="closed_form")
     spec = integrate_iqfi(replace(seq, initial_state=None), signal, cfg)
-    return HaarResult(value=spec.integral, stderr=0.0, samples=0, method=(
+    return HaarResult(value=spec.integral, method=(
         "trace_formula" if spec.method == "quadrature" else "closed_form"))
 
 
@@ -570,12 +571,21 @@ def sweep_iqfi_vs_T(family: Callable, Ts: Sequence[float],
 
 
 def fit_loglog_slope(Ts, Ks, window: Optional[tuple] = None) -> float:
-    """Least-squares slope of log K against log T inside the window."""
+    """Least-squares slope of log K against log T inside the window.
+
+    A point inside the window whose T or K is not positive and finite is a
+    ValueError that names the first such point.
+    """
     t = np.asarray(Ts, dtype=float)
     k = np.asarray(Ks, dtype=float)
     if window is not None:
         mask = (t >= window[0]) & (t <= window[1])
         t, k = t[mask], k[mask]
+    bad = np.flatnonzero(~((0.0 < t) & (t < np.inf) &
+                           (0.0 < k) & (k < np.inf)))
+    if bad.size:
+        raise ValueError(f"a log-log slope needs finite T > 0 and K > 0, "
+                         f"got K = {k[bad[0]]} at T = {t[bad[0]]}")
     if t.size < 2:
         return float("nan")
     return float(np.polyfit(np.log(t), np.log(k), 1)[0])

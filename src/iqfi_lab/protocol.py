@@ -1,4 +1,4 @@
-"""Sensing protocols: construction, with their checks, and serialization.
+"""Sensing protocols: construction, with their checks.
 
 A discrete protocol is a sequence of instantaneous pulses (2x2 unitaries)
 applied at fixed times inside [0, T], with free evolution under the signal
@@ -15,7 +15,6 @@ module checks one again.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -58,8 +57,6 @@ __all__ = [
     "make_pi2_train",
     "make_trotterized_gx",
     "random_pulse_sequence",
-    "sequence_to_json",
-    "sequence_from_json",
 ]
 
 
@@ -142,7 +139,8 @@ class PulseSequence:
     initial_state = (alpha, beta) meaning cos(alpha/2)|0> + e^{i beta} sin(alpha/2)|1>;
     the default (pi/2, 0) is |+>.  With None, J and K are Haar averages.
     Raises ValueError unless total_time is positive and finite, the angles
-    finite, and the pulses unitary at non-decreasing times in [0, T].
+    two and finite, and the pulses unitary at non-decreasing times in
+    [0, T].
     """
 
     pulses: tuple
@@ -152,8 +150,11 @@ class PulseSequence:
     def __post_init__(self):
         object.__setattr__(self, "pulses", tuple(self.pulses))
         if self.initial_state is not None:
-            object.__setattr__(self, "initial_state",
-                               tuple(float(x) for x in self.initial_state))
+            state = tuple(float(x) for x in self.initial_state)
+            if len(state) != 2:
+                raise ValueError(f"initial_state must be None or two angles "
+                                 f"(alpha, beta), got {state}")
+            object.__setattr__(self, "initial_state", state)
         _check_total_time(self.total_time)
         if not all(map(math.isfinite, self.initial_state or ())):
             raise ValueError("initial_state angles must be finite")
@@ -411,76 +412,3 @@ def _haar_su2(rng: np.random.Generator) -> np.ndarray:
     a = x[0] + 1j * x[1]
     b = x[2] + 1j * x[3]
     return np.array([[a, b], [-b.conjugate(), a.conjugate()]], dtype=complex)
-
-
-# -- JSON serialization -------------------------------------------------------
-#
-# Schema: {"type": "pulse_sequence", "T": .., "initial_state": {"alpha","beta"},
-#          "pulses": [{"t", "axis", "angle"} | {"t", "matrix"}]}
-# "initial_state": null is a sequence averaged over Haar-random states.
-# Floats are emitted with repr so a load/dump cycle is bit-exact.
-
-
-def _pulse_to_dict(p: Pulse) -> dict:
-    if p.matrix is not None:
-        mat = [[[float(p.matrix[i, j].real), float(p.matrix[i, j].imag)]
-                for j in range(2)] for i in range(2)]
-        return {"t": p.time, "matrix": mat}
-    axis = p.axis if isinstance(p.axis, str) else [float(a) for a in p.axis]
-    return {"t": p.time, "axis": axis, "angle": p.angle}
-
-
-def _read(node, key: str, convert):
-    """convert(node[key]) of a JSON object node; a node that is no object,
-    a missing key or a value that convert refuses is a ValueError."""
-    if not isinstance(node, dict):
-        raise ValueError(f"expected a JSON object, got {json.dumps(node)}")
-    if key not in node:
-        raise ValueError(f"pulse_sequence JSON lacks the key '{key}'")
-    try:
-        return convert(node[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"bad value of '{key}': "
-                         f"{json.dumps(node[key])}") from None
-
-
-def _pulse_from_dict(d) -> Pulse:
-    t = _read(d, "t", float)
-    if "matrix" in d:
-        return Pulse(time=t, matrix=_read(d, "matrix", lambda m: np.array(
-            [[complex(re, im) for re, im in row] for row in m],
-            dtype=complex)))
-    axis = _read(d, "axis", lambda a: a if isinstance(a, str)
-                 else tuple(float(x) for x in a))
-    return Pulse(time=t, axis=axis, angle=_read(d, "angle", float))
-
-
-def sequence_to_json(seq: PulseSequence) -> str:
-    init = seq.initial_state
-    doc = {
-        "type": "pulse_sequence",
-        "T": seq.total_time,
-        "initial_state": None if init is None else {
-            "alpha": float(init[0]), "beta": float(init[1])},
-        "pulses": [_pulse_to_dict(p) for p in seq.pulses],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def sequence_from_json(text: str) -> PulseSequence:
-    """The sequence of a JSON document; ValueError for a document of
-    another type, a missing key, a value of the wrong kind or an invalid
-    sequence."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError(f"expected a JSON object, got {json.dumps(doc)}")
-    if doc.get("type") != "pulse_sequence":
-        raise ValueError(f"unsupported protocol type {doc.get('type')!r}")
-    init = doc.get("initial_state", {"alpha": math.pi / 2.0, "beta": 0.0})
-    return PulseSequence(
-        pulses=tuple(map(_pulse_from_dict, _read(doc, "pulses", list)
-                         if "pulses" in doc else [])),
-        total_time=_read(doc, "T", float),
-        initial_state=None if init is None else (_read(init, "alpha", float),
-                                                 _read(init, "beta", float)),
-    )

@@ -524,6 +524,24 @@ def test_fit_loglog_slope_exact_power_law():
     assert math.isnan(fit_loglog_slope(Ts, Ks, window=(3.0, 7.0)))
 
 
+@pytest.mark.parametrize("Ts, Ks, point", [
+    ([1.0, 2.0], [1.0, 0.0], "K = 0.0 at T = 2.0"),
+    ([1.0, 2.0], [1.0, -1.0], "K = -1.0 at T = 2.0"),
+    ([0.0, 2.0], [1.0, 2.0], "K = 1.0 at T = 0.0"),
+    ([1.0, math.inf], [1.0, 2.0], "K = 2.0 at T = inf"),
+    ([1.0, 2.0], [1.0, math.nan], "K = nan at T = 2.0")])
+def test_fit_loglog_slope_rejects_a_point_that_is_not_positive(Ts, Ks, point):
+    # the first three hit numpy's divide-by-zero or invalid-value warning
+    # in log, the infinite T its invalid-value warning in polyfit, and the
+    # NaN K gave a NaN slope
+    with pytest.raises(ValueError, match=f"^a log-log slope needs finite "
+                                         f"T > 0 and K > 0, got {point}$"):
+        fit_loglog_slope(Ts, Ks)
+    # a point outside the window stays unchecked
+    assert fit_loglog_slope(Ts + [4.0, 8.0], Ks + [64.0, 512.0],
+                            window=(4.0, 8.0)) == pytest.approx(3.0)
+
+
 def test_equator_average_of_train():
     # fixed equatorial launch: K = 2 pi zeta^2 T independent of placement
     T = 4.0
