@@ -16,9 +16,8 @@ absent; several go to <stem>-<tag><ext>, and --out - with several is an
 error.  One writer, _write, writes every file to a temporary name before
 it renames any, so a run that fails writes no file.
 
-main builds the parser of the named command only, and that of every
-command for --help, no command or an unknown one; help and usage errors
-read the same either way.
+build_parser builds the parser of every command once per process, and
+main parses every argv with it.
 
 Exit codes: 0 ok, 2 bad flags or config, a number out of range or too
 little memory, 3 integration failure, 4 bound violation (bounds-check
@@ -32,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -75,9 +75,9 @@ def _config_words(path: str, flags) -> list:
     flags.  Every key must name some command's flag, and its value must
     pass that flag's type."""
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}")
     cp = configparser.ConfigParser()
     # keys before the first section header go to a section of their own;
@@ -482,22 +482,17 @@ class _Help(argparse.HelpFormatter):
         return action.help + " (default %(default)s)"
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """Subcommands with the flags each reads: every command's, or only
-    that of command, as main builds for the command it runs.  The top
-    parser's defaults hold every flag's, so a command reads the flags it
-    lacks at them."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """Every command's subparser with the flags it reads, built once per
+    process; nothing may change it after.  The top parser's defaults hold
+    every flag's, so a command reads the flags it lacks at them."""
     ap = argparse.ArgumentParser(
         prog="iqfi-lab",
         description="Broadband sensing toolkit: QFI spectra, integrated "
                     "sensitivity, figure data, and bound checks.")
-    # one command's parser lists every command in the usage line all the
-    # same; the full parser keeps argparse's own, whose errors name the
-    # action "command"
-    sub = ap.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
-    for name in _COMMANDS if command is None else (command,):
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
         fn, help_text, flags, overrides = _COMMANDS[name]
         # exact names only: a prefix would let fig1's --T mean --T-list
         p = sub.add_parser(name, help=help_text, allow_abbrev=False,
@@ -513,9 +508,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # only the named command's parser: building all six cost more than a
-    # haar run; --help, no words and an unknown command get them all
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:

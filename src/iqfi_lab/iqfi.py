@@ -540,8 +540,8 @@ def sweep_iqfi_vs_T(family: Callable, Ts: Sequence[float],
     budget or the evolution's) is raised again as the same type, its
     message prefixed by "T = <T>: ", and any other error as it is.  The
     log-log slope is fitted over slope_window, by default from the least
-    to the greatest T of the points with K > 0; fewer than two points in
-    the window give a NaN slope.
+    to the greatest T of the points with K > 0; fewer than two distinct T
+    in the window give a NaN slope.
     """
     # imported on use, so that no other command loads the pool machinery
     from concurrent.futures import ThreadPoolExecutor
@@ -574,7 +574,8 @@ def fit_loglog_slope(Ts, Ks, window: Optional[tuple] = None) -> float:
     """Least-squares slope of log K against log T inside the window.
 
     A point inside the window whose T or K is not positive and finite is a
-    ValueError that names the first such point.
+    ValueError that names the first such point; fewer than two distinct T
+    inside it give NaN.
     """
     t = np.asarray(Ts, dtype=float)
     k = np.asarray(Ks, dtype=float)
@@ -586,6 +587,6 @@ def fit_loglog_slope(Ts, Ks, window: Optional[tuple] = None) -> float:
     if bad.size:
         raise ValueError(f"a log-log slope needs finite T > 0 and K > 0, "
                          f"got K = {k[bad[0]]} at T = {t[bad[0]]}")
-    if t.size < 2:
+    if np.unique(t).size < 2:
         return float("nan")
     return float(np.polyfit(np.log(t), np.log(k), 1)[0])

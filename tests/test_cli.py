@@ -223,6 +223,17 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert code == 2 and "nope.ini" in err
 
 
+def test_undecodable_config_file_names_the_file(tmp_path, capsys):
+    # the codec's message alone named no file
+    cfg = tmp_path / "c.ini"
+    cfg.write_bytes(b"\xfft = 2\n")
+    code, out, err = run(capsys, "iqfi", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith(f"iqfi-lab: cannot read config {cfg}: 'utf-8' "
+                          "codec can't decode byte 0xff") and \
+        err.count("\n") == 1
+
+
 def test_config_values_keep_their_checks(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     # iqfi has no --points, but the key's value is still checked
@@ -809,8 +820,8 @@ def _exit(capsys, parse, argv):
 @pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
 def test_help_and_usage_errors_are_the_full_parsers(monkeypatch, capsys,
                                                     columns, argv):
-    """main builds only the named command's parser, yet prints the help,
-    usage and error of the parser of every command, at any width."""
+    """main prints the help, usage and error of the parser of every
+    command, at any width."""
     monkeypatch.setenv("COLUMNS", columns)  # argparse wraps to it
     full = _exit(capsys, build_parser().parse_args, argv)
     assert _exit(capsys, main, argv) == full
@@ -822,16 +833,17 @@ def _main_namespace(monkeypatch, argv):
     not run."""
     seen = []
 
-    def spy(command=None):
-        parser = build_parser(command)
-        parse = parser.parse_args
+    def spy():
+        parser = build_parser()
 
         def record(words):
-            args = parse(words)
+            # the class's method: a spy of an earlier call may still be set
+            args = argparse.ArgumentParser.parse_args(parser, words)
             seen.append(dict(vars(args)))
             return argparse.Namespace(**{**vars(args), "func": lambda a: 0})
 
-        parser.parse_args = record
+        # through monkeypatch, so that the cached parser is restored
+        monkeypatch.setattr(parser, "parse_args", record)
         return parser
 
     monkeypatch.setattr(iqfi_lab.cli, "build_parser", spy)
@@ -867,7 +879,8 @@ def test_main_parses_as_the_full_parser(tmp_path, monkeypatch, command):
     assert _main_namespace(monkeypatch, argv) == {**full, "config": str(cfg)}
 
 
-def test_main_builds_only_the_named_command(monkeypatch, capsys):
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    build_parser.cache_clear()
     added = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -879,11 +892,24 @@ def test_main_builds_only_the_named_command(monkeypatch, capsys):
     code, out, _ = run(capsys, "haar", "--protocol", "pi-train", "--T", "1",
                        "--B", "0")
     assert code == 0 and json.loads(out)["K_avg"] > 0.0
-    assert added == ["haar"]
-    added.clear()
+    code, out, _ = run(capsys, "iqfi", "--protocol", "ramsey", "--T", "1",
+                       "--B", "0")
+    assert code == 0 and json.loads(out)["K"] > 0.0
     with pytest.raises(SystemExit):
         main(["--help"])
     assert sorted(added) == sorted(ACCEPTED)
+
+
+def test_a_config_run_leaves_the_parser_as_it_was(tmp_path, capsys):
+    build_parser.cache_clear()
+    # every run of the process parses with the parser that the --config
+    # run re-parsed its words with
+    first = run(capsys, "iqfi")
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("protocol = pi-train\nt = 2\nb = 0.5\nformat = csv\n")
+    configured = run(capsys, "iqfi", "--config", str(cfg))
+    assert first[0] == configured[0] == 0 and configured != first
+    assert run(capsys, "iqfi") == first
 
 
 def test_cli_imports_no_private_names():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -522,6 +523,16 @@ def test_fit_loglog_slope_exact_power_law():
         3.0, abs=1e-12)
     # fewer than two points in the window fit no line
     assert math.isnan(fit_loglog_slope(Ts, Ks, window=(3.0, 7.0)))
+
+
+def test_a_window_of_one_duration_fits_no_slope():
+    # one distinct T fitted a line: numpy's invalid-value warning in
+    # polyfit, and a sweep's slope 1.8257 with a RankWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(fit_loglog_slope([1.0, 1.0], [1.0, 2.0]))
+        sweep = sweep_iqfi_vs_T(make_ramsey, [2.0, 2.0], FLAT)
+    assert sweep.slope_window == (2.0, 2.0) and math.isnan(sweep.slope)
 
 
 @pytest.mark.parametrize("Ts, Ks, point", [
