@@ -45,6 +45,7 @@ from .bounds import applicable
 from .evolution import ODE_TOL, IntegrationError, feature_scale, qfi_vs_omega
 from .iqfi import (
     QuadratureConfig,
+    fit_loglog_slope,
     haar_average_iqfi,
     integrate_iqfi,
     sweep_iqfi_vs_T,
@@ -323,14 +324,14 @@ def cmd_fig1(args) -> int:
                          f"{_fmt(window[1])}] needs two distinct --T-list "
                          f"durations, got {len(inside)}")
 
-    def family(T):
-        return _build_protocol(args, "trotter-gx", T)
-
+    family = functools.partial(_build_protocol, args, "trotter-gx")
     texts = []
     for b in b_list:
-        sweep = sweep_iqfi_vs_T(family, t_list, SignalParams(B=b, omega=0.0),
-                                cfg=cfg, slope_window=tuple(window))
-        rows = [(p.T, p.K, p.K_err, sweep.slope) for p in sweep.points]
+        points = sweep_iqfi_vs_T(family, t_list, SignalParams(B=b, omega=0.0),
+                                 cfg=cfg)
+        slope = fit_loglog_slope([p.T for p in points], [p.K for p in points],
+                                 window)
+        rows = [(p.T, p.K, p.K_err, slope) for p in points]
         texts.append(_csv_text(
             "T,K,K_err,slope_window", rows,
             comments=[f"B={_fmt(b)} g={_fmt(args.g)} m=2T slope fitted on "
@@ -405,7 +406,8 @@ _FLAGS = {
                                          "protocol's highest frequency)"),
     "--points": dict(type=int, default=513, help="grid size"),
     "--rel-tol": dict(type=float, default=QuadratureConfig.rel_tol,
-                      help="integration relative tolerance"),
+                      help="relative error budget of the panels; K_err "
+                           "adds the tail's bound on top"),
     "--tail-factor": dict(type=float,
                           default=QuadratureConfig.tail_start_factor,
                           help="where the closed-form tail starts, in units "

@@ -60,7 +60,6 @@ __all__ = [
     "QuadratureNonConvergence",
     "HaarResult",
     "SweepPoint",
-    "SweepResult",
     "integrate_iqfi",
     "integrate_qfi_band",
     "haar_average_iqfi",
@@ -71,7 +70,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerance, tail start and panel budget of the frequency integration."""
+    """Tolerance, tail start and panel budget of the frequency integration.
+
+    rel_tol budgets the panels' summed error estimate only.  The returned
+    error estimate adds the tail's bound, which tail_start_factor sets, so
+    it can exceed rel_tol |K|.
+    """
 
     rel_tol: float = 1e-6
     tail_start_factor: float = 40.0
@@ -145,13 +149,6 @@ class SweepPoint:
     T: float
     K: float
     K_err: float
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    points: tuple
-    slope: float
-    slope_window: tuple
 
 
 # -- panel machinery ----------------------------------------------------------
@@ -527,9 +524,10 @@ def haar_average_iqfi(seq: PulseSequence, signal: SignalParams,
 
 def sweep_iqfi_vs_T(family: Callable, Ts: Sequence[float],
                     signal: SignalParams,
-                    cfg: Optional[QuadratureConfig] = None,
-                    slope_window: Optional[tuple] = None) -> SweepResult:
-    """K(T) across durations for a protocol family T -> protocol.
+                    cfg: Optional[QuadratureConfig] = None) -> tuple:
+    """K(T) across durations for a protocol family T -> protocol: the tuple
+    of SweepPoints in the order of Ts.  It fits nothing; fit_loglog_slope
+    of the points gives their log-log slope.
 
     The protocols are built in the calling thread, then integrated by a pool
     of one thread per usable CPU (no more than there are points): numpy
@@ -538,15 +536,11 @@ def sweep_iqfi_vs_T(family: Callable, Ts: Sequence[float],
     affinity (taskset) for fewer.
     A point that fails fails the sweep: its IntegrationError (the panel
     budget or the evolution's) is raised again as the same type, its
-    message prefixed by "T = <T>: ", and any other error as it is.  The
-    log-log slope is fitted over slope_window, by default from the least
-    to the greatest T of the points with K > 0; fewer than two distinct T
-    in the window give a NaN slope.
+    message prefixed by "T = <T>: ", and any other error as it is.
     """
     # imported on use, so that no other command loads the pool machinery
     from concurrent.futures import ThreadPoolExecutor
 
-    cfg = cfg or QuadratureConfig()
     Ts = [float(T) for T in Ts]
     protocols = [family(T) for T in Ts]
 
@@ -560,14 +554,7 @@ def sweep_iqfi_vs_T(family: Callable, Ts: Sequence[float],
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=max(1, min(cpus, len(Ts)))) as pool:
-        points = list(pool.map(point, Ts, protocols))
-    good = [p for p in points if p.K > 0.0]
-    ts, ks = [p.T for p in good], [p.K for p in good]
-    if slope_window is None and good:
-        slope_window = (min(ts), max(ts))
-    slope = fit_loglog_slope(ts, ks, slope_window)
-    return SweepResult(points=tuple(points), slope=slope,
-                       slope_window=tuple(slope_window) if slope_window else ())
+        return tuple(pool.map(point, Ts, protocols))
 
 
 def fit_loglog_slope(Ts, Ks, window: Optional[tuple] = None) -> float:

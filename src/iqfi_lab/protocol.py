@@ -350,7 +350,8 @@ def make_pi2_train(spacing: float, total_time: float, axis="x",
     count = total_time / spacing
     _check_count(count)
     if abs(count - round(count)) > 1e-9:
-        raise ValueError("spacing must divide total_time")
+        raise ValueError(f"spacing {spacing} must divide total_time "
+                         f"{total_time}")
     if round(count) == 0:
         raise ValueError(f"spacing {spacing} leaves no pulse in "
                          f"total_time {total_time}")

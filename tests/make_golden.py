@@ -30,6 +30,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -82,6 +83,13 @@ CASES = {
     "iqfi-ghz-no-duration": (["iqfi", "--protocol", "ghz", "--times", "0,0"],
                              None),
     "haar-gx": (["haar", "--protocol", "gx"], None),
+    # the help of the program and of each command, and a usage error:
+    # argparse prints them and exits before main's own handling
+    "help": (["--help"], None),
+    **{f"{command}-help": ([command, "--help"], None)
+       for command in ("spectrum", "iqfi", "fig1", "fig2", "bounds-check",
+                       "haar")},
+    "iqfi-bogus": (["iqfi", "--bogus"], None),
 }
 
 
@@ -93,15 +101,19 @@ def environment() -> dict:
 
 def run_case(argv, config, cwd: Path) -> dict:
     """Exit code, last stderr line and outputs ({name: bytes}; stdout as
-    'stdout') of main(argv) run in the empty directory cwd."""
+    'stdout') of main(argv) run in the empty directory cwd, on a terminal
+    80 columns wide, to which argparse wraps its help."""
     if config is not None:
         (cwd / CONFIG).write_text(config)
     out, err = io.StringIO(), io.StringIO()
     here = os.getcwd()
     os.chdir(cwd)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              mock.patch.dict(os.environ, COLUMNS="80")):
             code = main(list(argv))
+    except SystemExit as exc:  # argparse's help and usage errors
+        code = exc.code
     finally:
         os.chdir(here)
     outputs = {"stdout": out.getvalue().encode()} if out.getvalue() else {}

@@ -19,6 +19,7 @@ from iqfi_lab.bounds import (
 from iqfi_lab.evolution import qfi_fd_oracle, qfi_vs_omega
 from iqfi_lab.iqfi import (
     QuadratureConfig,
+    fit_loglog_slope,
     haar_average_iqfi,
     integrate_iqfi,
     integrate_qfi_band,
@@ -168,10 +169,12 @@ def test_acceptance_08_crossover_slopes():
     g = 0.5 * math.pi
     Ts = [8.0, 11.0, 16.0, 23.0, 32.0]
     fam = lambda T: make_trotterized_gx(T, m=max(1, int(round(2 * T))), g=g)
-    strong = sweep_iqfi_vs_T(fam, Ts, SignalParams(B=1.0, omega=0.0),
-                             cfg=ACC_CFG).slope
-    weak = sweep_iqfi_vs_T(fam, Ts, SignalParams(B=0.01, omega=0.0),
-                           cfg=ACC_CFG).slope
+
+    def slope(b):
+        points = sweep_iqfi_vs_T(fam, Ts, SignalParams(B=b, omega=0.0),
+                                 cfg=ACC_CFG)
+        return fit_loglog_slope([p.T for p in points], [p.K for p in points])
+    strong, weak = slope(1.0), slope(0.01)
     ok = 1.7 <= strong <= 2.1 and 0.9 <= weak <= 1.15
     _verdict("duration-scaling crossover", ok,
              f"slope {strong:.4f} at strong field (need [1.7, 2.1]), "

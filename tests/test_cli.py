@@ -672,7 +672,8 @@ def test_fig2_bad_duration_exits_2(tmp_path, monkeypatch, capsys):
     # 0.5 does not divide 3.3, so the pi/2 train cannot be built
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, "fig2", "--T", "3.3")
-    assert code == 2 and out == "" and "spacing" in err
+    assert code == 2 and out == ""
+    assert "spacing 0.5 must divide total_time 3.3" in err
     assert not list(tmp_path.iterdir())
 
 
@@ -820,12 +821,11 @@ def _exit(capsys, parse, argv):
 @pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
 def test_help_and_usage_errors_are_the_full_parsers(monkeypatch, capsys,
                                                     columns, argv):
-    """main prints the help, usage and error of the parser of every
-    command, at any width."""
+    """main exits 0 on a help and 2 on a usage error, at any width; the
+    golden cases of tests/golden/ pin the text."""
     monkeypatch.setenv("COLUMNS", columns)  # argparse wraps to it
-    full = _exit(capsys, build_parser().parse_args, argv)
-    assert _exit(capsys, main, argv) == full
-    assert full[0] == (0 if {"--help", "-h"} & set(argv) else 2)
+    code, _, _ = _exit(capsys, main, argv)
+    assert code == (0 if {"--help", "-h"} & set(argv) else 2)
 
 
 def _main_namespace(monkeypatch, argv):
@@ -853,9 +853,9 @@ def _main_namespace(monkeypatch, argv):
 
 @pytest.mark.parametrize("command", ACCEPTED)
 def test_main_parses_as_the_full_parser(tmp_path, monkeypatch, command):
-    """Every flag of a command away from its default, given on the command
-    line or in a --config file: main's namespace is the full parser's,
-    func and the flags the command does not read included."""
+    """Every flag of a command away from its default, given in a --config
+    file: main's namespace is the full parser's of those flags on the
+    command line, func and the flags the command does not read included."""
     defaults = vars(build_parser().parse_args([command]))
     dests = {flag: flag[2:].replace("-", "_")
              for flag in ACCEPTED[command] + ("--out",)}
@@ -871,7 +871,6 @@ def test_main_parses_as_the_full_parser(tmp_path, monkeypatch, command):
     words = [f"{flag}={value}" for flag, value in values.items()]
     full = vars(build_parser().parse_args([command, *words]))
     assert all(full[dest] != defaults[dest] for dest in dests.values())
-    assert _main_namespace(monkeypatch, [command, *words]) == full
     cfg = tmp_path / "all.ini"
     cfg.write_text("".join(f"{flag[2:]} = {value}\n"
                            for flag, value in values.items()))

@@ -459,9 +459,10 @@ def test_sweep_linear_scaling_and_failures():
     # pi/2 trains: at B = 0.3 their axis leaves +-z and K needs panels
     family = lambda T: make_pi2_train(T / 2.0, T)
     Ts = [2.0, 4.0, 8.0, 16.0]
-    sweep = sweep_iqfi_vs_T(family, Ts, FLAT)
-    assert [p.T for p in sweep.points] == Ts
-    assert sweep.slope == pytest.approx(1.0, abs=1e-3)
+    points = sweep_iqfi_vs_T(family, Ts, FLAT)
+    assert [p.T for p in points] == Ts
+    slope = fit_loglog_slope([p.T for p in points], [p.K for p in points])
+    assert slope == pytest.approx(1.0, abs=1e-3)
 
     # every point runs out of panels: the sweep raises the first one's
     # error in the order given, named by its T
@@ -469,16 +470,6 @@ def test_sweep_linear_scaling_and_failures():
                        match=r"^T = 2: \[0, .*\] needs .* panels"):
         sweep_iqfi_vs_T(family, Ts, SignalParams(B=0.3, omega=0.0),
                         cfg=QuadratureConfig(max_panels=5))
-
-
-def test_sweep_default_window_spans_a_shuffled_list():
-    # the window was (first T, last T): (8, 4) held no point, a NaN slope
-    family = lambda T: make_pi2_train(T / 2.0, T)
-    shuffled = sweep_iqfi_vs_T(family, [8.0, 2.0, 4.0], FLAT)
-    ordered = sweep_iqfi_vs_T(family, [2.0, 4.0, 8.0], FLAT)
-    assert shuffled.slope_window == ordered.slope_window == (2.0, 8.0)
-    assert ordered.slope == pytest.approx(1.0, abs=1e-3)
-    assert shuffled.slope == pytest.approx(ordered.slope, rel=1e-12)
 
 
 def test_sweep_points_equal_serial_integrals_in_order():
@@ -490,13 +481,14 @@ def test_sweep_points_equal_serial_integrals_in_order():
     family = lambda T: make_pi2_train(T / 2.0, T)
     sig = SignalParams(B=3.0, omega=0.0)
     cfg = QuadratureConfig(max_panels=60, rel_tol=1e-12)
-    sweep = sweep_iqfi_vs_T(family, [2.0, 1.0], sig, cfg=cfg)
-    assert [p.T for p in sweep.points] == [2.0, 1.0]
-    for p in sweep.points:
+    points = sweep_iqfi_vs_T(family, [2.0, 1.0], sig, cfg=cfg)
+    assert [p.T for p in points] == [2.0, 1.0]
+    for p in points:
         spec = integrate_iqfi(family(p.T), sig, cfg)
         assert (p.K, p.K_err) == (spec.integral, spec.error_estimate)
-    assert sweep.slope == fit_loglog_slope(
-        [2.0, 1.0], [p.K for p in sweep.points])
+    # out of order, the points still fit the train's near-linear K(T)
+    assert fit_loglog_slope([2.0, 1.0], [p.K for p in points]) == \
+        pytest.approx(1.0, abs=0.05)
     # a failed point fails the sweep with the error of the serial
     # integral, named by its T; of two, the first in the order given
     for T, Ts, message in (
@@ -531,8 +523,18 @@ def test_a_window_of_one_duration_fits_no_slope():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert math.isnan(fit_loglog_slope([1.0, 1.0], [1.0, 2.0]))
-        sweep = sweep_iqfi_vs_T(make_ramsey, [2.0, 2.0], FLAT)
-    assert sweep.slope_window == (2.0, 2.0) and math.isnan(sweep.slope)
+        sweep_iqfi_vs_T(make_ramsey, [2.0, 2.0], FLAT)
+
+
+def test_a_sweep_returns_its_zero_points_and_the_fit_names_them():
+    # Ramsey from |0> at B = 0 senses nothing: K = 0 exactly.  The sweep
+    # returns both points, and the fit refuses them, naming the first,
+    # where a silent NaN slope hid them
+    family = lambda T: make_ramsey(T, initial_state=(0.0, 0.0))
+    points = sweep_iqfi_vs_T(family, [1.0, 2.0], FLAT)
+    assert [(p.T, p.K) for p in points] == [(1.0, 0.0), (2.0, 0.0)]
+    with pytest.raises(ValueError, match=r"got K = 0\.0 at T = 1\.0$"):
+        fit_loglog_slope([p.T for p in points], [p.K for p in points])
 
 
 @pytest.mark.parametrize("Ts, Ks, point", [
