@@ -1,18 +1,19 @@
-"""Closed-form references and bounds for sensing performance.
+"""Closed forms and bounds for sensing performance.
 
 Everything here is an independent analytic expression: no function in this
 module calls the evolution or quadrature code, so that measured numbers and
 reference numbers come from separate routes.  It reads the protocol types
 only to decide, in `applicable`, which bound holds where.  Each function
-says whether its statement is proved, and how, or only checked.
+says whether its statement is proved, and how, or only checked.  It holds
+only what `applicable` and the bound battery use; the references that the
+tests alone check against (the pi train's spectrum, the rotating-frame
+model of the drive) are in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-
-import numpy as np
 
 from .protocol import GhzProtocol, PulseSequence, TransverseDrive
 
@@ -22,13 +23,9 @@ __all__ = [
     "report_equality",
     "report_lower_bound",
     "ramsey_closed_form",
-    "pi_train_closed_form",
-    "pi_train_qfi",
     "b0_linear_bound",
     "n_pulse_bound",
     "ghz_scaling",
-    "rwa_qfi",
-    "rwa_state",
     "rwa_iqfi_lower_bound",
     "applicable",
 ]
@@ -98,49 +95,6 @@ def ramsey_closed_form(T: float, phi: float = 0.0, zeta: float = 1.0) -> float:
     return 2.0 * zeta * zeta * T * (math.pi - math.log(4.0) * math.sin(2.0 * phi))
 
 
-def pi_train_closed_form(t0: float, tN: float, alpha: float,
-                         zeta: float = 1.0) -> float:
-    """K = 2*pi*zeta^2*(tN - t0)*sin^2(alpha) for a Z-reversing pi-train.
-
-    Independent of the interior pulse times; alpha is the polar Bloch angle
-    of the initial state.  Signal phase 0.
-    """
-    return 2.0 * math.pi * zeta * zeta * (tN - t0) * math.sin(alpha) ** 2
-
-
-def pi_train_qfi(omega, times, alpha: float = math.pi / 2.0,
-                 zeta: float = 1.0):
-    """Spectrum of a pi-train with segment boundaries t_0 < ... < t_N:
-
-        J = (4*zeta^2*sin^2(alpha)/omega^2) *
-            (sin(omega t_0) + 2*sum_i (-1)^i sin(omega t_i) + (-1)^N sin(omega t_N))^2
-
-    (interior sum over i = 1..N-1; signal phase 0).  Vectorized over omega;
-    omega -> 0 is taken through the alternating segment-length limit.
-    """
-    om = np.atleast_1d(np.asarray(omega, dtype=float))
-    t = np.asarray(times, dtype=float)
-    n_seg = t.size - 1
-    coef = np.full(t.size, 2.0)
-    coef[0] = 1.0
-    coef[-1] = 1.0
-    coef *= (-1.0) ** np.arange(t.size)
-    out = np.empty_like(om)
-    small = np.abs(om) * t[-1] < 1e-8
-    big = ~small
-    if np.any(big):
-        pattern = np.sin(np.outer(om[big], t)) @ coef
-        out[big] = (4.0 * zeta ** 2 * math.sin(alpha) ** 2 / om[big] ** 2) \
-            * pattern ** 2
-    if np.any(small):
-        # limit of pattern/omega: sum of signed segment lengths
-        signed = np.dot((-1.0) ** np.arange(n_seg), np.diff(t))
-        out[small] = 4.0 * zeta ** 2 * math.sin(alpha) ** 2 * signed ** 2
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return float(out[0])
-    return out
-
-
 # -- protocol-independent bounds ----------------------------------------------
 
 
@@ -180,7 +134,7 @@ def ghz_scaling(n: int, T: float, zeta: float = 1.0):
     qubits measured in parallel.  The entangled value is exact, proved at
     B = phi = 0: in the {|0...0>, |1...1>} plane the register is one qubit
     from |+> with coupling n*zeta, and its collective flips are pi pulses
-    about x, so K is a pi train's 2*pi*(n*zeta)^2*T (pi_train_closed_form).
+    about x, so K is a pi train's 2*pi*(n*zeta)^2*T.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -188,67 +142,7 @@ def ghz_scaling(n: int, T: float, zeta: float = 1.0):
     return n * n * base, n * base
 
 
-# -- rotating-wave model of the constant transverse drive ---------------------
-
-
-def _rwa_propagate(omega, B: float, g: float, T: float, zeta: float):
-    """(psi, dpsi/dB) at T from |+> in the rotating-frame model, as rows
-    (a, b) per omega.
-
-    With u = zeta*B, delta = omega - 2g, r = hypot(u, delta) and
-    theta = r*T/2, the propagator is U = cos(theta) - i sin(theta) n.sigma
-    about the unit axis n = (-delta, 0, u)/r.  Its derivative in u is
-    (T/2)(-sin(theta) n_z - i (cos(theta) - sinc(theta)) n_z n.sigma
-    - i sinc(theta) Z), with sinc(theta) = sin(theta)/theta: no term
-    divides by r, and at r = 0, where n is taken as 0, U = 1 and
-    dU/du = -i (T/2) Z.
-    """
-    om = np.atleast_1d(np.asarray(omega, dtype=float))
-    u = zeta * B
-    delta = om - 2.0 * g
-    r = np.hypot(u, delta)
-    r_or_1 = np.where(r > 0.0, r, 1.0)  # at r = 0, u = delta = 0
-    nx, nz = (-delta / r_or_1)[:, None], (u / r_or_1)[:, None]
-    theta = 0.5 * T * r
-    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    sinc = np.sinc(theta / math.pi)[:, None]
-    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    z_plus = np.array([1.0, -1.0]) / math.sqrt(2.0)  # Z|+>
-    n_plus = nx * plus + nz * z_plus  # (n.sigma)|+>, as X|+> = |+>
-    psi = c * plus - 1j * s * n_plus
-    dpsi = 0.5 * zeta * T * (-s * nz * plus - 1j * (c - sinc) * nz * n_plus
-                             - 1j * sinc * z_plus)
-    return psi, dpsi
-
-
-def rwa_state(omega: float, B: float, g: float, T: float,
-              zeta: float = 1.0) -> np.ndarray:
-    """State (a, b) of the rotating-frame model at time T, from |+>.
-
-    In the frame rotating with the g*X drive, the co-rotating half of the
-    signal gives the static Hamiltonian (1/2)[[zeta*B, -(omega-2g)],
-    [-(omega-2g), -zeta*B]]; its exponential applied to |+> is the
-    standard two-level precession about a tilted axis.
-    """
-    return _rwa_propagate(omega, B, g, T, zeta)[0][0]
-
-
-def rwa_qfi(omega, B: float, g: float, T: float, zeta: float = 1.0):
-    """Exact QFI of the rotating-frame model, by differentiating the state.
-
-    The propagator exp(-i*H_rwa*T) and its derivative in B are closed
-    forms (see _rwa_propagate), so no approximate printed spectrum enters.
-    At omega = 2g this reduces to (zeta*T)^2; for B -> 0 it tends to
-    4*zeta^2*sin^2(delta*T/2)/delta^2 with delta = omega - 2g.  Vectorized
-    over omega.
-    """
-    psi, dpsi = _rwa_propagate(omega, B, g, T, zeta)
-    ov = np.einsum("ni,ni->n", dpsi.conj(), psi)
-    dd = np.einsum("ni,ni->n", dpsi.conj(), dpsi).real
-    out = 4.0 * (dd + (ov * ov).real)
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return float(out[0])
-    return out
+# -- the constant transverse drive --------------------------------------------
 
 
 def rwa_iqfi_lower_bound(T: float, B: float, g: float,

@@ -4,17 +4,18 @@ Which bound holds where is bounds.applicable's, and the battery is
 battery.run_bound_battery's; here they are only called.
 
 Each command accepts --config, --out and only the flags it reads (see
-build_parser); any other flag is an argparse error.  Every default is
-written once, in the parser; one that follows from other settings is None
-there and worked out in code.  A --config file (flat INI-style key =
-value, dashes or underscores) is read as flags: each key that names one
-of the command's flags becomes --flag=value, placed before the command
-line's own words, so an explicit flag wins.  One file may hold the keys
-of every command's flags.  A command works out its output targets before
-it computes: one text goes to --out, or to stdout when --out is '-' or
-absent; several go to <stem>-<tag><ext>, and --out - with several is an
-error.  One writer, _write, writes every file to a temporary name before
-it renames any, so a run that fails writes no file.
+build_parser); any other flag is that command's usage error
+(_CommandParser).  Every default is written once, in the parser; one
+that follows from other settings is None there and worked out in code.
+A --config file (flat INI-style key = value, dashes or underscores) is
+read as flags: each key that names one of the command's flags becomes
+--flag=value, placed before the command line's own words, so an explicit
+flag wins.  One file may hold the keys of every command's flags.  A
+command works out its output targets before it computes: one text goes
+to --out, or to stdout when --out is '-' or absent; several go to
+<stem>-<tag><ext>, and --out - with several is an error.  One writer,
+_write, writes every file to a temporary name before it renames any, so
+a run that fails writes no file.
 
 build_parser builds the parser of every command once per process, and
 main parses every argv with it.
@@ -346,11 +347,15 @@ def cmd_fig2(args) -> int:
     T = _positive("--T", args.T)
     signal = _build_signal(args)
     ode_tol = _positive("--ode-tol", args.ode_tol)
-    protocols = [_build_protocol(args, tag, T) for tag in tags]
+    # the pi/2 train is built first: its 2T pulses are the most of the four,
+    # so a T beyond the pulse cap is refused before the pi train's T - 1
+    # pulses are built; the files keep the order of tags
+    protocols = {tag: _build_protocol(args, tag, T)
+                 for tag in ("pi2-train", "ramsey", "pi-train", "gx")}
     omegas = _grid(args, lambda: max(4.0 * args.g, 8.0 * math.pi / T))
     texts = []
-    for tag, protocol in zip(tags, protocols):
-        values = qfi_vs_omega(protocol, signal, omegas=omegas,
+    for tag in tags:
+        values = qfi_vs_omega(protocols[tag], signal, omegas=omegas,
                               ode_tol=ode_tol)
         texts.append(_csv_text(
             "omega,J", zip(omegas.tolist(), values.tolist()),
@@ -475,6 +480,18 @@ _COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: a word that the command does not take is its
+    usage error, which shows the command's flags, and not the top
+    parser's, which lists only the commands."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return parsed, extra
+
+
 class _Help(argparse.HelpFormatter):
     """Ends the help of a flag with its default, unless that is None."""
 
@@ -493,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="iqfi-lab",
         description="Broadband sensing toolkit: QFI spectra, integrated "
                     "sensitivity, figure data, and bound checks.")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=_CommandParser)
     for name in _COMMANDS:
         fn, help_text, flags, overrides = _COMMANDS[name]
         # exact names only: a prefix would let fig1's --T mean --T-list

@@ -3,15 +3,19 @@
 A monochromatic field B*cos(omega*t + phi) couples to the sensor's Z axis
 with gyromagnetic factor zeta.  Free evolution between times t0 and t1
 advances the relative phase of the two Z eigenstates by 2*zeta*B*Theta,
-where Theta is the time integral of cos(omega*t + phi).  theta computes it
-elementwise over arrays of interval ends and frequencies.  The evolution of
-pulse sequences and continuous drives asks for Theta of consecutive
-segments over one frequency array; _segment_thetas yields those, carrying
-the phase exp(i*(omega*t + phi)) from segment to segment so that a segment
-as long as the one before it costs two complex multiplications and no
-transcendental.  _run_thetas gives a run of equal segments at once, by
-the same recurrence vectorized over the run.  Everything here uses angular
-frequencies (rad/s), times in seconds, and hbar = 1.
+where Theta is the time integral of cos(omega*t + phi),
+
+    Theta = (sin(omega*t1 + phi) - sin(omega*t0 + phi))/omega.
+
+The evolution of pulse sequences and continuous drives asks for Theta of
+consecutive segments over one frequency array; _segment_thetas yields
+those, carrying the phase exp(i*(omega*t + phi)) from segment to segment
+so that a segment as long as the one before it costs two complex
+multiplications and no transcendental.  _run_thetas gives a run of equal
+segments at once, by the same recurrence vectorized over the run.  The
+closed-form Theta that both are checked against is in tests/oracles.py.
+Everything here uses angular frequencies (rad/s), times in seconds, and
+hbar = 1.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "SignalParams",
-    "theta",
 ]
 
 
@@ -64,21 +67,6 @@ class SignalParams:
                              f"and B {self.B}")
         if not 0.0 <= self.phi < 2.0 * np.pi:
             raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
-
-
-def theta(t0, t1, omega, phi=0.0):
-    """Vectorized kernel: integral of cos(omega*t + phi) over [t0, t1].
-
-    Evaluated in product form
-        Theta = (t1 - t0) * cos(omega*(t0+t1)/2 + phi) * sinc(omega*(t1-t0)/2)
-    which is algebraically identical to (sin(omega*t1+phi) - sin(omega*t0+phi))/omega
-    but free of cancellation for small omega and continuous through omega = 0,
-    where it reduces to (t1 - t0)*cos(phi).
-    """
-    d = t1 - t0
-    mid = 0.5 * (t0 + t1)
-    # np.sinc(x) = sin(pi x)/(pi x) with the x=0 limit handled exactly
-    return d * np.cos(omega * mid + phi) * np.sinc(omega * d / (2.0 * np.pi))
 
 
 # z is evaluated afresh at a segment's start after this many recurrence

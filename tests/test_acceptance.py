@@ -14,9 +14,8 @@ from iqfi_lab.bounds import (
     b0_linear_bound,
     n_pulse_bound,
     rwa_iqfi_lower_bound,
-    rwa_qfi,
 )
-from iqfi_lab.evolution import qfi_fd_oracle, qfi_vs_omega
+from iqfi_lab.evolution import qfi_vs_omega
 from iqfi_lab.iqfi import (
     QuadratureConfig,
     fit_loglog_slope,
@@ -34,7 +33,9 @@ from iqfi_lab.protocol import (
     make_trotterized_gx,
     random_pulse_sequence,
 )
-from iqfi_lab.signal_core import SignalParams, theta
+from iqfi_lab.signal_core import SignalParams
+
+from oracles import qfi_fd_oracle, rwa_qfi, tensor_ghz_qfi
 
 TWO_PI = 2.0 * math.pi
 # wide tail window: the bias floor of the default config would eat the
@@ -181,24 +182,6 @@ def test_acceptance_08_crossover_slopes():
              f"{weak:.4f} at weak field (need [0.9, 1.15])")
 
 
-def _tensor_pair_qfi(times, flips, sig):
-    """Dense two-qubit evolution, differentiated by the product rule."""
-    zsum = np.diag([2.0, 0.0, 0.0, -2.0])
-    xx = np.fliplr(np.eye(4))
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = psi[3] = 1.0 / math.sqrt(2.0)
-    dpsi = np.zeros_like(psi)
-    for i in range(len(times) - 1):
-        th = theta(times[i], times[i + 1], sig.omega, sig.phi)
-        u = np.diag(np.exp(-1j * sig.zeta * sig.B * th * np.diag(zsum)))
-        dpsi = u @ dpsi + (-1j * sig.zeta * th) * (zsum @ (u @ psi))
-        psi = u @ psi
-        if flips is not None and i < len(flips) and flips[i]:
-            psi, dpsi = xx @ psi, xx @ dpsi
-    ov = np.vdot(dpsi, psi)
-    return float(4.0 * (np.vdot(dpsi, dpsi).real + (ov * ov).real))
-
-
 def test_acceptance_09_entangled_register_scaling():
     T = 4.0
     worst = 0.0
@@ -222,7 +205,7 @@ def test_acceptance_09_entangled_register_scaling():
                                phi=float(rng.uniform(0.0, TWO_PI)))
             j = qfi_vs_omega(GhzProtocol(n=2, times=tuple(times), flips=flips),
                              sig)[0]
-            ref = _tensor_pair_qfi(times, flips, sig)
+            ref = tensor_ghz_qfi(2, times, flips, sig)
             worst_j = max(worst_j, abs(j - ref) / max(abs(ref), 1e-2))
     oracle_ok = worst_j <= 1e-10
     _verdict("entangled-register scaling", scaling_ok and oracle_ok,

@@ -14,18 +14,17 @@ from iqfi_lab.bounds import (
     b0_linear_bound,
     ghz_scaling,
     n_pulse_bound,
-    pi_train_closed_form,
-    pi_train_qfi,
     ramsey_closed_form,
     report_bound,
     report_equality,
     rwa_iqfi_lower_bound,
-    rwa_qfi,
-    rwa_state,
 )
 from iqfi_lab.protocol import (GhzProtocol, PiecewiseGenerator,
                                TransverseDrive, make_pi_train, make_ramsey)
-from iqfi_lab.signal_core import SignalParams, theta
+from iqfi_lab.signal_core import SignalParams
+
+from oracles import (pi_train_closed_form, pi_train_qfi, rwa_qfi, rwa_state,
+                     theta)
 
 
 def test_ramsey_closed_form_values():

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -513,6 +514,11 @@ def test_register_times_must_end_at_the_given_duration(tmp_path, capsys):
     # wrote a row of nan, exit 0
     (("fig1", "--B", "1", "--T-list", "2,2000", "--slope-window", "2,2000"),
      3),
+    # zeta*B*Theta beyond the floats: numpy RuntimeWarnings from the
+    # propagation before the line
+    (("fig2", "--B", "1e308"), 2),
+    (("fig2", "--zeta", "1e308"), 2),
+    (("spectrum", "--zeta", "1e308", "--times", "1e308"), 2),
 ])
 def test_out_of_range_numbers_exit_with_one_line(argv, code, capsys, tmp_path,
                                                  monkeypatch):
@@ -677,6 +683,20 @@ def test_fig2_bad_duration_exits_2(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_fig2_refuses_a_long_train_before_building_one(tmp_path,
+                                                       monkeypatch, capsys):
+    # the pi train's 999,999 pulses were built, for about 20 s, before the
+    # pi/2 train's 2,000,000 were refused
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fig2", "--T", "1e6")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == ""
+    assert err == ("iqfi-lab: bad protocol parameters: 2000000 pulses are "
+                   "more than the 1048576 a train may hold\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_fig2_takes_a_single_field(tmp_path, capsys):
     code, out, err = run(capsys, "fig2", "--T", "2", "--B", "1,2",
                          "--points", "5", "--out", str(tmp_path / "p"))
@@ -828,6 +848,29 @@ def test_help_and_usage_errors_are_the_full_parsers(monkeypatch, capsys,
     assert code == (0 if {"--help", "-h"} & set(argv) else 2)
 
 
+@pytest.mark.parametrize("command", ACCEPTED)
+def test_an_unknown_flag_is_the_commands_usage_error(tmp_path, capsys,
+                                                     command):
+    """A word that the command does not take shows the command's usage,
+    with or without a --config file, and not the top parser's, which
+    lists only the commands; a word before the command is the top
+    parser's."""
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("")
+    for argv in ([command, "--bogus"],
+                 [command, "--config", str(cfg), "--bogus", "--out", "-"]):
+        code, out, err = _exit(capsys, main, argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage: iqfi-lab {command} [-h] "
+                              "[--config CONFIG]")
+        assert err.splitlines()[-1] == (f"iqfi-lab {command}: error: "
+                                        "unrecognized arguments: --bogus")
+    code, _, err = _exit(capsys, main, ["--bogus", command])
+    assert code == 2 and err.startswith("usage: iqfi-lab [-h] {spectrum,")
+    assert err.splitlines()[-1] == ("iqfi-lab: error: unrecognized "
+                                    "arguments: --bogus")
+
+
 def _main_namespace(monkeypatch, argv):
     """The namespace that main runs its command on; the command itself is
     not run."""
@@ -923,6 +966,67 @@ def test_cli_imports_no_private_names():
     assert private == []
 
 
+def _reads(node, local=frozenset()) -> set:
+    """The names and attributes that node reads, less the names that an
+    enclosing function binds itself (a parameter or an assignment)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = node.args
+        local = local | {x.arg for x in (*a.posonlyargs, *a.args,
+                                         *a.kwonlyargs, a.vararg, a.kwarg)
+                         if x} | {n.id for n in ast.walk(node)
+                                  if isinstance(n, ast.Name)
+                                  and isinstance(n.ctx, ast.Store)}
+    found = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+            and node.id not in local:
+        found.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        found.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        found |= _reads(child, local)
+    return found
+
+
+def _bench_reads(tree) -> set:
+    """The names that the code of tree takes from iqfi_lab: imported by
+    name, or read as an attribute of a module bound by an import."""
+    used, bound = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and (node.module or "").startswith("iqfi_lab"):
+            used.update(alias.name for alias in node.names)
+            if node.module == "iqfi_lab":  # a name there may be a module
+                bound.update(alias.asname or alias.name
+                             for alias in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name for alias in node.names
+                         if alias.name.startswith("iqfi_lab"))
+    return used | {node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in bound}
+
+
+def test_every_published_name_is_reached():
+    """Each name of the modules' __all__ lists is used by package code
+    outside its own definition, or by the benchmark (perfbench/) through
+    an iqfi_lab import.  A reference that only the tests call belongs in
+    tests/oracles.py."""
+    src = Path(iqfi_lab.cli.__file__).parent
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    used = set()
+    for path in sorted(src.glob("*.py")):
+        # a def or class statement's own name is no use of it
+        used |= set().union(*(_reads(stmt) - {getattr(stmt, "name", None)}
+                              for stmt in ast.parse(path.read_text()).body))
+    for path in sorted(bench.glob("*.py")):
+        used |= _bench_reads(ast.parse(path.read_text()))
+    modules = (iqfi_lab.signal_core, iqfi_lab.protocol, iqfi_lab.evolution,
+               iqfi_lab.iqfi, iqfi_lab.bounds)
+    assert [name for module in modules for name in module.__all__
+            if name not in used] == []
+
+
 def test_package_publishes_its_modules_all():
     """Each public name is declared once, in its module's __all__, and
     iqfi_lab publishes exactly the union of those lists."""
@@ -1002,12 +1106,15 @@ def test_sweep_runs_on_threads_only():
 
 def test_cli_import_leaves_scipy_out():
     # numpy is the only runtime dependency: the tail's sine and cosine
-    # integrals and the rotating-frame propagator are numpy closed forms
+    # integrals are numpy closed forms, and so is the rotating-frame
+    # propagator of tests/oracles.py
     src = str(Path(iqfi_lab.cli.__file__).parents[1])
+    tests = str(Path(__file__).resolve().parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
     code = ("import sys, iqfi_lab.cli\n"
             "from iqfi_lab import *\n"
+            "from oracles import rwa_qfi, rwa_state\n"
             "sig = SignalParams(B=0.3, omega=0.0, phi=0.2)\n"
             "train = make_pi_train([0.5, 1.2], 2.0)\n"
             "for p in (train, GhzProtocol(n=2, times=(0.0, 1.0)),\n"

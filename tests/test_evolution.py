@@ -4,7 +4,8 @@ The independent references here are qfi_fd_oracle (central finite
 differences of the state over the field), an explicit per-node product of
 2x2 segment and pulse matrices for the pulse kernel, a per-frequency scipy
 DOP853 integration of the drive, and, for the entangled register, a dense
-tensor-product evolution built inside the test.
+tensor-product evolution (tensor_ghz_qfi); the oracles are in
+tests/oracles.py.
 """
 
 import inspect
@@ -16,7 +17,6 @@ import numpy as np
 import pytest
 
 from iqfi_lab.battery import PAULI_STATES
-from iqfi_lab.bounds import pi_train_qfi
 import iqfi_lab.evolution
 from iqfi_lab.evolution import (
     ODE_TOL,
@@ -26,7 +26,6 @@ from iqfi_lab.evolution import (
     _su2_exp,
     discrete_propagators,
     feature_scale,
-    qfi_fd_oracle,
     qfi_vs_omega,
 )
 from iqfi_lab.iqfi import integrate_iqfi, integrate_qfi_band
@@ -45,14 +44,16 @@ from iqfi_lab.protocol import (
     make_trotterized_gx,
     random_pulse_sequence,
 )
-from iqfi_lab.signal_core import SignalParams, theta
+from iqfi_lab.signal_core import SignalParams
+
+from oracles import pi_train_qfi, qfi_fd_oracle, tensor_ghz_qfi, theta
 
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
 
 def _state(seq, sig):
     """(psi, dpsi) of a pulse sequence at the signal's own frequency."""
-    psi, dpsi = discrete_propagators(seq, sig, psi0=seq.initial_vector())
+    psi, dpsi = discrete_propagators(seq, sig)
     return psi[0], dpsi[0]
 
 
@@ -179,13 +180,14 @@ def test_kernel_matches_explicit_matrix_product(kind, B, phi):
         assert err <= 1e-13 * np.abs(want).max(), err
 
     # the columns from |0> and |1> are the whole propagator and its
-    # derivative; without psi0 the sequence's own state is propagated
+    # derivative; the sequence's own state is propagated too
     psi0 = seq.initial_vector()
     for start, want, dwant in (
-            (np.array([1.0, 0.0]), P_ref[:, :, 0], W_ref[:, :, 0]),
-            (np.array([0.0, 1.0]), P_ref[:, :, 1], W_ref[:, :, 1]),
-            (None, P_ref @ psi0, W_ref @ psi0)):
-        psi, dpsi = discrete_propagators(seq, sig, omegas=om, psi0=start)
+            ((0.0, 0.0), P_ref[:, :, 0], W_ref[:, :, 0]),
+            ((math.pi, 0.0), P_ref[:, :, 1], W_ref[:, :, 1]),
+            (seq.initial_state, P_ref @ psi0, W_ref @ psi0)):
+        psi, dpsi = discrete_propagators(replace(seq, initial_state=start),
+                                         sig, omegas=om)
         assert psi.shape == dpsi.shape == (om.size, 2)
         close(psi, want)
         close(dpsi, dwant)
@@ -707,47 +709,6 @@ def test_ghz_n3_single_segment():
     assert j == pytest.approx(36.0 * th * th, rel=1e-13)
 
 
-def _tensor_ghz_qfi(n, times, flips, sig, B):
-    """Dense 2^n oracle: evolve the full register and differentiate by hand."""
-    dim = 2 ** n
-    zsum = np.zeros((dim, dim))
-    for q in range(n):
-        pattern = np.array([1.0, -1.0])
-        op = np.ones(1)
-        for r in range(n):
-            op = np.kron(op, pattern if r == q else np.ones(2))
-        zsum += np.diag(op)
-    xall = np.ones((1, 1))
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    for _ in range(n):
-        xall = np.kron(xall, sx)
-    psi0 = np.zeros(dim, dtype=complex)
-    psi0[0] = psi0[-1] = 1.0 / math.sqrt(2.0)
-
-    ops = []
-    for i in range(len(times) - 1):
-        th = theta(times[i], times[i + 1], sig.omega, sig.phi)
-        ops.append(("seg", th))
-        if flips is not None and i < len(flips) and flips[i]:
-            ops.append(("flip", None))
-
-    def seg_u(th):
-        return np.diag(np.exp(-1j * sig.zeta * B * th * np.diag(zsum)))
-
-    psi = psi0.copy()
-    dpsi = np.zeros_like(psi0)
-    for kind, th in ops:
-        if kind == "seg":
-            u = seg_u(th)
-            dpsi = u @ dpsi + (-1j * sig.zeta * th) * (zsum @ (u @ psi))
-            psi = u @ psi
-        else:
-            psi = xall @ psi
-            dpsi = xall @ dpsi
-    ov = np.vdot(dpsi, psi)
-    return float(4.0 * (np.vdot(dpsi, dpsi).real + (ov * ov).real))
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_ghz_matches_tensor_oracle(n):
     rng = np.random.default_rng(25)
@@ -762,7 +723,7 @@ def test_ghz_matches_tensor_oracle(n):
                                phi=float(rng.uniform(0.0, 2.0 * math.pi)))
             j = qfi_vs_omega(GhzProtocol(n=n, times=tuple(times), flips=flips),
                              sig)[0]
-            ref = _tensor_ghz_qfi(n, times, flips, sig, B)
+            ref = tensor_ghz_qfi(n, times, flips, sig)
             assert j == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import iqfi_lab.evolution
 import iqfi_lab.iqfi
-from iqfi_lab.bounds import pi_train_closed_form, ramsey_closed_form
+from iqfi_lab.bounds import ramsey_closed_form
 from iqfi_lab.battery import BATTERY_CFG_KW, PAULI_STATES
 from iqfi_lab.evolution import IntegrationError, _reduced
 from iqfi_lab.iqfi import (
@@ -47,6 +47,8 @@ from iqfi_lab.protocol import (
 )
 from iqfi_lab.protocol import _haar_su2
 from iqfi_lab.signal_core import SignalParams
+
+from oracles import pi_train_closed_form
 
 FLAT = SignalParams(B=0.0, omega=0.0, phi=0.0, zeta=1.0)
 GATE = QuadratureConfig(tail_start_factor=240.0, max_panels=40000)
@@ -428,13 +430,13 @@ def test_haar_within_its_error_of_the_six_states(B, phi):
 
 def test_haar_propagates_once(monkeypatch):
     # no pilot integration of the sequence's own J: one pass of one
-    # column, from |0> (psi0 None), per evaluation of the average
+    # column, from |0> (initial_state None), per evaluation of the average
     calls = []
     propagate = iqfi_lab.evolution.discrete_propagators
 
     def counted(*args, **kwargs):
         psi, dpsi = propagate(*args, **kwargs)
-        calls.append((kwargs.get("psi0"), psi.shape[1:], dpsi.shape[1:]))
+        calls.append((args[0].initial_state, psi.shape[1:], dpsi.shape[1:]))
         return psi, dpsi
 
     monkeypatch.setattr(iqfi_lab.evolution, "discrete_propagators", counted)
