@@ -57,8 +57,13 @@ The toggling frame of a protocol is here too, so that one module reads
 pulse unitaries, generators and protocol kinds: _jumps gives the times
 a_j at which Z~ = U0^dag Z U0 of the control alone jumps, the jumps and
 the initial Bloch vector, and feature_scale the protocol's highest
-intrinsic frequency.  iqfi integrates the frame over omega (the tail and
-the zero-field K) and reads none of these itself.
+intrinsic frequency.  A pulse sequence gives its pulses to both kernels
+as the read-only arrays it builds once (times and unitaries): the free
+segments come from its times, and _jumps forms the running products
+U_k ... U_1 of its unitaries, one 2x2 product per pulse, which _bloch_z
+turns into every r_k in one batched expression.  iqfi integrates the
+frame over omega (the tail and the zero-field K) and reads none of these
+itself.
 
 _states is the one way to the states at T and the J rule that goes with
 them: the formula above, or its Haar average (8/3)*<dpsi|dpsi> for a
@@ -139,7 +144,7 @@ def discrete_propagators(seq: PulseSequence, signal: SignalParams,
     psi0 = _ZERO if seq.initial_state is None else seq.initial_vector()
     # (Theta, u) per pulse and a last (Theta, None) to total_time
     steps = zip(_segment_thetas(seq.boundaries(), om, signal.phi),
-                [p.unitary for p in seq.pulses] + [None])
+                [*seq.unitaries, None])
     a, b, da, db = _propagate(psi0, steps, signal, om.size)
     return np.stack((a, b), axis=1), np.stack((da, db), axis=1)
 
@@ -463,9 +468,13 @@ def _continuous_batch(control, signal: SignalParams, omegas, tol: float):
 
 
 def _bloch_z(u):
-    """Bloch vector r of u^dag Z u = r.sigma."""
-    m = u.conj().T @ np.diag([1.0, -1.0]) @ u
-    return np.array([m[0, 1].real, -m[0, 1].imag, m[0, 0].real])
+    """The Bloch vectors r of u^dag Z u = r.sigma, as the rows of an (N, 3)
+    array, for a stack u of N 2x2 unitaries: r = (Re m01, -Im m01, m00) of
+    m = u^dag Z u, formed for the whole stack by one batched matmul, the
+    2x2 kernel that forms each m of a single u alike."""
+    m = u.conj().transpose(0, 2, 1) @ np.diag([1.0, -1.0]) @ u
+    return np.stack((m[:, 0, 1].real, -m[:, 0, 1].imag, m[:, 0, 0].real),
+                    axis=1)
 
 
 def _jumps(protocol):
@@ -475,19 +484,21 @@ def _jumps(protocol):
     Q_j is the jump (r before minus r after; r = 0 outside [0, T]) of the
     control's toggling-frame Bloch vector r at a_j: a sequence's pulses,
     or 0 and T for a continuous control.  r is r on each segment (None for
-    a control); n is the initial Bloch vector (None for a sequence with no
-    definite initial state), rate twice a control's largest precession rate
-    |n| of a generator h = h0 + n.sigma.
+    a control): z, then _bloch_z of the running products u_k ... u_1 of
+    the sequence's unitaries, formed pulse by pulse in that order and
+    turned into r in one call.  n is the initial Bloch vector (None for a
+    sequence with no definite initial state), rate twice a control's
+    largest precession rate |n| of a generator h = h0 + n.sigma.
     The jumps' covariance in the initial state is D = Q Q^T - (Q n)(Q n)^T,
     and (2/3) Q Q^T, its Haar average, for n None; its rows sum to zero.
     """
     z = np.array([0.0, 0.0, 1.0])
     if isinstance(protocol, PulseSequence):
-        u, r = np.eye(2), [z]
-        for p in protocol.pulses:
-            u = p.unitary @ u
-            r.append(_bloch_z(u))
-        r, n = np.array(r), None
+        # the running products u_k ... u_1, each written into its row
+        running, v = np.empty_like(protocol.unitaries), np.eye(2)
+        for k, u in enumerate(protocol.unitaries):
+            v = np.matmul(u, v, out=running[k])
+        r, n = np.vstack([z, _bloch_z(running)]), None
         if protocol.initial_state is not None:
             alpha, beta = protocol.initial_state
             n = np.array([math.sin(alpha) * math.cos(beta),
@@ -498,7 +509,7 @@ def _jumps(protocol):
     for start, end, h in protocol.pieces:
         u = _su2_exp(h, end - start) @ u
     return (np.array([0.0, float(protocol.total_time)]),
-            np.array([-z, _bloch_z(u)]), None,
+            np.vstack([-z, _bloch_z(u[None])]), None,
             np.array([1.0, 0.0, 0.0]), 2.0 * _generator_norm(protocol))
 
 

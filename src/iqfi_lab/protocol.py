@@ -34,7 +34,7 @@ SIGMA_Y = _frozen(np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex))
 SIGMA_Z = _frozen(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
 IDENTITY = _frozen(np.eye(2, dtype=complex))
 
-_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
+_SIGMAS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 # the most steps of the propagation kernel a protocol's maker builds: the
 # pulses of a train here, the steps of a drive's splitting in evolution.
 # 2^20 pulses take about 30 s and 0.4 GB to build; beyond, memory runs out
@@ -68,16 +68,12 @@ def bloch_state(alpha: float, beta: float) -> np.ndarray:
     )
 
 
-def rotation_matrix(axis, angle: float) -> np.ndarray:
-    """SU(2) rotation exp(-i*angle/2 * n.sigma), n the unit vector along
-    axis: "x", "y", "z" or a nonzero 3-vector."""
-    if isinstance(axis, str):
-        axis = _AXES[axis.lower()]
-    n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
-    gen = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-    half = 0.5 * angle
-    return math.cos(half) * IDENTITY - 1j * math.sin(half) * gen
+def rotation_matrix(axis: str, angle) -> np.ndarray:
+    """SU(2) rotation exp(-i*angle/2 * sigma_axis) = cos(angle/2) I -
+    i sin(angle/2) sigma_axis about axis "x", "y" or "z"; for a sequence
+    of angles, the (N, 2, 2) stack of their rotations."""
+    half = 0.5 * np.asarray(angle, dtype=float)[..., None, None]
+    return np.cos(half) * IDENTITY - 1j * np.sin(half) * _SIGMAS[axis]
 
 
 def _check_total_time(total_time: float) -> None:
@@ -90,46 +86,49 @@ def _check_total_time(total_time: float) -> None:
 class Pulse:
     """Instantaneous unitary at lab time `time`.
 
-    Either (axis, angle) for a rotation, or an explicit 2x2 matrix.  The
-    axis is "x", "y", "z" or a nonzero 3-vector, kept as a tuple; the
-    matrix is copied, and it and the unitary are read-only.  An angle that
-    is not finite is a ValueError; the PulseSequence that holds the pulse
-    checks that its unitary is unitary.
+    Either (axis, angle) for a rotation about axis "x", "y" or "z", or an
+    explicit 2x2 matrix, which is copied; it and the unitary are
+    read-only.  Any other axis, or an angle that is not finite, is a
+    ValueError; the PulseSequence that holds the pulse checks that its
+    unitary is unitary.
     """
 
     time: float
-    axis: Optional[object] = None
+    axis: Optional[str] = None
     angle: Optional[float] = None
     matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
         has_rot = self.axis is not None and self.angle is not None
-        has_mat = self.matrix is not None
-        if has_rot == has_mat:
+        if has_rot == (self.matrix is not None):
             raise ValueError("give exactly one of (axis, angle) or matrix")
-        if has_mat:
+        if not has_rot:
             m = np.array(self.matrix, dtype=complex)
             if m.shape != (2, 2):
                 raise ValueError("pulse matrix must be 2x2")
             object.__setattr__(self, "matrix", _frozen(m))
-        elif isinstance(self.axis, str):
-            if self.axis.lower() not in _AXES:
-                raise ValueError(
-                    f"unknown axis {self.axis!r}; choose x, y or z")
-        else:
-            axis = tuple(float(a) for a in self.axis)
-            if len(axis) != 3 or not any(axis):
-                raise ValueError(
-                    f"rotation axis must be a nonzero 3-vector, got {axis}")
-            object.__setattr__(self, "axis", axis)
-        if has_rot and not math.isfinite(self.angle):
+        elif not (isinstance(self.axis, str) and self.axis.lower() in _SIGMAS):
+            raise ValueError(f"unknown axis {self.axis!r}; choose x, y or z")
+        elif not math.isfinite(self.angle):
             raise ValueError(f"pulse angle must be finite, got {self.angle}")
 
     @cached_property
     def unitary(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
-        return _frozen(rotation_matrix(self.axis, self.angle))
+        """The pulse's unitary, as its PulseSequence's stack holds it."""
+        return _frozen(_unitaries((self,))[0])
+
+
+def _unitaries(pulses) -> np.ndarray:
+    """The (N, 2, 2) stack of the pulses' unitaries: the matrices as
+    given, and the rotations about each axis from one rotation_matrix
+    call."""
+    u = np.array([IDENTITY if p.matrix is None else p.matrix
+                  for p in pulses], dtype=complex).reshape(-1, 2, 2)
+    axes = [None if p.matrix is not None else p.axis.lower() for p in pulses]
+    for axis in set(axes) - {None}:
+        rows = [k for k, a in enumerate(axes) if a == axis]
+        u[rows] = rotation_matrix(axis, [pulses[k].angle for k in rows])
+    return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,12 +139,17 @@ class PulseSequence:
     the default (pi/2, 0) is |+>.  With None, J and K are Haar averages.
     Raises ValueError unless total_time is positive and finite, the angles
     two and finite, and the pulses unitary at non-decreasing times in
-    [0, T].
+    [0, T], naming the first pulse that fails and its first failed check.
+    Construction reads the pulses once, into two read-only arrays that
+    every other module reads instead: times, of shape (N,), and
+    unitaries, the (N, 2, 2) stack of the pulses' unitaries.
     """
 
     pulses: tuple
     total_time: float
     initial_state: tuple = (math.pi / 2.0, 0.0)
+    times: np.ndarray = field(init=False, repr=False)
+    unitaries: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pulses", tuple(self.pulses))
@@ -158,25 +162,23 @@ class PulseSequence:
         _check_total_time(self.total_time)
         if not all(map(math.isfinite, self.initial_state or ())):
             raise ValueError("initial_state angles must be finite")
-        prev = 0.0
-        for i, p in enumerate(self.pulses):
-            if not math.isfinite(p.time):
-                raise ValueError(f"pulse {i}: time must be finite")
-            if p.time < 0.0 or p.time > self.total_time:
-                raise ValueError(
-                    f"pulse {i}: time {p.time} outside [0, {self.total_time}]")
-            if p.time < prev:
-                raise ValueError(f"pulse {i}: times must be non-decreasing")
-            prev = p.time
-            u = p.unitary
-            defect = np.abs(u.conj().T @ u - IDENTITY).max()
-            if not defect <= 1e-12:  # a NaN entry fails this, as it should
-                raise ValueError(
-                    f"pulse {i}: not unitary (defect {defect:.2e})")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([p.time for p in self.pulses], dtype=float)
+        t = np.array([p.time for p in self.pulses], dtype=float)
+        u = _unitaries(self.pulses)
+        with np.errstate(all="ignore"):  # a huge entry is a defect of inf
+            defect = np.abs(u.conj().swapaxes(1, 2) @ u - IDENTITY).max((1, 2))
+        # row c holds check c of every pulse, each written as "not ok" so
+        # that a NaN fails it
+        bad = ~np.array([np.isfinite(t), (t >= 0.0) & (t <= self.total_time),
+                         t >= np.append(0.0, t[:-1]), defect <= 1e-12])
+        if bad.any():
+            i, check = np.argwhere(bad.T)[0]
+            raise ValueError(f"pulse {i}: " + (
+                "time must be finite",
+                f"time {self.pulses[i].time} outside [0, {self.total_time}]",
+                "times must be non-decreasing",
+                f"not unitary (defect {defect[i]:.2e})")[check])
+        object.__setattr__(self, "times", _frozen(t))
+        object.__setattr__(self, "unitaries", _frozen(u))
 
     def boundaries(self) -> np.ndarray:
         """Free-segment boundaries: 0, pulse times, total_time."""
@@ -324,22 +326,22 @@ def make_pi_train(times, total_time: float, axis="x",
                          initial_state=initial_state)
 
 
-def _even_train(count: int, step: float, total_time: float, axis, angle,
+def _even_train(count: int, step: float, total_time: float, angle,
                 initial_state) -> PulseSequence:
-    """angle rotations about axis at k*step for k = 1 .. count; more than
+    """angle rotations about x at k*step for k = 1 .. count; more than
     _MAX_STEPS of them is a ValueError."""
     _check_count(count)
     # count*step can land an ulp past total_time, which PulseSequence
     # rejects
-    pulses = tuple(Pulse(time=min(k * step, total_time), axis=axis,
+    pulses = tuple(Pulse(time=min(k * step, total_time), axis="x",
                          angle=angle) for k in range(1, count + 1))
     return PulseSequence(pulses=pulses, total_time=total_time,
                          initial_state=initial_state)
 
 
-def make_pi2_train(spacing: float, total_time: float, axis="x",
+def make_pi2_train(spacing: float, total_time: float,
                    initial_state=(math.pi / 2.0, 0.0)) -> PulseSequence:
-    """pi/2 rotations at k*spacing for k = 1 .. T/spacing.
+    """pi/2 rotations about x at k*spacing for k = 1 .. T/spacing.
 
     spacing must divide total_time to within 1e-9, into at least one and
     at most _MAX_STEPS pulses.
@@ -355,7 +357,7 @@ def make_pi2_train(spacing: float, total_time: float, axis="x",
     if round(count) == 0:
         raise ValueError(f"spacing {spacing} leaves no pulse in "
                          f"total_time {total_time}")
-    return _even_train(int(round(count)), spacing, total_time, axis,
+    return _even_train(int(round(count)), spacing, total_time,
                        math.pi / 2.0, initial_state)
 
 
@@ -372,8 +374,7 @@ def make_trotterized_gx(total_time: float, m: int, g: float,
     if m < 1 or m != int(m):
         raise ValueError("m must be a positive integer")
     dt = total_time / m
-    return _even_train(int(m), dt, total_time, "x", 2.0 * g * dt,
-                       initial_state)
+    return _even_train(int(m), dt, total_time, 2.0 * g * dt, initial_state)
 
 
 def random_pulse_sequence(rng: np.random.Generator, total_time: float,

@@ -11,7 +11,9 @@ workload, so they live beside the tests rather than in the package:
   transverse drive, in closed form (_rwa_propagate);
 - qfi_fd_oracle, J with the analytic field derivative replaced by a
   central finite difference of the states over B;
-- tensor_ghz_qfi, J of an n-qubit GHZ register by dense 2^n evolution.
+- tensor_ghz_qfi, J of an n-qubit GHZ register by dense 2^n evolution;
+- frame_r, a pulse sequence's toggling-frame Bloch vectors r_k, pulse by
+  pulse.
 
 Nothing here imports scipy or pytest, so that a child process may import
 it beside the package (see tests/test_cli.py).
@@ -237,3 +239,23 @@ def tensor_ghz_qfi(n, times, flips, signal: SignalParams) -> float:
             psi, dpsi = xall @ psi, xall @ dpsi
     ov = np.vdot(dpsi, psi)
     return float(4.0 * (np.vdot(dpsi, dpsi).real + (ov * ov).real))
+
+
+# -- the toggling frame -------------------------------------------------------
+
+
+def _bloch_z(u):
+    """Bloch vector r of u^dag Z u = r.sigma."""
+    m = u.conj().T @ np.diag([1.0, -1.0]) @ u
+    return np.array([m[0, 1].real, -m[0, 1].imag, m[0, 0].real])
+
+
+def frame_r(seq) -> np.ndarray:
+    """r_k of a pulse sequence's toggling frame as rows: z before the first
+    pulse, then r of u^dag Z u for the running product u = U_k ... U_1 of
+    each pulse's own unitary, one pulse at a time."""
+    u, r = np.eye(2), [np.array([0.0, 0.0, 1.0])]
+    for p in seq.pulses:
+        u = p.unitary @ u
+        r.append(_bloch_z(u))
+    return np.array(r)

@@ -22,6 +22,8 @@ from iqfi_lab.evolution import (
     ODE_TOL,
     IntegrationError,
     _continuous_batch,
+    _jumps,
+    _reduced,
     _states,
     _su2_exp,
     discrete_propagators,
@@ -46,7 +48,9 @@ from iqfi_lab.protocol import (
 )
 from iqfi_lab.signal_core import SignalParams
 
-from oracles import pi_train_qfi, qfi_fd_oracle, tensor_ghz_qfi, theta
+from oracles import (frame_r, pi_train_qfi, qfi_fd_oracle, tensor_ghz_qfi,
+                     theta)
+from test_golden import BYTES
 
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
@@ -787,3 +791,35 @@ def test_one_ode_tol_default():
         == 1e-11 < ODE_TOL
     tol = inspect.signature(_continuous_batch).parameters["tol"]
     assert tol.default is inspect.Parameter.empty
+
+
+def _frame_cases():
+    """Seeded SU(2) and pi-xy trains, a trotterized drive and a GHZ
+    register with flips, by name."""
+    rng = np.random.default_rng(2024)
+    sig = SignalParams(B=0.4, omega=0.0)
+    flips = tuple(bool(f) for f in rng.integers(2, size=6))
+    cases = {f"{kind}-{k}": random_pulse_sequence(rng, 4.0, 40, kind=kind)
+             for kind in ("su2", "pi_xy") for k in range(4)}
+    cases["trotter-gx"] = make_trotterized_gx(3.0, m=37, g=0.83)
+    cases["ghz"] = _reduced(GhzProtocol(n=3, times=np.linspace(0.0, 3.5, 8),
+                                        flips=flips), sig)[0]
+    return cases
+
+
+FRAME_CASES = _frame_cases()
+
+
+@pytest.mark.parametrize("name", FRAME_CASES)
+def test_the_frame_matches_the_per_pulse_reference(name):
+    """_jumps takes r from the pulse stack in one pass: within 4 ulps of |r|
+    of the pulse-by-pulse reference, and bit for bit where the goldens are
+    compared as bytes (the same matmul kernel forms both)."""
+    seq = FRAME_CASES[name]
+    r = _jumps(seq)[2]
+    want = frame_r(seq)
+    assert r.shape == want.shape == (len(seq.pulses) + 1, 3)
+    ulps = 4.0 * np.finfo(float).eps * np.linalg.norm(want, axis=1)
+    assert (np.abs(r - want).max(axis=1) <= ulps).all()
+    if BYTES:
+        np.testing.assert_array_equal(r, want)

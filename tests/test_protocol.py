@@ -213,6 +213,26 @@ INVALID = {
     "matrix_not_unitary": (lambda: PulseSequence(
         (PI_X, Pulse(time=2.0, matrix=[[1.0, 1.0], [0.0, 1.0]])), 4.0),
         "pulse 1: not unitary (defect 1.00e+00)"),
+    # a NaN fails the unitarity check; an infinite or huge entry once
+    # printed numpy's RuntimeWarning first
+    "matrix_nan": (lambda: PulseSequence(
+        (Pulse(time=1.0, matrix=[[math.nan, 0.0], [0.0, 1.0]]),), 4.0),
+        "pulse 0: not unitary (defect nan)"),
+    "matrix_inf": (lambda: PulseSequence(
+        (Pulse(time=1.0, matrix=[[math.inf, 0.0], [0.0, 1.0]]),), 4.0),
+        "pulse 0: not unitary (defect nan)"),
+    "matrix_huge": (lambda: PulseSequence(
+        (Pulse(time=1.0, matrix=[[1e200, 0.0], [0.0, 1.0]]),), 4.0),
+        "pulse 0: not unitary (defect inf)"),
+    # the first pulse that fails is named, with its first failed check
+    "first_failing_pulse": (lambda: PulseSequence(
+        (PI_X, Pulse(time=2.0, matrix=[[1.0, 1.0], [0.0, 1.0]]),
+         Pulse(time=5.0, axis="x", angle=1.0)), 4.0),
+        "pulse 1: not unitary (defect 1.00e+00)"),
+    "first_failed_check": (lambda: PulseSequence(
+        (Pulse(time=2.0, axis="x", angle=1.0),
+         Pulse(time=1.0, matrix=[[1.0, 1.0], [0.0, 1.0]])), 4.0),
+        "pulse 1: times must be non-decreasing"),
     "total_time_nan": (lambda: PulseSequence((), math.nan),
                        "total_time must be positive and finite, got nan"),
     "total_time_inf": (lambda: PulseSequence((PI_X,), math.inf),
@@ -263,9 +283,9 @@ INVALID = {
                         "pieces end at 1.0, expected total_time 2.0"),
     "axis_unknown": (lambda: Pulse(time=1.0, axis="w", angle=1.0),
                      "unknown axis 'w'; choose x, y or z"),
-    "axis_zero": (lambda: Pulse(time=1.0, axis=(0.0, 0.0, 0.0), angle=1.0),
-                  "rotation axis must be a nonzero 3-vector, got "
-                  "(0.0, 0.0, 0.0)"),
+    # an axis is a letter: a vector is refused
+    "axis_tuple": (lambda: Pulse(time=1.0, axis=(0.0, 1.0, 0.0), angle=1.0),
+                   "unknown axis (0.0, 1.0, 0.0); choose x, y or z"),
     "pulse_axis_and_matrix": (lambda: Pulse(time=1.0, axis="x", angle=1.0,
                                             matrix=SX),
                               "give exactly one of (axis, angle) or matrix"),
@@ -313,17 +333,15 @@ def test_invalid_protocols_raise_at_construction(name):
 def test_a_built_protocol_keeps_its_own_arrays():
     # the caller's arrays and lists, edited after construction, change
     # nothing in the protocol
-    m, h = SX.copy(), SX.copy()
-    axis, state = [0.0, 1.0, 0.0], [0.3, 0.2]
-    seq = PulseSequence((Pulse(time=1.0, matrix=m),
-                         Pulse(time=2.0, axis=axis, angle=1.0)), 3.0, state)
+    m, h, state = SX.copy(), SX.copy(), [0.3, 0.2]
+    seq = PulseSequence((Pulse(time=1.0, matrix=m),), 3.0, state)
     ctrl = PiecewiseGenerator(((0.0, 3.0, h),), 3.0)
     m[:] = 0.0
     h[0, 1] = math.nan
-    axis[1], state[0] = 0.0, math.nan
+    state[0] = math.nan
     np.testing.assert_array_equal(seq.pulses[0].unitary, SX)
+    np.testing.assert_array_equal(seq.unitaries[0], SX)
     np.testing.assert_array_equal(ctrl.pieces[0][2], SX)
-    assert seq.pulses[1].axis == (0.0, 1.0, 0.0)
     assert seq.initial_state == (0.3, 0.2)
     flips = GhzProtocol(n=2, times=(0.0, 1.0, 2.0, 3.0), flips=(1, 0.0)).flips
     assert flips == (True, False) and all(type(f) is bool for f in flips)
@@ -347,6 +365,38 @@ def test_protocol_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0.0
         assert not a.flags.writeable, name
+
+
+@pytest.mark.parametrize("kind", ["su2", "pi_xy"])
+def test_a_sequence_reads_its_pulses_into_two_read_only_arrays(kind):
+    seq = random_pulse_sequence(np.random.default_rng(11), 3.0,
+                                max_pulses=12, kind=kind)
+    n = len(seq.pulses)
+    assert seq.times.shape == (n,) and seq.unitaries.shape == (n, 2, 2)
+    for k, p in enumerate(seq.pulses):
+        assert seq.times[k] == p.time
+        np.testing.assert_array_equal(seq.unitaries[k], p.unitary)
+    for a in (seq.times, seq.unitaries):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    # replace builds a new sequence, and its arrays anew
+    haar = replace(seq, initial_state=None)
+    assert haar.initial_state is None
+    assert haar.times is not seq.times
+    assert haar.unitaries is not seq.unitaries
+    np.testing.assert_array_equal(haar.times, seq.times)
+    np.testing.assert_array_equal(haar.unitaries, seq.unitaries)
+    # a train's rotations about each axis come from one call; upper-case
+    # letters name the same axes
+    mixed = PulseSequence((Pulse(time=0.5, axis="X", angle=0.3),
+                           Pulse(time=1.0, matrix=SX),
+                           Pulse(time=1.5, axis="y", angle=2.0),
+                           Pulse(time=2.0, axis="x", angle=-1.0)), 2.0)
+    for k, p in enumerate(mixed.pulses):
+        np.testing.assert_array_equal(mixed.unitaries[k], p.unitary)
+    empty = make_ramsey(1.0)
+    assert empty.times.shape == (0,) and empty.unitaries.shape == (0, 2, 2)
 
 
 def test_no_module_but_protocol_checks_a_protocol():
